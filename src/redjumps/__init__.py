@@ -11,16 +11,15 @@ verifier sub-libraries for the supporting lattice and monoid facts.
 from . import errors
 from .catalog import (GeneratedGraph, catalog_graph, catalog_tags,
                       expected_jump, genus2_example, kodaira_graph,
-                      random_instance, random_valid_graph, seed_graphs)
+                      random_instance, seed_graphs)
 from .graph import (ReductionGraph, ValidationReport, Vertex, Violation,
                     blow_down, blow_up_edge, blow_up_free_point, build,
                     contract_chains, is_isomorphic, minimize,
                     principal_dominating)
 from .io import dump_graph, graph_document, parse_document, report_document
-from .jumps import (AnalysisReport, IntegralDivisor, JumpSpectrum,
-                    RationalDivisor, analyze, candidate_values, compute_jumps,
-                    floor_divisor, index_set, intersect, jump_multiplicity,
-                    jump_multiplicity_via_euler, lcm_multiplicity,
+from .jumps import (AnalysisReport, IntegralDivisor, JumpSpectrum, analyze,
+                    candidate_values, compute_jumps, floor_divisor, index_set,
+                    intersect, jump_multiplicity, jump_multiplicity_via_euler,
                     lower_bound, run_checks, sigma, tame_base_change_conductor,
                     unipotent_rank)
 
@@ -28,15 +27,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisReport", "GeneratedGraph", "IntegralDivisor", "JumpSpectrum",
-    "RationalDivisor", "ReductionGraph", "ValidationReport", "Vertex",
+    "ReductionGraph", "ValidationReport", "Vertex",
     "Violation", "analyze", "blow_down", "blow_up_edge",
     "blow_up_free_point", "build", "candidate_values", "catalog_graph",
     "catalog_tags", "compute_jumps", "contract_chains", "dump_graph",
     "errors", "expected_jump", "floor_divisor", "genus2_example",
     "graph_document", "index_set", "intersect", "is_isomorphic",
     "jump_multiplicity", "jump_multiplicity_via_euler", "kodaira_graph",
-    "lcm_multiplicity", "lower_bound", "minimize", "parse_document",
-    "principal_dominating", "random_instance", "random_valid_graph",
+    "lower_bound", "minimize", "parse_document",
+    "principal_dominating", "random_instance",
     "report_document", "run_checks", "seed_graphs", "sigma",
     "tame_base_change_conductor", "unipotent_rank",
 ]

@@ -192,7 +192,3 @@ def random_instance(seed: int, moves: int) -> GeneratedGraph:
             log.append(("edge", e))
     return GeneratedGraph(g, base, base_name, tuple(log))
 
-
-def random_valid_graph(seed: int, moves: int) -> ReductionGraph:
-    """The graph of random_instance(seed, moves)."""
-    return random_instance(seed, moves).graph

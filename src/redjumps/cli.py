@@ -23,8 +23,6 @@ import sys
 from . import catalog as _catalog
 from . import graph as _graph
 from . import jumps as _jumps
-from . import lattices as _lattices
-from . import monoids as _monoids
 from .errors import (InternalInconsistency, ParseError, RedjumpsError,
                      ValidationError)
 from .io import dump_graph, parse_document, report_document
@@ -142,6 +140,8 @@ def _verify_graphs(seed, count, results):
 
 
 def _verify_lattices(seed, count, results):
+    from . import lattices as _lattices
+
     rng = random.Random(seed)
     good = 0
     for _ in range(count):
@@ -181,6 +181,8 @@ def _verify_lattices(seed, count, results):
 
 
 def _verify_monoids(seed, count, results):
+    from . import monoids as _monoids
+
     rng = random.Random(seed)
     good = total = 0
     for chart in _monoids.charts_case1(6):

@@ -27,8 +27,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, lcm
 
-import networkx as nx
-
 from .errors import (
     InconsistentGeometry,
     InternalInconsistency,
@@ -93,6 +91,16 @@ def _structural_problems(vertices, edges):
 
 
 @dataclass(frozen=True)
+class _Compiled:
+    """Integer form of a valid graph: vertex k is ``vertices[k]``."""
+
+    N: list[int]
+    genus: list[int]
+    E2: list[int]
+    nbrs: list[list[int]]  # neighbour indices, repeated for parallel edges
+
+
+@dataclass(frozen=True)
 class ReductionGraph:
     """Immutable labelled multigraph. Edges are unordered id pairs.
 
@@ -128,6 +136,15 @@ class ReductionGraph:
             adj[a].append((b, k))
             adj[b].append((a, k))
         return adj
+
+    @cached_property
+    def _compiled(self) -> _Compiled:
+        index = {v.id: k for k, v in enumerate(self.vertices)}
+        return _Compiled(
+            N=[v.multiplicity for v in self.vertices],
+            genus=[v.genus for v in self.vertices],
+            E2=[self.self_intersection(v.id) for v in self.vertices],
+            nbrs=[[index[w] for w, _ in self._adjacency[v.id]] for v in self.vertices])
 
     @property
     def ids(self):
@@ -235,11 +252,15 @@ class ReductionGraph:
                 if v.genus >= 1 or len(self._adjacency[v.id]) >= 3}
 
     def is_minimal(self) -> bool:
-        """No genus-0 vertex of degree <= 2 has self-intersection -1."""
+        """No contractible exceptional curve: genus 0, E^2 = -1, and degree 1
+        or two distinct neighbours. A -1 curve meeting one neighbour twice
+        would contract to a node, which leaves the sncd class, so it stays."""
         return not any(self._eligible(v) for v in self.vertices)
 
     def _eligible(self, v: Vertex) -> bool:
-        return (v.genus == 0 and len(self._adjacency[v.id]) <= 2
+        adj = self._adjacency[v.id]
+        return (v.genus == 0
+                and (len(adj) == 1 or (len(adj) == 2 and adj[0][0] != adj[1][0]))
                 and self.self_intersection(v.id) == -1)
 
     def stabilization_index(self) -> int:
@@ -252,7 +273,10 @@ class ReductionGraph:
         return lcm(*(self._by_id[i].multiplicity for i in principal)) if len(principal) > 1 \
             else self._by_id[next(iter(principal))].multiplicity
 
-    def as_multigraph(self) -> nx.MultiGraph:
+    def as_multigraph(self):
+        """The graph as a networkx MultiGraph with the labels on its nodes."""
+        import networkx as nx
+
         G = nx.MultiGraph()
         for v in self.vertices:
             G.add_node(v.id, multiplicity=v.multiplicity, genus=v.genus)
@@ -353,28 +377,18 @@ def blow_down(g: ReductionGraph, v: str) -> ReductionGraph:
 
 
 def minimize(g: ReductionGraph) -> ReductionGraph:
-    """Greedily blow down until no exceptional curve remains.
+    """Greedily blow down until no contractible exceptional curve remains.
 
     Contraction order is deterministic (lexicographic by id); the result is
-    independent of order. If the only remaining exceptional curves have both
-    edges on one neighbour the graph cannot be minimized inside the sncd
-    class and WouldCreateLoop propagates.
+    independent of order. A -1 curve with both edges on one neighbour is
+    not contractible and stays, so the true sncd model of I1 is minimal.
     """
     _check_valid(g)
     while True:
-        eligible = sorted(v.id for v in g.vertices if g._eligible(v))
+        eligible = [v.id for v in g.vertices if g._eligible(v)]
         if not eligible:
             return g
-        blocked = None
-        for vid in eligible:
-            try:
-                g = blow_down(g, vid)
-                blocked = None
-                break
-            except WouldCreateLoop as exc:
-                blocked = exc
-        if blocked is not None:
-            raise blocked
+        g = blow_down(g, min(eligible))
 
 
 def contract_chains(g: ReductionGraph):
@@ -383,17 +397,17 @@ def contract_chains(g: ReductionGraph):
     Keeps every vertex of genus >= 1 or degree != 2 and returns (sorted
     multiplicity list, their lcm). The lcm is the saturation index of the
     log regular model obtained by contracting the degree-2 rational chains.
-    If ALL vertices are genus-0 of degree 2 (a cycle), the multiplicities
-    are constant = 1 on a minimal valid graph; the lcm over everything is
-    returned (1).
+    If ALL vertices are genus-0 of degree 2 (a cycle, such as I_n or the
+    model of I1 with a non-contractible -1 curve), every multiplicity is
+    returned and the index is 1: there is no principal component.
     """
     if not g.is_minimal():
         raise NotMinimal("contract_chains is defined on the minimal model")
     kept = [v.multiplicity for v in g.vertices
             if v.genus >= 1 or g.degree(v.id) != 2]
     if not kept:
-        kept = [v.multiplicity for v in g.vertices]
-    return sorted(kept), lcm(*kept) if len(kept) > 1 else kept[0]
+        return sorted(v.multiplicity for v in g.vertices), 1
+    return sorted(kept), lcm(*kept)
 
 
 def principal_dominating(g: ReductionGraph, v0: str) -> str:
@@ -430,6 +444,8 @@ def principal_dominating(g: ReductionGraph, v0: str) -> str:
 
 def is_isomorphic(g1: ReductionGraph, g2: ReductionGraph) -> bool:
     """Label-preserving multigraph isomorphism (multiplicity and genus)."""
+    import networkx as nx
+
     match = nx.algorithms.isomorphism.categorical_node_match(
         ["multiplicity", "genus"], [None, None])
     return nx.is_isomorphic(g1.as_multigraph(), g2.as_multigraph(), node_match=match)

@@ -2,32 +2,42 @@
 
 For a curve of genus g with sncd reduction data (multiplicities N_i, genera
 g_i, intersection points as edges), the jumps of the tame base-change
-filtration on the Néron model of the Jacobian all lie in {j/m : 0 <= j < m},
-m = lcm(N_i), and the multiplicity of j/m as a jump is the integer
+filtration on the Néron model of the Jacobian lie in [0, 1), and the
+multiplicity of q as a jump is the integer
 
-    sum_{i in I_j} E_i . floor((j/m) C_k)  +  sum_{i in I_j} g_i
-        - |I_j| + sigma_j + [j = 0]
+    sum_{i in I_q} (E_i . floor(q C_k) + g_i) - |I_q| + sigma_q + [q = 0]
 
-where I_j = {i : (m/N_i) | j}, floor((j/m) C_k) is the divisor with
-coefficients floor(j N_i / m), and sigma_j counts the edges touching at
-least one I_j vertex. Counted with multiplicity there are exactly g jumps;
-the multiplicity of 0 is g minus the unipotent rank g - sum g_i - b_1.
+where I_q = {i : q N_i is an integer}, floor(q C_k) is the divisor with
+coefficients floor(q N_i), and sigma_q counts the edges touching I_q.
+Counted with multiplicity there are exactly g jumps; the multiplicity of 0
+is g minus the unipotent rank g - sum g_i - b_1.
 
-A second, independent route computes the same number as an Euler
-characteristic: sum_{i in I_j} (g_i - 1 + deg_i + E_i . floor((j/m) C_k))
-minus the number of edges with both endpoints in I_j.
+Write q = a/d in lowest terms. Then I_q = M_d = {i : d | N_i} depends on d
+alone, and since E_i . C_k = 0 the intersection terms collapse onto the
+boundary of M_d, the edges i-w with i in M_d and w outside:
 
-Only j with I_j nonempty can contribute (all terms vanish otherwise), i.e.
-only values a/N_i; the spectrum is computed by scanning those candidates,
-never by looping j over [0, m): m explodes under repeated blow-ups while
-the candidate set stays small.
+    mult(a/d) = sum_{M_d} g_i - |M_d| + sigma_d + [d = 1]
+                - (sum over boundary edges of (a N_w mod d)) / d
+
+The kernel compiles the graph to integer lists once, computes M_d, its
+inner edges, sigma_d, its boundary, its genus and its components once per
+denominator d, and only the last sum once per numerator a. Only q with I_q
+nonempty can be jumps, so the candidates are the a/d with d dividing some
+N_i and a prime to d; the scan never loops over [0, m), m = lcm(N_i),
+which explodes under repeated blow-ups while the candidate set stays small.
+
+The dual route is the direct intersection-number form, the Euler
+characteristic of the twisted line bundle on the I_q part of the reduced
+fiber: sum_{M_d} (g_i - 1 + deg_i + E_i . floor(q C_k)) minus the edges
+inside M_d, with every floor evaluated afresh. The lower bound b_1(M_d) +
+sum_{M_d} g_i depends on d alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, isqrt, lcm
 
 from .errors import InternalInconsistency, PreconditionFailed
 from .graph import ReductionGraph
@@ -41,28 +51,6 @@ class IntegralDivisor:
 
     def __getitem__(self, vid):
         return self.coefficients.get(vid, 0)
-
-
-@dataclass(frozen=True)
-class RationalDivisor:
-    """Non-negative exact rational coefficients indexed by vertex id."""
-
-    coefficients: dict
-
-    def __getitem__(self, vid):
-        return self.coefficients.get(vid, Fraction(0))
-
-    def floor(self) -> IntegralDivisor:
-        return IntegralDivisor({k: c.numerator // c.denominator
-                                for k, c in self.coefficients.items()})
-
-    def frac(self) -> "RationalDivisor":
-        """Fractional part {D} = D - floor(D)."""
-        return RationalDivisor({k: c - (c.numerator // c.denominator)
-                                for k, c in self.coefficients.items()})
-
-    def support(self):
-        return {k for k, c in self.coefficients.items() if c != 0}
 
 
 @dataclass(frozen=True)
@@ -91,10 +79,120 @@ class JumpSpectrum:
         return lcm(*dens) if dens else 1
 
 
-def lcm_multiplicity(g: ReductionGraph) -> int:
-    """m = lcm of the component multiplicities."""
-    return g.multiplicity_lcm()
+# -- the kernel: per-denominator terms of the compiled graph -----------------
 
+@dataclass(frozen=True)
+class _Terms:
+    """Everything the three routes need of one denominator d."""
+
+    d: int
+    members: tuple[int, ...]   # M_d = {i : d | N_i}, as vertex indices
+    inner: int                 # edges with both ends in M_d
+    boundary: tuple[int, ...]  # N_w for each edge i-w, i in M_d, w outside
+    genus: int                 # sum of g_i over M_d
+    components: int            # connected components of M_d
+
+    @property
+    def sigma(self) -> int:
+        return self.inner + len(self.boundary)
+
+    @property
+    def lower_bound(self) -> int:
+        return self.inner - len(self.members) + self.components + self.genus
+
+    def mult(self, a: int) -> int:
+        """Main route at a/d, by the integer boundary form."""
+        tail, rest = divmod(sum(a * n % self.d for n in self.boundary), self.d)
+        if rest:
+            raise InternalInconsistency(
+                f"boundary sum at {Fraction(a, self.d)} is not a multiple of {self.d}")
+        return (self.genus - len(self.members) + self.sigma + int(self.d == 1)
+                - tail)
+
+    def euler(self, c, a: int) -> int:
+        """Dual route at a/d, by the direct intersection-number form."""
+        d = self.d
+        total = -self.inner
+        for i in self.members:
+            e_dot = (a * c.N[i] // d) * c.E2[i] + sum(a * c.N[w] // d for w in c.nbrs[i])
+            total += c.genus[i] - 1 + len(c.nbrs[i]) + e_dot
+        return total
+
+
+def _terms(c, d: int, members) -> _Terms:
+    inside = set(members)
+    half_inner, boundary = 0, []
+    for i in members:
+        for w in c.nbrs[i]:
+            if w in inside:
+                half_inner += 1
+            else:
+                boundary.append(c.N[w])
+    components, seen = 0, set()
+    for i in members:
+        if i in seen:
+            continue
+        components += 1
+        seen.add(i)
+        stack = [i]
+        while stack:
+            for w in c.nbrs[stack.pop()]:
+                if w in inside and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return _Terms(d, tuple(members), half_inner // 2, tuple(boundary),
+                  sum(c.genus[i] for i in members), components)
+
+
+def _divisors(n: int) -> set[int]:
+    small = [k for k in range(1, isqrt(n) + 1) if n % k == 0]
+    return set(small) | {n // k for k in small}
+
+
+def _members_by_denominator(c) -> dict:
+    """M_d for every d dividing some N_i."""
+    divisors = {n: _divisors(n) for n in set(c.N)}
+    members = {}
+    for i, n in enumerate(c.N):
+        for d in divisors[n]:
+            members.setdefault(d, []).append(i)
+    return members
+
+
+def _numerators(d: int):
+    """The a with a/d in lowest terms and 0 <= a/d < 1."""
+    return [0] if d == 1 else [a for a in range(1, d) if gcd(a, d) == 1]
+
+
+def _scan(g: ReductionGraph, checks: bool):
+    """One pass over the candidates: the spectrum and, when checks is set,
+    whether every nonzero candidate meets the lower bound and the dual
+    route. Asserts non-negativity and that the multiplicities sum to the
+    genus."""
+    c = g._compiled
+    entries, total = [], 0
+    ok_bound = ok_dual = True
+    for d, members in _members_by_denominator(c).items():
+        t = _terms(c, d, members)
+        for a in _numerators(d):
+            mult = t.mult(a)
+            if mult < 0:
+                raise InternalInconsistency(
+                    f"negative jump multiplicity {mult} at {Fraction(a, d)}")
+            if mult:
+                entries.append((Fraction(a, d), mult))
+                total += mult
+            if checks and a:
+                ok_bound = ok_bound and mult >= t.lower_bound
+                ok_dual = ok_dual and mult == t.euler(c, a)
+    genus = g.genus()
+    if total != genus:
+        raise InternalInconsistency(
+            f"jump multiplicities sum to {total}, genus is {genus}")
+    return JumpSpectrum(tuple(sorted(entries)), genus), ok_bound, ok_dual
+
+
+# -- single values j/m, m = lcm(N_i) ------------------------------------------
 
 def _check_j(g: ReductionGraph, j, lo=0):
     m = g.multiplicity_lcm()
@@ -103,20 +201,22 @@ def _check_j(g: ReductionGraph, j, lo=0):
     return Fraction(j, m)
 
 
-def _index_ids(g: ReductionGraph, q: Fraction):
-    """I_q = vertices whose multiplicity clears the denominator of q."""
-    return [v.id for v in g.vertices if (q * v.multiplicity).denominator == 1]
+def _terms_at(g: ReductionGraph, j, lo=0):
+    """The terms of the denominator d of j/m, and its numerator a."""
+    q = _check_j(g, j, lo)
+    c, d = g._compiled, q.denominator
+    return _terms(c, d, [i for i, n in enumerate(c.N) if n % d == 0]), q.numerator
 
 
 def index_set(g: ReductionGraph, j: int) -> set[str]:
     """I_j = { i : (m/N_i) divides j }."""
-    return set(_index_ids(g, _check_j(g, j)))
+    t, _ = _terms_at(g, j)
+    return {g.vertices[i].id for i in t.members}
 
 
 def sigma(g: ReductionGraph, j: int) -> int:
     """Number of edges meeting at least one I_j vertex."""
-    members = index_set(g, j)
-    return sum(1 for a, b in g.edges if a in members or b in members)
+    return _terms_at(g, j)[0].sigma
 
 
 def floor_divisor(g: ReductionGraph, j: int) -> IntegralDivisor:
@@ -134,32 +234,10 @@ def intersect(g: ReductionGraph, D: IntegralDivisor, v: str) -> int:
     return total
 
 
-def _floors(g: ReductionGraph, q: Fraction):
-    return {v.id: (q.numerator * v.multiplicity) // q.denominator for v in g.vertices}
-
-
-def _mult_at(g: ReductionGraph, q: Fraction) -> int:
-    """Multiplicity of the value q in [0,1) as a jump, by the main formula."""
-    members = set(_index_ids(g, q))
-    if not members:
-        return 0  # only possible for q != 0; I_0 is the whole vertex set
-    fl = _floors(g, q)
-    total = 0
-    for i in members:
-        v = g.vertex(i)
-        total += fl[i] * g.self_intersection(i)
-        total += sum(fl[w] for w in g.neighbors(i))
-        total += v.genus
-    total -= len(members)
-    total += sum(1 for a, b in g.edges if a in members or b in members)
-    if q == 0:
-        total += 1
-    return total
-
-
 def jump_multiplicity(g: ReductionGraph, j: int) -> int:
     """Multiplicity of j/m as a jump; non-negative for valid graphs."""
-    out = _mult_at(g, _check_j(g, j))
+    t, a = _terms_at(g, j)
+    out = t.mult(a)
     if out < 0:
         raise InternalInconsistency(f"negative jump multiplicity {out} at j={j}")
     return out
@@ -168,48 +246,24 @@ def jump_multiplicity(g: ReductionGraph, j: int) -> int:
 def jump_multiplicity_via_euler(g: ReductionGraph, j: int) -> int:
     """Independent route: Euler characteristic of the twisted line bundle
     on the I_j part of the reduced fiber; 1 <= j < m."""
-    q = _check_j(g, j, lo=1)
-    return _euler_at(g, q)
+    t, a = _terms_at(g, j, lo=1)
+    return t.euler(g._compiled, a)
 
 
-def _euler_at(g: ReductionGraph, q: Fraction) -> int:
-    members = set(_index_ids(g, q))
-    fl = _floors(g, q)
-    total = 0
-    for i in members:
-        v = g.vertex(i)
-        deg = g.degree(i)
-        e_dot = fl[i] * g.self_intersection(i) + sum(fl[w] for w in g.neighbors(i))
-        total += v.genus - 1 + deg + e_dot
-    total -= sum(1 for a, b in g.edges if a in members and b in members)
-    return total
+def lower_bound(g: ReductionGraph, j: int) -> int:
+    """b_1 of the induced subgraph on I_j plus the genera over I_j."""
+    return _terms_at(g, j, lo=1)[0].lower_bound
 
 
 def candidate_values(g: ReductionGraph):
     """All values in [0,1) whose index set is nonempty: 0 and a/N_i."""
-    vals = {Fraction(0)}
-    for v in g.vertices:
-        for a in range(1, v.multiplicity):
-            vals.add(Fraction(a, v.multiplicity))
-    return sorted(vals)
+    return sorted(Fraction(a, d) for d in _members_by_denominator(g._compiled)
+                  for a in _numerators(d))
 
 
 def compute_jumps(g: ReductionGraph) -> JumpSpectrum:
     """Full jump spectrum; asserts the multiplicity total equals the genus."""
-    genus = g.genus()
-    entries = []
-    total = 0
-    for q in candidate_values(g):
-        mult = _mult_at(g, q)
-        if mult < 0:
-            raise InternalInconsistency(f"negative jump multiplicity {mult} at {q}")
-        if mult > 0:
-            entries.append((q, mult))
-            total += mult
-    if total != genus:
-        raise InternalInconsistency(
-            f"jump multiplicities sum to {total}, genus is {genus}")
-    return JumpSpectrum(tuple(entries), genus)
+    return _scan(g, checks=False)[0]
 
 
 def tame_base_change_conductor(s: JumpSpectrum) -> Fraction:
@@ -223,33 +277,6 @@ def unipotent_rank(g: ReductionGraph) -> int:
     if u < 0:
         raise InternalInconsistency(f"negative unipotent rank {u}")
     return u
-
-
-def lower_bound(g: ReductionGraph, j: int) -> int:
-    """b_1 of the induced subgraph on I_j plus the genera over I_j."""
-    q = _check_j(g, j, lo=1)
-    return _lower_bound_at(g, q)
-
-
-def _lower_bound_at(g: ReductionGraph, q: Fraction) -> int:
-    members = _index_ids(g, q)
-    mset = set(members)
-    inner = [(a, b) for a, b in g.edges if a in mset and b in mset]
-    parent = {i: i for i in members}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in inner:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    comps = len({find(i) for i in members})
-    betti = len(inner) - len(members) + comps
-    return betti + sum(g.vertex(i).genus for i in members)
 
 
 @dataclass(frozen=True)
@@ -274,7 +301,7 @@ def analyze(g: ReductionGraph, with_checks: bool = False) -> AnalysisReport:
     reduced denominators), which makes it independent of the chosen model;
     run_checks cross-validates it against the minimal-model route.
     """
-    spectrum = compute_jumps(g)
+    spectrum, ok_bound, ok_dual = _scan(g, with_checks)
     return AnalysisReport(
         name=g.name,
         genus=spectrum.genus,
@@ -284,7 +311,7 @@ def analyze(g: ReductionGraph, with_checks: bool = False) -> AnalysisReport:
         stabilization_index=spectrum.denominator_lcm(),
         principal_components=tuple(sorted(g.principal_components())),
         minimal=g.is_minimal(),
-        checks=tuple(run_checks(g)) if with_checks else None,
+        checks=tuple(_checks(g, spectrum, ok_bound, ok_dual)) if with_checks else None,
     )
 
 
@@ -297,11 +324,16 @@ def run_checks(g: ReductionGraph):
     multiplicity of 0, the per-value lower bound, the dual computation
     route, principal-denominator facts in both directions, jumps forced by
     positive-genus components, the denominator-lcm route to the
-    stabilization index, and the chain-contraction route to it.
+    stabilization index, and the chain-contraction route to it. The
+    spectrum, the lower bound and the dual route come from one scan.
     """
+    return _checks(g, *_scan(g, checks=True))
+
+
+def _checks(g: ReductionGraph, spectrum: JumpSpectrum, ok_bound: bool,
+            ok_dual: bool):
     from . import graph as _graph
 
-    spectrum = compute_jumps(g)
     results = []
     genus = g.genus()
     results.append(("total-equals-genus",
@@ -311,12 +343,7 @@ def run_checks(g: ReductionGraph):
     results.append(("nonzero-count-equals-unipotent-rank",
                     sum(m for v, m in spectrum.entries if v != 0) == unipotent_rank(g)))
 
-    ok_bound = all(_mult_at(g, q) >= _lower_bound_at(g, q)
-                   for q in candidate_values(g) if q != 0)
     results.append(("lower-bound", ok_bound))
-
-    ok_dual = all(_mult_at(g, q) == _euler_at(g, q)
-                  for q in candidate_values(g) if q != 0)
     results.append(("dual-route", ok_dual))
 
     minimized = _graph.minimize(g)

@@ -11,7 +11,6 @@ from redjumps import (
     genus2_example,
     kodaira_graph,
     random_instance,
-    random_valid_graph,
     seed_graphs,
 )
 from redjumps.errors import UnsupportedType
@@ -88,7 +87,7 @@ def test_random_instance_is_deterministic():
     assert a.graph == b.graph
     assert a.moves == b.moves
     assert a.base_name == b.base_name
-    assert random_valid_graph(17, 9) == a.graph
+    assert random_instance(17, 9).graph == a.graph
 
 
 def test_random_instance_records_its_moves():

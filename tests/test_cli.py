@@ -2,12 +2,19 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import redjumps
 from redjumps import (
+    Vertex,
     analyze,
     blow_up_free_point,
+    build,
     dump_graph,
     graph_document,
     is_isomorphic,
@@ -121,6 +128,28 @@ def test_compute_json_output(tmp_path, capsys):
     assert doc["model"] == {"vertices": 7, "edges": 6}
     assert doc["minimal_model"] == doc["model"]
     assert all(doc["checks"].values())
+
+
+def test_compute_checks_the_true_i1_model(tmp_path, capsys):
+    # the blow-up of the node of I1: b is a -1 curve meeting u twice, which
+    # cannot be contracted, so this model is minimal
+    g = build([Vertex("u", 1, 0), Vertex("b", 2, 0)], [("u", "b"), ("u", "b")],
+              name="I1")
+    path = doc_path(tmp_path, g)
+    assert main(["compute", "--json", "--check", "--minimize", path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["stabilization_index"] == 1
+    assert doc["minimal_model"] == doc["model"]
+    assert doc["checks"] and all(doc["checks"].values())
+
+
+def test_cli_import_leaves_out_networkx_and_numpy():
+    code = ("import sys, redjumps.cli; "
+            "print(sorted({'networkx', 'numpy'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(Path(redjumps.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=env)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_compute_single_check(tmp_path, capsys):

@@ -5,6 +5,7 @@ the intersection formula (index set, floor divisor, sigma) and frozen.
 """
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 
 from redjumps import (
     IntegralDivisor,
-    RationalDivisor,
     analyze,
     blow_up_edge,
     blow_up_free_point,
@@ -47,13 +47,6 @@ def test_divisor_lookup_defaults_to_zero():
     d = IntegralDivisor({"a": 3})
     assert d["a"] == 3
     assert d["b"] == 0
-
-
-def test_rational_divisor_floor_and_frac():
-    d = RationalDivisor({"a": F(7, 3), "b": F(-1, 2), "c": F(2)})
-    assert d.floor().coefficients == {"a": 2, "b": -1, "c": 2}
-    assert d.frac().coefficients == {"a": F(1, 3), "b": F(1, 2), "c": 0}
-    assert set(d.support()) == {"a", "b", "c"}
 
 
 # -- the intersection-formula ingredients on the type II star -------------------
@@ -168,14 +161,83 @@ def test_lower_bound_values():
     assert lower_bound(kodaira_graph("I0*"), 1) == 0
 
 
-# -- the two formulas agree everywhere -------------------------------------------
+# -- the kernel against a brute-force scan of the formula --------------------------
+
+BRUTE_MAX_M = 5000  # the scan below costs m (|V| + |E|)
+
+
+def brute_multiplicities(g):
+    """The paper's formula at every j/m, j in [0, m), m = lcm(N_i), in
+    integers only: I_j = {i : j N_i / m is an integer}, floor divisor
+    floor(j N_i / m), E_i^2 from E_i . C = 0. Returns m and {j: mult}."""
+    N = {v.id: v.multiplicity for v in g.vertices}
+    genus = {v.id: v.genus for v in g.vertices}
+    nbrs = {i: [] for i in N}
+    for a, b in g.edges:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    E2 = {i: -(sum(N[w] for w in nbrs[i]) // N[i]) for i in N}
+    m = lcm(*N.values())
+    out = {}
+    for j in range(m):
+        members = {i for i in N if j * N[i] % m == 0}
+        fl = {i: j * N[i] // m for i in N}
+        out[j] = (sum(fl[i] * E2[i] + sum(fl[w] for w in nbrs[i]) + genus[i] - 1
+                      for i in members)
+                  + sum(1 for a, b in g.edges if a in members or b in members)
+                  + (j == 0))
+    return m, out
+
+
+def assert_kernel(g, reference=None):
+    """compute_jumps equals the brute-force spectrum of g (or, when m is too
+    large to scan, of the smaller model `reference` it was blown up from),
+    and the single-value routes agree with it at every j that can carry a
+    jump."""
+    scanned = g if g.multiplicity_lcm() <= BRUTE_MAX_M else reference
+    m, mults = brute_multiplicities(scanned)
+    assert compute_jumps(g).entries == tuple(
+        (F(j, m), k) for j, k in mults.items() if k), g.name
+    m = g.multiplicity_lcm()
+    for q in candidate_values(g):
+        j = int(q * m)
+        mult = jump_multiplicity(g, j)
+        if scanned is g:
+            assert mult == mults[j], (g.name, j)
+        if j:
+            assert mult == jump_multiplicity_via_euler(g, j), (g.name, j)
+
+
+def edge_chain(g):
+    """g, then repeated blow-ups of the edge joining the two heaviest
+    components (multiplicities grow like Fibonacci numbers), while m <= BRUTE_MAX_M."""
+    while g.multiplicity_lcm() <= BRUTE_MAX_M:
+        yield g
+        k = max(range(len(g.edges)),
+                key=lambda k: sorted((g.multiplicity(x) for x in g.edges[k]), reverse=True))
+        g = blow_up_edge(g, k)
+
 
 def test_dual_route_on_catalog_exhaustive():
     for tag in catalog_tags():
         g = catalog_graph(tag)
-        m = g.multiplicity_lcm()
-        for j in range(1, m):
+        assert_kernel(g)
+        for j in range(1, g.multiplicity_lcm()):
             assert jump_multiplicity(g, j) == jump_multiplicity_via_euler(g, j), (tag, j)
+
+
+def test_kernel_on_random_instances():
+    for seed in range(100):
+        inst = random_instance(seed, seed % 16)
+        assert_kernel(inst.graph, reference=inst.base)
+
+
+@pytest.mark.parametrize("tag", ["II", "III*", "genus2"])
+def test_kernel_on_edge_blow_up_chains(tag):
+    chain = list(edge_chain(catalog_graph(tag)))
+    assert len(chain) >= 3
+    for g in chain:
+        assert_kernel(g)
 
 
 # -- analyze and the check suite ---------------------------------------------------
