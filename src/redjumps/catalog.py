@@ -172,23 +172,26 @@ def random_instance(seed: int, moves: int) -> GeneratedGraph:
 
     Deterministic in (seed, moves). Every move is a valid-by-construction
     blow-up, so the result is always a valid graph with the same genus and
-    jump spectrum as its base.
+    jump spectrum as its base. Fresh ids run b1, b2, ... as with the public
+    blow-ups. All moves go to one surgery form: each is O(1) apart from
+    picking its vertex or edge by position, a list copy or skip done in C,
+    and the result is built and validated once.
     """
     rng = random.Random(seed)
     pool = seed_graphs()
     base_name = rng.choice(sorted(pool))
-    g = base = pool[base_name]
+    base = pool[base_name]
+    g = _graph._Surgery(base)
     log = []
     for _ in range(moves):
         # an edgeless graph (the I0 seed before any move) only admits the
         # free-point move
         if rng.random() < 0.5 or not g.edges:
-            v = rng.choice(list(g.ids))
-            g = _graph.blow_up_free_point(g, v)
+            v = rng.choice(list(g.vertices))
+            g.blow_up_free_point(v)
             log.append(("free", v))
         else:
             e = rng.randrange(len(g.edges))
-            g = _graph.blow_up_edge(g, e)
+            g.blow_up_edge(e)
             log.append(("edge", e))
-    return GeneratedGraph(g, base, base_name, tuple(log))
-
+    return GeneratedGraph(g.freeze(), base, base_name, tuple(log))

@@ -8,9 +8,9 @@ Subcommands:
     catalog [TAG]   list the named fiber types, or write one as a document
     verify          run randomized verification suites
 
-FILE may be "-" for stdin. Exit codes: 0 success, 1 invalid input graph or
-unknown name, 2 failed check or internal inconsistency, 3 unreadable or
-unparsable input.
+FILE may be "-" for stdin. Exit codes: 0 success (and --help), 1 invalid
+input graph, unknown name or a usage error, 2 failed check or internal
+inconsistency, 3 unreadable or unparsable input.
 """
 
 from __future__ import annotations
@@ -254,8 +254,16 @@ def _cmd_verify(args):
     return 2 if failed else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, not argparse's 2, which means a failed check."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="redjumps",
         description="Jump spectra of Jacobians from sncd reduction graphs.")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -22,6 +22,7 @@ two derived quantities, so validity of the labels is enforced up front.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -88,6 +89,24 @@ def _structural_problems(vertices, edges):
         if a == b:
             problems.append(Violation("loop", f"edge #{k} is a loop at {a!r}; loops are forbidden (resolve the node by a blow-up first)", a))
     return problems
+
+
+def _self_intersection(vid, multiplicity: int, nbr_sum: int) -> int:
+    """E^2 = -(sum of neighbour multiplicities) / N."""
+    if nbr_sum % multiplicity != 0:
+        raise NonIntegralSelfIntersection(
+            f"vertex {vid!r}: {multiplicity} does not divide neighbour sum {nbr_sum}")
+    return -(nbr_sum // multiplicity)
+
+
+def _contractible(genus: int, multiplicity: int, nbrs, nbr_sum: int) -> bool:
+    """The contractible -1 curve: genus 0, E^2 = -1 (the neighbour
+    multiplicities sum to N), and degree 1 or two distinct neighbours.
+    ``nbrs`` holds the opposite end of each incident edge. A -1 curve
+    meeting one neighbour twice would contract to a node, which leaves the
+    sncd class, so it is not contractible."""
+    return (genus == 0 and nbr_sum == multiplicity
+            and (len(nbrs) == 1 or (len(nbrs) == 2 and len(set(nbrs)) == 2)))
 
 
 @dataclass(frozen=True)
@@ -194,8 +213,10 @@ class ReductionGraph:
         if g != 1:
             problems.append(Violation("gcd", f"gcd of multiplicities is {g}, must be 1"))
         bad_div = False
+        twice = 0  # adjunction sum: N_v (2 g_v - 2 - E_v^2) = N_v (2 g_v - 2) + s
         for v in self.vertices:
-            s = sum(self._by_id[w].multiplicity for w, _ in self._adjacency[v.id])
+            s = self._nbr_sum(v.id)
+            twice += v.multiplicity * (2 * v.genus - 2) + s
             if s % v.multiplicity != 0:
                 bad_div = True
                 problems.append(Violation(
@@ -205,8 +226,7 @@ class ReductionGraph:
                     v.id,
                 ))
         if not bad_div:
-            # genus is computable once self-intersections are integral
-            twice = self._twice_genus_minus_two()
+            # genus is meaningful once self-intersections are integral
             if twice % 2 != 0:
                 problems.append(Violation("genus-parity", f"adjunction sum {twice} is odd"))
             elif 1 + twice // 2 < 1:
@@ -215,13 +235,11 @@ class ReductionGraph:
 
     # -- derived geometry ---------------------------------------------------
 
+    def _nbr_sum(self, vid: str) -> int:
+        return sum(self._by_id[w].multiplicity for w, _ in self._adjacency[vid])
+
     def self_intersection(self, vid: str) -> int:
-        v = self.vertex(vid)
-        s = sum(self._by_id[w].multiplicity for w, _ in self._adjacency[vid])
-        if s % v.multiplicity != 0:
-            raise NonIntegralSelfIntersection(
-                f"vertex {vid!r}: {v.multiplicity} does not divide neighbour sum {s}")
-        return -(s // v.multiplicity)
+        return _self_intersection(vid, self.vertex(vid).multiplicity, self._nbr_sum(vid))
 
     def _twice_genus_minus_two(self) -> int:
         total = 0
@@ -252,16 +270,11 @@ class ReductionGraph:
                 if v.genus >= 1 or len(self._adjacency[v.id]) >= 3}
 
     def is_minimal(self) -> bool:
-        """No contractible exceptional curve: genus 0, E^2 = -1, and degree 1
-        or two distinct neighbours. A -1 curve meeting one neighbour twice
-        would contract to a node, which leaves the sncd class, so it stays."""
-        return not any(self._eligible(v) for v in self.vertices)
-
-    def _eligible(self, v: Vertex) -> bool:
-        adj = self._adjacency[v.id]
-        return (v.genus == 0
-                and (len(adj) == 1 or (len(adj) == 2 and adj[0][0] != adj[1][0]))
-                and self.self_intersection(v.id) == -1)
+        """No contractible exceptional curve (see :func:`_contractible`)."""
+        return not any(
+            _contractible(v.genus, v.multiplicity,
+                          [w for w, _ in self._adjacency[v.id]], self._nbr_sum(v.id))
+            for v in self.vertices)
 
     def stabilization_index(self) -> int:
         """lcm of principal multiplicities. Defined on minimal graphs only."""
@@ -287,9 +300,7 @@ class ReductionGraph:
 def build(vertices, edges, name: str = "") -> ReductionGraph:
     """Construct a graph and raise ValidationError unless it is fully valid."""
     g = ReductionGraph(tuple(vertices), tuple(edges), name)
-    report = g.validate()
-    if not report.ok:
-        raise ValidationError("; ".join(report.messages()), report)
+    _check_valid(g)
     return g
 
 
@@ -299,14 +310,123 @@ def _check_valid(g: ReductionGraph):
         raise ValidationError("; ".join(report.messages()), report)
 
 
-def _fresh_id(g: ReductionGraph, hint: str = "b") -> str:
-    for n in itertools.count(1):
-        cand = f"{hint}{n}"
-        if not g.has_vertex(cand):
-            return cand
-
-
 # -- model surgery ----------------------------------------------------------
+
+class _Surgery:
+    """Mutable working copy of a graph for a run of blow-ups and blow-downs.
+
+    Vertices stay in their original order and edges in insertion order,
+    so :meth:`freeze` gives exactly the graph that the same moves applied
+    one by one to immutable graphs would give. Each move costs O(1) apart
+    from finding an edge by position; only :meth:`freeze` validates.
+    """
+
+    def __init__(self, g: ReductionGraph):
+        self.name = g.name
+        self.vertices = {v.id: v for v in g.vertices}
+        self.edges = dict(enumerate(g.edges))            # key -> sorted id pair
+        self.incidence = {vid: {} for vid in self.vertices}  # id -> {key: opposite id}
+        self.nbr_sum = dict.fromkeys(self.vertices, 0)
+        for k, (a, b) in self.edges.items():
+            self.incidence[a][k] = b
+            self.incidence[b][k] = a
+            self.nbr_sum[a] += self.vertices[b].multiplicity
+            self.nbr_sum[b] += self.vertices[a].multiplicity
+        self._next_key = len(g.edges)
+        self._fresh = 1  # every "b<n>" with n below it is taken
+
+    def vertex(self, vid: str) -> Vertex:
+        try:
+            return self.vertices[vid]
+        except KeyError:
+            raise UnknownVertex(f"no vertex {vid!r}") from None
+
+    def contractible(self, vid: str) -> bool:
+        v = self.vertices[vid]
+        return _contractible(v.genus, v.multiplicity, self.incidence[vid].values(),
+                             self.nbr_sum[vid])
+
+    def _add_vertex(self, multiplicity: int, new_id) -> str:
+        if new_id is None:
+            while f"b{self._fresh}" in self.vertices:
+                self._fresh += 1
+            new_id = f"b{self._fresh}"
+        elif new_id in self.vertices:
+            raise ValidationError(f"vertex id {new_id!r} already in use")
+        self.vertices[new_id] = Vertex(new_id, multiplicity, 0)
+        self.incidence[new_id] = {}
+        self.nbr_sum[new_id] = 0
+        return new_id
+
+    def _add_edge(self, a: str, b: str):
+        k = self._next_key
+        self._next_key += 1
+        self.edges[k] = (a, b) if a <= b else (b, a)
+        self.incidence[a][k] = b
+        self.incidence[b][k] = a
+        self.nbr_sum[a] += self.vertices[b].multiplicity
+        self.nbr_sum[b] += self.vertices[a].multiplicity
+
+    def _remove_edge(self, k: int):
+        a, b = self.edges.pop(k)
+        del self.incidence[a][k], self.incidence[b][k]
+        self.nbr_sum[a] -= self.vertices[b].multiplicity
+        self.nbr_sum[b] -= self.vertices[a].multiplicity
+
+    def _edge_key(self, e) -> int:
+        """Key of the edge e, given as a position in edge order or as an
+        endpoint pair (the first such edge)."""
+        if isinstance(e, int):
+            if not 0 <= e < len(self.edges):
+                raise UnknownEdge(
+                    f"edge index {e} out of range (graph has {len(self.edges)} edges)")
+            return next(itertools.islice(self.edges, e, None))
+        pair = tuple(sorted(e))
+        for k, known in self.edges.items():
+            if known == pair:
+                return k
+        raise UnknownEdge(f"no edge {pair[0]!r}-{pair[1]!r}")
+
+    def blow_up_free_point(self, v: str, new_id=None) -> str:
+        nid = self._add_vertex(self.vertex(v).multiplicity, new_id)
+        self._add_edge(v, nid)
+        return nid
+
+    def blow_up_edge(self, e, new_id=None) -> str:
+        k = self._edge_key(e)
+        a, b = self.edges[k]
+        nid = self._add_vertex(
+            self.vertices[a].multiplicity + self.vertices[b].multiplicity, new_id)
+        self._remove_edge(k)
+        self._add_edge(a, nid)
+        self._add_edge(b, nid)
+        return nid
+
+    def blow_down(self, v: str) -> list:
+        """Contract v. Returns its neighbours: only their contractibility
+        can change."""
+        vert = self.vertex(v)
+        nbrs = list(self.incidence[v].values())
+        e2 = _self_intersection(v, vert.multiplicity, self.nbr_sum[v])
+        if vert.genus != 0 or not 1 <= len(nbrs) <= 2 or e2 != -1:
+            raise NotContractible(
+                f"vertex {v!r}: need genus 0, degree 1 or 2, self-intersection -1 "
+                f"(got genus {vert.genus}, degree {len(nbrs)}, E^2 {e2})")
+        if len(nbrs) == 2 and nbrs[0] == nbrs[1]:
+            raise WouldCreateLoop(
+                f"vertex {v!r} has both edges to {nbrs[0]!r}; contraction would create a node")
+        for k in list(self.incidence[v]):
+            self._remove_edge(k)
+        del self.vertices[v], self.incidence[v], self.nbr_sum[v]
+        self._fresh = 1  # v's id may have been a "b<n>" below the counter
+        if len(nbrs) == 2:
+            self._add_edge(*nbrs)
+        return nbrs
+
+    def freeze(self) -> ReductionGraph:
+        """The current graph, built and validated."""
+        return build(self.vertices.values(), self.edges.values(), self.name)
+
 
 def blow_up_free_point(g: ReductionGraph, v: str, new_id: str | None = None) -> ReductionGraph:
     """Blow up a point lying on the single component v.
@@ -314,24 +434,9 @@ def blow_up_free_point(g: ReductionGraph, v: str, new_id: str | None = None) -> 
     The exceptional curve inherits multiplicity N_v, genus 0, and meets v
     once. Genus, first Betti number and the jump spectrum are unchanged.
     """
-    vert = g.vertex(v)
-    nid = new_id if new_id is not None else _fresh_id(g)
-    if g.has_vertex(nid):
-        raise ValidationError(f"vertex id {nid!r} already in use")
-    return build(g.vertices + (Vertex(nid, vert.multiplicity, 0),),
-                 g.edges + ((v, nid),), g.name)
-
-
-def _edge_index(g: ReductionGraph, e) -> int:
-    if isinstance(e, int):
-        if not 0 <= e < len(g.edges):
-            raise UnknownEdge(f"edge index {e} out of range (graph has {len(g.edges)} edges)")
-        return e
-    pair = tuple(sorted(e))
-    for k, known in enumerate(g.edges):
-        if known == pair:
-            return k
-    raise UnknownEdge(f"no edge {pair[0]!r}-{pair[1]!r}")
+    s = _Surgery(g)
+    s.blow_up_free_point(v, new_id)
+    return s.freeze()
 
 
 def blow_up_edge(g: ReductionGraph, e, new_id: str | None = None) -> ReductionGraph:
@@ -340,14 +445,9 @@ def blow_up_edge(g: ReductionGraph, e, new_id: str | None = None) -> ReductionGr
     The edge e (an index, or an endpoint pair) between i and j is replaced
     by a new genus-0 vertex of multiplicity N_i + N_j joined to both.
     """
-    k = _edge_index(g, e)
-    a, b = g.edges[k]
-    nid = new_id if new_id is not None else _fresh_id(g)
-    if g.has_vertex(nid):
-        raise ValidationError(f"vertex id {nid!r} already in use")
-    nv = Vertex(nid, g.multiplicity(a) + g.multiplicity(b), 0)
-    edges = g.edges[:k] + g.edges[k + 1:] + ((a, nid), (b, nid))
-    return build(g.vertices + (nv,), edges, g.name)
+    s = _Surgery(g)
+    s.blow_up_edge(e, new_id)
+    return s.freeze()
 
 
 def blow_down(g: ReductionGraph, v: str) -> ReductionGraph:
@@ -358,37 +458,38 @@ def blow_down(g: ReductionGraph, v: str) -> ReductionGraph:
     parallel edges to one neighbour would turn into a loop, which leaves
     the strict-normal-crossings class: WouldCreateLoop.
     """
-    vert = g.vertex(v)
-    deg = g.degree(v)
-    if vert.genus != 0 or deg == 0 or deg > 2 or g.self_intersection(v) != -1:
-        raise NotContractible(
-            f"vertex {v!r}: need genus 0, degree 1 or 2, self-intersection -1 "
-            f"(got genus {vert.genus}, degree {deg}, E^2 {g.self_intersection(v)})")
-    nbrs = g.neighbors(v)
-    keep_edges = [e for e in g.edges if v not in e]
-    if deg == 2:
-        i, j = nbrs
-        if i == j:
-            raise WouldCreateLoop(
-                f"vertex {v!r} has both edges to {i!r}; contraction would create a node")
-        keep_edges.append(tuple(sorted((i, j))))
-    vertices = tuple(w for w in g.vertices if w.id != v)
-    return build(vertices, keep_edges, g.name)
+    s = _Surgery(g)
+    s.blow_down(v)
+    return s.freeze()
 
 
 def minimize(g: ReductionGraph) -> ReductionGraph:
-    """Greedily blow down until no contractible exceptional curve remains.
+    """Blow down until no contractible exceptional curve remains.
 
-    Contraction order is deterministic (lexicographic by id); the result is
-    independent of order. A -1 curve with both edges on one neighbour is
-    not contractible and stays, so the true sncd model of I1 is minimal.
+    The contraction order is unchanged: always the lexicographically
+    smallest contractible id. The result is independent of order. A -1
+    curve with both edges on one neighbour is not contractible and stays,
+    so the true sncd model of I1 is minimal.
+
+    A worklist over one surgery form: a min-heap holds the contractible
+    ids, and after a contraction only the contracted vertex's neighbours
+    are tested again. O(V + E + C log V) for C contractions. The graph is
+    validated on entry and once more when the result is built; g itself
+    is returned when nothing is contractible.
     """
     _check_valid(g)
-    while True:
-        eligible = [v.id for v in g.vertices if g._eligible(v)]
-        if not eligible:
-            return g
-        g = blow_down(g, min(eligible))
+    s = _Surgery(g)
+    heap = [vid for vid in s.vertices if s.contractible(vid)]
+    if not heap:
+        return g
+    heapq.heapify(heap)
+    while heap:
+        vid = heapq.heappop(heap)
+        if vid in s.vertices and s.contractible(vid):
+            for w in s.blow_down(vid):
+                if s.contractible(w):
+                    heapq.heappush(heap, w)
+    return s.freeze()
 
 
 def contract_chains(g: ReductionGraph):

@@ -9,6 +9,8 @@ a conductor. Everything here is exact integer arithmetic.
 
 from __future__ import annotations
 
+from math import isqrt
+
 from .errors import (NotASublattice, PreconditionFailed, ShapeMismatch,
                      SingularMatrix)
 
@@ -193,7 +195,7 @@ def _valuation(x, p):
 
 
 def _check_prime(p):
-    if not isinstance(p, int) or p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
+    if not isinstance(p, int) or p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
         raise PreconditionFailed(f"p must be prime, got {p!r}")
 
 

@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 from redjumps import (
+    blow_up_edge,
+    blow_up_free_point,
     catalog_graph,
     catalog_tags,
     expected_jump,
@@ -98,6 +100,20 @@ def test_random_instance_records_its_moves():
     assert all(kind in ("free", "edge") for kind, _ in inst.moves)
     assert len(inst.graph.vertices) == len(inst.base.vertices) + 11
     assert inst.graph.validate().ok
+
+
+def replay(inst):
+    """The instance's moves applied by the public blow-ups to its base."""
+    g = inst.base
+    for kind, arg in inst.moves:
+        g = blow_up_free_point(g, arg) if kind == "free" else blow_up_edge(g, arg)
+    return g
+
+
+def test_random_instance_is_the_fold_of_its_moves():
+    for seed, moves in [(s, s % 16) for s in range(0, 550, 7)] + [(s, 192) for s in range(8)]:
+        inst = random_instance(seed, moves)
+        assert inst.graph == replay(inst), (seed, moves)
 
 
 def test_random_instance_handles_the_edgeless_seed():

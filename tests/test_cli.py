@@ -239,4 +239,12 @@ def test_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(GCD2_DOC)
     assert main(["compute", str(bad)]) == 1
+    # usage errors are invalid input (1), not a failed check (2)
+    for argv in (["compute"], ["frobnicate"]):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 1, argv
+    with pytest.raises(SystemExit) as e:
+        main(["--help"])
+    assert e.value.code == 0
     capsys.readouterr()

@@ -1,5 +1,7 @@
 """Construction, validation and model surgery on reduction graphs."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from redjumps import (
     minimize,
     principal_dominating,
     random_instance,
+    seed_graphs,
 )
 from redjumps.errors import (
     NonIntegralSelfIntersection,
@@ -30,6 +33,7 @@ from redjumps.errors import (
     ValidationError,
     WouldCreateLoop,
 )
+from redjumps.graph import _Surgery
 
 
 def codes(exc: ValidationError):
@@ -250,12 +254,80 @@ def test_minimize_round_trip():
 
 def test_minimize_of_minimal_is_identity():
     g = kodaira_graph("II*")
-    assert minimize(g) == g
+    assert minimize(g) is g
 
 
 def test_catalog_entries_are_minimal():
     for tag in catalog_tags():
         assert catalog_graph(tag).is_minimal(), tag
+
+
+# -- the worklist minimize against the rescan loop it replaced ----------------
+
+def reference_minimize(g):
+    """After every contraction, test every vertex again and contract the
+    lexicographically smallest contractible one."""
+    assert g.validate().ok
+    while True:
+        eligible = [v.id for v in g.vertices
+                    if v.genus == 0 and g.self_intersection(v.id) == -1
+                    and (g.degree(v.id) == 1
+                         or (g.degree(v.id) == 2 and len(set(g.neighbors(v.id))) == 2))]
+        if not eligible:
+            return g
+        g = blow_down(g, min(eligible))
+
+
+def shuffled_relabelling(g, rng):
+    """g with fresh random ids, in shuffled vertex and edge order."""
+    names = rng.sample(range(10 * len(g.vertices)), len(g.vertices))
+    new = {v.id: f"x{n}" for v, n in zip(g.vertices, names)}
+    verts = [Vertex(new[v.id], v.multiplicity, v.genus) for v in g.vertices]
+    edges = [(new[a], new[b]) for a, b in g.edges]
+    rng.shuffle(verts)
+    rng.shuffle(edges)
+    return build(verts, edges, g.name)
+
+
+def test_minimize_matches_the_rescan_loop(corpus):
+    rng = random.Random(0)
+    for item in corpus:
+        g = item.inst.graph
+        assert item.minimized == reference_minimize(g), item.seed
+        h = shuffled_relabelling(g, rng)
+        assert minimize(h) == reference_minimize(h), item.seed
+
+
+def test_minimize_matches_the_rescan_loop_on_large_graphs():
+    rng = random.Random(1)
+    for seed in (0, 5):
+        g = shuffled_relabelling(random_instance(seed, 192).graph, rng)
+        assert minimize(g) == reference_minimize(g), seed
+
+
+def test_surgery_validates_once(monkeypatch):
+    graph = random_instance(7, 1024).graph
+    seeds = len(seed_graphs())
+    calls = []
+    validate = ReductionGraph.validate
+
+    def counting(self):
+        calls.append(self)
+        return validate(self)
+
+    monkeypatch.setattr(ReductionGraph, "validate", counting)
+    minimize(graph)
+    assert len(calls) <= 2
+    calls.clear()
+    random_instance(7, 1024)
+    assert len(calls) <= seeds + 1
+
+
+def test_fresh_ids_reuse_a_contracted_id():
+    s = _Surgery(kodaira_graph("II"))
+    assert [s.blow_up_free_point("c") for _ in range(2)] == ["b1", "b2"]
+    s.blow_down("b1")
+    assert [s.blow_up_free_point("t1") for _ in range(2)] == ["b1", "b3"]
 
 
 # -- chain contraction and tail domination ------------------------------------

@@ -20,6 +20,7 @@ from redjumps import (
     catalog_graph,
     catalog_tags,
     compute_jumps,
+    dump_graph,
     expected_jump,
     floor_divisor,
     genus2_example,
@@ -36,7 +37,9 @@ from redjumps import (
     tame_base_change_conductor,
     unipotent_rank,
 )
-from redjumps.errors import PreconditionFailed
+from redjumps import jumps
+from redjumps.cli import main
+from redjumps.errors import InternalInconsistency, PreconditionFailed
 
 F = Fraction
 
@@ -279,6 +282,23 @@ def test_run_checks_names_and_results():
     }
     assert set(got) == expected_names
     assert all(got.values())
+
+
+def test_bad_total_is_reported_by_the_check(monkeypatch, tmp_path, capsys):
+    # a broken kernel: one extra jump at every d = 2 candidate
+    mult = jumps._Terms.mult
+    monkeypatch.setattr(jumps._Terms, "mult",
+                        lambda self, a: mult(self, a) + (self.d == 2))
+    g = genus2_example()
+    assert ("total-equals-genus", False) in run_checks(g)
+    with pytest.raises(InternalInconsistency):
+        compute_jumps(g)
+    with pytest.raises(InternalInconsistency):
+        analyze(g)
+    path = tmp_path / "genus2.json"
+    path.write_text(dump_graph(g))
+    assert main(["compute", str(path), "--check"]) == 2
+    assert "check total-equals-genus: FAIL" in capsys.readouterr().out
 
 
 # -- properties on the random corpus ----------------------------------------------

@@ -104,6 +104,8 @@ def test_prime_is_validated():
         elementary_divisors(identity(2), identity(2), 4)
     with pytest.raises(PreconditionFailed):
         conductor(identity(2), identity(2), 1)
+    with pytest.raises(PreconditionFailed):  # too large for a float square root
+        elementary_divisors(identity(2), identity(2), 10**400)
 
 
 def test_check_sandwich_accepts_a_true_chain():
