@@ -6,7 +6,8 @@ Subcommands:
     validate FILE   check a document and report violations
     minimize FILE   write the minimal model as a reduction-graph/1 document
     catalog [TAG]   list the named fiber types, or write one as a document
-    verify          run randomized verification suites
+    verify          run the randomized suites of redjumps.verify (also run by
+                    the acceptance gate): good/total and a witness per check
 
 FILE may be "-" for stdin. Exit codes: 0 success (and --help), 1 invalid
 input graph, unknown name or a usage error, 2 failed check or internal
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
 from . import catalog as _catalog
@@ -128,130 +128,23 @@ def _cmd_catalog(args):
     return 0
 
 
-def _verify_graphs(seed, count, results):
-    tallies = {}
-    for k in range(count):
-        inst = _catalog.random_instance(seed + k, (seed + k) % 16)
-        for name, ok in _jumps.run_checks(inst.graph):
-            good, total = tallies.get(name, (0, 0))
-            tallies[name] = (good + ok, total + 1)
-    for name, (good, total) in tallies.items():
-        results.append((f"graphs/{name}", good, total))
-
-
-def _verify_lattices(seed, count, results):
-    from . import lattices as _lattices
-
-    rng = random.Random(seed)
-    good = 0
-    for _ in range(count):
-        g = rng.randint(2, 4)
-        p = rng.choice([2, 3, 5])
-        n = rng.randint(0, 3)
-        l0, l1, l2 = _lattices.random_sandwich_instance(rng, g, p, n)
-        good += _lattices.check_sandwich(l0, l1, l2, p, n)
-    results.append(("lattices/sandwich", good, count))
-    good = 0
-    for _ in range(count):
-        g = rng.randint(2, 4)
-        p = rng.choice([2, 3, 5])
-        l1, l2, l3, v = _lattices.random_complement_instance(rng, g, p)
-        w = _lattices.elementary_divisors(l2, l3, p)
-        good += (_lattices.chain_complement(v, w)
-                 == _lattices.elementary_divisors(l1, l2, p))
-    results.append(("lattices/complement", good, count))
-    good = 0
-    for _ in range(count):
-        g = rng.randint(1, 4)
-        M = [[rng.randint(-9, 9) for _ in range(g)] for _ in range(g)]
-        if _lattices.det(M) == 0:
-            good += 1
-            continue
-        U, D, V = _lattices.smith_normal_form(M)
-        diag = _lattices.diagonal(D)
-        ok = _lattices.matmul(_lattices.matmul(U, M), V) == D
-        ok = ok and all(diag[i + 1] % diag[i] == 0 for i in range(g - 1))
-        ok = ok and abs(_lattices.det(U)) == 1 and abs(_lattices.det(V)) == 1
-        prod = 1
-        for d in diag:
-            prod *= d
-        ok = ok and prod == abs(_lattices.det(M))
-        good += ok
-    results.append(("lattices/snf", good, count))
-
-
-def _verify_monoids(seed, count, results):
-    from . import monoids as _monoids
-
-    rng = random.Random(seed)
-    good = total = 0
-    for chart in _monoids.charts_case1(6):
-        for _ in range(max(1, count // 10)):
-            q = tuple(rng.randint(-8, 8) for _ in range(3))
-            total += 2
-            good += (_monoids.member_case1(chart, q)
-                     == _monoids.member_case1_search(chart, q))
-            good += (_monoids.sat_member_case1(chart, q)
-                     == _monoids.sat_member_case1_search(chart, q))
-    results.append(("monoids/case1-closed-forms", good, total))
-    good = total = 0
-    for chart in _monoids.charts_case2(5):
-        for _ in range(max(1, count // 20)):
-            q = tuple(rng.randint(-6, 6) for _ in range(3))
-            total += 2
-            good += (_monoids.member_case2(chart, q)
-                     == _monoids.member_case2_search(chart, q))
-            good += (_monoids.sat_member_case2(chart, q)
-                     == _monoids.sat_member_case2_search(chart, q))
-    results.append(("monoids/case2-closed-forms", good, total))
-    good = total = 0
-    for chart in _monoids.charts_case1(8):
-        for j, f in _monoids.cokernel_generators_case1(chart):
-            q = (0, -f, j)
-            total += 1
-            good += (_monoids.sat_member_case1(chart, q)
-                     and _monoids.member_case1(chart, q) == (f == 0))
-    results.append(("monoids/cokernel-generators", good, max(total, 1)))
-    good = total = 0
-    for chart in _monoids.charts_case1(8):
-        for s in range(9):
-            for t in range(1, 5):
-                for i in range(9):
-                    if _monoids.divisible_case1(chart, s, t, i):
-                        total += 1
-                        good += _monoids.divisible_case1(chart, s, t - 1, i + 1)
-    results.append(("monoids/divisibility-monotone", good, max(total, 1)))
-    good = total = 0
-    from math import lcm as _lcm
-    for chart in _monoids.charts_case1(6) + _monoids.charts_case2(4):
-        total += 1
-        branch = (chart.a,) if isinstance(chart, _monoids.SaturationChartCase1) \
-            else (chart.a, chart.b)
-        good += _monoids.chart_saturation_index(chart) == _lcm(*branch)
-    results.append(("monoids/saturation-index", good, total))
-    good = total = 0
-    for _ in range(max(3, count // 20)):
-        P = _monoids.random_cone_monoid(rng)
-        e = P.generators[rng.randrange(len(P.generators))]
-        total += 1
-        good += _monoids.verify_lemm_coker(P, e, rng.randint(2, 4), 4) >= 0
-    results.append(("monoids/pushout-lemma", good, total))
-
-
 def _cmd_verify(args):
-    results = []
-    if args.suite in ("graphs", "all"):
-        _verify_graphs(args.seed, args.count, results)
-    if args.suite in ("lattices", "all"):
-        _verify_lattices(args.seed, args.count, results)
-    if args.suite in ("monoids", "all"):
-        _verify_monoids(args.seed, args.count, results)
+    from . import verify as _verify
+
     failed = False
-    for name, good, total in results:
-        marker = "" if good == total else "  FAIL"
-        print(f"{name}: {good}/{total}{marker}")
-        failed = failed or good != total
+    for suite in _verify.SUITES if args.suite == "all" else [args.suite]:
+        for name, good, total, witness in _verify.SUITES[suite](args.seed, args.count):
+            marker = "" if good == total else f"  FAIL (first: {witness})"
+            print(f"{name}: {good}/{total}{marker}")
+            failed = failed or good != total
     return 2 if failed else 0
+
+
+def non_negative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -294,7 +187,7 @@ def _build_parser():
     p.add_argument("--suite", choices=["graphs", "lattices", "monoids", "all"],
                    default="all")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=non_negative_int, default=100)
     p.set_defaults(func=_cmd_verify)
     return parser
 

@@ -209,7 +209,7 @@ class ReductionGraph:
         problems = []
         if not self.is_connected():
             problems.append(Violation("connected", "graph is not connected"))
-        g = gcd(*(v.multiplicity for v in self.vertices)) if len(self.vertices) > 1 else self.vertices[0].multiplicity
+        g = gcd(*(v.multiplicity for v in self.vertices))
         if g != 1:
             problems.append(Violation("gcd", f"gcd of multiplicities is {g}, must be 1"))
         bad_div = False
@@ -241,15 +241,10 @@ class ReductionGraph:
     def self_intersection(self, vid: str) -> int:
         return _self_intersection(vid, self.vertex(vid).multiplicity, self._nbr_sum(vid))
 
-    def _twice_genus_minus_two(self) -> int:
-        total = 0
-        for v in self.vertices:
-            total += v.multiplicity * (2 * v.genus - 2 - self.self_intersection(v.id))
-        return total
-
     def genus(self) -> int:
         """Genus of the generic fiber, via adjunction."""
-        twice = self._twice_genus_minus_two()
+        twice = sum(v.multiplicity * (2 * v.genus - 2 - self.self_intersection(v.id))
+                    for v in self.vertices)
         if twice % 2 != 0:
             raise InconsistentGeometry(f"adjunction sum {twice} is odd")
         g = 1 + twice // 2
@@ -262,7 +257,7 @@ class ReductionGraph:
         return len(self.edges) - len(self.vertices) + 1
 
     def multiplicity_lcm(self) -> int:
-        return lcm(*(v.multiplicity for v in self.vertices)) if len(self.vertices) > 1 else self.vertices[0].multiplicity
+        return lcm(*(v.multiplicity for v in self.vertices))
 
     def principal_components(self) -> set[str]:
         """Components of genus >= 1, or genus 0 meeting the rest in >= 3 points."""
@@ -277,14 +272,11 @@ class ReductionGraph:
             for v in self.vertices)
 
     def stabilization_index(self) -> int:
-        """lcm of principal multiplicities. Defined on minimal graphs only."""
+        """lcm of principal multiplicities (1 if there are none). Defined on
+        minimal graphs only."""
         if not self.is_minimal():
             raise NotMinimal("stabilization index is read off the minimal model; minimize() first")
-        principal = self.principal_components()
-        if not principal:
-            return 1
-        return lcm(*(self._by_id[i].multiplicity for i in principal)) if len(principal) > 1 \
-            else self._by_id[next(iter(principal))].multiplicity
+        return lcm(*(self._by_id[i].multiplicity for i in self.principal_components()))
 
     def as_multigraph(self):
         """The graph as a networkx MultiGraph with the labels on its nodes."""

@@ -111,8 +111,6 @@ def smith_normal_form(M):
     and U, V unimodular. M must be square and nonsingular."""
     A = [row[:] for row in _square(M)]
     n = len(A)
-    if det(A) == 0:
-        raise SingularMatrix("matrix is singular")
     U = identity(n)
     V = identity(n)
 
@@ -144,6 +142,8 @@ def smith_normal_form(M):
                 for j in range(t, n):
                     if A[i][j] != 0 and (best is None or abs(A[i][j]) < abs(A[best[0]][best[1]])):
                         best = (i, j)
+            if best is None:  # rank t < n, as unimodular steps keep the rank
+                raise SingularMatrix("matrix is singular")
             bi, bj = best
             if bi != t:
                 swap_rows(t, bi)
@@ -203,7 +203,10 @@ def elementary_divisors(inner, outer, p):
     """Non-decreasing tuple of p-adic valuations of the elementary divisors
     of the inclusion inner <= outer."""
     _check_prime(p)
-    X = lattice_quotient(outer, inner)
+    return _divisor_valuations(lattice_quotient(outer, inner), p)
+
+
+def _divisor_valuations(X, p):
     _, D, _ = smith_normal_form(X)
     return tuple(_valuation(d, p) for d in diagonal(D))
 
@@ -224,14 +227,14 @@ def check_sandwich(l0, l1, l2, p, n):
     if not isinstance(n, int) or n < 0:
         raise PreconditionFailed(f"n must be a non-negative integer, got {n!r}")
     try:
-        lattice_quotient(l1, l0)
-        lattice_quotient(l2, l1)
+        x10 = lattice_quotient(l1, l0)
+        x21 = lattice_quotient(l2, l1)
         scaled = [[p ** n * x for x in row] for row in _square(l1)]
         lattice_quotient(l0, scaled)
     except (NotASublattice, SingularMatrix) as exc:
         raise PreconditionFailed(f"sandwich precondition fails: {exc}") from exc
-    c1 = elementary_divisors(l1, l2, p)
-    c0 = elementary_divisors(l0, l2, p)
+    c1 = _divisor_valuations(x21, p)  # c(L2/L1)
+    c0 = _divisor_valuations(matmul(x21, x10), p)  # c(L2/L0): L2 X21 X10 = L0
     return all(a <= b <= a + n for a, b in zip(c1, c0))
 
 

@@ -62,6 +62,11 @@ class SaturationChartCase1:
         if self.m % self.a != 0:
             raise PreconditionFailed(f"a must divide m, got a={self.a}, m={self.m}")
 
+    @property
+    def branches(self):
+        """Multiplicities of the branches through the point."""
+        return (self.a,)
+
 
 @dataclass(frozen=True)
 class SaturationChartCase2:
@@ -78,6 +83,10 @@ class SaturationChartCase2:
         if self.m % self.a != 0 or self.m % self.b != 0:
             raise PreconditionFailed(
                 f"a and b must divide m, got a={self.a}, b={self.b}, m={self.m}")
+
+    @property
+    def branches(self):
+        return (self.a, self.b)
 
 
 def member_case1(chart, q):
@@ -198,16 +207,11 @@ def chart_saturation_index(chart, nmax=3, box=24):
     the lcm of the branch multiplicities; the implementation finds it by
     the bounded box checks rather than by quoting that fact.
     """
-    if isinstance(chart, SaturationChartCase1):
-        branch = (chart.a,)
-    elif isinstance(chart, SaturationChartCase2):
-        branch = (chart.a, chart.b)
-    else:
+    if not isinstance(chart, (SaturationChartCase1, SaturationChartCase2)):
         raise PreconditionFailed(f"not a saturation chart: {chart!r}")
-    cap = lcm(*branch)
-    for e in range(1, cap + 1):
+    for e in range(1, lcm(*chart.branches) + 1):
         if all(_branch_saturated(e, n, c, box)
-               for n in range(2, nmax + 1) for c in branch):
+               for n in range(2, nmax + 1) for c in chart.branches):
             return e
     raise InternalInconsistency("no stable degree found up to the lcm bound")
 

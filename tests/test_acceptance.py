@@ -5,12 +5,9 @@ they happen; without -s pytest shows them for failing tests only.
 """
 
 import contextlib
-import itertools
 import random
 import time
 from fractions import Fraction
-
-import numpy as np
 
 from redjumps import (
     blow_up_edge,
@@ -29,32 +26,7 @@ from redjumps import (
     unipotent_rank,
 )
 from redjumps.jumps import candidate_values
-from redjumps.lattices import (
-    chain_complement,
-    check_sandwich,
-    det,
-    diagonal,
-    elementary_divisors,
-    matmul,
-    random_complement_instance,
-    random_sandwich_instance,
-    smith_normal_form,
-)
-from redjumps.monoids import (
-    charts_case1,
-    charts_case2,
-    divisible_case1,
-    member_case1,
-    member_case1_search,
-    member_case2,
-    member_case2_search,
-    random_cone_monoid,
-    sat_member_case1,
-    sat_member_case1_search,
-    sat_member_case2,
-    sat_member_case2_search,
-    verify_lemm_coker,
-)
+from redjumps.verify import lattice_suite, monoid_suite
 
 ELLIPTIC_TAGS = (["I0"] + [f"I{n}" for n in range(2, 11)]
                  + [f"I{n}*" for n in range(6)]
@@ -165,107 +137,33 @@ def test_08_dual_route(corpus):
                 assert jump_multiplicity(g, j) == jump_multiplicity_via_euler(g, j), (k, j)
 
 
+def assert_all_pass(rows, totals):
+    assert {row.name: row.total for row in rows} == totals
+    for name, good, total, witness in rows:
+        assert good == total, f"{name}: {good}/{total}, first failure {witness}"
+
+
 def test_09_lattice_suite():
+    # the same suite as `redjumps verify --suite lattices`
     with criterion(9, "lattice-suite"):
         start = time.perf_counter()
-        rng = random.Random(20260819)
-        primes = (2, 3, 5)
-        for _ in range(10_000):
-            g, p, n = rng.randint(1, 4), rng.choice(primes), rng.randint(0, 3)
-            l0, l1, l2 = random_sandwich_instance(rng, g, p, n)
-            assert check_sandwich(l0, l1, l2, p, n)
-        for _ in range(10_000):
-            g, p = rng.randint(1, 4), rng.choice(primes)
-            l1, l2, l3, v = random_complement_instance(rng, g, p)
-            w = elementary_divisors(l1, l2, p)
-            assert elementary_divisors(l2, l3, p) == chain_complement(v, w)
-        done = 0
-        while done < 1_000:
-            g = rng.randint(1, 4)
-            M = [[rng.randrange(-9, 10) for _ in range(g)] for _ in range(g)]
-            d = det(M)
-            if d == 0:
-                continue
-            U, D, V = smith_normal_form(M)
-            assert det(U) in (1, -1) and det(V) in (1, -1)
-            assert matmul(matmul(U, M), V) == D
-            ds = diagonal(D)
-            assert all(x > 0 for x in ds)
-            assert all(b % a == 0 for a, b in zip(ds, ds[1:]))
-            prod = 1
-            for x in ds:
-                prod *= x
-            assert prod == abs(d)
-            done += 1
+        rows = lattice_suite(20260819, 10_000)
+        assert_all_pass(rows, {"lattices/sandwich": 10_000,
+                               "lattices/complement": 10_000,
+                               "lattices/snf": 10_000})
         assert time.perf_counter() - start < 30.0
 
 
-def brute_member_case1(chart, V, W):
-    acc = np.zeros(V.shape, dtype=bool)
-    for k in range(-12, 13):
-        acc |= (V + k * chart.a >= 0) & (W - k * chart.m >= 0)
-    return acc
-
-
-def brute_member_case2(chart, U, V, W):
-    acc = np.zeros(U.shape, dtype=bool)
-    for k in range(-12, 13):
-        acc |= ((U + k * chart.a >= 0) & (V + k * chart.b >= 0)
-                & (W - k * chart.m >= 0))
-    return acc
-
-
 def test_10_monoid_suite():
+    # the same suite as `redjumps verify --suite monoids`
     with criterion(10, "monoid-suite"):
         start = time.perf_counter()
-        span = np.arange(-12, 13)
-        U, V, W = np.meshgrid(span, span, span, indexing="ij")
-        for chart in charts_case1(12):
-            # the closed membership form equals the defining shift search
-            # on the whole box (the shift witness, when one exists, lies
-            # in [-12, 12] because a, m >= 1)
-            member = member_case1(chart, (U, V, W))
-            assert np.array_equal(member, brute_member_case1(chart, V, W)), chart
-            # brute saturation: some multiple up to a*m lands in the monoid
-            brute_sat = np.zeros(U.shape, dtype=bool)
-            for n in range(1, chart.a * chart.m + 1):
-                brute_sat |= member_case1(chart, (n * U, n * V, n * W))
-            assert np.array_equal(sat_member_case1(chart, (U, V, W)), brute_sat), chart
-        for chart in charts_case2(12):
-            member = member_case2(chart, (U, V, W))
-            assert np.array_equal(member, brute_member_case2(chart, U, V, W)), chart
-            brute_sat = np.zeros(U.shape, dtype=bool)
-            for n in range(1, chart.m * max(chart.a, chart.b) + 1):
-                brute_sat |= member_case2(chart, (n * U, n * V, n * W))
-            assert np.array_equal(sat_member_case2(chart, (U, V, W)), brute_sat), chart
-
-        # tie the array path to the scalar definition-level searches
-        rng = random.Random(5)
-        charts1, charts2 = charts_case1(8), charts_case2(6)
-        for _ in range(150):
-            q = tuple(rng.randint(-5, 5) for _ in range(3))
-            c1 = charts1[rng.randrange(len(charts1))]
-            assert member_case1(c1, q) == member_case1_search(c1, q)
-            assert sat_member_case1(c1, q) == sat_member_case1_search(c1, q)
-            c2 = charts2[rng.randrange(len(charts2))]
-            assert member_case2(c2, q) == member_case2_search(c2, q)
-            assert sat_member_case2(c2, q) == sat_member_case2_search(c2, q)
-
-        # pushout lemma on random saturated cone monoids
-        rng = random.Random(11)
-        checked = 0
-        for _ in range(200):
-            P = random_cone_monoid(rng)
-            e = P.generators[rng.randrange(len(P.generators))]
-            checked += verify_lemm_coker(P, e, rng.randint(1, 4), box=4)
-        assert checked > 0
-
-        # divisibility monotonicity, exhaustive over charts with m <= 12
-        for chart in charts_case1(12):
-            table = np.array(
-                [[[divisible_case1(chart, s, t, i)
-                   for i in range(13)] for t in range(13)] for s in range(25)])
-            assert np.all(table[:-1, :, :] <= table[1:, :, :]), chart  # s up
-            assert np.all(table[:, 1:, :] <= table[:, :-1, :]), chart  # t up
-            assert np.all(table[:, :, 1:] <= table[:, :, :-1]), chart  # i up
+        rows = monoid_suite(20260819, 200)
+        assert_all_pass(rows, {"monoids/case1-box": 35, "monoids/case2-box": 123,
+                               "monoids/case1-search": 200,
+                               "monoids/case2-search": 200,
+                               "monoids/cokernel-generators": 229,
+                               "monoids/divisibility": 35,
+                               "monoids/saturation-index": 158,
+                               "monoids/pushout-lemma": 200})
         assert time.perf_counter() - start < 60.0

@@ -19,6 +19,7 @@ from redjumps import (
     graph_document,
     is_isomorphic,
     kodaira_graph,
+    lattices,
     parse_document,
     report_document,
 )
@@ -145,7 +146,7 @@ def test_compute_checks_the_true_i1_model(tmp_path, capsys):
 
 def test_cli_import_leaves_out_networkx_and_numpy():
     code = ("import sys, redjumps.cli; "
-            "print(sorted({'networkx', 'numpy'} & set(sys.modules)))")
+            "print(sorted({'networkx', 'numpy', 'redjumps.verify'} & set(sys.modules)))")
     env = {**os.environ, "PYTHONPATH": str(Path(redjumps.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, env=env)
@@ -231,6 +232,38 @@ def test_verify_suites(capsys):
     assert all(line.endswith("5/5") for line in out.strip().splitlines())
 
 
+@pytest.mark.parametrize("suite", ["lattices", "monoids"])
+def test_verify_lattice_and_monoid_suites(suite, capsys):
+    assert main(["verify", "--suite", suite, "--count", "5", "--seed", "7"]) == 0
+    rows = [line.split(": ") for line in capsys.readouterr().out.splitlines()]
+    assert rows and all(name.startswith(f"{suite}/") for name, _ in rows)
+    assert all(good == total for _, counts in rows
+               for good, total in [counts.split("/")])
+
+
+@pytest.mark.parametrize("check_sandwich", [lambda *args: False,
+                                            lambda *args: 1 // 0])
+def test_verify_reports_a_witness(check_sandwich, monkeypatch, capsys):
+    # a false or raising check fails its instance, and the suite goes on
+    monkeypatch.setattr(lattices, "check_sandwich", check_sandwich)
+    assert main(["verify", "--suite", "lattices", "--count", "3"]) == 2
+    out = capsys.readouterr().out
+    assert "lattices/sandwich: 0/3  FAIL (first: (" in out
+    assert "lattices/snf: 3/3\n" in out
+
+
+def test_verify_counts_only_nonsingular_smith_forms(monkeypatch, capsys):
+    # every counted matrix reaches smith_normal_form: with it broken, none
+    # passes, although some singular matrices were drawn (and redrawn)
+    dets = []
+    det = lattices.det
+    monkeypatch.setattr(lattices, "det", lambda M: dets.append(det(M)) or dets[-1])
+    monkeypatch.setattr(lattices, "smith_normal_form", lambda M: None)
+    assert main(["verify", "--suite", "lattices", "--count", "100"]) == 2
+    assert 0 in dets
+    assert "lattices/snf: 0/100  FAIL" in capsys.readouterr().out
+
+
 def test_exit_codes(tmp_path, capsys):
     garbage = tmp_path / "garbage.json"
     garbage.write_text("not json")
@@ -240,7 +273,7 @@ def test_exit_codes(tmp_path, capsys):
     bad.write_text(GCD2_DOC)
     assert main(["compute", str(bad)]) == 1
     # usage errors are invalid input (1), not a failed check (2)
-    for argv in (["compute"], ["frobnicate"]):
+    for argv in (["compute"], ["frobnicate"], ["verify", "--count", "-3"]):
         with pytest.raises(SystemExit) as e:
             main(argv)
         assert e.value.code == 1, argv

@@ -67,8 +67,9 @@ def test_smith_normal_form_oracle(matrix, diag, expected_det):
 
 
 def test_smith_normal_form_rejects_singular_and_nonsquare():
-    with pytest.raises(SingularMatrix):
-        smith_normal_form([[1, 2], [2, 4]])
+    for singular in ([[1, 2], [2, 4]], [[1, 2, 3], [4, 5, 6], [5, 7, 9]]):
+        with pytest.raises(SingularMatrix):
+            smith_normal_form(singular)
     with pytest.raises(ShapeMismatch):
         smith_normal_form([[1, 2, 3], [4, 5, 6]])
     with pytest.raises(ShapeMismatch):
