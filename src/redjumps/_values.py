@@ -1,0 +1,53 @@
+"""The frozen value-type base of the package's record classes.
+
+A subclass lists its fields in ``_fields``, declares ``__slots__`` (the
+fields, plus any cache slots or ``__dict__`` it needs) and sets each field
+in its own ``__init__`` with ``object.__setattr__``. It gets equality and
+hashing over the fields, only ever equal to an instance of the same class;
+a repr that names every field; ``AttributeError`` on assignment and
+deletion; and copying and pickling through ``__init__``.
+
+The ``__init__`` methods are written out per class: a generic constructor
+looping over ``*args`` is slower to call, and a surgery run builds
+thousands of vertices. Nothing is generated at import time (no ``exec``),
+and nothing beyond ``operator`` is imported: the standard library's class
+generator pulls in ``inspect``, ``ast`` and ``dis``, and every
+``redjumps`` process pays for its imports.
+"""
+
+from operator import attrgetter
+
+
+class Value:
+    """Frozen record: equality, hash and repr over ``_fields``."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the fields' values in one C call: a tuple, or the value itself
+        # for a single field
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is frozen")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is frozen")
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name) for name in self._fields])

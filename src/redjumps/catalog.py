@@ -1,20 +1,20 @@
 """Named reduction graphs and a seeded generator of random valid ones.
 
 The named shapes are the dual graphs of the Kodaira fibers of elliptic
-curves (types I_n, I_n*, II, III, IV and their duals), a doubled-edge model
-for type I_1 (whose naive dual graph would need a loop), and a couple of
-higher-genus shapes used as corpus seeds. Each carries its classical jump
-value so the table can be regenerated and checked.
+curves (types I_n, I_n*, II, III, IV and their duals; for I_1, whose
+naive dual graph would need a loop, the blow-up of the node), and a couple
+of higher-genus shapes used as corpus seeds. Each carries its classical
+jump value so the table can be regenerated and checked.
 """
 
 from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import graph as _graph
+from ._values import Value
 from .errors import UnsupportedType
 from .graph import ReductionGraph, Vertex
 
@@ -61,12 +61,20 @@ def _istar(n):
 
 _TAG_RE = re.compile(r"^I(\d+)(\*?)$")
 
+# Largest n for the tags I<n> and I<n>*: their graphs have about n vertices,
+# so a short tag must not ask for an unbounded build.
+MAX_FIBER_INDEX = 10_000
+
 
 def kodaira_graph(tag: str) -> ReductionGraph:
     """Dual graph of the Kodaira fiber named by tag ("I3", "I0*", "II*", ...).
 
-    "I1" has no sncd dual graph without a loop and raises UnsupportedType;
-    use "I1res" for the model with two reduced components and a doubled edge.
+    "I1" is the sncd model of the nodal cubic: the blow-up of its node, a
+    reduced component u meeting the exceptional curve b (N = 2) twice; b is
+    a -1 curve that cannot be contracted, so the model is minimal. "I1res"
+    is the I2 cycle (two reduced components, a doubled edge) under an old
+    name, kept because the corpus seeds include it. I<n> and I<n>* with
+    n > MAX_FIBER_INDEX raise UnsupportedType.
     """
     if tag == "I1res":
         return _graph.build(
@@ -87,14 +95,19 @@ def kodaira_graph(tag: str) -> ReductionGraph:
     m = _TAG_RE.match(tag)
     if m is None:
         raise UnsupportedType(f"unknown fiber tag {tag!r}")
-    n, starred = int(m.group(1)), bool(m.group(2))
+    digits, starred = m.group(1).lstrip("0") or "0", bool(m.group(2))
+    # the length test first: int() refuses strings of more than 4300 digits
+    if len(digits) > len(str(MAX_FIBER_INDEX)) or int(digits) > MAX_FIBER_INDEX:
+        raise UnsupportedType(
+            f"fiber tag {tag!r}: n is above the limit {MAX_FIBER_INDEX}")
+    n = int(digits)
     if starred:
         return _istar(n)
     if n == 0:
         return _graph.build([Vertex("e", 1, 1)], [], name="I0")
     if n == 1:
-        raise UnsupportedType(
-            "the I1 dual graph needs a loop; use the doubled-edge model I1res")
+        return _graph.build([Vertex("u", 1, 0), Vertex("b", 2, 0)],
+                            [("u", "b"), ("u", "b")], name="I1")
     return _cycle(n, f"I{n}")
 
 
@@ -157,14 +170,17 @@ def catalog_graph(name: str) -> ReductionGraph:
     return kodaira_graph(name)
 
 
-@dataclass(frozen=True)
-class GeneratedGraph:
+class GeneratedGraph(Value):
     """A corpus instance: the graph, the seed it grew from, and the moves."""
 
-    graph: ReductionGraph
-    base: ReductionGraph
-    base_name: str
-    moves: tuple
+    __slots__ = _fields = ("graph", "base", "base_name", "moves")
+
+    def __init__(self, graph: ReductionGraph, base: ReductionGraph, base_name: str,
+                 moves: tuple):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "base_name", base_name)
+        object.__setattr__(self, "moves", moves)
 
 
 def random_instance(seed: int, moves: int) -> GeneratedGraph:

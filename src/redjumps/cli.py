@@ -9,9 +9,16 @@ Subcommands:
     verify          run the randomized suites of redjumps.verify (also run by
                     the acceptance gate): good/total and a witness per check
 
-FILE may be "-" for stdin. Exit codes: 0 success (and --help), 1 invalid
-input graph, unknown name or a usage error, 2 failed check or internal
-inconsistency, 3 unreadable or unparsable input.
+FILE may be "-" for stdin; it is read as bytes and decoded by
+parse_document, so input that is not UTF-8 is unparsable (3). Exit codes:
+0 success (and --help), 1 invalid input graph, unknown name or a usage
+error, 2 failed check or internal inconsistency, 3 unreadable or
+unparsable input.
+
+Importing this module loads errors, _values, graph, jumps and io from
+the package and nothing else: catalog and verify (and with it numpy) are
+imported inside the commands that use them, so a compute process pays
+only for the modules it runs.
 """
 
 from __future__ import annotations
@@ -20,7 +27,6 @@ import argparse
 import json
 import sys
 
-from . import catalog as _catalog
 from . import graph as _graph
 from . import jumps as _jumps
 from .errors import (InternalInconsistency, ParseError, RedjumpsError,
@@ -30,9 +36,9 @@ from .io import dump_graph, parse_document, report_document
 
 def _read(path):
     if path == "-":
-        return sys.stdin.read()
+        return sys.stdin.buffer.read()
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
@@ -120,6 +126,8 @@ def _cmd_minimize(args):
 
 
 def _cmd_catalog(args):
+    from . import catalog as _catalog
+
     if args.tag is None:
         for tag in _catalog.catalog_tags():
             print(tag)

@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, lcm
 
+from ._values import Value
 from .errors import (
     InconsistentGeometry,
     InternalInconsistency,
@@ -43,26 +43,32 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(Value):
     """One irreducible component: multiplicity N >= 1, genus >= 0."""
 
-    id: str
-    multiplicity: int
-    genus: int = 0
+    __slots__ = _fields = ("id", "multiplicity", "genus")
+
+    def __init__(self, id: str, multiplicity: int, genus: int = 0):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "multiplicity", multiplicity)
+        object.__setattr__(self, "genus", genus)
 
 
-@dataclass(frozen=True)
-class Violation:
-    code: str
-    message: str
-    where: str = ""
+class Violation(Value):
+    __slots__ = _fields = ("code", "message", "where")
+
+    def __init__(self, code: str, message: str, where: str = ""):
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "message", message)
+        object.__setattr__(self, "where", where)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple[Violation, ...] = ()
+class ValidationReport(Value):
+    __slots__ = _fields = ("ok", "violations")
+
+    def __init__(self, ok: bool, violations: tuple[Violation, ...] = ()):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "violations", violations)
 
     def messages(self):
         return [f"{v.code}: {v.message}" for v in self.violations]
@@ -109,18 +115,21 @@ def _contractible(genus: int, multiplicity: int, nbrs, nbr_sum: int) -> bool:
             and (len(nbrs) == 1 or (len(nbrs) == 2 and len(set(nbrs)) == 2)))
 
 
-@dataclass(frozen=True)
-class _Compiled:
-    """Integer form of a valid graph: vertex k is ``vertices[k]``."""
+class _Compiled(Value):
+    """Integer form of a valid graph: vertex k is ``vertices[k]``, and
+    ``nbrs[k]`` lists its neighbour indices, repeated for parallel edges."""
 
-    N: list[int]
-    genus: list[int]
-    E2: list[int]
-    nbrs: list[list[int]]  # neighbour indices, repeated for parallel edges
+    __slots__ = _fields = ("N", "genus", "E2", "nbrs")
+
+    def __init__(self, N: list[int], genus: list[int], E2: list[int],
+                 nbrs: list[list[int]]):
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "E2", E2)
+        object.__setattr__(self, "nbrs", nbrs)
 
 
-@dataclass(frozen=True)
-class ReductionGraph:
+class ReductionGraph(Value):
     """Immutable labelled multigraph. Edges are unordered id pairs.
 
     Construction rejects structural garbage (duplicate ids, loops, unknown
@@ -130,13 +139,14 @@ class ReductionGraph:
     and validate in one step. All operations below assume a valid graph.
     """
 
-    vertices: tuple[Vertex, ...]
-    edges: tuple[tuple[str, str], ...]
-    name: str = ""
+    _fields = ("vertices", "edges", "name")
+    __slots__ = _fields + ("__dict__",)  # the cached properties live in __dict__
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "edges", tuple(tuple(sorted(e)) for e in self.edges))
+    def __init__(self, vertices: tuple[Vertex, ...], edges: tuple[tuple[str, str], ...],
+                 name: str = ""):
+        object.__setattr__(self, "vertices", tuple(vertices))
+        object.__setattr__(self, "edges", tuple(tuple(sorted(e)) for e in edges))
+        object.__setattr__(self, "name", name)
         problems = _structural_problems(self.vertices, self.edges)
         if problems:
             report = ValidationReport(False, tuple(problems))

@@ -10,10 +10,11 @@ The input format is versioned:
     }
 
 "genus" defaults to 0 and "name" to "". Schema problems (bad JSON, wrong
-shapes or types) raise ParseError; a well-formed document describing a
-structurally broken graph raises ValidationError from the constructor.
-Semantic validity (connectivity, gcd, integral self-intersections) is the
-caller's decision: parse_document does not run validate().
+shapes or types, bytes that are not UTF-8) raise ParseError; a well-formed
+document describing a structurally broken graph raises ValidationError
+from the constructor. Semantic validity (connectivity, gcd, integral
+self-intersections) is the caller's decision: parse_document does not run
+validate().
 """
 
 from __future__ import annotations
@@ -30,7 +31,10 @@ FORMAT = "reduction-graph/1"
 def parse_document(text) -> ReductionGraph:
     """Parse a reduction-graph/1 JSON document into a ReductionGraph."""
     if isinstance(text, bytes):
-        text = text.decode("utf-8", errors="replace")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -35,30 +35,34 @@ sum_{M_d} g_i depends on d alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
+from ._values import Value
 from .errors import InternalInconsistency, PreconditionFailed
 from .graph import ReductionGraph, contract_chains, minimize
 
 
-@dataclass(frozen=True)
-class IntegralDivisor:
+class IntegralDivisor(Value):
     """Integer coefficients indexed by vertex id (missing = 0)."""
 
-    coefficients: dict
+    __slots__ = _fields = ("coefficients",)
+
+    def __init__(self, coefficients: dict):
+        object.__setattr__(self, "coefficients", coefficients)
 
     def __getitem__(self, vid):
         return self.coefficients.get(vid, 0)
 
 
-@dataclass(frozen=True)
-class JumpSpectrum:
+class JumpSpectrum(Value):
     """Sorted (value, multiplicity) pairs; multiplicities sum to the genus."""
 
-    entries: tuple[tuple[Fraction, int], ...]
-    genus: int
+    __slots__ = _fields = ("entries", "genus")
+
+    def __init__(self, entries: tuple[tuple[Fraction, int], ...], genus: int):
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "genus", genus)
 
     def multiplicity(self, value) -> int:
         value = Fraction(value)
@@ -80,16 +84,23 @@ class JumpSpectrum:
 
 # -- the kernel: per-denominator terms of the compiled graph -----------------
 
-@dataclass(frozen=True)
-class _Terms:
-    """Everything the three routes need of one denominator d."""
+class _Terms(Value):
+    """Everything the three routes need of one denominator d: ``members``
+    is M_d = {i : d | N_i} as vertex indices, ``inner`` the number of edges
+    with both ends in M_d, ``boundary`` holds N_w for each edge i-w with i
+    in M_d and w outside, ``genus`` is the sum of g_i over M_d and
+    ``components`` the number of connected components of M_d."""
 
-    d: int
-    members: tuple[int, ...]   # M_d = {i : d | N_i}, as vertex indices
-    inner: int                 # edges with both ends in M_d
-    boundary: tuple[int, ...]  # N_w for each edge i-w, i in M_d, w outside
-    genus: int                 # sum of g_i over M_d
-    components: int            # connected components of M_d
+    __slots__ = _fields = ("d", "members", "inner", "boundary", "genus", "components")
+
+    def __init__(self, d: int, members: tuple[int, ...], inner: int,
+                 boundary: tuple[int, ...], genus: int, components: int):
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "inner", inner)
+        object.__setattr__(self, "boundary", boundary)
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "components", components)
 
     @property
     def sigma(self) -> int:
@@ -279,19 +290,26 @@ def unipotent_rank(g: ReductionGraph) -> int:
     return u
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(Value):
     """Everything the command line reports about one reduction graph."""
 
-    name: str
-    genus: int
-    jumps: tuple[tuple[Fraction, int], ...]
-    tame_base_change_conductor: Fraction
-    unipotent_rank: int
-    stabilization_index: int
-    principal_components: tuple[str, ...]
-    minimal: bool
-    checks: tuple | None = None
+    __slots__ = _fields = ("name", "genus", "jumps", "tame_base_change_conductor",
+                           "unipotent_rank", "stabilization_index",
+                           "principal_components", "minimal", "checks")
+
+    def __init__(self, name: str, genus: int, jumps: tuple[tuple[Fraction, int], ...],
+                 tame_base_change_conductor: Fraction, unipotent_rank: int,
+                 stabilization_index: int, principal_components: tuple[str, ...],
+                 minimal: bool, checks: tuple | None = None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "jumps", jumps)
+        object.__setattr__(self, "tame_base_change_conductor", tame_base_change_conductor)
+        object.__setattr__(self, "unipotent_rank", unipotent_rank)
+        object.__setattr__(self, "stabilization_index", stabilization_index)
+        object.__setattr__(self, "principal_components", principal_components)
+        object.__setattr__(self, "minimal", minimal)
+        object.__setattr__(self, "checks", checks)
 
 
 def analyze(g: ReductionGraph, with_checks: bool = False) -> AnalysisReport:

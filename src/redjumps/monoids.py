@@ -34,11 +34,11 @@ d lands in P's group and saturation finishes the argument).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from math import gcd, lcm
 
 import numpy as np
 
+from ._values import Value
 from .errors import (InternalInconsistency, NotSaturatedInput,
                      PreconditionFailed)
 from .lattices import column_hnf
@@ -49,18 +49,18 @@ def _check_chart_int(name, x):
         raise PreconditionFailed(f"{name} must be a positive integer, got {x!r}")
 
 
-@dataclass(frozen=True)
-class SaturationChartCase1:
+class SaturationChartCase1(Value):
     """Chart at a smooth point of a branch of multiplicity a, with a | m."""
 
-    a: int
-    m: int
+    __slots__ = _fields = ("a", "m")
 
-    def __post_init__(self):
-        _check_chart_int("a", self.a)
-        _check_chart_int("m", self.m)
-        if self.m % self.a != 0:
-            raise PreconditionFailed(f"a must divide m, got a={self.a}, m={self.m}")
+    def __init__(self, a: int, m: int):
+        _check_chart_int("a", a)
+        _check_chart_int("m", m)
+        if m % a != 0:
+            raise PreconditionFailed(f"a must divide m, got a={a}, m={m}")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "m", m)
 
     @property
     def branches(self):
@@ -68,21 +68,20 @@ class SaturationChartCase1:
         return (self.a,)
 
 
-@dataclass(frozen=True)
-class SaturationChartCase2:
+class SaturationChartCase2(Value):
     """Chart at a node joining branches of multiplicities a and b, a | m, b | m."""
 
-    a: int
-    b: int
-    m: int
+    __slots__ = _fields = ("a", "b", "m")
 
-    def __post_init__(self):
-        _check_chart_int("a", self.a)
-        _check_chart_int("b", self.b)
-        _check_chart_int("m", self.m)
-        if self.m % self.a != 0 or self.m % self.b != 0:
-            raise PreconditionFailed(
-                f"a and b must divide m, got a={self.a}, b={self.b}, m={self.m}")
+    def __init__(self, a: int, b: int, m: int):
+        _check_chart_int("a", a)
+        _check_chart_int("b", b)
+        _check_chart_int("m", m)
+        if m % a != 0 or m % b != 0:
+            raise PreconditionFailed(f"a and b must divide m, got a={a}, b={b}, m={m}")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "m", m)
 
     @property
     def branches(self):
@@ -218,17 +217,17 @@ def chart_saturation_index(chart, nmax=3, box=24):
 
 # -- finitely generated submonoids of N^r ------------------------------------
 
-@dataclass
-class AffineMonoid:
-    """Submonoid of N^r generated by finitely many non-negative vectors."""
+class AffineMonoid(Value):
+    """Submonoid of N^r generated by finitely many non-negative vectors.
 
-    generators: tuple
-    _grid: object = field(default=None, init=False, repr=False, compare=False)
-    _grid_bound: int = field(default=-1, init=False, repr=False, compare=False)
-    _hnf: object = field(default=None, init=False, repr=False, compare=False)
+    Only ``generators`` is a field; the membership grid and the Hermite
+    form of the generators are caches, filled on first use."""
 
-    def __post_init__(self):
-        gens = tuple(tuple(g) for g in self.generators)
+    _fields = ("generators",)
+    __slots__ = _fields + ("_grid", "_grid_bound", "_hnf")
+
+    def __init__(self, generators):
+        gens = tuple(tuple(g) for g in generators)
         if not gens:
             raise PreconditionFailed("need at least one generator")
         r = len(gens[0])
@@ -239,7 +238,10 @@ class AffineMonoid:
                 if not isinstance(x, int) or isinstance(x, bool) or x < 0:
                     raise PreconditionFailed(
                         f"generator entries must be non-negative integers, got {x!r}")
-        self.generators = gens
+        object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "_grid", None)
+        object.__setattr__(self, "_grid_bound", -1)
+        object.__setattr__(self, "_hnf", None)
 
     @property
     def rank(self):
@@ -264,8 +266,8 @@ class AffineMonoid:
                 if new.any():
                     dst |= src
                     changed = True
-        self._grid = grid
-        self._grid_bound = bound
+        object.__setattr__(self, "_grid", grid)
+        object.__setattr__(self, "_grid_bound", bound)
 
     def contains(self, x):
         """Membership in the monoid (non-negative combinations only)."""
@@ -284,7 +286,7 @@ class AffineMonoid:
             raise PreconditionFailed("vector has the wrong length")
         if self._hnf is None:
             rows = [[g[i] for g in self.generators] for i in range(self.rank)]
-            self._hnf = column_hnf(rows)
+            object.__setattr__(self, "_hnf", column_hnf(rows))
         cols, pivots = self._hnf
         residual = list(x)
         for col, pr in zip(cols, pivots):

@@ -11,10 +11,12 @@ from redjumps import (
     catalog_tags,
     expected_jump,
     genus2_example,
+    is_isomorphic,
     kodaira_graph,
     random_instance,
     seed_graphs,
 )
+from redjumps import catalog
 from redjumps.errors import UnsupportedType
 
 
@@ -48,11 +50,34 @@ def test_fiber_shapes():
         [1, 2, 2, 3, 3, 4, 4, 5, 6]
 
 
-def test_unresolved_nodal_fiber_is_rejected():
-    with pytest.raises(UnsupportedType):
-        kodaira_graph("I1")
-    with pytest.raises(UnsupportedType):
-        catalog_graph("I1")
+def test_i1_is_the_blown_up_node():
+    # u meets the exceptional curve b of the blown-up node twice; I1res is
+    # the I2 cycle under an old name
+    g = catalog_graph("I1")
+    assert g == kodaira_graph("I1")
+    assert sorted((v.id, v.multiplicity, v.genus) for v in g.vertices) == \
+        [("b", 2, 0), ("u", 1, 0)]
+    assert g.edges == (("b", "u"), ("b", "u"))
+    assert g.validate().ok and g.is_minimal() and g.genus() == 1
+    assert not is_isomorphic(g, kodaira_graph("I2"))
+    assert is_isomorphic(kodaira_graph("I1res"), kodaira_graph("I2"))
+    assert expected_jump("I1") == 0
+
+
+def test_fiber_index_limit(monkeypatch):
+    # the limit is checked before any graph is built
+    def refuse(*args):
+        raise AssertionError("built a graph above the limit")
+    monkeypatch.setattr(catalog, "_cycle", refuse)
+    monkeypatch.setattr(catalog, "_istar", refuse)
+    above = catalog.MAX_FIBER_INDEX + 1
+    for tag in (f"I{above}", f"I{above}*", "I99999999", "I" + "9" * 5000):
+        with pytest.raises(UnsupportedType, match="limit"):
+            kodaira_graph(tag)
+    monkeypatch.undo()
+    assert len(kodaira_graph(f"I{catalog.MAX_FIBER_INDEX}").vertices) == \
+        catalog.MAX_FIBER_INDEX
+    assert kodaira_graph("I0003").name == "I3"
 
 
 def test_unknown_tags_are_rejected():

@@ -145,12 +145,18 @@ def test_compute_checks_the_true_i1_model(tmp_path, capsys):
 
 
 def test_cli_import_leaves_out_networkx_and_numpy():
+    heavy = {"networkx", "numpy", "dataclasses", "inspect", "redjumps.catalog",
+             "redjumps.verify"}
     code = ("import sys, redjumps.cli; "
-            "print(sorted({'networkx', 'numpy', 'redjumps.verify'} & set(sys.modules)))")
+            f"print(sorted({heavy!r} & set(sys.modules))); "
+            "print(sorted(m for m in sys.modules if m.startswith('redjumps.')))")
     env = {**os.environ, "PYTHONPATH": str(Path(redjumps.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, env=env)
-    assert proc.stdout.strip() == "[]"
+    left_in, package = proc.stdout.splitlines()
+    assert left_in == "[]"
+    assert package == str(sorted(f"redjumps.{m}" for m in
+                                 ("_values", "cli", "errors", "graph", "io", "jumps")))
 
 
 def test_compute_single_check(tmp_path, capsys):
@@ -167,8 +173,13 @@ def test_compute_unknown_check_name(tmp_path, capsys):
     assert "no check named 'bogus'" in capsys.readouterr().err
 
 
+def stdin_of(data: bytes):
+    """A text stream over data with the binary buffer a real stdin has."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+
+
 def test_compute_reads_stdin(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO(dump_graph(kodaira_graph("I0*"))))
+    monkeypatch.setattr("sys.stdin", stdin_of(dump_graph(kodaira_graph("I0*")).encode()))
     assert main(["compute", "-"]) == 0
     assert "jumps: 1/2 (x1)" in capsys.readouterr().out
 
@@ -176,7 +187,7 @@ def test_compute_reads_stdin(monkeypatch, capsys):
 def test_compute_stdin_with_checks(monkeypatch, capsys):
     # the documented pipe ordering: bare --check must follow the positional,
     # otherwise argparse would swallow "-" as the check name
-    monkeypatch.setattr("sys.stdin", io.StringIO(dump_graph(kodaira_graph("II"))))
+    monkeypatch.setattr("sys.stdin", stdin_of(dump_graph(kodaira_graph("II")).encode()))
     assert main(["compute", "-", "--check"]) == 0
     out = capsys.readouterr().out
     assert "check total-equals-genus: ok" in out
@@ -221,8 +232,33 @@ def test_catalog_emits_document(capsys):
 
 
 def test_catalog_unsupported_tag(capsys):
-    assert main(["catalog", "I1"]) == 1
-    assert "error:" in capsys.readouterr().err
+    for tag in ("V", "I99999999", "I99999999*", "I" + "9" * 5000):
+        assert main(["catalog", tag]) == 1
+        assert "error:" in capsys.readouterr().err
+
+
+def test_catalog_i1(capsys):
+    assert main(["catalog", "I1"]) == 0
+    g = parse_document(capsys.readouterr().out)
+    assert g == kodaira_graph("I1")
+    report = analyze(g, with_checks=True)
+    assert report.genus == 1
+    assert report.jumps == ((0, 1),)
+    assert report.stabilization_index == 1
+    assert all(ok for _, ok in report.checks)
+
+
+def test_non_utf8_input_is_unparsable(tmp_path, monkeypatch, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe")
+    assert main(["compute", str(bad)]) == 3
+    monkeypatch.setattr("sys.stdin", stdin_of(b"\xff\xfe"))
+    assert main(["compute", "-"]) == 3
+    # well-formed JSON around a byte that is not UTF-8
+    bad.write_bytes(dump_graph(kodaira_graph("II")).replace('"II"', '"I\xff"')
+                    .encode("latin-1"))
+    assert main(["compute", str(bad)]) == 3
+    assert capsys.readouterr().err.count("error: not UTF-8") == 3
 
 
 def test_verify_suites(capsys):
