@@ -13,7 +13,11 @@ FILE may be "-" for stdin; it is read as bytes and decoded by
 parse_document, so input that is not UTF-8 is unparsable (3). Exit codes:
 0 success (and --help), 1 invalid input graph, unknown name or a usage
 error, 2 failed check or internal inconsistency, 3 unreadable or
-unparsable input.
+unparsable input, 4 over the work budget: a candidate scan would visit
+more than jumps.WORK_BUDGET candidates, and the count is printed on
+stderr with no check table. compute answers from the minimal model, so
+only compute --check, which also scans the model as given, meets the
+budget on a model whose minimal model is small.
 
 Importing this module loads errors, _values, graph, jumps and io from
 the package and nothing else: catalog and verify (and with it numpy) are
@@ -29,8 +33,8 @@ import sys
 
 from . import graph as _graph
 from . import jumps as _jumps
-from .errors import (InternalInconsistency, ParseError, RedjumpsError,
-                     ValidationError)
+from .errors import (InternalInconsistency, OverBudget, ParseError,
+                     RedjumpsError, ValidationError)
 from .io import dump_graph, parse_document, report_document
 
 
@@ -210,6 +214,9 @@ def main(argv=None) -> int:
     except InternalInconsistency as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 2
+    except OverBudget as exc:
+        print(f"over the work budget: {exc}", file=sys.stderr)
+        return 4
     except ValidationError as exc:
         if exc.report is not None:
             _print_violations(exc.report)

@@ -57,6 +57,18 @@ class InternalInconsistency(RedjumpsError):
     """A theorem-backed invariant failed: implementation or input bug."""
 
 
+class OverBudget(RedjumpsError):
+    """A candidate scan would exceed the work budget (jumps.WORK_BUDGET).
+
+    ``candidates`` is the count of candidates, or the largest multiplicity
+    (a lower bound for it) when that alone exceeds the budget.
+    """
+
+    def __init__(self, message, candidates):
+        super().__init__(message)
+        self.candidates = candidates
+
+
 class SingularMatrix(RedjumpsError):
     pass
 

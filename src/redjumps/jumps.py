@@ -31,16 +31,31 @@ characteristic of the twisted line bundle on the I_q part of the reduced
 fiber: sum_{M_d} (g_i - 1 + deg_i + E_i . floor(q C_k)) minus the edges
 inside M_d, with every floor evaluated afresh. The lower bound b_1(M_d) +
 sum_{M_d} g_i depends on d alone.
+
+Which model each route scans. The spectrum does not depend on the sncd
+model, but the candidate count sum_{d | some N_i} phi(d) is at least
+max N_i and grows like a Fibonacci number under repeated edge blow-ups.
+So compute_jumps and analyze scan minimize(g), which costs
+O(V + E + C log V) for C contractions and validates g (an invalid graph
+raises ValidationError). run_checks and analyze(g, with_checks=True) keep
+the scan of g itself as the reference route: the lower bound and the dual
+route are evaluated on it, and the model-independence check compares it
+with the scan of the minimal model. Every scan first counts its
+candidates, and a graph with more than WORK_BUDGET of them raises
+OverBudget instead of being scanned.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 from ._values import Value
-from .errors import InternalInconsistency, PreconditionFailed
+from .errors import InternalInconsistency, OverBudget, PreconditionFailed
 from .graph import ReductionGraph, contract_chains, minimize
+
+# The most candidates a/d one scan may visit: a few seconds of work.
+WORK_BUDGET = 2_000_000
 
 
 class IntegralDivisor(Value):
@@ -154,14 +169,46 @@ def _terms(c, d: int, members) -> _Terms:
                   sum(c.genus[i] for i in members), components)
 
 
-def _divisors(n: int) -> set[int]:
-    small = [k for k in range(1, isqrt(n) + 1) if n % k == 0]
-    return set(small) | {n // k for k in small}
+def _prime_powers(n: int):
+    """(p, k) for each prime power p^k exactly dividing n, by trial division."""
+    p = 2
+    while p * p <= n:
+        k = 0
+        while n % p == 0:
+            n //= p
+            k += 1
+        if k:
+            yield p, k
+        p += 1 if p == 2 else 2
+    if n > 1:
+        yield n, 1
+
+
+def _divisor_phis(n: int) -> dict[int, int]:
+    """phi(d) for every divisor d of n, from the factorization of n."""
+    phis = {1: 1}
+    for p, k in _prime_powers(n):
+        powers = {1: 1, **{p ** e: (p - 1) * p ** (e - 1) for e in range(1, k + 1)}}
+        phis = {d * q: f * g for d, f in phis.items() for q, g in powers.items()}
+    return phis
 
 
 def _members_by_denominator(c) -> dict:
-    """M_d for every d dividing some N_i."""
-    divisors = {n: _divisors(n) for n in set(c.N)}
+    """M_d for every d dividing some N_i. Raises OverBudget first when the
+    candidates, sum of phi(d) over those d, number more than WORK_BUDGET.
+    That sum is at least max N_i (sum_{d | N} phi(d) = N), so a larger
+    N_i is over the budget before anything is factored."""
+    top = max(c.N)
+    if top > WORK_BUDGET:
+        raise OverBudget(f"at least {top} candidates (the largest multiplicity), "
+                         f"work budget {WORK_BUDGET}", top)
+    divisors = {n: _divisor_phis(n) for n in set(c.N)}
+    phi = {}
+    for phis in divisors.values():
+        phi.update(phis)
+    count = sum(phi.values())
+    if count > WORK_BUDGET:
+        raise OverBudget(f"{count} candidates, work budget {WORK_BUDGET}", count)
     members = {}
     for i, n in enumerate(c.N):
         for d in divisors[n]:
@@ -174,14 +221,13 @@ def _numerators(d: int):
     return [0] if d == 1 else [a for a in range(1, d) if gcd(a, d) == 1]
 
 
-def _scan(g: ReductionGraph, checks: bool):
-    """One pass over the candidates: the spectrum and, when checks is set,
-    whether every nonzero candidate meets the lower bound and the dual
-    route. Asserts non-negativity, and that the multiplicities sum to the
-    genus unless checks is set: then the total is left to the
-    total-equals-genus check to report."""
+def _scan(g: ReductionGraph, checks: bool = False):
+    """One pass over the candidates of g itself: the spectrum and, when
+    checks is set, whether every nonzero candidate meets the lower bound and
+    the dual route. Asserts non-negativity; whether the multiplicities sum
+    to the genus is left to the caller (see _asserted_total)."""
     c = g._compiled
-    entries, total = [], 0
+    entries = []
     ok_bound = ok_dual = True
     for d, members in _members_by_denominator(c).items():
         t = _terms(c, d, members)
@@ -192,15 +238,18 @@ def _scan(g: ReductionGraph, checks: bool):
                     f"negative jump multiplicity {mult} at {Fraction(a, d)}")
             if mult:
                 entries.append((Fraction(a, d), mult))
-                total += mult
             if checks and a:
                 ok_bound = ok_bound and mult >= t.lower_bound
                 ok_dual = ok_dual and mult == t.euler(c, a)
-    genus = g.genus()
-    if total != genus and not checks:
+    return JumpSpectrum(tuple(sorted(entries)), g.genus()), ok_bound, ok_dual
+
+
+def _asserted_total(spectrum: JumpSpectrum) -> JumpSpectrum:
+    total = sum(m for _, m in spectrum.entries)
+    if total != spectrum.genus:
         raise InternalInconsistency(
-            f"jump multiplicities sum to {total}, genus is {genus}")
-    return JumpSpectrum(tuple(sorted(entries)), genus), ok_bound, ok_dual
+            f"jump multiplicities sum to {total}, genus is {spectrum.genus}")
+    return spectrum
 
 
 # -- single values j/m, m = lcm(N_i) ------------------------------------------
@@ -267,14 +316,18 @@ def lower_bound(g: ReductionGraph, j: int) -> int:
 
 
 def candidate_values(g: ReductionGraph):
-    """All values in [0,1) whose index set is nonempty: 0 and a/N_i."""
+    """All values in [0,1) whose index set is nonempty: 0 and a/N_i, of g
+    itself (not of its minimal model); OverBudget past WORK_BUDGET."""
     return sorted(Fraction(a, d) for d in _members_by_denominator(g._compiled)
                   for a in _numerators(d))
 
 
 def compute_jumps(g: ReductionGraph) -> JumpSpectrum:
-    """Full jump spectrum; asserts the multiplicity total equals the genus."""
-    return _scan(g, checks=False)[0]
+    """Full jump spectrum, scanned on minimize(g); asserts the multiplicity
+    total equals the genus. Raises ValidationError on an invalid graph and
+    OverBudget when the minimal model has more than WORK_BUDGET
+    candidates."""
+    return _asserted_total(_scan(minimize(g))[0])
 
 
 def tame_base_change_conductor(s: JumpSpectrum) -> Fraction:
@@ -315,11 +368,18 @@ class AnalysisReport(Value):
 def analyze(g: ReductionGraph, with_checks: bool = False) -> AnalysisReport:
     """Full analysis of one graph.
 
-    The stabilization index is read off the jump spectrum (lcm of the
-    reduced denominators), which makes it independent of the chosen model;
-    run_checks cross-validates it against the minimal-model route.
+    The spectrum, the conductor and the stabilization index (the lcm of
+    the reduced denominators of the jumps) do not depend on the model, and
+    are read off the scan of minimize(g). With checks they come from the
+    reference route instead, the scan of g itself, which run_checks
+    compares with the minimal-model scan. The unipotent rank, the
+    principal components and ``minimal`` describe g as given.
     """
-    spectrum, ok_bound, ok_dual = _scan(g, with_checks)
+    minimized = minimize(g)
+    if with_checks:
+        spectrum, checks = _checked(g, minimized)
+    else:
+        spectrum, checks = _asserted_total(_scan(minimized)[0]), None
     return AnalysisReport(
         name=g.name,
         genus=spectrum.genus,
@@ -328,8 +388,8 @@ def analyze(g: ReductionGraph, with_checks: bool = False) -> AnalysisReport:
         unipotent_rank=unipotent_rank(g),
         stabilization_index=spectrum.denominator_lcm(),
         principal_components=tuple(sorted(g.principal_components())),
-        minimal=g.is_minimal(),
-        checks=tuple(_checks(g, spectrum, ok_bound, ok_dual)) if with_checks else None,
+        minimal=minimized is g,
+        checks=tuple(checks) if with_checks else None,
     )
 
 
@@ -342,21 +402,24 @@ def run_checks(g: ReductionGraph):
     multiplicity of 0, the per-value lower bound, the dual computation
     route, principal-denominator facts in both directions, jumps forced by
     positive-genus components, the denominator-lcm route to the
-    stabilization index, and the chain-contraction route to it. The
-    spectrum, the lower bound and the dual route come from one scan.
+    stabilization index, the chain-contraction route to it, and model
+    independence. The spectrum, the lower bound and the dual route come
+    from one scan of g itself; model independence compares that spectrum
+    with the scan of minimize(g), the same scan when g is minimal.
     """
-    return _checks(g, *_scan(g, checks=True))
+    return _checked(g, minimize(g))[1]
 
 
-def _checks(g: ReductionGraph, spectrum: JumpSpectrum, ok_bound: bool,
-            ok_dual: bool):
+def _checked(g: ReductionGraph, minimized: ReductionGraph):
+    """The scan of g (the reference route) and the checks on it."""
+    spectrum, ok_bound, ok_dual = _scan(g, checks=True)
+    minimal_spectrum = spectrum if minimized is g else _scan(minimized)[0]
     genus, u = g.genus(), unipotent_rank(g)
-    minimized = minimize(g)
     principal_mults = sorted(minimized.vertex(i).multiplicity
                              for i in minimized.principal_components())
     index = minimized.stabilization_index()
     mults = spectrum.as_dict()
-    return [
+    return spectrum, [
         ("total-equals-genus", sum(mults.values()) == genus),
         ("zero-jump-multiplicity", spectrum.multiplicity(0) == genus - u),
         ("nonzero-count-equals-unipotent-rank",
@@ -368,9 +431,12 @@ def _checks(g: ReductionGraph, spectrum: JumpSpectrum, ok_bound: bool,
              for v in mults if v != 0)),
         ("principal-converse",
          all(any(v.denominator % n == 0 for v in mults) for n in principal_mults)),
+        # every a/N, 1 <= a < N, is a jump: the a/N are the N - 1 nonzero
+        # values whose denominator divides N
         ("positive-genus-jumps",
-         all(mults.get(Fraction(a, v.multiplicity), 0) >= 1
-             for v in g.vertices if v.genus >= 1 for a in range(1, v.multiplicity))),
+         all(sum(v != 0 and n % v.denominator == 0 for v in mults) == n - 1
+             for n in {v.multiplicity for v in g.vertices if v.genus >= 1})),
         ("denominator-lcm", spectrum.denominator_lcm() == index),
         ("chain-contraction", contract_chains(minimized)[1] == index),
+        ("model-independence", minimal_spectrum.entries == spectrum.entries),
     ]

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ import redjumps
 from redjumps import (
     Vertex,
     analyze,
+    blow_up_edge,
     blow_up_free_point,
     build,
     dump_graph,
@@ -159,6 +161,42 @@ def test_cli_import_leaves_out_networkx_and_numpy():
                                  ("_values", "cli", "errors", "graph", "io", "jumps")))
 
 
+def run_redjumps(*args, timeout):
+    """One `redjumps` process, and its wall time in seconds."""
+    env = {**os.environ, "PYTHONPATH": str(Path(redjumps.__file__).parents[1])}
+    code = "import sys; from redjumps.cli import main; sys.exit(main())"
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=env, timeout=timeout)
+    return proc, time.perf_counter() - start
+
+
+def test_compute_answers_a_large_model_from_its_minimal_model(tmp_path):
+    # II, then 40 blow-ups of the edge joining the two heaviest components:
+    # a 5 KB document with 44 vertices and N up to 1.3e9, far too many
+    # candidates to scan, whose minimal model is II again
+    g = kodaira_graph("II")
+    for _ in range(40):
+        k = max(range(len(g.edges)),
+                key=lambda k: sorted((g.multiplicity(x) for x in g.edges[k]), reverse=True))
+        g = blow_up_edge(g, k)
+    top = max(v.multiplicity for v in g.vertices)
+    assert (len(g.vertices), top) == (44, 1_300_483_311)
+    path = doc_path(tmp_path, g)
+    proc, wall = run_redjumps("compute", path, "--json", timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["jumps"] == [{"value": "1/6", "multiplicity": 1}]
+    assert doc["minimal"] is False
+    assert wall < 10.0
+    # the checks scan the model as given: over the work budget, exit 4
+    proc, wall = run_redjumps("compute", path, "--check", timeout=60)
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert f"at least {top} candidates" in proc.stderr
+    assert wall < 1.0
+
+
 def test_compute_single_check(tmp_path, capsys):
     path = doc_path(tmp_path, kodaira_graph("I4"))
     assert main(["compute", "--check", "dual-route", path]) == 0
@@ -266,6 +304,7 @@ def test_verify_suites(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert all(line.endswith("5/5") for line in out.strip().splitlines())
+    assert "graphs/model-independence: 5/5" in out.splitlines()
 
 
 @pytest.mark.parametrize("suite", ["lattices", "monoids"])

@@ -4,8 +4,9 @@ The single-value multiplicities asserted here were computed by hand from
 the intersection formula (index set, floor divisor, sigma) and frozen.
 """
 
+import json
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -13,9 +14,12 @@ from hypothesis import strategies as st
 
 from redjumps import (
     IntegralDivisor,
+    ReductionGraph,
+    Vertex,
     analyze,
     blow_up_edge,
     blow_up_free_point,
+    build,
     candidate_values,
     catalog_graph,
     catalog_tags,
@@ -39,9 +43,16 @@ from redjumps import (
 )
 from redjumps import jumps
 from redjumps.cli import main
-from redjumps.errors import InternalInconsistency, PreconditionFailed
+from redjumps.errors import (InternalInconsistency, OverBudget, PreconditionFailed,
+                             ValidationError)
 
 F = Fraction
+
+
+def given_model_spectrum(g):
+    """The scan of g itself, the reference route of run_checks;
+    compute_jumps scans minimize(g) instead."""
+    return jumps._scan(g)[0]
 
 
 # -- divisor helpers -----------------------------------------------------------
@@ -193,13 +204,13 @@ def brute_multiplicities(g):
 
 
 def assert_kernel(g, reference=None):
-    """compute_jumps equals the brute-force spectrum of g (or, when m is too
-    large to scan, of the smaller model `reference` it was blown up from),
-    and the single-value routes agree with it at every j that can carry a
-    jump."""
+    """The scan of g itself equals the brute-force spectrum of g (or, when
+    m is too large to scan, of the smaller model `reference` it was blown
+    up from), and the single-value routes agree with it at every j that can
+    carry a jump."""
     scanned = g if g.multiplicity_lcm() <= BRUTE_MAX_M else reference
     m, mults = brute_multiplicities(scanned)
-    assert compute_jumps(g).entries == tuple(
+    assert given_model_spectrum(g).entries == tuple(
         (F(j, m), k) for j, k in mults.items() if k), g.name
     m = g.multiplicity_lcm()
     for q in candidate_values(g):
@@ -233,6 +244,18 @@ def test_kernel_on_random_instances():
     for seed in range(100):
         inst = random_instance(seed, seed % 16)
         assert_kernel(inst.graph, reference=inst.base)
+
+
+def test_kernel_on_parallel_edges_with_a_nonzero_floor():
+    # i and w (N = 2) meet twice, so at q = 1/2 each of the two i-w edges
+    # adds floor(q N) = 1 to the other end's intersection number; no
+    # catalog or random graph has parallel edges between multiplicities > 1
+    g = build([Vertex("i", 2), Vertex("w", 2), Vertex("t", 1), Vertex("u", 1)],
+              [("i", "w"), ("i", "w"), ("i", "t"), ("i", "u")])
+    assert given_model_spectrum(g).as_dict() == {F(0): 1, F(1, 2): 1}
+    assert jump_multiplicity_via_euler(g, 1) == jump_multiplicity(g, 1) == 1
+    assert_kernel(g)
+    assert all(ok for _, ok in run_checks(g))
 
 
 @pytest.mark.parametrize("tag", ["II", "III*", "genus2"])
@@ -278,7 +301,7 @@ def test_run_checks_names_and_results():
         "total-equals-genus", "zero-jump-multiplicity",
         "nonzero-count-equals-unipotent-rank", "lower-bound", "dual-route",
         "principal-denominators", "principal-converse", "positive-genus-jumps",
-        "denominator-lcm", "chain-contraction",
+        "denominator-lcm", "chain-contraction", "model-independence",
     }
     assert set(got) == expected_names
     assert all(got.values())
@@ -299,6 +322,126 @@ def test_bad_total_is_reported_by_the_check(monkeypatch, tmp_path, capsys):
     path.write_text(dump_graph(g))
     assert main(["compute", str(path), "--check"]) == 2
     assert "check total-equals-genus: FAIL" in capsys.readouterr().out
+
+
+def test_positive_genus_jumps_check(monkeypatch):
+    # genus2_example has a genus-1 component of multiplicity 2, which forces
+    # the jump 1/2; a kernel that loses every d = 2 jump must fail the check
+    g = genus2_example()
+    assert ("positive-genus-jumps", True) in run_checks(g)
+    mult = jumps._Terms.mult
+    monkeypatch.setattr(jumps._Terms, "mult",
+                        lambda self, a: 0 if self.d == 2 else mult(self, a))
+    assert ("positive-genus-jumps", False) in run_checks(g)
+
+
+def test_model_independence_check(monkeypatch):
+    # a kernel that adds a jump at d = 9 breaks only the blown-up model of II
+    # (N 6, 3, 2, 1 and 9 after the blow-up of c-t1): its spectrum no longer
+    # equals that of the minimal model
+    g = blow_up_edge(kodaira_graph("II"), ("c", "t1"))
+    assert ("model-independence", True) in run_checks(g)
+    mult = jumps._Terms.mult
+    monkeypatch.setattr(jumps._Terms, "mult",
+                        lambda self, a: mult(self, a) + (self.d == 9))
+    assert ("model-independence", False) in run_checks(g)
+    assert ("model-independence", True) in run_checks(kodaira_graph("II"))
+
+
+# -- the answer comes from the minimal model -----------------------------------------
+
+def assert_answers_equal_the_given_model_scan(g, key):
+    s = given_model_spectrum(g)
+    assert compute_jumps(g) == s, key
+    r = analyze(g)
+    assert r.jumps == s.entries, key
+    assert r.tame_base_change_conductor == tame_base_change_conductor(s), key
+    assert r.stabilization_index == s.denominator_lcm(), key
+    assert r.unipotent_rank == unipotent_rank(g), key
+    assert r.principal_components == tuple(sorted(g.principal_components())), key
+    assert r.minimal == g.is_minimal(), key
+    checked = analyze(g, with_checks=True)
+    assert checked.checks == tuple(run_checks(g)), key
+    assert all(getattr(checked, f) == getattr(r, f) for f in r._fields if f != "checks"), key
+
+
+def test_answers_equal_the_given_model_scan():
+    for tag in catalog_tags():
+        assert_answers_equal_the_given_model_scan(catalog_graph(tag), tag)
+    for tag in ("II", "III*", "genus2"):
+        for k, g in enumerate(edge_chain(catalog_graph(tag))):
+            assert_answers_equal_the_given_model_scan(g, (tag, k))
+
+
+def test_answers_equal_the_given_model_scan_on_the_corpus(corpus):
+    for item in corpus:
+        g = item.inst.graph
+        assert compute_jumps(g) == item.spectrum, item.seed
+        r = analyze(g)
+        assert r.jumps == item.spectrum.entries, item.seed
+        assert r.stabilization_index == item.spectrum.denominator_lcm(), item.seed
+        assert r.minimal == g.is_minimal(), item.seed
+
+
+def test_compute_jumps_validates_through_minimize():
+    g = ReductionGraph((Vertex("a", 2, 1),), ())  # gcd 2
+    with pytest.raises(ValidationError):
+        compute_jumps(g)
+    with pytest.raises(ValidationError):
+        analyze(g)
+
+
+# -- the work budget -------------------------------------------------------------------
+
+def test_divisor_phis():
+    for n in range(1, 400):
+        phis = jumps._divisor_phis(n)
+        assert set(phis) == {d for d in range(1, n + 1) if n % d == 0}, n
+        assert phis == {d: sum(gcd(a, d) == 1 for a in range(d)) for d in phis}, n
+        assert sum(phis.values()) == n
+
+
+def test_work_budget(monkeypatch, tmp_path, capsys):
+    # II has N 6, 3, 2, 1: 6 candidates; blowing up c-t1 adds N = 9: 12
+    small = kodaira_graph("II")
+    big = blow_up_edge(small, ("c", "t1"))
+    assert (len(candidate_values(small)), len(candidate_values(big))) == (6, 12)
+    monkeypatch.setattr(jumps, "WORK_BUDGET", 12)
+    assert all(ok for _, ok in run_checks(big))
+    monkeypatch.setattr(jumps, "WORK_BUDGET", 11)
+    with pytest.raises(OverBudget) as e:
+        run_checks(big)
+    assert e.value.candidates == 12
+    assert "12 candidates" in str(e.value)
+    # the minimal model is under the budget, so the answer still comes
+    assert compute_jumps(big) == compute_jumps(small)
+    assert analyze(big).jumps == ((F(1, 6), 1),)
+    with pytest.raises(OverBudget):
+        analyze(big, with_checks=True)
+    with pytest.raises(OverBudget):
+        candidate_values(big)
+    # N = 9 above the budget: over it before anything is factored
+    monkeypatch.setattr(jumps, "WORK_BUDGET", 8)
+    with monkeypatch.context() as m:
+        m.setattr(jumps, "_divisor_phis", None)
+        with pytest.raises(OverBudget) as e:
+            run_checks(big)
+    assert e.value.candidates == 9
+    assert "at least 9 candidates" in str(e.value)
+    # the minimal-model scan is under the same budget
+    monkeypatch.setattr(jumps, "WORK_BUDGET", 5)
+    with pytest.raises(OverBudget):
+        compute_jumps(big)
+    monkeypatch.setattr(jumps, "WORK_BUDGET", 8)
+    path = tmp_path / "big.json"
+    path.write_text(dump_graph(big))
+    assert main(["compute", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["stabilization_index"] == 6
+    for argv in (["--check"], ["--check", "--json"], ["--check", "dual-route"]):
+        assert main(["compute", str(path), *argv]) == 4, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv  # no check table: the checks did not run
+        assert "over the work budget: at least 9 candidates" in err, argv
 
 
 # -- properties on the random corpus ----------------------------------------------
@@ -322,14 +465,15 @@ def test_spectrum_invariants(seed, moves):
 @settings(deadline=None, max_examples=40)
 @given(seed=st.integers(0, 100_000), moves=st.integers(0, 10))
 def test_spectrum_is_a_blow_up_invariant(seed, moves):
+    # on the given models: compute_jumps would scan the one minimal model
     inst = random_instance(seed, moves)
-    base = compute_jumps(inst.base)
-    assert compute_jumps(inst.graph).entries == base.entries
+    base = given_model_spectrum(inst.base)
+    assert given_model_spectrum(inst.graph).entries == base.entries
     again = blow_up_free_point(inst.graph, inst.graph.ids[seed % len(inst.graph.ids)])
-    assert compute_jumps(again).entries == base.entries
+    assert given_model_spectrum(again).entries == base.entries
     if inst.graph.edges:
         again = blow_up_edge(inst.graph, seed % len(inst.graph.edges))
-        assert compute_jumps(again).entries == base.entries
+        assert given_model_spectrum(again).entries == base.entries
 
 
 @settings(deadline=None, max_examples=40)
