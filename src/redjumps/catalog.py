@@ -144,16 +144,24 @@ def _twin() -> ReductionGraph:
         [Vertex("u", 1, 1), Vertex("v", 1, 1)], [("u", "v")], name="twin")
 
 
+# the names of the seed pool, sorted: random_instance draws one by position
+_SEED_NAMES = tuple(sorted(("I0", "I2", "I5", "II", "III", "IV", "I0*", "I3*",
+                            "IV*", "III*", "II*", "I1res", "genus2", "star5",
+                            "twin")))
+
+
+def _seed(name: str) -> ReductionGraph:
+    """The pool seed called name, built and validated."""
+    if name == "star5":
+        return _star5()
+    if name == "twin":
+        return _twin()
+    return catalog_graph(name)
+
+
 def seed_graphs() -> dict:
     """Pool of minimal valid graphs the random generator starts from."""
-    pool = {}
-    for tag in ("I0", "I2", "I5", "II", "III", "IV",
-                "I0*", "I3*", "IV*", "III*", "II*", "I1res"):
-        pool[tag] = kodaira_graph(tag)
-    pool["genus2"] = genus2_example()
-    pool["star5"] = _star5()
-    pool["twin"] = _twin()
-    return pool
+    return {name: _seed(name) for name in _SEED_NAMES}
 
 
 def catalog_tags() -> list:
@@ -189,14 +197,14 @@ def random_instance(seed: int, moves: int) -> GeneratedGraph:
     Deterministic in (seed, moves). Every move is a valid-by-construction
     blow-up, so the result is always a valid graph with the same genus and
     jump spectrum as its base. Fresh ids run b1, b2, ... as with the public
-    blow-ups. All moves go to one surgery form: each is O(1) apart from
-    picking its vertex or edge by position, a list copy or skip done in C,
-    and the result is built and validated once.
+    blow-ups. Only the drawn seed is built. All moves go to one surgery
+    form: each is O(1) apart from picking its vertex or edge by position,
+    a list copy or skip done in C, and the result is built and validated
+    once.
     """
     rng = random.Random(seed)
-    pool = seed_graphs()
-    base_name = rng.choice(sorted(pool))
-    base = pool[base_name]
+    base_name = rng.choice(_SEED_NAMES)
+    base = _seed(base_name)
     g = _graph._Surgery(base)
     log = []
     for _ in range(moves):

@@ -4,7 +4,10 @@ A lattice of rank g is given by a square integer matrix whose columns are a
 basis. For nested lattices M <= L the basis change L^-1 M is an integer
 matrix and the p-adic valuations of its Smith normal form diagonal are the
 elementary divisors of the inclusion over Z_p; their sum plays the role of
-a conductor. Everything here is exact integer arithmetic.
+a conductor. Everything here is exact integer arithmetic: determinants
+and basis changes come from fraction-free (Bareiss, Math. Comp. 22 (1968))
+elimination. The public functions validate each matrix argument once;
+their private cores (_quotient, _smith) take validated rows.
 """
 
 from __future__ import annotations
@@ -26,10 +29,13 @@ def _as_matrix(M):
     return rows
 
 
-def _square(M):
+def _square(M, rank=None):
+    """M as a fresh list of rows, validated square (and of the given rank)."""
     rows = _as_matrix(M)
     if len(rows) != len(rows[0]):
         raise ShapeMismatch("expected a square matrix")
+    if rank is not None and len(rows) != rank:
+        raise ShapeMismatch("lattices must have the same rank")
     return rows
 
 
@@ -67,38 +73,44 @@ def det(M):
     return sign * A[n - 1][n - 1]
 
 
-def _adjugate(M):
-    n = len(M)
-    if n == 1:
-        return [[1]]
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [[M[r][c] for c in range(n) if c != j]
-                     for r in range(n) if r != i]
-            adj[j][i] = (-1) ** (i + j) * det(minor)
-    return adj
-
-
 def lattice_quotient(outer, inner):
     """The integer matrix X with outer . X = inner.
+
+    One fraction-free Gauss-Jordan elimination (Bareiss 1968) on the
+    augmented matrix [outer | inner]: each step k makes column k zero off
+    the diagonal and divides the update by the previous pivot, exactly,
+    since every entry is a minor of the augmented matrix. The left block
+    ends as d.I with d = +-det(outer), the right block as d.X.
 
     Raises SingularMatrix if outer is not a basis and NotASublattice if the
     column lattice of inner is not contained in that of outer.
     """
     outer = _square(outer)
-    inner = _square(inner)
-    if len(outer) != len(inner):
-        raise ShapeMismatch("lattices must have the same rank")
-    d = det(outer)
-    if d == 0:
-        raise SingularMatrix("outer basis matrix is singular")
-    num = matmul(_adjugate(outer), inner)
+    return _quotient(outer, _square(inner, len(outer)))
+
+
+def _quotient(outer, inner):
+    """lattice_quotient on validated square matrices of one rank."""
+    n = len(outer)
+    rows = [a + b for a, b in zip(outer, inner)]
+    prev = 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if rows[i][k]), None)
+        if pivot is None:
+            raise SingularMatrix("outer basis matrix is singular")
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        top = rows[k]
+        p = top[k]
+        for i in range(n):
+            if i != k:
+                c = rows[i][k]
+                rows[i] = [(p * x - c * y) // prev for x, y in zip(rows[i], top)]
+        prev = p
     X = []
-    for row in num:
+    for row in rows:
         out = []
-        for x in row:
-            q, r = divmod(x, d)
+        for x in row[n:]:
+            q, r = divmod(x, prev)
             if r != 0:
                 raise NotASublattice("inner lattice is not inside the outer one")
             out.append(q)
@@ -109,7 +121,12 @@ def lattice_quotient(outer, inner):
 def smith_normal_form(M):
     """(U, D, V) with U . M . V = D diagonal, d_1 | d_2 | ... | d_n > 0,
     and U, V unimodular. M must be square and nonsingular."""
-    A = [row[:] for row in _square(M)]
+    return _smith(_square(M))
+
+
+def _smith(M):
+    """smith_normal_form on a validated square matrix, left unchanged."""
+    A = [row[:] for row in M]
     n = len(A)
     U = identity(n)
     V = identity(n)
@@ -207,7 +224,7 @@ def elementary_divisors(inner, outer, p):
 
 
 def _divisor_valuations(X, p):
-    _, D, _ = smith_normal_form(X)
+    _, D, _ = _smith(X)
     return tuple(_valuation(d, p) for d in diagonal(D))
 
 
@@ -226,11 +243,13 @@ def check_sandwich(l0, l1, l2, p, n):
     _check_prime(p)
     if not isinstance(n, int) or n < 0:
         raise PreconditionFailed(f"n must be a non-negative integer, got {n!r}")
-    try:
-        x10 = lattice_quotient(l1, l0)
-        x21 = lattice_quotient(l2, l1)
-        scaled = [[p ** n * x for x in row] for row in _square(l1)]
-        lattice_quotient(l0, scaled)
+    try:  # each argument validated once, in the order of the quotients
+        l1 = _square(l1)
+        l0 = _square(l0, len(l1))
+        x10 = _quotient(l1, l0)
+        l2 = _square(l2, len(l1))
+        x21 = _quotient(l2, l1)
+        _quotient(l0, [[p ** n * x for x in row] for row in l1])
     except (NotASublattice, SingularMatrix) as exc:
         raise PreconditionFailed(f"sandwich precondition fails: {exc}") from exc
     c1 = _divisor_valuations(x21, p)  # c(L2/L1)

@@ -1,10 +1,12 @@
 """Named fiber-type graphs and the random instance generator."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from redjumps import (
+    GeneratedGraph,
     blow_up_edge,
     blow_up_free_point,
     catalog_graph,
@@ -18,6 +20,7 @@ from redjumps import (
 )
 from redjumps import catalog
 from redjumps.errors import UnsupportedType
+from redjumps.graph import _Surgery
 
 
 def test_catalog_entries_are_valid_minimal_models():
@@ -139,6 +142,35 @@ def test_random_instance_is_the_fold_of_its_moves():
     for seed, moves in [(s, s % 16) for s in range(0, 550, 7)] + [(s, 192) for s in range(8)]:
         inst = random_instance(seed, moves)
         assert inst.graph == replay(inst), (seed, moves)
+
+
+def test_seed_names_are_the_sorted_pool():
+    assert catalog._SEED_NAMES == tuple(sorted(seed_graphs()))
+
+
+def reference_random_instance(seed, moves):
+    """random_instance drawing from a freshly built pool of every seed."""
+    rng = random.Random(seed)
+    pool = seed_graphs()
+    base_name = rng.choice(sorted(pool))
+    base = pool[base_name]
+    g = _Surgery(base)
+    log = []
+    for _ in range(moves):
+        if rng.random() < 0.5 or not g.edges:
+            v = rng.choice(list(g.vertices))
+            g.blow_up_free_point(v)
+            log.append(("free", v))
+        else:
+            e = rng.randrange(len(g.edges))
+            g.blow_up_edge(e)
+            log.append(("edge", e))
+    return GeneratedGraph(g.freeze(), base, base_name, tuple(log))
+
+
+def test_random_instance_builds_the_drawn_seed_of_the_pool(corpus):
+    for item in corpus:
+        assert item.inst == reference_random_instance(item.seed, item.seed % 16), item.seed
 
 
 def test_random_instance_handles_the_edgeless_seed():

@@ -17,6 +17,7 @@ from redjumps import (
     ReductionGraph,
     Vertex,
     analyze,
+    blow_down,
     blow_up_edge,
     blow_up_free_point,
     build,
@@ -34,6 +35,7 @@ from redjumps import (
     jump_multiplicity_via_euler,
     kodaira_graph,
     lower_bound,
+    minimize,
     random_instance,
     run_checks,
     seed_graphs,
@@ -481,3 +483,39 @@ def test_spectrum_is_a_blow_up_invariant(seed, moves):
 def test_checks_pass_on_random_instances(seed, moves):
     g = random_instance(seed, moves).graph
     assert all(ok for _, ok in run_checks(g))
+
+
+SEEDS = seed_graphs()
+
+
+def contractible(g, v):
+    return (g.vertex(v).genus == 0 and g.self_intersection(v) == -1
+            and (g.degree(v) == 1
+                 or (g.degree(v) == 2 and len(set(g.neighbors(v))) == 2)))
+
+
+@st.composite
+def surgered_models(draw):
+    """A pool seed after random free-point and edge blow-ups and blow-downs
+    of contractible curves, with its ids permuted."""
+    g = SEEDS[draw(st.sampled_from(sorted(SEEDS)))]
+    for move in draw(st.lists(st.sampled_from(("free", "edge", "down")), max_size=12)):
+        if move == "free":
+            g = blow_up_free_point(g, draw(st.sampled_from(g.ids)))
+        elif move == "edge" and g.edges:
+            g = blow_up_edge(g, draw(st.integers(0, len(g.edges) - 1)))
+        elif move == "down":
+            eligible = [v for v in g.ids if contractible(g, v)]
+            if eligible:
+                g = blow_down(g, draw(st.sampled_from(eligible)))
+    ids = draw(st.permutations(g.ids))
+    new = {old: f"x{k}" for k, old in enumerate(ids)}
+    return build([Vertex(new[v.id], v.multiplicity, v.genus) for v in g.vertices],
+                 draw(st.permutations([(new[a], new[b]) for a, b in g.edges])), g.name)
+
+
+@settings(deadline=None, max_examples=200)
+@given(g=surgered_models())
+def test_checks_pass_on_surgered_models(g):
+    assert all(ok for _, ok in run_checks(g)), run_checks(g)
+    assert given_model_spectrum(g) == compute_jumps(minimize(g))

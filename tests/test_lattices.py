@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from redjumps.errors import (
     NotASublattice,
     PreconditionFailed,
+    RedjumpsError,
     ShapeMismatch,
     SingularMatrix,
 )
@@ -83,6 +84,133 @@ def test_lattice_quotient():
         lattice_quotient([[2, 0], [0, 2]], identity(2))
     with pytest.raises(SingularMatrix):
         lattice_quotient([[1, 1], [1, 1]], identity(2))
+
+
+# -- the fraction-free solve against the cofactor route it replaced -----------
+
+def reference_square(M):
+    rows = [list(r) for r in M]
+    if (not rows or any(len(r) != len(rows) for r in rows)
+            or any(not isinstance(x, int) or isinstance(x, bool)
+                   for r in rows for x in r)):
+        raise ShapeMismatch("not a square integer matrix")
+    return rows
+
+
+def reference_quotient(outer, inner):
+    """The adjugate as n^2 cofactor determinants, applied to inner and
+    divided exactly by det(outer)."""
+    outer, inner = reference_square(outer), reference_square(inner)
+    n = len(outer)
+    if len(inner) != n:
+        raise ShapeMismatch("lattices must have the same rank")
+    d = det(outer)
+    if d == 0:
+        raise SingularMatrix("outer basis matrix is singular")
+    adj = [[1]] if n == 1 else [
+        [(-1) ** (i + j) * det([row[:i] + row[i + 1:] for r, row in enumerate(outer) if r != j])
+         for j in range(n)] for i in range(n)]
+    X = []
+    for row in matmul(adj, inner):
+        if any(x % d for x in row):
+            raise NotASublattice("inner lattice is not inside the outer one")
+        X.append([x // d for x in row])
+    return X
+
+
+def reference_divisors(inner, outer, p):
+    return valuations(reference_quotient(outer, inner), p)
+
+
+def reference_sandwich(l0, l1, l2, p, n):
+    try:
+        x10 = reference_quotient(l1, l0)
+        x21 = reference_quotient(l2, l1)
+        reference_quotient(l0, [[p ** n * x for x in row] for row in l1])
+    except (NotASublattice, SingularMatrix) as exc:
+        raise PreconditionFailed(str(exc)) from exc
+    c1, c0 = valuations(x21, p), valuations(matmul(x21, x10), p)
+    return all(a <= b <= a + n for a, b in zip(c1, c0))
+
+
+def valuations(X, p):
+    """p-adic valuations of the Smith form diagonal of X."""
+    out = []
+    for x in diagonal(smith_normal_form(X)[1]):
+        v = 0
+        while x % p == 0:
+            x //= p
+            v += 1
+        out.append(v)
+    return tuple(out)
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except RedjumpsError as exc:
+        return type(exc)
+
+
+def random_square(rng, n, entries):
+    flat = rng.choices(entries, k=n * n)
+    return [flat[i:i + n] for i in range(0, n * n, n)]
+
+
+def quotient_cases(rng, count):
+    """(outer, inner) pairs: planted sublattices, arbitrary right-hand
+    sides, singular outers, sparse ones that force row swaps, and shapes
+    that must be refused."""
+    dense, sparse = range(-9, 10), (-1, 0, 0, 0, 1, 2)
+    malformed = ([], [[]], [[1, 2], [3]], [[1, 2, 3], [4, 5, 6]], [[1, True], [0, 1]],
+                 [[1.0, 0], [0, 1]], [[1, "x"], [0, 1]], identity(3))
+    for k in range(count):
+        n = rng.randint(1, 5)
+        outer = random_square(rng, n, sparse if k % 3 == 0 else dense)
+        kind = k % 5
+        if kind == 0:  # planted: inner = outer . X
+            inner = matmul(outer, random_square(rng, n, range(-4, 5)))
+        elif kind == 1 and n > 1:  # singular outer: one row a multiple of another
+            i, j = rng.sample(range(n), 2)
+            c = rng.choice((1, 2, -1))
+            outer[i] = [c * x for x in outer[j]]
+            inner = random_square(rng, n, dense)
+        elif kind == 2:  # one wrong entry in a planted inner
+            inner = matmul(outer, random_square(rng, n, range(-4, 5)))
+            inner[rng.randrange(n)][rng.randrange(n)] += rng.choice((-1, 1))
+        else:
+            inner = random_square(rng, n, dense)
+        if k % 50 == 0:  # a malformed argument on either side
+            bad = rng.choice(malformed)
+            outer, inner = (bad, inner) if rng.random() < 0.5 else (outer, bad)
+        yield outer, inner
+
+
+def test_quotient_matches_the_cofactor_route():
+    rng = random.Random(20260819)
+    for k, (outer, inner) in enumerate(quotient_cases(rng, 20_000)):
+        expected = outcome(reference_quotient, outer, inner)
+        assert outcome(lattice_quotient, outer, inner) == expected, (outer, inner)
+        if k % 4 == 0:
+            p = rng.choice((2, 3, 5))
+            assert (outcome(elementary_divisors, inner, outer, p)
+                    == outcome(reference_divisors, inner, outer, p)), (outer, inner, p)
+
+
+def test_sandwich_matches_the_cofactor_route():
+    rng = random.Random(20260820)
+    for k in range(1_000):
+        g, p, n = rng.randint(1, 4), rng.choice((2, 3, 5)), rng.randint(0, 3)
+        l0, l1, l2 = random_sandwich_instance(rng, g, p, n)
+        if k % 4 == 1:  # out of order: l1 need not lie in l0
+            l0, l1 = l1, l0
+        elif k % 4 == 2:  # one lattice replaced, possibly by a singular or odd-rank one
+            lattices = [l0, l1, l2]
+            lattices[rng.randrange(3)] = random_square(
+                rng, rng.choice((g, g, g + 1)), (-1, 0, 0, 1, 2))
+            l0, l1, l2 = lattices
+        assert (outcome(check_sandwich, l0, l1, l2, p, n)
+                == outcome(reference_sandwich, l0, l1, l2, p, n)), (l0, l1, l2, p, n)
 
 
 def test_elementary_divisors_examples():
