@@ -17,12 +17,17 @@ is the image of N^3 in Z^3 / <(a, b, -m)>:
     q in Q^sat   iff  m u + a w >= 0 and m v + b w >= 0.
 
 The closed forms are what the package computes with; the _search variants
-re-derive them from the definitions with bounded enumeration (the bounds
-a*m and m*max(a, b) on the saturation multiplier are exact: off the cone
-boundary, scaling by a*m makes the feasible interval for k at least 1
-long, and on a boundary facet the denominator of the critical ratio
-divides the branch multiplicity). The membership and saturation functions
-accept plain integers or integer numpy arrays componentwise.
+re-derive them from the definitions with bounded enumeration. The shift
+searches scan only the k that the inequalities allow, and the argument for
+that uses nothing but a, b, m >= 1: a k < -|u| gives u + k a <= u + k < 0,
+and a k > |w| gives w - k m <= w - k < 0, so every feasible k lies in
+[-|u|, |w|] (in [-|v|, |w|] in case 1, from v + k a >= 0); each inequality
+is still tested at every k of that range. The bounds a*m and m*max(a, b)
+on the saturation multiplier are exact: off the cone boundary, scaling by
+a*m makes the feasible interval for k at least 1 long, and on a boundary
+facet the denominator of the critical ratio divides the branch
+multiplicity. The closed-form membership and saturation functions accept
+plain integers or integer numpy arrays componentwise.
 
 AffineMonoid covers finitely generated submonoids of N^r for the pushout
 lemma: Q = P +_N (1/d) N glued along 1 |-> e in P has canonical forms
@@ -35,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 from math import gcd, lcm
+from numbers import Integral
 
 import numpy as np
 
@@ -116,9 +122,8 @@ def sat_member_case2(chart, q):
 def member_case1_search(chart, q):
     """Definition-level membership: search the shift k directly."""
     _, v, w = q
-    bound = abs(v) + abs(w) + 1
     return any(v + k * chart.a >= 0 and w - k * chart.m >= 0
-               for k in range(-bound, bound + 1))
+               for k in range(-abs(v), abs(w) + 1))
 
 
 def sat_member_case1_search(chart, q):
@@ -129,11 +134,12 @@ def sat_member_case1_search(chart, q):
 
 
 def member_case2_search(chart, q):
+    """Definition-level membership: search the shift k directly, over the
+    range [-|u|, |w|] that holds every feasible k."""
     u, v, w = q
-    bound = abs(u) + abs(v) + abs(w) + 1
     return any(u + k * chart.a >= 0 and v + k * chart.b >= 0
                and w - k * chart.m >= 0
-               for k in range(-bound, bound + 1))
+               for k in range(-abs(u), abs(w) + 1))
 
 
 def sat_member_case2_search(chart, q):
@@ -186,12 +192,10 @@ def charts_case2(max_m):
 
 # -- base-change stability of a chart ----------------------------------------
 
-def _branch_saturated(e, n, c, box):
+def _branch_saturated(e, n, c, T, W):
     """Bounded check that one branch condition of the degree-(e, n) pushout
-    is saturated: no (t, W) in the box has e n t + c W >= 0 but
+    is saturated: no (t, W) of the box grids T, W has e n t + c W >= 0 but
     e t + c floor(W / n) < 0."""
-    rng = np.arange(-box, box + 1)
-    T, W = np.meshgrid(rng, rng, indexing="ij")
     sat = e * n * T + c * W >= 0
     mem = e * T + c * (W // n) >= 0
     return not bool(np.any(sat & ~mem))
@@ -208,8 +212,10 @@ def chart_saturation_index(chart, nmax=3, box=24):
     """
     if not isinstance(chart, (SaturationChartCase1, SaturationChartCase2)):
         raise PreconditionFailed(f"not a saturation chart: {chart!r}")
+    span = np.arange(-box, box + 1)
+    T, W = np.meshgrid(span, span, indexing="ij")
     for e in range(1, lcm(*chart.branches) + 1):
-        if all(_branch_saturated(e, n, c, box)
+        if all(_branch_saturated(e, n, c, T, W)
                for n in range(2, nmax + 1) for c in chart.branches):
             return e
     raise InternalInconsistency("no stable degree found up to the lcm bound")
@@ -279,6 +285,11 @@ class AffineMonoid(Value):
         self._ensure_grid(max(x) if x else 0)
         return bool(self._grid[x])
 
+    def _lookup(self, y):
+        """Membership of a vector y of the right length whose entries are
+        at most the grid bound; negative entries are simply outside."""
+        return min(y) >= 0 and bool(self._grid[y])
+
     def group_contains(self, x):
         """Membership in the group generated by the monoid."""
         x = tuple(x)
@@ -300,10 +311,11 @@ class AffineMonoid(Value):
         """Bounded saturation check on [0, box]^r with multipliers up to kmax."""
         if kmax is None:
             kmax = max(2, box)
+        self._ensure_grid(max(box, box * kmax))
         for x in itertools.product(range(box + 1), repeat=self.rank):
-            if not any(x) or self.contains(x) or not self.group_contains(x):
+            if not any(x) or self._lookup(x) or not self.group_contains(x):
                 continue
-            if any(self.contains(tuple(k * c for c in x))
+            if any(self._lookup(tuple(k * c for c in x))
                    for k in range(2, kmax + 1)):
                 return False
         return True
@@ -323,24 +335,29 @@ def verify_lemm_coker(P, e, d, box):
     if not isinstance(P, AffineMonoid):
         raise PreconditionFailed("P must be an AffineMonoid")
     e = tuple(e)
-    if not P.contains(e):
+    if len(e) != P.rank or not all(
+            isinstance(c, Integral) and not isinstance(c, bool) for c in e):
         raise PreconditionFailed("e must be an element of P")
     if not isinstance(d, int) or isinstance(d, bool) or d < 1:
         raise PreconditionFailed(f"d must be a positive integer, got {d!r}")
     if not isinstance(box, int) or box < 1:
         raise PreconditionFailed(f"box must be a positive integer, got {box!r}")
+    # one grid holds every vector looked up below: the multiples in
+    # is_saturated, d x + n e and x + e
+    top = max(e)
+    P._ensure_grid(max(box * max(2, box), d * box + (d - 1) * top, box + top))
+    if not P._lookup(e):
+        raise PreconditionFailed("e must be an element of P")
     if not P.is_saturated(box):
         raise NotSaturatedInput("P is not saturated on the verification box")
-    r = P.rank
     count = 0
-    for x in itertools.product(range(-box, box + 1), repeat=r):
+    for x in itertools.product(range(-box, box + 1), repeat=P.rank):
         if not P.group_contains(x):
             continue
         for n in range(d):
-            scaled = tuple(d * xi + n * ei for xi, ei in zip(x, e))
-            if not P.contains(scaled):
+            if not P._lookup(tuple(d * xi + n * ei for xi, ei in zip(x, e))):
                 continue
-            if not P.contains(tuple(xi + ei for xi, ei in zip(x, e))):
+            if not P._lookup(tuple(xi + ei for xi, ei in zip(x, e))):
                 raise InternalInconsistency(
                     f"saturation element (x={x}, n={n}/{d}) with x + e outside P")
             count += 1

@@ -1,6 +1,7 @@
 """Chart monoids, their saturations, and the bounded pushout checks."""
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -12,6 +13,7 @@ from redjumps.errors import (
     InternalInconsistency,
     NotSaturatedInput,
     PreconditionFailed,
+    RedjumpsError,
 )
 from redjumps.monoids import (
     AffineMonoid,
@@ -73,6 +75,97 @@ def test_case2_formulas_match_search_exhaustively():
         for q in itertools.product(span, span, span):
             assert member_case2(chart, q) == member_case2_search(chart, q), (chart, q)
             assert sat_member_case2(chart, q) == sat_member_case2_search(chart, q), (chart, q)
+
+
+def reference_member_case1_search(chart, q):
+    """The shift search over the old wide range +-(|v| + |w| + 1)."""
+    _, v, w = q
+    bound = abs(v) + abs(w) + 1
+    return any(v + k * chart.a >= 0 and w - k * chart.m >= 0
+               for k in range(-bound, bound + 1))
+
+
+def reference_member_case2_search(chart, q):
+    """The shift search over the old wide range +-(|u| + |v| + |w| + 1)."""
+    u, v, w = q
+    bound = abs(u) + abs(v) + abs(w) + 1
+    return any(u + k * chart.a >= 0 and v + k * chart.b >= 0
+               and w - k * chart.m >= 0
+               for k in range(-bound, bound + 1))
+
+
+def reference_sat_member_case1_search(chart, q):
+    u, v, w = q
+    return any(reference_member_case1_search(chart, (n * u, n * v, n * w))
+               for n in range(1, chart.a * chart.m + 1))
+
+
+def reference_sat_member_case2_search(chart, q):
+    u, v, w = q
+    return any(reference_member_case2_search(chart, (n * u, n * v, n * w))
+               for n in range(1, chart.m * max(chart.a, chart.b) + 1))
+
+
+def skewed_points(small, large):
+    """Points with |u|, |v| much larger than |w|, and the other way round."""
+    big = [x for x in large for x in (x, -x)]
+    for x, y in itertools.product(big, repeat=2):
+        for z in small:
+            yield (x, y, z)
+            yield (z, x, y)
+            yield (x, z, y)
+    for x, y in itertools.product(small, repeat=2):
+        for z in big:
+            yield (x, y, z)
+
+
+SEARCHES = (
+    (charts_case1, member_case1_search, reference_member_case1_search,
+     sat_member_case1_search, reference_sat_member_case1_search),
+    (charts_case2, member_case2_search, reference_member_case2_search,
+     sat_member_case2_search, reference_sat_member_case2_search),
+)
+
+
+@pytest.mark.parametrize("charts, search, reference, sat_search, sat_reference",
+                         SEARCHES, ids=["case1", "case2"])
+def test_searches_match_the_wide_range(charts, search, reference,
+                                       sat_search, sat_reference):
+    members = [*itertools.product(range(-6, 7), repeat=3),
+               *skewed_points(range(-3, 4), (9, 20, 37))]
+    saturation = [*itertools.product(range(-3, 4), repeat=3),
+                  *skewed_points((-2, 0, 1), (11, 23))]
+    for chart in charts(4):
+        for q in members:
+            assert search(chart, q) == reference(chart, q), (chart, q)
+    for chart in charts(3):
+        for q in saturation:
+            assert sat_search(chart, q) == sat_reference(chart, q), (chart, q)
+
+
+def feasible_shifts(chart, q):
+    u, v, w = q
+    # case 1 constrains v by its one branch, case 2 constrains u and v
+    branches = tuple(zip((u, v)[-len(chart.branches):], chart.branches))
+    return [k for k in range(-50, 51)
+            if all(x + k * a >= 0 for x, a in branches) and w - k * chart.m >= 0]
+
+
+@pytest.mark.parametrize("chart, q, k", [
+    (SaturationChartCase2(1, 1, 1), (3, 3, -3), -3),
+    (SaturationChartCase2(1, 1, 1), (-3, -3, 3), 3),
+    (SaturationChartCase2(1, 1, 1), (5, 7, -5), -5),
+    (SaturationChartCase1(1, 1), (0, 3, -3), -3),
+    (SaturationChartCase1(1, 1), (0, -3, 3), 3),
+    (SaturationChartCase1(1, 1), (9, 5, -5), -5),
+    (SaturationChartCase1(1, 1), (-9, -4, 4), 4),
+])
+def test_search_finds_a_shift_at_an_end_of_its_range(chart, q, k):
+    """The only feasible shift is an end of the scanned range: -|u| (case 2)
+    or -|v| (case 1) below, |w| above."""
+    assert feasible_shifts(chart, q) == [k]
+    search = member_case1_search if len(chart.branches) == 1 else member_case2_search
+    assert search(chart, q)
 
 
 def test_membership_accepts_numpy_arrays():
@@ -182,6 +275,28 @@ def test_chart_saturation_index_case2():
     assert chart_saturation_index(SaturationChartCase2(4, 2, 4)) == 4
 
 
+def reference_chart_saturation_index(chart, nmax=3, box=24):
+    """The index with the box grids built again for every (e, n, c)."""
+    def branch_saturated(e, n, c):
+        rng = np.arange(-box, box + 1)
+        T, W = np.meshgrid(rng, rng, indexing="ij")
+        sat = e * n * T + c * W >= 0
+        mem = e * T + c * (W // n) >= 0
+        return not bool(np.any(sat & ~mem))
+
+    for e in range(1, math.lcm(*chart.branches) + 1):
+        if all(branch_saturated(e, n, c)
+               for n in range(2, nmax + 1) for c in chart.branches):
+            return e
+
+
+def test_chart_saturation_index_is_the_lcm_on_every_small_chart():
+    for chart in charts_case1(12) + charts_case2(12):
+        index = chart_saturation_index(chart)
+        assert index == reference_chart_saturation_index(chart), chart
+        assert index == math.lcm(*chart.branches), chart
+
+
 def test_chart_saturation_index_rejects_other_inputs():
     with pytest.raises(PreconditionFailed):
         chart_saturation_index("II")
@@ -245,3 +360,96 @@ def test_pushout_lemma_on_random_cones(seed, d):
     assert P.is_saturated(5)
     e = P.generators[rng.randrange(len(P.generators))]
     assert verify_lemm_coker(P, e, d, 4) >= 0
+
+
+def reference_is_saturated(P, box, kmax=None):
+    """The saturation check through the public contains."""
+    if kmax is None:
+        kmax = max(2, box)
+    for x in itertools.product(range(box + 1), repeat=P.rank):
+        if not any(x) or P.contains(x) or not P.group_contains(x):
+            continue
+        if any(P.contains(tuple(k * c for c in x)) for k in range(2, kmax + 1)):
+            return False
+    return True
+
+
+def reference_verify_lemm_coker(P, e, d, box):
+    """The pushout check through the public contains, growing the grid on
+    demand."""
+    e = tuple(e)
+    if not P.contains(e):
+        raise PreconditionFailed("e must be an element of P")
+    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+        raise PreconditionFailed(f"d must be a positive integer, got {d!r}")
+    if not isinstance(box, int) or box < 1:
+        raise PreconditionFailed(f"box must be a positive integer, got {box!r}")
+    if not reference_is_saturated(P, box):
+        raise NotSaturatedInput("P is not saturated on the verification box")
+    count = 0
+    for x in itertools.product(range(-box, box + 1), repeat=P.rank):
+        if not P.group_contains(x):
+            continue
+        for n in range(d):
+            if not P.contains(tuple(d * xi + n * ei for xi, ei in zip(x, e))):
+                continue
+            if not P.contains(tuple(xi + ei for xi, ei in zip(x, e))):
+                raise InternalInconsistency("saturation element with x + e outside P")
+            count += 1
+    return count
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except RedjumpsError as exc:
+        return type(exc)
+
+
+def pushout_cases():
+    """Random cones (some cut down to half their generators, so not
+    saturated) with e a generator or an arbitrary small vector, and rank-1
+    numeric monoids; d = 1..4 and box = 1..5."""
+    rng = random.Random(20261018)
+    for _ in range(250):
+        gens = random_cone_monoid(rng).generators
+        if rng.random() < 0.3:
+            gens = gens[:max(1, len(gens) // 2)]
+        e = (rng.choice(gens) if rng.random() < 0.8
+             else (rng.randint(-1, 7), rng.randint(-1, 7)))
+        yield gens, e, rng.randint(1, 4), rng.randint(1, 5)
+    for gens in itertools.combinations(range(1, 7), 2):
+        for e, d, box in itertools.product(range(0, 8, 2), range(1, 5), range(1, 6)):
+            yield tuple((g,) for g in gens), (e,), d, box
+
+
+def test_pushout_check_matches_the_contains_route():
+    seen = set()
+    for gens, e, d, box in pushout_cases():
+        got = outcome(verify_lemm_coker, AffineMonoid(gens), e, d, box)
+        want = outcome(reference_verify_lemm_coker, AffineMonoid(gens), e, d, box)
+        assert got == want, (gens, e, d, box)
+        seen.add(got if isinstance(got, type) else int)
+        assert (AffineMonoid(gens).is_saturated(box)
+                == reference_is_saturated(AffineMonoid(gens), box)), (gens, box)
+    assert seen == {int, PreconditionFailed, NotSaturatedInput, InternalInconsistency}
+
+
+def test_pushout_check_fills_the_grid_once(monkeypatch):
+    fills = []
+    ensure = AffineMonoid._ensure_grid
+
+    def counting(self, bound):
+        before = self._grid_bound
+        ensure(self, bound)
+        if self._grid_bound != before:
+            fills.append(bound)
+
+    monkeypatch.setattr(AffineMonoid, "_ensure_grid", counting)
+    quadrant = ((1, 0), (0, 1))
+    for gens, e, d, box in [(quadrant, (1, 1), 3, 3), (quadrant, (0, 0), 4, 5),
+                            (quadrant, (20, 3), 1, 2), (((1,),), (30,), 1, 3),
+                            (((1,),), (1,), 2, 4)]:
+        fills.clear()
+        verify_lemm_coker(AffineMonoid(gens), e, d, box)
+        assert len(fills) == 1, (gens, e, d, box, fills)
