@@ -16,8 +16,9 @@ and the genus of the generic fiber comes out of adjunction:
 
     2g - 2 = sum_v N_v * (2 g_v - 2 - E_v^2).
 
-Everything downstream (jump spectra, stabilization indices) consumes these
-two derived quantities, so validity of the labels is enforced up front.
+A graph derives both, with its neighbour lists, in one integer form built
+once (``ReductionGraph._compiled``). Every accessor and the jump kernel read
+it, and so do validate() and genus(), each computed once per graph.
 """
 
 from __future__ import annotations
@@ -82,7 +83,8 @@ def _structural_problems(vertices, edges):
             problems.append(Violation("vertex-id", "vertex ids must be non-empty strings", str(v.id)))
         elif v.id in seen:
             problems.append(Violation("vertex-id", f"duplicate vertex id {v.id!r}", v.id))
-        seen.add(v.id)
+        if isinstance(v.id, str):
+            seen.add(v.id)
         if not isinstance(v.multiplicity, int) or isinstance(v.multiplicity, bool) or v.multiplicity < 1:
             problems.append(Violation("multiplicity", f"vertex {v.id!r} needs integer multiplicity >= 1, got {v.multiplicity!r}", v.id))
         if not isinstance(v.genus, int) or isinstance(v.genus, bool) or v.genus < 0:
@@ -90,7 +92,7 @@ def _structural_problems(vertices, edges):
     if not vertices:
         problems.append(Violation("empty", "graph needs at least one vertex"))
     for k, (a, b) in enumerate(edges):
-        if a not in seen or b not in seen:
+        if not all(isinstance(x, str) and x in seen for x in (a, b)):
             problems.append(Violation("edge-endpoint", f"edge #{k} {a!r}-{b!r} references an unknown vertex", f"{a}-{b}"))
         if a == b:
             problems.append(Violation("loop", f"edge #{k} is a loop at {a!r}; loops are forbidden (resolve the node by a blow-up first)", a))
@@ -115,28 +117,58 @@ def _contractible(genus: int, multiplicity: int, nbrs, nbr_sum: int) -> bool:
             and (len(nbrs) == 1 or (len(nbrs) == 2 and len(set(nbrs)) == 2)))
 
 
+def _components(nbrs, members) -> int:
+    """Number of connected components of the subgraph induced on the
+    vertex indices ``members``; ``nbrs[i]`` lists the neighbours of i."""
+    left, count = set(members), 0
+    for i in members:
+        if i in left:
+            count += 1
+            left.discard(i)
+            stack = [i]
+            while stack:
+                for w in nbrs[stack.pop()]:
+                    if w in left:
+                        left.discard(w)
+                        stack.append(w)
+    return count
+
+
 class _Compiled(Value):
-    """Integer form of a valid graph: vertex k is ``vertices[k]``, and
-    ``nbrs[k]`` lists its neighbour indices, repeated for parallel edges."""
+    """Integer form of a graph, from one pass over its edges: vertex k is
+    ``vertices[k]`` and ``index[id]``, ``nbrs[k]`` its neighbour indices
+    (repeated for parallel edges) and ``nbr_sum[k]`` their multiplicities'
+    sum. On a valid graph ``E2[k] = -(nbr_sum[k] // N[k])`` is E_k^2 and
+    ``adjunction`` = sum of N_k (2 g_k - 2) + nbr_sum[k] is 2g - 2."""
 
-    __slots__ = _fields = ("N", "genus", "E2", "nbrs")
+    __slots__ = _fields = ("index", "N", "genus", "nbrs", "nbr_sum", "E2", "adjunction")
 
-    def __init__(self, N: list[int], genus: list[int], E2: list[int],
-                 nbrs: list[list[int]]):
+    def __init__(self, index: dict[str, int], N: list[int], genus: list[int],
+                 nbrs: list[list[int]], nbr_sum: list[int], E2: list[int],
+                 adjunction: int):
+        object.__setattr__(self, "index", index)
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "E2", E2)
         object.__setattr__(self, "nbrs", nbrs)
+        object.__setattr__(self, "nbr_sum", nbr_sum)
+        object.__setattr__(self, "E2", E2)
+        object.__setattr__(self, "adjunction", adjunction)
 
 
 class ReductionGraph(Value):
     """Immutable labelled multigraph. Edges are unordered id pairs.
 
     Construction rejects structural garbage (duplicate ids, loops, unknown
-    endpoints, bad label types). The semantic invariants (connectivity,
-    gcd of multiplicities = 1, integral self-intersections, derived genus
-    >= 1) are checked by :meth:`validate`; use :func:`build` to construct
-    and validate in one step. All operations below assume a valid graph.
+    endpoints, bad label or id types). The semantic invariants
+    (connectivity, gcd of multiplicities = 1, integral self-intersections,
+    derived genus >= 1) are checked by :meth:`validate`; use :func:`build`
+    to construct and validate in one step. All operations below assume a
+    valid graph.
+
+    Every accessor reads one derived form, ``_compiled`` (see
+    :class:`_Compiled`), built on first use. ``validate()`` and ``genus()``
+    read it too, and each is computed once per graph (``genus()`` raises
+    anew on each call on an invalid graph).
     """
 
     _fields = ("vertices", "edges", "name")
@@ -145,57 +177,54 @@ class ReductionGraph(Value):
     def __init__(self, vertices: tuple[Vertex, ...], edges: tuple[tuple[str, str], ...],
                  name: str = ""):
         object.__setattr__(self, "vertices", tuple(vertices))
-        object.__setattr__(self, "edges", tuple(tuple(sorted(e)) for e in edges))
+        # str(): a non-string endpoint is reported below, not a TypeError here
+        object.__setattr__(self, "edges", tuple((a, b) if str(a) <= str(b) else (b, a)
+                                                for a, b in edges))
         object.__setattr__(self, "name", name)
         problems = _structural_problems(self.vertices, self.edges)
-        if problems:
-            report = ValidationReport(False, tuple(problems))
-            raise ValidationError("; ".join(report.messages()), report)
+        _check_valid(ValidationReport(not problems, tuple(problems)))
 
     # -- basic accessors ---------------------------------------------------
 
     @cached_property
-    def _by_id(self):
-        return {v.id: v for v in self.vertices}
-
-    @cached_property
-    def _adjacency(self):
-        adj = {v.id: [] for v in self.vertices}
-        for k, (a, b) in enumerate(self.edges):
-            adj[a].append((b, k))
-            adj[b].append((a, k))
-        return adj
-
-    @cached_property
     def _compiled(self) -> _Compiled:
         index = {v.id: k for k, v in enumerate(self.vertices)}
-        return _Compiled(
-            N=[v.multiplicity for v in self.vertices],
-            genus=[v.genus for v in self.vertices],
-            E2=[self.self_intersection(v.id) for v in self.vertices],
-            nbrs=[[index[w] for w, _ in self._adjacency[v.id]] for v in self.vertices])
+        N = [v.multiplicity for v in self.vertices]
+        genus = [v.genus for v in self.vertices]
+        nbrs = [[] for _ in N]
+        nbr_sum = [0] * len(N)
+        for a, b in self.edges:
+            i, j = index[a], index[b]
+            nbrs[i].append(j)
+            nbrs[j].append(i)
+            nbr_sum[i] += N[j]
+            nbr_sum[j] += N[i]
+        return _Compiled(index, N, genus, nbrs, nbr_sum,
+                         [-(s // n) for n, s in zip(N, nbr_sum)],
+                         sum(n * (2 * g - 2) + s for n, g, s in zip(N, genus, nbr_sum)))
+
+    def _index(self, vid: str) -> int:
+        try:
+            return self._compiled.index[vid]
+        except KeyError:
+            raise UnknownVertex(f"no vertex {vid!r}") from None
 
     @property
     def ids(self):
         return [v.id for v in self.vertices]
 
     def vertex(self, vid: str) -> Vertex:
-        try:
-            return self._by_id[vid]
-        except KeyError:
-            raise UnknownVertex(f"no vertex {vid!r}") from None
+        return self.vertices[self._index(vid)]
 
     def has_vertex(self, vid: str) -> bool:
-        return vid in self._by_id
+        return vid in self._compiled.index
 
     def degree(self, vid: str) -> int:
-        self.vertex(vid)
-        return len(self._adjacency[vid])
+        return len(self._compiled.nbrs[self._index(vid)])
 
     def neighbors(self, vid: str):
         """Ids opposite each incident edge (repeats for parallel edges)."""
-        self.vertex(vid)
-        return [w for w, _ in self._adjacency[vid]]
+        return [self.vertices[w].id for w in self._compiled.nbrs[self._index(vid)]]
 
     def multiplicity(self, vid: str) -> int:
         return self.vertex(vid).multiplicity
@@ -203,61 +232,47 @@ class ReductionGraph(Value):
     # -- semantic validation ----------------------------------------------
 
     def is_connected(self) -> bool:
-        if not self.vertices:
-            return False
-        seen = {self.vertices[0].id}
-        stack = [self.vertices[0].id]
-        while stack:
-            for w, _ in self._adjacency[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
+        return _components(self._compiled.nbrs, range(len(self.vertices))) == 1
 
     def validate(self) -> ValidationReport:
-        """Check the semantic invariants; never raises."""
-        problems = []
-        if not self.is_connected():
-            problems.append(Violation("connected", "graph is not connected"))
-        g = gcd(*(v.multiplicity for v in self.vertices))
+        """Check the semantic invariants, once per graph; never raises."""
+        return self._report
+
+    @cached_property
+    def _report(self) -> ValidationReport:
+        c = self._compiled
+        problems = [] if self.is_connected() else [Violation("connected", "graph is not connected")]
+        g = gcd(*c.N)
         if g != 1:
             problems.append(Violation("gcd", f"gcd of multiplicities is {g}, must be 1"))
-        bad_div = False
-        twice = 0  # adjunction sum: N_v (2 g_v - 2 - E_v^2) = N_v (2 g_v - 2) + s
-        for v in self.vertices:
-            s = self._nbr_sum(v.id)
-            twice += v.multiplicity * (2 * v.genus - 2) + s
-            if s % v.multiplicity != 0:
-                bad_div = True
-                problems.append(Violation(
-                    "self-intersection",
-                    f"vertex {v.id!r}: multiplicity {v.multiplicity} does not divide "
-                    f"the sum {s} of neighbouring multiplicities",
-                    v.id,
-                ))
-        if not bad_div:
-            # genus is meaningful once self-intersections are integral
-            if twice % 2 != 0:
-                problems.append(Violation("genus-parity", f"adjunction sum {twice} is odd"))
-            elif 1 + twice // 2 < 1:
-                problems.append(Violation("genus", f"derived genus {1 + twice // 2} < 1"))
+        bad = [Violation("self-intersection",
+                         f"vertex {v.id!r}: multiplicity {n} does not divide "
+                         f"the sum {s} of neighbouring multiplicities", v.id)
+               for v, n, s in zip(self.vertices, c.N, c.nbr_sum) if s % n]
+        # the genus is meaningful once self-intersections are integral; the
+        # adjunction sum is even then, as 0 = N.M.N = sum N_i^2 E_i^2 mod 2
+        if not bad and c.adjunction < 0:
+            bad.append(Violation("genus", f"derived genus {1 + c.adjunction // 2} < 1"))
+        problems += bad
         return ValidationReport(not problems, tuple(problems))
 
     # -- derived geometry ---------------------------------------------------
 
-    def _nbr_sum(self, vid: str) -> int:
-        return sum(self._by_id[w].multiplicity for w, _ in self._adjacency[vid])
-
     def self_intersection(self, vid: str) -> int:
-        return _self_intersection(vid, self.vertex(vid).multiplicity, self._nbr_sum(vid))
+        c, k = self._compiled, self._index(vid)
+        return _self_intersection(vid, c.N[k], c.nbr_sum[k])
 
     def genus(self) -> int:
-        """Genus of the generic fiber, via adjunction."""
-        twice = sum(v.multiplicity * (2 * v.genus - 2 - self.self_intersection(v.id))
-                    for v in self.vertices)
-        if twice % 2 != 0:
-            raise InconsistentGeometry(f"adjunction sum {twice} is odd")
-        g = 1 + twice // 2
+        """Genus of the generic fiber, via adjunction: 2g - 2 is the sum of
+        N_v (2 g_v - 2 - E_v^2)."""
+        return self._genus
+
+    @cached_property
+    def _genus(self) -> int:
+        c = self._compiled
+        for v, n, s in zip(self.vertices, c.N, c.nbr_sum):
+            _self_intersection(v.id, n, s)  # raises unless E_v^2 is integral
+        g = 1 + c.adjunction // 2  # an even sum, see _report
         if g < 1:
             raise InconsistentGeometry(f"derived genus {g} < 1")
         return g
@@ -267,26 +282,26 @@ class ReductionGraph(Value):
         return len(self.edges) - len(self.vertices) + 1
 
     def multiplicity_lcm(self) -> int:
-        return lcm(*(v.multiplicity for v in self.vertices))
+        return lcm(*self._compiled.N)
 
     def principal_components(self) -> set[str]:
         """Components of genus >= 1, or genus 0 meeting the rest in >= 3 points."""
-        return {v.id for v in self.vertices
-                if v.genus >= 1 or len(self._adjacency[v.id]) >= 3}
+        c = self._compiled
+        return {v.id for v, g, nb in zip(self.vertices, c.genus, c.nbrs)
+                if g >= 1 or len(nb) >= 3}
 
     def is_minimal(self) -> bool:
         """No contractible exceptional curve (see :func:`_contractible`)."""
-        return not any(
-            _contractible(v.genus, v.multiplicity,
-                          [w for w, _ in self._adjacency[v.id]], self._nbr_sum(v.id))
-            for v in self.vertices)
+        c = self._compiled
+        return not any(map(_contractible, c.genus, c.N, c.nbrs, c.nbr_sum))
 
     def stabilization_index(self) -> int:
         """lcm of principal multiplicities (1 if there are none). Defined on
         minimal graphs only."""
         if not self.is_minimal():
             raise NotMinimal("stabilization index is read off the minimal model; minimize() first")
-        return lcm(*(self._by_id[i].multiplicity for i in self.principal_components()))
+        c = self._compiled
+        return lcm(*(c.N[c.index[i]] for i in self.principal_components()))
 
     def as_multigraph(self):
         """The graph as a networkx MultiGraph with the labels on its nodes."""
@@ -302,12 +317,11 @@ class ReductionGraph(Value):
 def build(vertices, edges, name: str = "") -> ReductionGraph:
     """Construct a graph and raise ValidationError unless it is fully valid."""
     g = ReductionGraph(tuple(vertices), tuple(edges), name)
-    _check_valid(g)
+    _check_valid(g.validate())
     return g
 
 
-def _check_valid(g: ReductionGraph):
-    report = g.validate()
+def _check_valid(report: ValidationReport):
     if not report.ok:
         raise ValidationError("; ".join(report.messages()), report)
 
@@ -328,12 +342,10 @@ class _Surgery:
         self.vertices = {v.id: v for v in g.vertices}
         self.edges = dict(enumerate(g.edges))            # key -> sorted id pair
         self.incidence = {vid: {} for vid in self.vertices}  # id -> {key: opposite id}
-        self.nbr_sum = dict.fromkeys(self.vertices, 0)
+        self.nbr_sum = dict(zip(self.vertices, g._compiled.nbr_sum))
         for k, (a, b) in self.edges.items():
             self.incidence[a][k] = b
             self.incidence[b][k] = a
-            self.nbr_sum[a] += self.vertices[b].multiplicity
-            self.nbr_sum[b] += self.vertices[a].multiplicity
         self._next_key = len(g.edges)
         self._fresh = 1  # every "b<n>" with n below it is taken
 
@@ -475,11 +487,11 @@ def minimize(g: ReductionGraph) -> ReductionGraph:
 
     A worklist over one surgery form: a min-heap holds the contractible
     ids, and after a contraction only the contracted vertex's neighbours
-    are tested again. O(V + E + C log V) for C contractions. The graph is
-    validated on entry and once more when the result is built; g itself
-    is returned when nothing is contractible.
+    are tested again. O(V + E + C log V) for C contractions. g must be
+    valid (a cached report once g is validated), the result is validated
+    when it is built, and g itself is returned when nothing is contractible.
     """
-    _check_valid(g)
+    _check_valid(g.validate())
     s = _Surgery(g)
     heap = [vid for vid in s.vertices if s.contractible(vid)]
     if not heap:
@@ -530,14 +542,12 @@ def principal_dominating(g: ReductionGraph, v0: str) -> str:
             f"(got genus {start.genus}, degree {g.degree(v0)}, N {start.multiplicity})")
     principal = g.principal_components()
     prev, cur = v0, g.neighbors(v0)[0]
-    while cur not in principal:
-        v = g.vertex(cur)
-        if v.genus != 0 or g.degree(cur) != 2:
+    while cur not in principal:  # so cur has genus 0 and degree <= 2
+        if g.degree(cur) != 2:
             raise NoPrincipalFound(f"chain from {v0!r} dead-ends at {cur!r}")
-        nxt = [w for w, _ in g._adjacency[cur] if w != prev]
-        if not nxt:
-            raise NoPrincipalFound(f"chain from {v0!r} dead-ends at {cur!r}")
-        prev, cur = cur, nxt[0]
+        # prev has one edge to cur (it is v0 or a chain vertex), so cur's
+        # other edge leads on
+        prev, cur = cur, [w for w in g.neighbors(cur) if w != prev][0]
     n0, nt = start.multiplicity, g.multiplicity(cur)
     if nt % n0 != 0 or nt <= n0:
         raise InternalInconsistency(

@@ -52,7 +52,7 @@ from math import gcd, lcm
 
 from ._values import Value
 from .errors import InternalInconsistency, OverBudget, PreconditionFailed
-from .graph import ReductionGraph, contract_chains, minimize
+from .graph import ReductionGraph, _components, contract_chains, minimize
 
 # The most candidates a/d one scan may visit: a few seconds of work.
 WORK_BUDGET = 2_000_000
@@ -153,20 +153,8 @@ def _terms(c, d: int, members) -> _Terms:
                 half_inner += 1
             else:
                 boundary.append(c.N[w])
-    components, seen = 0, set()
-    for i in members:
-        if i in seen:
-            continue
-        components += 1
-        seen.add(i)
-        stack = [i]
-        while stack:
-            for w in c.nbrs[stack.pop()]:
-                if w in inside and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
     return _Terms(d, tuple(members), half_inner // 2, tuple(boundary),
-                  sum(c.genus[i] for i in members), components)
+                  sum(c.genus[i] for i in members), _components(c.nbrs, members))
 
 
 def _prime_powers(n: int):

@@ -1,6 +1,9 @@
 """Construction, validation and model surgery on reduction graphs."""
 
+import itertools
 import random
+from functools import cached_property
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +26,7 @@ from redjumps import (
     random_instance,
 )
 from redjumps.errors import (
+    InconsistentGeometry,
     NonIntegralSelfIntersection,
     NotContractible,
     NotMinimal,
@@ -32,7 +36,8 @@ from redjumps.errors import (
     ValidationError,
     WouldCreateLoop,
 )
-from redjumps.graph import _Surgery
+from redjumps.graph import ValidationReport, Violation, _Surgery
+from redjumps.jumps import _members_by_denominator, _terms, run_checks
 
 
 def codes(exc: ValidationError):
@@ -45,6 +50,9 @@ def test_duplicate_vertex_id_rejected():
     with pytest.raises(ValidationError) as e:
         ReductionGraph((Vertex("a", 1), Vertex("a", 2)), ())
     assert "vertex-id" in codes(e.value)
+    with pytest.raises(ValidationError) as e:
+        ReductionGraph((Vertex(["a"], 1),), ())  # unhashable id
+    assert codes(e.value) == {"vertex-id"}
 
 
 def test_loop_edge_rejected():
@@ -57,6 +65,10 @@ def test_unknown_edge_endpoint_rejected():
     with pytest.raises(ValidationError) as e:
         ReductionGraph((Vertex("a", 1, 1),), (("a", "b"),))
     assert "edge-endpoint" in codes(e.value)
+    for edge in ((["a"], "a"), ("a", 1)):  # unhashable, then unorderable against "a"
+        with pytest.raises(ValidationError) as e:
+            ReductionGraph((Vertex("a", 1, 1),), (edge,))
+        assert codes(e.value) == {"edge-endpoint"}
 
 
 def test_bad_labels_rejected():
@@ -319,6 +331,188 @@ def test_surgery_validates_once(monkeypatch):
     calls.clear()
     random_instance(7, 1024)
     assert len(calls) <= 2  # the drawn seed, then the result
+
+    # computations, not calls: the report and the genus are cached per graph
+    computed = {"_report": 0, "_genus": 0}
+    for name in computed:
+        compute = vars(ReductionGraph)[name].func
+
+        def counted(self, compute=compute, name=name):
+            computed[name] += 1
+            return compute(self)
+
+        prop = cached_property(counted)
+        prop.__set_name__(ReductionGraph, name)
+        monkeypatch.setattr(ReductionGraph, name, prop)
+    g = ReductionGraph(graph.vertices, graph.edges)
+    report, genus = g.validate(), g.genus()
+    assert computed == {"_report": 1, "_genus": 1}
+    assert g.validate() is report and g.genus() == genus
+    assert computed == {"_report": 1, "_genus": 1}
+    for s in range(64):
+        computed.update(_report=0, _genus=0)
+        run_checks(random_instance(s, s % 16).graph)
+        # the seed, the instance and its minimal model; the scans of the
+        # last two
+        assert computed["_report"] <= 3 and computed["_genus"] <= 2, (s, computed)
+
+
+# -- the one derived form against the id-keyed accessors it replaced ---------
+
+def reference_adjacency(g):
+    adj = {v.id: [] for v in g.vertices}
+    for a, b in g.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return adj
+
+
+def reference_nbr_sum(g, vid):
+    by_id = {v.id: v for v in g.vertices}
+    return sum(by_id[w].multiplicity for w in reference_adjacency(g)[vid])
+
+
+def reference_neighbors(g, vid):
+    return reference_adjacency(g)[vid]
+
+
+def reference_degree(g, vid):
+    return len(reference_adjacency(g)[vid])
+
+
+def reference_self_intersection(g, vid):
+    n, s = {v.id: v for v in g.vertices}[vid].multiplicity, reference_nbr_sum(g, vid)
+    if s % n != 0:
+        raise NonIntegralSelfIntersection(f"vertex {vid!r}: {n} does not divide neighbour sum {s}")
+    return -(s // n)
+
+
+def reference_components(g, members):
+    """Connected components of the subgraph induced on the ids in members."""
+    adj, seen, count = reference_adjacency(g), set(), 0
+    for i in members:
+        if i in seen:
+            continue
+        count += 1
+        seen.add(i)
+        stack = [i]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w in members and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return count
+
+
+def reference_is_connected(g):
+    return reference_components(g, {v.id for v in g.vertices}) == 1
+
+
+def reference_validate(g):
+    problems = []
+    if not reference_is_connected(g):
+        problems.append(Violation("connected", "graph is not connected"))
+    d = gcd(*(v.multiplicity for v in g.vertices))
+    if d != 1:
+        problems.append(Violation("gcd", f"gcd of multiplicities is {d}, must be 1"))
+    bad_div, twice = False, 0
+    for v in g.vertices:
+        s = reference_nbr_sum(g, v.id)
+        twice += v.multiplicity * (2 * v.genus - 2) + s
+        if s % v.multiplicity != 0:
+            bad_div = True
+            problems.append(Violation(
+                "self-intersection",
+                f"vertex {v.id!r}: multiplicity {v.multiplicity} does not divide "
+                f"the sum {s} of neighbouring multiplicities", v.id))
+    if not bad_div:
+        if twice % 2 != 0:
+            problems.append(Violation("genus-parity", f"adjunction sum {twice} is odd"))
+        elif 1 + twice // 2 < 1:
+            problems.append(Violation("genus", f"derived genus {1 + twice // 2} < 1"))
+    return ValidationReport(not problems, tuple(problems))
+
+
+def reference_genus(g):
+    twice = sum(v.multiplicity * (2 * v.genus - 2 - reference_self_intersection(g, v.id))
+                for v in g.vertices)
+    if twice % 2 != 0:
+        raise InconsistentGeometry(f"adjunction sum {twice} is odd")
+    if 1 + twice // 2 < 1:
+        raise InconsistentGeometry(f"derived genus {1 + twice // 2} < 1")
+    return 1 + twice // 2
+
+
+def reference_is_minimal(g):
+    return not any(
+        v.genus == 0 and reference_nbr_sum(g, v.id) == v.multiplicity
+        and (reference_degree(g, v.id) == 1
+             or (reference_degree(g, v.id) == 2 and len(set(reference_neighbors(g, v.id))) == 2))
+        for v in g.vertices)
+
+
+def reference_principal_components(g):
+    return {v.id for v in g.vertices if v.genus >= 1 or reference_degree(g, v.id) >= 3}
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+def assert_matches_reference(g):
+    assert g.validate() == reference_validate(g)
+    assert outcome(g.genus) == outcome(reference_genus, g)
+    for v in g.vertices:
+        assert (outcome(g.self_intersection, v.id)
+                == outcome(reference_self_intersection, g, v.id))
+        assert g.degree(v.id) == reference_degree(g, v.id)
+        assert g.neighbors(v.id) == reference_neighbors(g, v.id)
+    assert g.is_connected() == reference_is_connected(g)
+    assert g.is_minimal() == reference_is_minimal(g)
+    assert g.principal_components() == reference_principal_components(g)
+
+
+def test_compiled_form_matches_the_id_keyed_accessors(corpus):
+    rng = random.Random(2)
+    for item in corpus:
+        for g in (item.inst.graph, item.minimized, shuffled_relabelling(item.inst.graph, rng)):
+            assert_matches_reference(g)
+
+
+def test_compiled_form_matches_on_invalid_graphs():
+    # those of the semantic-validation tests: disconnected, gcd 2,
+    # non-integral E^2 and genus 0
+    for vertices, edges in [
+            ((Vertex("a", 1, 1), Vertex("b", 1, 1)), ()),
+            ((Vertex("a", 2, 1),), ()),
+            ((Vertex("a", 1), Vertex("b", 2)), (("a", "b"),)),
+            ((Vertex("a", 1, 0),), ())]:
+        assert_matches_reference(ReductionGraph(vertices, edges))
+    # every labelling of up to three vertices with N <= 4, a genus-1 first
+    # vertex or not, and up to three parallel edges per pair: the reference
+    # reaches each of its branches here but the odd adjunction sum, which no
+    # integral labelling has (see ReductionGraph._report)
+    for n in (1, 2, 3):
+        ids = "abc"[:n]
+        pairs = list(itertools.combinations(ids, 2))
+        for Ns in itertools.product(range(1, 5), repeat=n):
+            for ga, repeats in itertools.product((0, 1), itertools.product(range(4), repeat=len(pairs))):
+                vertices = [Vertex(i, N, ga if i == "a" else 0) for i, N in zip(ids, Ns)]
+                edges = [p for p, r in zip(pairs, repeats) for _ in range(r)]
+                assert_matches_reference(ReductionGraph(vertices, edges))
+
+
+def test_terms_components_match_the_id_keyed_search(corpus):
+    for item in corpus:
+        g = item.inst.graph
+        c = g._compiled
+        for d, members in _members_by_denominator(c).items():
+            ids = {g.vertices[i].id for i in members}
+            assert _terms(c, d, members).components == reference_components(g, ids), (item.seed, d)
 
 
 def test_fresh_ids_reuse_a_contracted_id():
