@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
+from functools import cache
 
 from . import graph as _graph
 from ._values import Value
@@ -150,8 +151,10 @@ _SEED_NAMES = tuple(sorted(("I0", "I2", "I5", "II", "III", "IV", "I0*", "I3*",
                             "twin")))
 
 
+@cache
 def _seed(name: str) -> ReductionGraph:
-    """The pool seed called name, built and validated."""
+    """The pool seed called name, built and validated once per process:
+    graphs are immutable, and surgery works on a copy."""
     if name == "star5":
         return _star5()
     if name == "twin":
@@ -197,7 +200,8 @@ def random_instance(seed: int, moves: int) -> GeneratedGraph:
     Deterministic in (seed, moves). Every move is a valid-by-construction
     blow-up, so the result is always a valid graph with the same genus and
     jump spectrum as its base. Fresh ids run b1, b2, ... as with the public
-    blow-ups. Only the drawn seed is built. All moves go to one surgery
+    blow-ups. Each seed is built once per process, when first drawn, and
+    shared by every instance grown from it. All moves go to one surgery
     form: each is O(1) apart from picking its vertex or edge by position,
     a list copy or skip done in C, and the result is built and validated
     once.

@@ -79,6 +79,9 @@ def _structural_problems(vertices, edges):
     problems = []
     seen = set()
     for v in vertices:
+        if not isinstance(v, Vertex):
+            problems.append(Violation("vertex", f"{v!r} is not a Vertex", str(v)))
+            continue
         if not isinstance(v.id, str) or not v.id:
             problems.append(Violation("vertex-id", "vertex ids must be non-empty strings", str(v.id)))
         elif v.id in seen:
@@ -91,7 +94,12 @@ def _structural_problems(vertices, edges):
             problems.append(Violation("genus-label", f"vertex {v.id!r} needs integer genus >= 0, got {v.genus!r}", v.id))
     if not vertices:
         problems.append(Violation("empty", "graph needs at least one vertex"))
-    for k, (a, b) in enumerate(edges):
+    for k, e in enumerate(edges):
+        try:
+            a, b = e
+        except (TypeError, ValueError):
+            problems.append(Violation("edge-endpoint", f"edge #{k} {e!r} is not a pair of vertex ids", str(e)))
+            continue
         if not all(isinstance(x, str) and x in seen for x in (a, b)):
             problems.append(Violation("edge-endpoint", f"edge #{k} {a!r}-{b!r} references an unknown vertex", f"{a}-{b}"))
         if a == b:
@@ -177,9 +185,12 @@ class ReductionGraph(Value):
     def __init__(self, vertices: tuple[Vertex, ...], edges: tuple[tuple[str, str], ...],
                  name: str = ""):
         object.__setattr__(self, "vertices", tuple(vertices))
-        # str(): a non-string endpoint is reported below, not a TypeError here
-        object.__setattr__(self, "edges", tuple((a, b) if str(a) <= str(b) else (b, a)
-                                                for a, b in edges))
+        edges = tuple(edges)
+        try:  # str(): a non-string endpoint is reported below, not a TypeError here
+            edges = tuple((a, b) if str(a) <= str(b) else (b, a) for a, b in edges)
+        except (TypeError, ValueError):
+            pass  # an edge that is not a pair: reported below
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "name", name)
         problems = _structural_problems(self.vertices, self.edges)
         _check_valid(ValidationReport(not problems, tuple(problems)))

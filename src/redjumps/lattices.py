@@ -124,32 +124,37 @@ def smith_normal_form(M):
     return _smith(_square(M))
 
 
-def _smith(M):
-    """smith_normal_form on a validated square matrix, left unchanged."""
+def _smith(M, transforms=True):
+    """smith_normal_form on a validated square matrix, left unchanged.
+    With transforms=False only D is computed, and U and V are None."""
     A = [row[:] for row in M]
     n = len(A)
-    U = identity(n)
-    V = identity(n)
+    U = identity(n) if transforms else None
+    V = identity(n) if transforms else None
 
     def row_op(i, j, q):  # row_i -= q * row_j
         A[i] = [a - q * b for a, b in zip(A[i], A[j])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
+        if transforms:
+            U[i] = [a - q * b for a, b in zip(U[i], U[j])]
 
     def col_op(i, j, q):  # col_i -= q * col_j
         for r in range(n):
             A[r][i] -= q * A[r][j]
-        for r in range(n):
-            V[r][i] -= q * V[r][j]
+        if transforms:
+            for r in range(n):
+                V[r][i] -= q * V[r][j]
 
     def swap_rows(i, j):
         A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
+        if transforms:
+            U[i], U[j] = U[j], U[i]
 
     def swap_cols(i, j):
         for r in range(n):
             A[r][i], A[r][j] = A[r][j], A[r][i]
-        for r in range(n):
-            V[r][i], V[r][j] = V[r][j], V[r][i]
+        if transforms:
+            for r in range(n):
+                V[r][i], V[r][j] = V[r][j], V[r][i]
 
     for t in range(n):
         while True:
@@ -193,7 +198,8 @@ def _smith(M):
             row_op(t, bad, -1)
         if A[t][t] < 0:
             A[t] = [-a for a in A[t]]
-            U[t] = [-a for a in U[t]]
+            if transforms:
+                U[t] = [-a for a in U[t]]
     return U, A, V
 
 
@@ -224,7 +230,7 @@ def elementary_divisors(inner, outer, p):
 
 
 def _divisor_valuations(X, p):
-    _, D, _ = _smith(X)
+    _, D, _ = _smith(X, transforms=False)
     return tuple(_valuation(d, p) for d in diagonal(D))
 
 
@@ -241,7 +247,7 @@ def check_sandwich(l0, l1, l2, p, n):
     that way.
     """
     _check_prime(p)
-    if not isinstance(n, int) or n < 0:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise PreconditionFailed(f"n must be a non-negative integer, got {n!r}")
     try:  # each argument validated once, in the order of the quotients
         l1 = _square(l1)

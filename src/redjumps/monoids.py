@@ -34,6 +34,18 @@ lemma: Q = P +_N (1/d) N glued along 1 |-> e in P has canonical forms
 (x, n/d) with x in P^gp and 0 <= n < d, and for saturated P,
 (x, n/d) in Q^sat iff d x + n e in P (multiplying any witness multiple by
 d lands in P's group and saturation finishes the argument).
+
+Membership in an AffineMonoid is read off a boolean grid on [0, B]^r that
+holds the monoid's points in the box. Since generators are non-negative,
+every partial sum of a point of the box lies in the box too, so the grid
+is the closure of {0} under adding one generator inside the box. It is
+built one generator g at a time, in order of increasing coordinate sum:
+shifting by g, 2g, 4g, ... (each shift ORs the grid into itself, as numpy
+reads overlapping operands as if copied) adds every multiple of g that
+fits. A set closed under earlier generators stays closed under them after
+the multiples of g are added, as x + n g + h = (x + h) + n g; and a g that
+is already in the grid is a sum of earlier generators, which adds nothing,
+so it is skipped, as is a g outside the box.
 """
 
 from __future__ import annotations
@@ -50,9 +62,11 @@ from .errors import (InternalInconsistency, NotSaturatedInput,
 from .lattices import column_hnf
 
 
-def _check_chart_int(name, x):
-    if not isinstance(x, int) or isinstance(x, bool) or x < 1:
-        raise PreconditionFailed(f"{name} must be a positive integer, got {x!r}")
+def _check_int(name, x, low=1):
+    """Refuse x unless it is an int (not a bool) of at least low, 0 or 1."""
+    if not isinstance(x, int) or isinstance(x, bool) or x < low:
+        kind = "positive" if low == 1 else "non-negative"
+        raise PreconditionFailed(f"{name} must be a {kind} integer, got {x!r}")
 
 
 class SaturationChartCase1(Value):
@@ -61,8 +75,8 @@ class SaturationChartCase1(Value):
     __slots__ = _fields = ("a", "m")
 
     def __init__(self, a: int, m: int):
-        _check_chart_int("a", a)
-        _check_chart_int("m", m)
+        _check_int("a", a)
+        _check_int("m", m)
         if m % a != 0:
             raise PreconditionFailed(f"a must divide m, got a={a}, m={m}")
         object.__setattr__(self, "a", a)
@@ -80,9 +94,9 @@ class SaturationChartCase2(Value):
     __slots__ = _fields = ("a", "b", "m")
 
     def __init__(self, a: int, b: int, m: int):
-        _check_chart_int("a", a)
-        _check_chart_int("b", b)
-        _check_chart_int("m", m)
+        _check_int("a", a)
+        _check_int("b", b)
+        _check_int("m", m)
         if m % a != 0 or m % b != 0:
             raise PreconditionFailed(f"a and b must divide m, got a={a}, b={b}, m={m}")
         object.__setattr__(self, "a", a)
@@ -120,10 +134,14 @@ def sat_member_case2(chart, q):
 
 
 def member_case1_search(chart, q):
-    """Definition-level membership: search the shift k directly."""
+    """Definition-level membership: search the shift k directly, over the
+    range [-|v|, |w|] that holds every feasible k."""
     _, v, w = q
-    return any(v + k * chart.a >= 0 and w - k * chart.m >= 0
-               for k in range(-abs(v), abs(w) + 1))
+    a, m = chart.a, chart.m
+    for k in range(-abs(v), abs(w) + 1):
+        if v + k * a >= 0 and w - k * m >= 0:
+            return True
+    return False
 
 
 def sat_member_case1_search(chart, q):
@@ -137,9 +155,11 @@ def member_case2_search(chart, q):
     """Definition-level membership: search the shift k directly, over the
     range [-|u|, |w|] that holds every feasible k."""
     u, v, w = q
-    return any(u + k * chart.a >= 0 and v + k * chart.b >= 0
-               and w - k * chart.m >= 0
-               for k in range(-abs(u), abs(w) + 1))
+    a, b, m = chart.a, chart.b, chart.m
+    for k in range(-abs(u), abs(w) + 1):
+        if u + k * a >= 0 and v + k * b >= 0 and w - k * m >= 0:
+            return True
+    return False
 
 
 def sat_member_case2_search(chart, q):
@@ -163,8 +183,7 @@ def divisible_case1(chart, s, t, i):
     """Divisibility of monomials in the case-1 chart algebra: whether the
     degree-(s, i) element is divisible by t powers of the base parameter."""
     for name, x in (("s", s), ("t", t), ("i", i)):
-        if not isinstance(x, int) or isinstance(x, bool) or x < 0:
-            raise PreconditionFailed(f"{name} must be a non-negative integer, got {x!r}")
+        _check_int(name, x, 0)
     return chart.a * (s - i) - chart.m * t >= 0
 
 
@@ -212,6 +231,8 @@ def chart_saturation_index(chart, nmax=3, box=24):
     """
     if not isinstance(chart, (SaturationChartCase1, SaturationChartCase2)):
         raise PreconditionFailed(f"not a saturation chart: {chart!r}")
+    _check_int("nmax", nmax)
+    _check_int("box", box, 0)
     span = np.arange(-box, box + 1)
     T, W = np.meshgrid(span, span, indexing="ij")
     for e in range(1, lcm(*chart.branches) + 1):
@@ -222,6 +243,17 @@ def chart_saturation_index(chart, nmax=3, box=24):
 
 
 # -- finitely generated submonoids of N^r ------------------------------------
+
+def _close_under(grid, g, bound):
+    """Add to the boolean grid on [0, bound]^r every point x + n g of the
+    box with x in the grid, n >= 1: shifts by g, 2g, 4g, ... while they fit.
+    g must be nonzero, or the shifts never leave the box."""
+    step = g
+    while max(step) <= bound:
+        dst = grid[tuple(slice(c, None) for c in step)]
+        dst |= grid[tuple(slice(None, bound + 1 - c) for c in step)]
+        step = tuple(2 * c for c in step)
+
 
 class AffineMonoid(Value):
     """Submonoid of N^r generated by finitely many non-negative vectors.
@@ -257,32 +289,31 @@ class AffineMonoid(Value):
         if bound <= self._grid_bound:
             return
         bound = max(bound, 2 * self._grid_bound, 8)
-        r = self.rank
-        grid = np.zeros((bound + 1,) * r, dtype=bool)
-        grid[(0,) * r] = True
-        gens = [g for g in set(self.generators)
-                if any(g) and all(c <= bound for c in g)]
-        changed = True
-        while changed:
-            changed = False
-            for g in gens:
-                src = grid[tuple(slice(None, bound + 1 - c) for c in g)]
-                dst = grid[tuple(slice(c, None) for c in g)]
-                new = src & ~dst
-                if new.any():
-                    dst |= src
-                    changed = True
+        grid = np.zeros((bound + 1,) * self.rank, dtype=bool)
+        grid[(0,) * self.rank] = True
+        # close under one generator at a time, lightest first; see the
+        # module docstring for why a generator already in the grid is skipped
+        for g in sorted(self.generators, key=sum):
+            if max(g) <= bound and not grid[g]:
+                _close_under(grid, g, bound)
         object.__setattr__(self, "_grid", grid)
         object.__setattr__(self, "_grid_bound", bound)
 
-    def contains(self, x):
-        """Membership in the monoid (non-negative combinations only)."""
+    def _vector(self, x):
+        """x as a tuple of integers of the monoid's rank."""
         x = tuple(x)
         if len(x) != self.rank:
             raise PreconditionFailed("vector has the wrong length")
+        if not all(isinstance(c, Integral) and not isinstance(c, bool) for c in x):
+            raise PreconditionFailed(f"vector entries must be integers, got {x!r}")
+        return x
+
+    def contains(self, x):
+        """Membership in the monoid (non-negative combinations only)."""
+        x = self._vector(x)
         if any(c < 0 for c in x):
             return False
-        self._ensure_grid(max(x) if x else 0)
+        self._ensure_grid(max(x))
         return bool(self._grid[x])
 
     def _lookup(self, y):
@@ -292,9 +323,10 @@ class AffineMonoid(Value):
 
     def group_contains(self, x):
         """Membership in the group generated by the monoid."""
-        x = tuple(x)
-        if len(x) != self.rank:
-            raise PreconditionFailed("vector has the wrong length")
+        return self._in_group(self._vector(x))
+
+    def _in_group(self, x):
+        """group_contains for a vector already validated."""
         if self._hnf is None:
             rows = [[g[i] for g in self.generators] for i in range(self.rank)]
             object.__setattr__(self, "_hnf", column_hnf(rows))
@@ -309,11 +341,13 @@ class AffineMonoid(Value):
 
     def is_saturated(self, box, kmax=None):
         """Bounded saturation check on [0, box]^r with multipliers up to kmax."""
+        _check_int("box", box, 0)
         if kmax is None:
             kmax = max(2, box)
+        _check_int("kmax", kmax, 0)
         self._ensure_grid(max(box, box * kmax))
         for x in itertools.product(range(box + 1), repeat=self.rank):
-            if not any(x) or self._lookup(x) or not self.group_contains(x):
+            if not any(x) or self._lookup(x) or not self._in_group(x):
                 continue
             if any(self._lookup(tuple(k * c for c in x))
                    for k in range(2, kmax + 1)):
@@ -334,14 +368,9 @@ def verify_lemm_coker(P, e, d, box):
     """
     if not isinstance(P, AffineMonoid):
         raise PreconditionFailed("P must be an AffineMonoid")
-    e = tuple(e)
-    if len(e) != P.rank or not all(
-            isinstance(c, Integral) and not isinstance(c, bool) for c in e):
-        raise PreconditionFailed("e must be an element of P")
-    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-        raise PreconditionFailed(f"d must be a positive integer, got {d!r}")
-    if not isinstance(box, int) or box < 1:
-        raise PreconditionFailed(f"box must be a positive integer, got {box!r}")
+    e = P._vector(e)
+    _check_int("d", d)
+    _check_int("box", box)
     # one grid holds every vector looked up below: the multiples in
     # is_saturated, d x + n e and x + e
     top = max(e)
@@ -352,7 +381,7 @@ def verify_lemm_coker(P, e, d, box):
         raise NotSaturatedInput("P is not saturated on the verification box")
     count = 0
     for x in itertools.product(range(-box, box + 1), repeat=P.rank):
-        if not P.group_contains(x):
+        if not P._in_group(x):
             continue
         for n in range(d):
             if not P._lookup(tuple(d * xi + n * ei for xi, ei in zip(x, e))):

@@ -106,7 +106,11 @@ def _smith_form(M, d):
 def monoid_suite(seed, count):
     rng = random.Random(seed)
     tally = _Tally()
-    span = np.arange(-_BOX, _BOX + 1)
+    # int32 holds every value _box forms: the largest is n U with
+    # n <= m max(a, b) <= 144 and |U| <= 12, and the saturation forms are
+    # taken on the unscaled box. Smaller temporaries are also cheaper to
+    # allocate than int64 ones.
+    span = np.arange(-_BOX, _BOX + 1, dtype=np.int32)
     box = np.meshgrid(span, span, span, indexing="ij")
     cases = (("case1", monoids.charts_case1(_BOX), monoids.charts_case1(8),
               monoids.member_case1, monoids.sat_member_case1,

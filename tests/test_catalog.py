@@ -182,3 +182,14 @@ def test_random_instance_handles_the_edgeless_seed():
             break
     else:
         pytest.fail("no I0 base drawn in 400 seeds")
+
+
+def test_random_instance_matches_an_uncached_build(monkeypatch):
+    cached = [random_instance(s, s % 16) for s in range(200)]
+    for inst in cached:  # one seed object per name, shared by its instances
+        assert inst.base is catalog._seed(inst.base_name)
+    monkeypatch.setattr(catalog, "_seed", catalog._seed.__wrapped__)
+    for s, inst in enumerate(cached):
+        fresh = random_instance(s, s % 16)
+        assert fresh.base is not inst.base
+        assert fresh == inst and repr(fresh) == repr(inst), s

@@ -65,10 +65,20 @@ def test_unknown_edge_endpoint_rejected():
     with pytest.raises(ValidationError) as e:
         ReductionGraph((Vertex("a", 1, 1),), (("a", "b"),))
     assert "edge-endpoint" in codes(e.value)
-    for edge in ((["a"], "a"), ("a", 1)):  # unhashable, then unorderable against "a"
+    # unhashable, unorderable against "a", then not a pair
+    for edge in ((["a"], "a"), ("a", 1), ("a",), ("a", "a", "a"), 5):
         with pytest.raises(ValidationError) as e:
             ReductionGraph((Vertex("a", 1, 1),), (edge,))
         assert codes(e.value) == {"edge-endpoint"}
+
+
+def test_vertex_that_is_not_a_vertex_rejected():
+    with pytest.raises(ValidationError) as e:
+        ReductionGraph(("a",), ())
+    assert codes(e.value) == {"vertex"}
+    with pytest.raises(ValidationError) as e:
+        ReductionGraph((Vertex("a", 1, 1), ("b", 1, 0)), (("a", "b"),))
+    assert codes(e.value) == {"vertex", "edge-endpoint"}
 
 
 def test_bad_labels_rejected():
@@ -330,7 +340,7 @@ def test_surgery_validates_once(monkeypatch):
     assert len(calls) <= 2
     calls.clear()
     random_instance(7, 1024)
-    assert len(calls) <= 2  # the drawn seed, then the result
+    assert len(calls) <= 1  # the result: the first call above built the seed
 
     # computations, not calls: the report and the genus are cached per graph
     computed = {"_report": 0, "_genus": 0}

@@ -18,6 +18,7 @@ from redjumps.errors import (
     SingularMatrix,
 )
 from redjumps.lattices import (
+    _divisor_valuations,
     chain_complement,
     check_sandwich,
     column_hnf,
@@ -252,6 +253,9 @@ def test_check_sandwich_rejects_broken_chains():
         check_sandwich([[4, 0], [0, 4]], identity(2), l2, 2, 1)  # p l1 not in l0
     with pytest.raises(PreconditionFailed):
         check_sandwich([[1, 1], [1, 1]], identity(2), l2, 2, 1)  # singular
+    for n in (True, 1.0, -1):  # n must be a non-negative integer
+        with pytest.raises(PreconditionFailed):
+            check_sandwich([[4, 0], [0, 2]], [[2, 0], [0, 1]], l2, 2, n)
 
 
 def test_chain_complement_examples():
@@ -321,3 +325,34 @@ def test_smith_normal_form_properties(seed, n):
     assert all(d > 0 for d in ds)
     for a, b in zip(ds, ds[1:]):
         assert b % a == 0
+
+
+# -- the Smith form without its transforms ----------------------------------------
+
+def gate_matrices(rng, count):
+    """Nonsingular matrices drawn as criterion 09 draws its Smith forms, and
+    the basis changes of its sandwich instances."""
+    for _ in range(count):
+        d = 0
+        while d == 0:
+            g = rng.randint(1, 4)
+            M = [[rng.randrange(-9, 10) for _ in range(g)] for _ in range(g)]
+            d = det(M)
+        yield M
+        g, p, n = rng.randint(1, 4), rng.choice((2, 3, 5)), rng.randint(0, 3)
+        l0, l1, l2 = random_sandwich_instance(rng, g, p, n)
+        yield lattice_quotient(l2, l1)
+        yield lattice_quotient(l2, l0)
+
+
+def test_divisor_valuations_match_the_full_smith_form():
+    rng = random.Random(20261018)
+    for M in gate_matrices(rng, 1_000):
+        for p in (2, 3, 5):
+            assert _divisor_valuations(M, p) == valuations(M, p), (M, p)
+
+
+def test_divisor_valuations_refuse_singular_matrices():
+    for singular in ([[0]], [[1, 2], [2, 4]], [[1, 2, 3], [4, 5, 6], [5, 7, 9]]):
+        with pytest.raises(SingularMatrix):
+            _divisor_valuations(singular, 2)

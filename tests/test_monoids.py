@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+
+from redjumps import monoids
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -300,6 +302,10 @@ def test_chart_saturation_index_is_the_lcm_on_every_small_chart():
 def test_chart_saturation_index_rejects_other_inputs():
     with pytest.raises(PreconditionFailed):
         chart_saturation_index("II")
+    chart = SaturationChartCase1(2, 4)
+    for nmax, box in ((2.5, 24), (True, 24), (0, 24), (3, 24.0), (3, -1)):
+        with pytest.raises(PreconditionFailed):
+            chart_saturation_index(chart, nmax, box)
 
 
 # -- affine monoids and the pushout lemma ----------------------------------------------
@@ -348,6 +354,8 @@ def test_verify_lemm_coker_preconditions():
         verify_lemm_coker(AffineMonoid(((1,),)), (1,), 0, 4)
     with pytest.raises(PreconditionFailed):
         verify_lemm_coker(AffineMonoid(((1,),)), (1,), 2, 0)
+    with pytest.raises(PreconditionFailed):
+        verify_lemm_coker(AffineMonoid(((1,),)), (1,), 2, True)
     with pytest.raises(NotSaturatedInput):
         verify_lemm_coker(AffineMonoid(((2,), (3,))), (2,), 2, 4)
 
@@ -453,3 +461,111 @@ def test_pushout_check_fills_the_grid_once(monkeypatch):
         fills.clear()
         verify_lemm_coker(AffineMonoid(gens), e, d, box)
         assert len(fills) == 1, (gens, e, d, box, fills)
+
+
+def test_monoid_checks_refuse_non_integer_vectors():
+    P = AffineMonoid(((1, 0), (0, 1)))
+    for x in ((1.5, 0), (True, 0), (2.0, 0), (0, "1")):
+        with pytest.raises(PreconditionFailed):
+            P.contains(x)
+        with pytest.raises(PreconditionFailed):
+            P.group_contains(x)
+    with pytest.raises(PreconditionFailed):
+        P.contains((1, 0, 0))
+    assert P.contains((np.int64(1), 2)) and P.group_contains((np.int32(3), 0))
+    for box, kmax in ((True, None), (2.0, None), (-1, None), (3, 1.5), (3, -1)):
+        with pytest.raises(PreconditionFailed):
+            P.is_saturated(box, kmax)
+    assert P.is_saturated(0) and P.is_saturated(3, kmax=0)
+
+
+# -- the membership grid against the fixpoint loop it replaced -------------------
+
+def reference_ensure_grid(generators, grid_bound, bound):
+    """(grid, bound) as the old fixpoint loop built them from a grid of
+    bound grid_bound (-1 for none): shift by every generator in the box
+    until nothing changes."""
+    bound = max(bound, 2 * grid_bound, 8)
+    r = len(generators[0])
+    grid = np.zeros((bound + 1,) * r, dtype=bool)
+    grid[(0,) * r] = True
+    gens = [g for g in set(generators) if any(g) and all(c <= bound for c in g)]
+    changed = True
+    while changed:
+        changed = False
+        for g in gens:
+            src = grid[tuple(slice(None, bound + 1 - c) for c in g)]
+            dst = grid[tuple(slice(c, None) for c in g)]
+            if (src & ~dst).any():
+                dst |= src
+                changed = True
+    return grid, bound
+
+
+def assert_grids_match(generators, bounds):
+    P = AffineMonoid(generators)
+    grid_bound = -1
+    for bound in bounds:
+        P._ensure_grid(bound)
+        if bound > grid_bound:
+            want, grid_bound = reference_ensure_grid(generators, grid_bound, bound)
+        assert P._grid_bound == grid_bound, (generators, bounds)
+        assert np.array_equal(P._grid, want), (generators, bounds)
+
+
+def random_generators(rng):
+    """1 to 6 vectors of rank 1 to 3 with entries up to 20, some of them
+    zero or repeated; entries above 8 fall outside the smallest grid."""
+    r = rng.randint(1, 3)
+    gens = [tuple(rng.choice((0, 0, 1, 2, 3, 5, 7, 9, 20)) for _ in range(r))
+            for _ in range(rng.randint(1, 6))]
+    if rng.random() < 0.2:
+        gens.append((0,) * r)
+    if rng.random() < 0.3:
+        gens.append(rng.choice(gens))
+    rng.shuffle(gens)
+    return tuple(gens)
+
+
+def test_grid_matches_the_fixpoint_loop_on_random_monoids():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        gens = random_generators(rng)
+        top = 40 if len(gens[0]) < 3 else 20
+        assert_grids_match(gens, [rng.randint(0, top) for _ in range(3)])
+
+
+def test_grid_matches_the_fixpoint_loop_on_cone_monoids():
+    rng = random.Random(20261019)
+    for _ in range(40):
+        assert_grids_match(random_cone_monoid(rng).generators, [10, 35, 60])
+
+
+def test_grid_closes_only_under_irredundant_generators(monkeypatch):
+    """A generator that is a sum of lighter ones, or lies outside the box,
+    is never shifted by; each other one is, once."""
+    closed = []
+    close = monoids._close_under
+
+    def recording(grid, g, bound):
+        closed.append(g)
+        close(grid, g, bound)
+
+    monkeypatch.setattr(monoids, "_close_under", recording)
+    gens = ((2, 2), (0, 0), (1, 0), (3, 1), (0, 1), (1, 0), (9, 0), (0, 3), (1, 1))
+    AffineMonoid(gens)._ensure_grid(8)
+    assert closed == [(1, 0), (0, 1)]
+    rng = random.Random(20261020)
+    for _ in range(100):
+        gens = random_generators(rng)
+        closed.clear()
+        AffineMonoid(gens)._ensure_grid(8)
+        # the expected list: in order of coordinate sum, each generator of
+        # the box that the monoid of the ones before it does not contain
+        want = []
+        ordered = sorted(gens, key=sum)
+        for k, g in enumerate(ordered):
+            before, _ = reference_ensure_grid(ordered[:k] or ((0,) * len(g),), -1, 8)
+            if max(g) <= 8 and not before[g]:
+                want.append(g)
+        assert closed == want, gens
