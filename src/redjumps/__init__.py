@@ -20,15 +20,16 @@ _EXPORTS = {
                      "seed_graphs"], "catalog"),
     **dict.fromkeys(["ReductionGraph", "ValidationReport", "Vertex", "Violation",
                      "blow_down", "blow_up_edge", "blow_up_free_point", "build",
-                     "contract_chains", "is_isomorphic", "minimize",
-                     "principal_dominating"], "graph"),
+                     "contract_chains", "minimize"], "graph"),
     **dict.fromkeys(["dump_graph", "graph_document", "parse_document",
                      "report_document"], "io"),
-    **dict.fromkeys(["AnalysisReport", "IntegralDivisor", "JumpSpectrum", "analyze",
-                     "candidate_values", "compute_jumps", "floor_divisor", "index_set",
-                     "intersect", "jump_multiplicity", "jump_multiplicity_via_euler",
-                     "lower_bound", "run_checks", "sigma", "tame_base_change_conductor",
-                     "unipotent_rank"], "jumps"),
+    **dict.fromkeys(["AnalysisReport", "JumpSpectrum", "analyze", "compute_jumps",
+                     "run_checks", "tame_base_change_conductor", "unipotent_rank"],
+                    "jumps"),
+    **dict.fromkeys(["IntegralDivisor", "candidate_values", "floor_divisor", "index_set",
+                     "intersect", "is_isomorphic", "jump_multiplicity",
+                     "jump_multiplicity_via_euler", "lower_bound", "principal_dominating",
+                     "sigma"], "reference"),
 }
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ class NonIntegralSelfIntersection(ValidationError):
 
 
 class InconsistentGeometry(ValidationError):
-    """Derived quantities (genus parity, genus >= 1) are impossible."""
+    """The labels derive a genus below 1 (``ReductionGraph.genus()``)."""
 
 
 class UnknownVertex(RedjumpsError):

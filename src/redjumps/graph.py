@@ -31,12 +31,9 @@ from math import gcd, lcm
 from ._values import Value
 from .errors import (
     InconsistentGeometry,
-    InternalInconsistency,
     NonIntegralSelfIntersection,
-    NoPrincipalFound,
     NotContractible,
     NotMinimal,
-    PreconditionFailed,
     UnknownEdge,
     UnknownVertex,
     ValidationError,
@@ -314,16 +311,6 @@ class ReductionGraph(Value):
         c = self._compiled
         return lcm(*(c.N[c.index[i]] for i in self.principal_components()))
 
-    def as_multigraph(self):
-        """The graph as a networkx MultiGraph with the labels on its nodes."""
-        import networkx as nx
-
-        G = nx.MultiGraph()
-        for v in self.vertices:
-            G.add_node(v.id, multiplicity=v.multiplicity, genus=v.genus)
-        G.add_edges_from(self.edges)
-        return G
-
 
 def build(vertices, edges, name: str = "") -> ReductionGraph:
     """Construct a graph and raise ValidationError unless it is fully valid."""
@@ -399,13 +386,17 @@ class _Surgery:
         self.nbr_sum[b] -= self.vertices[a].multiplicity
 
     def _edge_key(self, e) -> int:
-        """Key of the edge e, given as a position in edge order or as an
-        endpoint pair (the first such edge)."""
-        if isinstance(e, int):
+        """Key of the edge e, given as a position in edge order (an int,
+        not a bool) or as an endpoint pair of ids (the first such edge).
+        Anything else is an UnknownEdge."""
+        if isinstance(e, int) and not isinstance(e, bool):
             if not 0 <= e < len(self.edges):
                 raise UnknownEdge(
                     f"edge index {e} out of range (graph has {len(self.edges)} edges)")
             return next(itertools.islice(self.edges, e, None))
+        if not (isinstance(e, (tuple, list)) and len(e) == 2
+                and all(isinstance(x, str) for x in e)):
+            raise UnknownEdge(f"{e!r} is neither an edge index nor a pair of vertex ids")
         pair = tuple(sorted(e))
         for k, known in self.edges.items():
             if known == pair:
@@ -534,42 +525,3 @@ def contract_chains(g: ReductionGraph):
     if not kept:
         return sorted(v.multiplicity for v in g.vertices), 1
     return sorted(kept), lcm(*kept)
-
-
-def principal_dominating(g: ReductionGraph, v0: str) -> str:
-    """Walk a genus-0 tail of multiplicity N_0 > 1 to its principal end.
-
-    From a degree-1 genus-0 vertex the walk follows the unique chain of
-    degree-2 genus-0 vertices; the component it lands on is principal,
-    has multiplicity divisible by N_0, and (on minimal graphs) strictly
-    larger than N_0. Both divisibility facts are asserted.
-    """
-    if not g.is_minimal():
-        raise PreconditionFailed("principal_dominating expects a minimal graph")
-    start = g.vertex(v0)
-    if start.genus != 0 or g.degree(v0) != 1 or start.multiplicity <= 1:
-        raise PreconditionFailed(
-            f"vertex {v0!r}: need genus 0, degree 1 and multiplicity > 1 "
-            f"(got genus {start.genus}, degree {g.degree(v0)}, N {start.multiplicity})")
-    principal = g.principal_components()
-    prev, cur = v0, g.neighbors(v0)[0]
-    while cur not in principal:  # so cur has genus 0 and degree <= 2
-        if g.degree(cur) != 2:
-            raise NoPrincipalFound(f"chain from {v0!r} dead-ends at {cur!r}")
-        # prev has one edge to cur (it is v0 or a chain vertex), so cur's
-        # other edge leads on
-        prev, cur = cur, [w for w in g.neighbors(cur) if w != prev][0]
-    n0, nt = start.multiplicity, g.multiplicity(cur)
-    if nt % n0 != 0 or nt <= n0:
-        raise InternalInconsistency(
-            f"tail multiplicity {n0} should strictly divide principal {nt}")
-    return cur
-
-
-def is_isomorphic(g1: ReductionGraph, g2: ReductionGraph) -> bool:
-    """Label-preserving multigraph isomorphism (multiplicity and genus)."""
-    import networkx as nx
-
-    match = nx.algorithms.isomorphism.categorical_node_match(
-        ["multiplicity", "genus"], [None, None])
-    return nx.is_isomorphic(g1.as_multigraph(), g2.as_multigraph(), node_match=match)

@@ -51,23 +51,11 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from ._values import Value
-from .errors import InternalInconsistency, OverBudget, PreconditionFailed
+from .errors import InternalInconsistency, OverBudget
 from .graph import ReductionGraph, _components, contract_chains, minimize
 
 # The most candidates a/d one scan may visit: a few seconds of work.
 WORK_BUDGET = 2_000_000
-
-
-class IntegralDivisor(Value):
-    """Integer coefficients indexed by vertex id (missing = 0)."""
-
-    __slots__ = _fields = ("coefficients",)
-
-    def __init__(self, coefficients: dict):
-        object.__setattr__(self, "coefficients", coefficients)
-
-    def __getitem__(self, vid):
-        return self.coefficients.get(vid, 0)
 
 
 class JumpSpectrum(Value):
@@ -238,76 +226,6 @@ def _asserted_total(spectrum: JumpSpectrum) -> JumpSpectrum:
         raise InternalInconsistency(
             f"jump multiplicities sum to {total}, genus is {spectrum.genus}")
     return spectrum
-
-
-# -- single values j/m, m = lcm(N_i) ------------------------------------------
-
-def _check_j(g: ReductionGraph, j, lo=0):
-    m = g.multiplicity_lcm()
-    if not isinstance(j, int) or not lo <= j < m:
-        raise PreconditionFailed(f"need integer j with {lo} <= j < m = {m}, got {j!r}")
-    return Fraction(j, m)
-
-
-def _terms_at(g: ReductionGraph, j, lo=0):
-    """The terms of the denominator d of j/m, and its numerator a."""
-    q = _check_j(g, j, lo)
-    c, d = g._compiled, q.denominator
-    return _terms(c, d, [i for i, n in enumerate(c.N) if n % d == 0]), q.numerator
-
-
-def index_set(g: ReductionGraph, j: int) -> set[str]:
-    """I_j = { i : (m/N_i) divides j }."""
-    t, _ = _terms_at(g, j)
-    return {g.vertices[i].id for i in t.members}
-
-
-def sigma(g: ReductionGraph, j: int) -> int:
-    """Number of edges meeting at least one I_j vertex."""
-    return _terms_at(g, j)[0].sigma
-
-
-def floor_divisor(g: ReductionGraph, j: int) -> IntegralDivisor:
-    """floor((j/m) C_k): coefficient floor(j N_i / m) at vertex i."""
-    q = _check_j(g, j)
-    return IntegralDivisor({v.id: (q.numerator * v.multiplicity) // q.denominator
-                            for v in g.vertices})
-
-
-def intersect(g: ReductionGraph, D: IntegralDivisor, v: str) -> int:
-    """Intersection number E_v . D = D_v E_v^2 + sum over edges of D_opposite."""
-    total = D[v] * g.self_intersection(v)
-    for w in g.neighbors(v):
-        total += D[w]
-    return total
-
-
-def jump_multiplicity(g: ReductionGraph, j: int) -> int:
-    """Multiplicity of j/m as a jump; non-negative for valid graphs."""
-    t, a = _terms_at(g, j)
-    out = t.mult(a)
-    if out < 0:
-        raise InternalInconsistency(f"negative jump multiplicity {out} at j={j}")
-    return out
-
-
-def jump_multiplicity_via_euler(g: ReductionGraph, j: int) -> int:
-    """Independent route: Euler characteristic of the twisted line bundle
-    on the I_j part of the reduced fiber; 1 <= j < m."""
-    t, a = _terms_at(g, j, lo=1)
-    return t.euler(g._compiled, a)
-
-
-def lower_bound(g: ReductionGraph, j: int) -> int:
-    """b_1 of the induced subgraph on I_j plus the genera over I_j."""
-    return _terms_at(g, j, lo=1)[0].lower_bound
-
-
-def candidate_values(g: ReductionGraph):
-    """All values in [0,1) whose index set is nonempty: 0 and a/N_i, of g
-    itself (not of its minimal model); OverBudget past WORK_BUDGET."""
-    return sorted(Fraction(a, d) for d in _members_by_denominator(g._compiled)
-                  for a in _numerators(d))
 
 
 def compute_jumps(g: ReductionGraph) -> JumpSpectrum:

@@ -1,0 +1,159 @@
+"""Single values of the jump formulas, a tail walk and graph isomorphism.
+
+What no ``redjumps compute`` runs, kept out of the modules it imports:
+
+- the single-value API at j/m, m = lcm(N_i): the index set I_j, sigma,
+  the floor divisor and intersection numbers, the multiplicity of j/m by
+  the main and the dual route, the lower bound, and the candidate list.
+  Each reads the per-denominator terms of the ``jumps`` kernel, so it
+  agrees with the scan by construction;
+- ``principal_dominating``, the walk from a genus-0 tail to its principal
+  component;
+- ``is_isomorphic``, label-preserving multigraph isomorphism (networkx).
+
+The tests, the acceptance gate and the benchmark's per-layer census call
+these. ``cli``, ``io``, ``graph`` and ``jumps`` never import this module.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from ._values import Value
+from .errors import InternalInconsistency, NoPrincipalFound, PreconditionFailed
+from .graph import ReductionGraph
+from .jumps import _members_by_denominator, _numerators, _terms
+
+
+class IntegralDivisor(Value):
+    """Integer coefficients indexed by vertex id (missing = 0)."""
+
+    __slots__ = _fields = ("coefficients",)
+
+    def __init__(self, coefficients: dict):
+        object.__setattr__(self, "coefficients", coefficients)
+
+    def __getitem__(self, vid):
+        return self.coefficients.get(vid, 0)
+
+
+# -- single values j/m, m = lcm(N_i) ----------------------------------------
+
+def _check_j(g: ReductionGraph, j, lo=0):
+    m = g.multiplicity_lcm()
+    if not isinstance(j, int) or isinstance(j, bool) or not lo <= j < m:
+        raise PreconditionFailed(f"need integer j with {lo} <= j < m = {m}, got {j!r}")
+    return Fraction(j, m)
+
+
+def _terms_at(g: ReductionGraph, j, lo=0):
+    """The terms of the denominator d of j/m, and its numerator a."""
+    q = _check_j(g, j, lo)
+    c, d = g._compiled, q.denominator
+    return _terms(c, d, [i for i, n in enumerate(c.N) if n % d == 0]), q.numerator
+
+
+def index_set(g: ReductionGraph, j: int) -> set[str]:
+    """I_j = { i : (m/N_i) divides j }."""
+    t, _ = _terms_at(g, j)
+    return {g.vertices[i].id for i in t.members}
+
+
+def sigma(g: ReductionGraph, j: int) -> int:
+    """Number of edges meeting at least one I_j vertex."""
+    return _terms_at(g, j)[0].sigma
+
+
+def floor_divisor(g: ReductionGraph, j: int) -> IntegralDivisor:
+    """floor((j/m) C_k): coefficient floor(j N_i / m) at vertex i."""
+    q = _check_j(g, j)
+    return IntegralDivisor({v.id: (q.numerator * v.multiplicity) // q.denominator
+                            for v in g.vertices})
+
+
+def intersect(g: ReductionGraph, D: IntegralDivisor, v: str) -> int:
+    """Intersection number E_v . D = D_v E_v^2 + sum over edges of D_opposite."""
+    total = D[v] * g.self_intersection(v)
+    for w in g.neighbors(v):
+        total += D[w]
+    return total
+
+
+def jump_multiplicity(g: ReductionGraph, j: int) -> int:
+    """Multiplicity of j/m as a jump; non-negative for valid graphs."""
+    t, a = _terms_at(g, j)
+    out = t.mult(a)
+    if out < 0:
+        raise InternalInconsistency(f"negative jump multiplicity {out} at j={j}")
+    return out
+
+
+def jump_multiplicity_via_euler(g: ReductionGraph, j: int) -> int:
+    """Independent route: Euler characteristic of the twisted line bundle
+    on the I_j part of the reduced fiber; 1 <= j < m."""
+    t, a = _terms_at(g, j, lo=1)
+    return t.euler(g._compiled, a)
+
+
+def lower_bound(g: ReductionGraph, j: int) -> int:
+    """b_1 of the induced subgraph on I_j plus the genera over I_j."""
+    return _terms_at(g, j, lo=1)[0].lower_bound
+
+
+def candidate_values(g: ReductionGraph):
+    """All values in [0,1) whose index set is nonempty: 0 and a/N_i, of g
+    itself (not of its minimal model); OverBudget past WORK_BUDGET."""
+    return sorted(Fraction(a, d) for d in _members_by_denominator(g._compiled)
+                  for a in _numerators(d))
+
+
+# -- walks and comparisons of graphs ----------------------------------------
+
+def principal_dominating(g: ReductionGraph, v0: str) -> str:
+    """Walk a genus-0 tail of multiplicity N_0 > 1 to its principal end.
+
+    From a degree-1 genus-0 vertex the walk follows the unique chain of
+    degree-2 genus-0 vertices; the component it lands on is principal,
+    has multiplicity divisible by N_0, and (on minimal graphs) strictly
+    larger than N_0. Both divisibility facts are asserted.
+    """
+    if not g.is_minimal():
+        raise PreconditionFailed("principal_dominating expects a minimal graph")
+    start = g.vertex(v0)
+    if start.genus != 0 or g.degree(v0) != 1 or start.multiplicity <= 1:
+        raise PreconditionFailed(
+            f"vertex {v0!r}: need genus 0, degree 1 and multiplicity > 1 "
+            f"(got genus {start.genus}, degree {g.degree(v0)}, N {start.multiplicity})")
+    principal = g.principal_components()
+    prev, cur = v0, g.neighbors(v0)[0]
+    while cur not in principal:  # so cur has genus 0 and degree <= 2
+        if g.degree(cur) != 2:
+            raise NoPrincipalFound(f"chain from {v0!r} dead-ends at {cur!r}")
+        # prev has one edge to cur (it is v0 or a chain vertex), so cur's
+        # other edge leads on
+        prev, cur = cur, [w for w in g.neighbors(cur) if w != prev][0]
+    n0, nt = start.multiplicity, g.multiplicity(cur)
+    if nt % n0 != 0 or nt <= n0:
+        raise InternalInconsistency(
+            f"tail multiplicity {n0} should strictly divide principal {nt}")
+    return cur
+
+
+def _as_multigraph(g: ReductionGraph):
+    """g as a networkx MultiGraph with the labels on its nodes."""
+    import networkx as nx
+
+    G = nx.MultiGraph()
+    for v in g.vertices:
+        G.add_node(v.id, multiplicity=v.multiplicity, genus=v.genus)
+    G.add_edges_from(g.edges)
+    return G
+
+
+def is_isomorphic(g1: ReductionGraph, g2: ReductionGraph) -> bool:
+    """Label-preserving multigraph isomorphism (multiplicity and genus)."""
+    import networkx as nx
+
+    match = nx.algorithms.isomorphism.categorical_node_match(
+        ["multiplicity", "genus"], [None, None])
+    return nx.is_isomorphic(_as_multigraph(g1), _as_multigraph(g2), node_match=match)

@@ -25,7 +25,8 @@ from redjumps import (
     run_checks,
     unipotent_rank,
 )
-from redjumps.jumps import _scan, candidate_values
+from redjumps.jumps import _scan
+from redjumps.reference import candidate_values
 from redjumps.verify import lattice_suite, monoid_suite
 
 ELLIPTIC_TAGS = (["I0"] + [f"I{n}" for n in range(2, 11)]

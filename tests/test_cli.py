@@ -1,8 +1,11 @@
 """Document parsing, serialization, and the command-line interface."""
 
+import argparse
+import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -25,7 +28,7 @@ from redjumps import (
     parse_document,
     report_document,
 )
-from redjumps.cli import main
+from redjumps.cli import _parse_args, main
 from redjumps.errors import ParseError, ValidationError
 
 GCD2_DOC = json.dumps({
@@ -146,16 +149,22 @@ def test_compute_checks_the_true_i1_model(tmp_path, capsys):
     assert doc["checks"] and all(doc["checks"].values())
 
 
-def test_cli_import_leaves_out_networkx_and_numpy():
-    heavy = {"networkx", "numpy", "dataclasses", "inspect", "redjumps.catalog",
-             "redjumps.verify"}
-    code = ("import sys, redjumps.cli; "
-            f"print(sorted({heavy!r} & set(sys.modules))); "
+def test_cli_import_leaves_out_networkx_and_numpy(tmp_path):
+    # a whole compute run, checks and JSON included, loads only these
+    heavy = {"argparse", "gettext", "locale", "networkx", "numpy", "dataclasses",
+             "inspect", "redjumps.catalog", "redjumps.verify", "redjumps.reference"}
+    path = doc_path(tmp_path, kodaira_graph("II*"))
+    code = ("import sys, contextlib, io, redjumps.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = redjumps.cli.main(['compute', {path!r}, '--json', '--check'])\n"
+            "print(code)\n"
+            f"print(sorted({heavy!r} & set(sys.modules)))\n"
             "print(sorted(m for m in sys.modules if m.startswith('redjumps.')))")
     env = {**os.environ, "PYTHONPATH": str(Path(redjumps.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, env=env)
-    left_in, package = proc.stdout.splitlines()
+    code, left_in, package = proc.stdout.splitlines()
+    assert code == "0"
     assert left_in == "[]"
     assert package == str(sorted(f"redjumps.{m}" for m in
                                  ("_values", "cli", "errors", "graph", "io", "jumps")))
@@ -356,3 +365,122 @@ def test_exit_codes(tmp_path, capsys):
         main(["--help"])
     assert e.value.code == 0
     capsys.readouterr()
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    # the [project.scripts] entry point calls main() with no arguments
+    monkeypatch.setattr("sys.argv", ["redjumps", "catalog", "II"])
+    assert main() == 0
+    assert parse_document(capsys.readouterr().out) == kodaira_graph("II")
+    monkeypatch.setattr("sys.argv", ["redjumps", "verify", "--count", "x"])
+    with pytest.raises(SystemExit) as e:
+        main()
+    assert e.value.code == 1
+    assert "error: argument --count" in capsys.readouterr().err
+
+
+# -- the argument parser against the argparse one it replaced --------------------
+
+def reference_parser():
+    """The argparse parser the command line used to build, without the
+    handlers: the reference for the table-driven one."""
+
+    def non_negative_int(text):
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+        return value
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
+    parser = Parser(
+        prog="redjumps",
+        description="Jump spectra of Jacobians from sncd reduction graphs.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("compute", help="jump spectrum and invariants")
+    p.add_argument("file", help='input document ("-" for stdin)')
+    p.add_argument("--json", action="store_true", help="machine-readable output")
+    p.add_argument("--check", nargs="?", const="all", default=None,
+                   metavar="NAME", help="run consistency checks (default: all)")
+    p.add_argument("--minimize", action="store_true",
+                   help="also report the minimal model size")
+
+    p = sub.add_parser("validate", help="validate an input document")
+    p.add_argument("file", help='input document ("-" for stdin)')
+    p.add_argument("--json", action="store_true")
+
+    p = sub.add_parser("minimize", help="write the minimal model")
+    p.add_argument("file", help='input document ("-" for stdin)')
+
+    p = sub.add_parser("catalog", help="named fiber types")
+    p.add_argument("tag", nargs="?", help="emit this graph as a document")
+
+    p = sub.add_parser("verify", help="randomized verification suites")
+    p.add_argument("--suite", choices=["graphs", "lattices", "monoids", "all"],
+                   default="all")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--count", type=non_negative_int, default=100)
+    return parser
+
+
+PARSED = ("command", "file", "json", "check", "minimize", "tag", "suite", "seed", "count")
+
+ARGVS = [
+    # the README's invocations
+    "catalog", "catalog II", "compute - --check", "compute graph.json --json --minimize",
+    "validate graph.json", "minimize graph.json", "verify --suite all --count 200 --seed 0",
+    "compute -", "verify --suite graphs --count 200 --seed 0",
+    "compute graph.json --json --check",
+    # --check bare, with NAME before and after FILE, at the end, with "="
+    "compute --check f", "compute f --check", "compute --check dual-route f",
+    "compute f --check dual-route", "compute --json f --check", "compute --check --json f",
+    "compute --check=dual-route f", "compute f --check=", "compute --check - ",
+    "compute --check -- f", "compute --check -5 f",
+    # abbreviations, and the "=" forms of the other options
+    "compute f --js --ch", "compute --js --ch f", "compute --j --m --c all f", "verify --co 5", "verify --se 3",
+    "verify --s graphs", "verify --su=monoids --cou=0", "verify --seed=-4", "verify --count=",
+    "compute --json=yes f", "compute --jsonx f", "validate --js f", "catalog --h",
+    # "--", "-" and what is not an option
+    "compute -- -x", "compute -- -", "compute f -- --json", "compute -- f g", "compute -x f",
+    "compute -5", "compute '-a b'", "compute --check f", "compute f g", "compute",
+    "frobnicate", "", "--", "-- compute f", "-5", "--json compute f", "-x",
+    "catalog a b", "catalog -- -x", "catalog -7", "minimize", "validate f g",
+    # numbers and choices
+    "verify --count -3", "verify --count x", "verify --count", "verify --count --seed 2",
+    "verify --suite bogus", "verify --seed -5", "verify --seed 1_000", "verify --seed ' 7 '",
+    "verify --count 0 --count 2", "verify --seed 99999999999999999999", "verify extra",
+    # help, wherever it is given
+    "-h", "--help", "--he", "--help=x", "-h compute", "compute -h", "compute --help",
+    "validate -h", "minimize -h", "catalog -h", "verify -h", "verify --h",
+    "compute --bogus -h", "verify --count x -h", "verify -h --count x", "verify -h --s",
+    "compute f -- -h", "-hx",
+]
+
+
+def parse_with(parse, argv):
+    """The parsed values, or ("exit", code, stdout has usage, stderr has
+    usage and an error)."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parse(argv)
+    except SystemExit as e:
+        if e.code == 0:
+            assert out.getvalue().startswith("usage: ") and not err.getvalue(), argv
+        else:
+            lines = err.getvalue().splitlines()
+            assert lines[0].startswith("usage: redjumps") and not out.getvalue(), argv
+            assert lines[-1].startswith("redjumps") and ": error: " in lines[-1], argv
+        return ("exit", e.code)
+    return {name: getattr(args, name, None) for name in PARSED}
+
+
+@pytest.mark.parametrize("argv", ARGVS)
+def test_parser_matches_argparse(argv):
+    words = shlex.split(argv)
+    assert parse_with(_parse_args, words) == \
+        parse_with(reference_parser().parse_args, words)

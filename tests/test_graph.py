@@ -239,6 +239,16 @@ def test_blow_up_unknown_targets():
         blow_up_edge(g, 99)
 
 
+@pytest.mark.parametrize("edge", [True, False, 1.5, None, ("c",), ("c", "t1", "t2"),
+                                  ("c", 1), "ct", {"c", "t1"}, -1, 3])
+def test_blow_up_edge_refuses_what_is_not_an_edge(edge):
+    # an edge is a non-bool int index or a pair of vertex ids; True is not
+    # edge 1, and the rest raised TypeError or IndexError
+    g = kodaira_graph("II")
+    with pytest.raises(UnknownEdge):
+        blow_up_edge(g, edge)
+
+
 def test_blow_down_inverts_blow_ups():
     g = kodaira_graph("III")
     assert blow_down(blow_up_free_point(g, "c", new_id="x"), "x") == g

@@ -108,6 +108,17 @@ def test_j_range_is_validated():
         lower_bound(g, 0)
 
 
+@pytest.mark.parametrize("single", [index_set, sigma, floor_divisor, jump_multiplicity,
+                                    jump_multiplicity_via_euler, lower_bound])
+def test_single_values_refuse_what_is_not_an_integer_j(single):
+    # a bool is an int to Python, but True is not j = 1: refused as 1.0 is
+    g = kodaira_graph("II")
+    single(g, 1)
+    for bad in (True, False, 1.0, None, "1"):
+        with pytest.raises(PreconditionFailed):
+            single(g, bad)
+
+
 # -- frozen single multiplicities ------------------------------------------------
 
 def test_hand_computed_multiplicities():

@@ -12,7 +12,7 @@ import pytest
 import redjumps
 from redjumps import analyze, compute_jumps, kodaira_graph, random_instance
 from redjumps.graph import ValidationReport, Vertex, Violation
-from redjumps.jumps import IntegralDivisor, _terms_at
+from redjumps.reference import IntegralDivisor, _terms_at
 from redjumps.monoids import (AffineMonoid, SaturationChartCase1,
                               SaturationChartCase2)
 
