@@ -73,15 +73,15 @@ def _cmd_compute(args):
     g = parse_document(_read(args.file))
     if not _semantically_valid(g):
         return 1
+    if args.check not in (None, "all", *_jumps.CHECK_NAMES):
+        names = ", ".join(_jumps.CHECK_NAMES)
+        print(f"error: no check named {args.check!r} (have: {names})",
+              file=sys.stderr)
+        return 1
     report = _jumps.analyze(g, with_checks=args.check is not None)
     checks = list(report.checks or ())
     if args.check not in (None, "all"):
         checks = [c for c in checks if c[0] == args.check]
-        if not checks:
-            names = ", ".join(name for name, _ in report.checks)
-            print(f"error: no check named {args.check!r} (have: {names})",
-                  file=sys.stderr)
-            return 1
     minimized = _graph.minimize(g) if args.minimize else None
     if args.json:
         doc = report_document(report)

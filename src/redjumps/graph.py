@@ -214,7 +214,7 @@ class ReductionGraph(Value):
     def _index(self, vid: str) -> int:
         try:
             return self._compiled.index[vid]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: vid is not hashable
             raise UnknownVertex(f"no vertex {vid!r}") from None
 
     @property
@@ -225,7 +225,7 @@ class ReductionGraph(Value):
         return self.vertices[self._index(vid)]
 
     def has_vertex(self, vid: str) -> bool:
-        return vid in self._compiled.index
+        return isinstance(vid, str) and vid in self._compiled.index
 
     def degree(self, vid: str) -> int:
         return len(self._compiled.nbrs[self._index(vid)])
@@ -350,7 +350,7 @@ class _Surgery:
     def vertex(self, vid: str) -> Vertex:
         try:
             return self.vertices[vid]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: vid is not hashable
             raise UnknownVertex(f"no vertex {vid!r}") from None
 
     def contractible(self, vid: str) -> bool:
@@ -363,6 +363,8 @@ class _Surgery:
             while f"b{self._fresh}" in self.vertices:
                 self._fresh += 1
             new_id = f"b{self._fresh}"
+        elif not isinstance(new_id, str) or not new_id:
+            raise ValidationError(f"vertex ids must be non-empty strings, got {new_id!r}")
         elif new_id in self.vertices:
             raise ValidationError(f"vertex id {new_id!r} already in use")
         self.vertices[new_id] = Vertex(new_id, multiplicity, 0)

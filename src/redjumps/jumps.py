@@ -49,6 +49,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from types import SimpleNamespace
 
 from ._values import Value
 from .errors import InternalInconsistency, OverBudget
@@ -316,33 +317,42 @@ def run_checks(g: ReductionGraph):
     return _checked(g, minimize(g))[1]
 
 
+# Every check of _checked, in report order: a name and a test of the facts
+# _checked gathers on one graph. The names are fixed, so the CLI refuses an
+# unknown --check NAME from CHECK_NAMES before any scan.
+_CHECKS = (
+    ("total-equals-genus", lambda f: sum(f.mults.values()) == f.genus),
+    ("zero-jump-multiplicity", lambda f: f.spectrum.multiplicity(0) == f.genus - f.u),
+    ("nonzero-count-equals-unipotent-rank",
+     lambda f: sum(m for v, m in f.mults.items() if v != 0) == f.u),
+    ("lower-bound", lambda f: f.ok_bound),
+    ("dual-route", lambda f: f.ok_dual),
+    ("principal-denominators",
+     lambda f: all(any(n % v.denominator == 0 for n in f.principal_mults)
+                   for v in f.mults if v != 0)),
+    ("principal-converse",
+     lambda f: all(any(v.denominator % n == 0 for v in f.mults)
+                   for n in f.principal_mults)),
+    # every a/N, 1 <= a < N, is a jump: the a/N are the N - 1 nonzero
+    # values whose denominator divides N
+    ("positive-genus-jumps",
+     lambda f: all(sum(v != 0 and n % v.denominator == 0 for v in f.mults) == n - 1
+                   for n in {v.multiplicity for v in f.g.vertices if v.genus >= 1})),
+    ("denominator-lcm", lambda f: f.spectrum.denominator_lcm() == f.index),
+    ("chain-contraction", lambda f: contract_chains(f.minimized)[1] == f.index),
+    ("model-independence", lambda f: f.minimal_spectrum.entries == f.spectrum.entries),
+)
+CHECK_NAMES = tuple(name for name, _ in _CHECKS)
+
+
 def _checked(g: ReductionGraph, minimized: ReductionGraph):
     """The scan of g (the reference route) and the checks on it."""
     spectrum, ok_bound, ok_dual = _scan(g, checks=True)
-    minimal_spectrum = spectrum if minimized is g else _scan(minimized)[0]
-    genus, u = g.genus(), unipotent_rank(g)
-    principal_mults = sorted(minimized.vertex(i).multiplicity
-                             for i in minimized.principal_components())
-    index = minimized.stabilization_index()
-    mults = spectrum.as_dict()
-    return spectrum, [
-        ("total-equals-genus", sum(mults.values()) == genus),
-        ("zero-jump-multiplicity", spectrum.multiplicity(0) == genus - u),
-        ("nonzero-count-equals-unipotent-rank",
-         sum(m for v, m in mults.items() if v != 0) == u),
-        ("lower-bound", ok_bound),
-        ("dual-route", ok_dual),
-        ("principal-denominators",
-         all(any(n % v.denominator == 0 for n in principal_mults)
-             for v in mults if v != 0)),
-        ("principal-converse",
-         all(any(v.denominator % n == 0 for v in mults) for n in principal_mults)),
-        # every a/N, 1 <= a < N, is a jump: the a/N are the N - 1 nonzero
-        # values whose denominator divides N
-        ("positive-genus-jumps",
-         all(sum(v != 0 and n % v.denominator == 0 for v in mults) == n - 1
-             for n in {v.multiplicity for v in g.vertices if v.genus >= 1})),
-        ("denominator-lcm", spectrum.denominator_lcm() == index),
-        ("chain-contraction", contract_chains(minimized)[1] == index),
-        ("model-independence", minimal_spectrum.entries == spectrum.entries),
-    ]
+    facts = SimpleNamespace(
+        g=g, minimized=minimized, spectrum=spectrum, ok_bound=ok_bound,
+        ok_dual=ok_dual, mults=spectrum.as_dict(), genus=g.genus(),
+        u=unipotent_rank(g), index=minimized.stabilization_index(),
+        minimal_spectrum=spectrum if minimized is g else _scan(minimized)[0],
+        principal_mults=sorted(minimized.vertex(i).multiplicity
+                               for i in minimized.principal_components()))
+    return spectrum, [(name, test(facts)) for name, test in _CHECKS]

@@ -27,7 +27,8 @@ on the saturation multiplier are exact: off the cone boundary, scaling by
 a*m makes the feasible interval for k at least 1 long, and on a boundary
 facet the denominator of the critical ratio divides the branch
 multiplicity. The closed-form membership and saturation functions accept
-plain integers or integer numpy arrays componentwise.
+plain integers or integer arrays (numpy's, say) componentwise; this module
+itself imports no numpy.
 
 AffineMonoid covers finitely generated submonoids of N^r for the pushout
 lemma: Q = P +_N (1/d) N glued along 1 |-> e in P has canonical forms
@@ -35,26 +36,50 @@ lemma: Q = P +_N (1/d) N glued along 1 |-> e in P has canonical forms
 (x, n/d) in Q^sat iff d x + n e in P (multiplying any witness multiple by
 d lands in P's group and saturation finishes the argument).
 
-Membership in an AffineMonoid is read off a boolean grid on [0, B]^r that
-holds the monoid's points in the box. Since generators are non-negative,
-every partial sum of a point of the box lies in the box too, so the grid
-is the closure of {0} under adding one generator inside the box. It is
-built one generator g at a time, in order of increasing coordinate sum:
-shifting by g, 2g, 4g, ... (each shift ORs the grid into itself, as numpy
-reads overlapping operands as if copied) adds every multiple of g that
-fits. A set closed under earlier generators stays closed under them after
-the multiples of g are added, as x + n g + h = (x + h) + n g; and a g that
-is already in the grid is a sum of earlier generators, which adds nothing,
-so it is skipped, as is a g outside the box.
+Membership in an AffineMonoid is read off a grid on [0, B]^r that holds
+the monoid's points in the box. Since generators are non-negative, every
+partial sum of a point of the box lies in the box too, so the grid is the
+closure of {0} under adding one generator inside the box. It is built one
+generator g at a time, in order of increasing coordinate sum: shifting by
+g, 2g, 4g, ... (each shift ORs the shifted grid into the grid) adds every
+multiple of g that fits. A set closed under earlier generators stays
+closed under them after the multiples of g are added, as
+x + n g + h = (x + h) + n g; and a g that is already in the grid is a sum
+of earlier generators, which adds nothing, so it is skipped, as is a g
+outside the box.
+
+The grid is one Python int used as a bitset: the point x is bit
+off(x) = sum_k x_k S^(r-1-k), with stride S = 2(B + 1), so x is read as
+r digits in base S. A shift by g adds off(g). For x in the box and
+max(g) <= B every digit x_k + g_k is at most 2B < S, so the sum carries
+into no other digit: the bit lands at x + g exactly, whether or not x + g
+is still in the box. The points that leave the box are the ones with some
+digit above B, and a single mask of the box's bits, taken after each
+shift, clears them all; so closing under g is grid |= (grid << off(g)) &
+mask. The mask is the row of the last coordinate, B + 1 ones, copied
+B + 1 times, S^j bits apart, for each earlier coordinate j; a block fits
+in S^j bits, so the copies do not overlap, and doubling the block of
+copies builds each level in time linear in its size (up to a log factor),
+where a repunit product or quotient would cost more. Once built, the int
+is kept as its little-endian bytes: a lookup of x then reads one byte,
+where a shift of the int would copy all of it.
+
+chart_saturation_index checks the pushout of a chart along a degree-n
+extension one branch multiplicity c at a time, on the box
+(t, W) in [-T, T]^2: a point is a counterexample when e n t + c W >= 0 but
+e t + c floor(W/n) < 0. For fixed W the first holds exactly for
+t >= -floor(c W / (e n)) and the second fails exactly for
+t < -floor(c floor(W/n) / e), both by ceil(-y) = -floor(y); so the row W
+holds a counterexample iff those two ranges of t meet inside [-T, T].
+That reads the same box as a cell-by-cell scan, one row per step.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import gcd, lcm
+import operator
+from math import lcm
 from numbers import Integral
-
-import numpy as np
 
 from ._values import Value
 from .errors import (InternalInconsistency, NotSaturatedInput,
@@ -211,13 +236,14 @@ def charts_case2(max_m):
 
 # -- base-change stability of a chart ----------------------------------------
 
-def _branch_saturated(e, n, c, T, W):
+def _branch_saturated(e, n, c, box):
     """Bounded check that one branch condition of the degree-(e, n) pushout
-    is saturated: no (t, W) of the box grids T, W has e n t + c W >= 0 but
-    e t + c floor(W / n) < 0."""
-    sat = e * n * T + c * W >= 0
-    mem = e * T + c * (W // n) >= 0
-    return not bool(np.any(sat & ~mem))
+    is saturated: no (t, W) of [-box, box]^2 has e n t + c W >= 0 but
+    e t + c floor(W / n) < 0. Row by row, see the module docstring."""
+    for W in range(-box, box + 1):
+        if max(-(c * W // (e * n)), -box) < min(-(c * (W // n) // e), box + 1):
+            return False
+    return True
 
 
 def chart_saturation_index(chart, nmax=3, box=24):
@@ -233,10 +259,8 @@ def chart_saturation_index(chart, nmax=3, box=24):
         raise PreconditionFailed(f"not a saturation chart: {chart!r}")
     _check_int("nmax", nmax)
     _check_int("box", box, 0)
-    span = np.arange(-box, box + 1)
-    T, W = np.meshgrid(span, span, indexing="ij")
     for e in range(1, lcm(*chart.branches) + 1):
-        if all(_branch_saturated(e, n, c, T, W)
+        if all(_branch_saturated(e, n, c, box)
                for n in range(2, nmax + 1) for c in chart.branches):
             return e
     raise InternalInconsistency("no stable degree found up to the lcm bound")
@@ -244,25 +268,55 @@ def chart_saturation_index(chart, nmax=3, box=24):
 
 # -- finitely generated submonoids of N^r ------------------------------------
 
-def _close_under(grid, g, bound):
-    """Add to the boolean grid on [0, bound]^r every point x + n g of the
-    box with x in the grid, n >= 1: shifts by g, 2g, 4g, ... while they fit.
-    g must be nonzero, or the shifts never leave the box."""
+def _offset(x, strides):
+    """Bit of the point x in a grid with the given strides."""
+    return sum(map(operator.mul, x, strides))
+
+
+def _close_under(grid, g, bound, strides, mask):
+    """The bitset grid on [0, bound]^r with every point x + n g of the box
+    added, x in the grid and n >= 1: shifts by g, 2g, 4g, ... while they
+    fit. g must be nonzero, or the shifts never leave the box."""
     step = g
     while max(step) <= bound:
-        dst = grid[tuple(slice(c, None) for c in step)]
-        dst |= grid[tuple(slice(None, bound + 1 - c) for c in step)]
+        grid |= (grid << _offset(step, strides)) & mask
         step = tuple(2 * c for c in step)
+    return grid
+
+
+def _repeat(bits, width, count):
+    """count copies of bits (which fit in width bits) side by side, width
+    bits apart: each round doubles the block of copies, so the cost is
+    linear in the result's size up to a log count factor."""
+    out = shift = 0
+    while count:
+        if count & 1:
+            out |= bits << shift
+            shift += width
+        bits |= bits << width
+        width *= 2
+        count >>= 1
+    return out
+
+
+def _box_mask(rank, bound, stride):
+    """The bits of every point of [0, bound]^rank, in base-stride digits."""
+    mask, width = (1 << (bound + 1)) - 1, 1
+    for _ in range(rank - 1):
+        width *= stride
+        mask = _repeat(mask, width, bound + 1)
+    return mask
 
 
 class AffineMonoid(Value):
     """Submonoid of N^r generated by finitely many non-negative vectors.
 
-    Only ``generators`` is a field; the membership grid and the Hermite
-    form of the generators are caches, filled on first use."""
+    Only ``generators`` is a field; the membership grid (with its bound
+    and strides) and the Hermite form of the generators are caches, filled
+    on first use."""
 
     _fields = ("generators",)
-    __slots__ = _fields + ("_grid", "_grid_bound", "_hnf")
+    __slots__ = _fields + ("_grid", "_grid_bound", "_strides", "_hnf")
 
     def __init__(self, generators):
         gens = tuple(tuple(g) for g in generators)
@@ -279,6 +333,7 @@ class AffineMonoid(Value):
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "_grid", None)
         object.__setattr__(self, "_grid_bound", -1)
+        object.__setattr__(self, "_strides", None)
         object.__setattr__(self, "_hnf", None)
 
     @property
@@ -289,24 +344,28 @@ class AffineMonoid(Value):
         if bound <= self._grid_bound:
             return
         bound = max(bound, 2 * self._grid_bound, 8)
-        grid = np.zeros((bound + 1,) * self.rank, dtype=bool)
-        grid[(0,) * self.rank] = True
+        stride = 2 * (bound + 1)
+        strides = tuple(stride ** k for k in reversed(range(self.rank)))
+        mask = _box_mask(self.rank, bound, stride)
+        grid = 1
         # close under one generator at a time, lightest first; see the
         # module docstring for why a generator already in the grid is skipped
         for g in sorted(self.generators, key=sum):
-            if max(g) <= bound and not grid[g]:
-                _close_under(grid, g, bound)
-        object.__setattr__(self, "_grid", grid)
+            if max(g) <= bound and not grid >> _offset(g, strides) & 1:
+                grid = _close_under(grid, g, bound, strides, mask)
+        size = (mask.bit_length() + 7) // 8
+        object.__setattr__(self, "_grid", grid.to_bytes(size, "little"))
         object.__setattr__(self, "_grid_bound", bound)
+        object.__setattr__(self, "_strides", strides)
 
     def _vector(self, x):
-        """x as a tuple of integers of the monoid's rank."""
+        """x as a tuple of ints of the monoid's rank."""
         x = tuple(x)
         if len(x) != self.rank:
             raise PreconditionFailed("vector has the wrong length")
         if not all(isinstance(c, Integral) and not isinstance(c, bool) for c in x):
             raise PreconditionFailed(f"vector entries must be integers, got {x!r}")
-        return x
+        return tuple(map(operator.index, x))
 
     def contains(self, x):
         """Membership in the monoid (non-negative combinations only)."""
@@ -314,12 +373,15 @@ class AffineMonoid(Value):
         if any(c < 0 for c in x):
             return False
         self._ensure_grid(max(x))
-        return bool(self._grid[x])
+        return self._lookup(x)
 
     def _lookup(self, y):
         """Membership of a vector y of the right length whose entries are
         at most the grid bound; negative entries are simply outside."""
-        return min(y) >= 0 and bool(self._grid[y])
+        if min(y) < 0:
+            return False
+        bit = _offset(y, self._strides)
+        return bool(self._grid[bit >> 3] >> (bit & 7) & 1)
 
     def group_contains(self, x):
         """Membership in the group generated by the monoid."""
@@ -331,13 +393,14 @@ class AffineMonoid(Value):
             rows = [[g[i] for g in self.generators] for i in range(self.rank)]
             object.__setattr__(self, "_hnf", column_hnf(rows))
         cols, pivots = self._hnf
-        residual = list(x)
+        residual = x
         for col, pr in zip(cols, pivots):
             q, r = divmod(residual[pr], col[pr])
-            if r != 0:
+            if r:
                 return False
-            residual = [ri - q * ci for ri, ci in zip(residual, col)]
-        return all(ri == 0 for ri in residual)
+            if q:
+                residual = [ri - q * ci for ri, ci in zip(residual, col)]
+        return not any(residual)
 
     def is_saturated(self, box, kmax=None):
         """Bounded saturation check on [0, box]^r with multipliers up to kmax."""
@@ -349,7 +412,7 @@ class AffineMonoid(Value):
         for x in itertools.product(range(box + 1), repeat=self.rank):
             if not any(x) or self._lookup(x) or not self._in_group(x):
                 continue
-            if any(self._lookup(tuple(k * c for c in x))
+            if any(self._lookup([k * c for c in x])
                    for k in range(2, kmax + 1)):
                 return False
         return True
@@ -384,9 +447,9 @@ def verify_lemm_coker(P, e, d, box):
         if not P._in_group(x):
             continue
         for n in range(d):
-            if not P._lookup(tuple(d * xi + n * ei for xi, ei in zip(x, e))):
+            if not P._lookup([d * xi + n * ei for xi, ei in zip(x, e)]):
                 continue
-            if not P._lookup(tuple(xi + ei for xi, ei in zip(x, e))):
+            if not P._lookup([xi + ei for xi, ei in zip(x, e)]):
                 raise InternalInconsistency(
                     f"saturation element (x={x}, n={n}/{d}) with x + e outside P")
             count += 1

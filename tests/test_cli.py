@@ -27,6 +27,7 @@ from redjumps import (
     lattices,
     parse_document,
     report_document,
+    run_checks,
 )
 from redjumps.cli import _parse_args, main
 from redjumps.errors import ParseError, ValidationError
@@ -218,6 +219,24 @@ def test_compute_unknown_check_name(tmp_path, capsys):
     path = doc_path(tmp_path, kodaira_graph("I4"))
     assert main(["compute", "--check", "bogus", path]) == 1
     assert "no check named 'bogus'" in capsys.readouterr().err
+
+
+def test_compute_refuses_an_unknown_check_name_before_any_scan(tmp_path, capsys,
+                                                                monkeypatch):
+    g = kodaira_graph("I4")
+    names = ", ".join(name for name, _ in run_checks(g))
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned before refusing the check name")
+
+    monkeypatch.setattr(redjumps.jumps, "_scan", no_scan)
+    path = doc_path(tmp_path, g)
+    for name, argv in (("bogus", ["compute", "--check", "bogus", path]),
+                       ("dual", ["compute", path, "--minimize", "--json", "--check=dual"])):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: no check named {name!r} (have: {names})\n"
 
 
 def stdin_of(data: bytes):

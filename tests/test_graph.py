@@ -163,6 +163,27 @@ def test_unknown_vertex_raises():
         g.degree("zz")
 
 
+@pytest.mark.parametrize("vid", [["c"], {"c": 1}, {"c"}, 5, None, ("c",)])
+def test_vertex_lookups_refuse_what_is_not_a_vertex_id(vid):
+    # an unhashable id raised a bare TypeError from the id dictionaries
+    g = kodaira_graph("II")
+    for lookup in (g.vertex, g.degree, g.multiplicity, g.neighbors,
+                   lambda v: blow_up_free_point(g, v), lambda v: blow_down(g, v)):
+        with pytest.raises(UnknownVertex):
+            lookup(vid)
+    assert not g.has_vertex(vid)
+
+
+@pytest.mark.parametrize("new_id", [5, "", ("x",), ["x"], b"x", True])
+def test_blow_ups_refuse_a_new_id_that_is_not_a_vertex_id(new_id):
+    # a non-string id raised TypeError once compared with the other ids
+    g = kodaira_graph("II")
+    with pytest.raises(ValidationError):
+        blow_up_free_point(g, "c", new_id=new_id)
+    with pytest.raises(ValidationError):
+        blow_up_edge(g, 0, new_id=new_id)
+
+
 def test_genus_of_catalog_entries():
     for tag in catalog_tags():
         g = catalog_graph(tag)

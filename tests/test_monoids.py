@@ -2,11 +2,16 @@
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import redjumps
 from redjumps import monoids
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -277,19 +282,37 @@ def test_chart_saturation_index_case2():
     assert chart_saturation_index(SaturationChartCase2(4, 2, 4)) == 4
 
 
+def reference_branch_saturated(e, n, c, box):
+    """The branch check cell by cell, on the 2-D (t, W) grid of the box."""
+    rng = np.arange(-box, box + 1)
+    T, W = np.meshgrid(rng, rng, indexing="ij")
+    sat = e * n * T + c * W >= 0
+    mem = e * T + c * (W // n) >= 0
+    return not bool(np.any(sat & ~mem))
+
+
 def reference_chart_saturation_index(chart, nmax=3, box=24):
     """The index with the box grids built again for every (e, n, c)."""
-    def branch_saturated(e, n, c):
-        rng = np.arange(-box, box + 1)
-        T, W = np.meshgrid(rng, rng, indexing="ij")
-        sat = e * n * T + c * W >= 0
-        mem = e * T + c * (W // n) >= 0
-        return not bool(np.any(sat & ~mem))
-
     for e in range(1, math.lcm(*chart.branches) + 1):
-        if all(branch_saturated(e, n, c)
+        if all(reference_branch_saturated(e, n, c, box)
                for n in range(2, nmax + 1) for c in chart.branches):
             return e
+
+
+def test_branch_check_reads_the_box_row_by_row():
+    """For every (e, n, c) that the index of a chart with m <= 12 can try,
+    and for boxes that do and do not reach the counterexamples."""
+    triples = {(e, n, c)
+               for chart in charts_case1(12) + charts_case2(12)
+               for e in range(1, math.lcm(*chart.branches) + 1)
+               for n in (2, 3) for c in chart.branches}
+    seen = set()
+    for box in (0, 1, 5, 24):
+        for e, n, c in sorted(triples):
+            got = monoids._branch_saturated(e, n, c, box)
+            assert got == reference_branch_saturated(e, n, c, box), (e, n, c, box)
+            seen.add(got)
+    assert seen == {True, False}
 
 
 def test_chart_saturation_index_is_the_lcm_on_every_small_chart():
@@ -297,6 +320,15 @@ def test_chart_saturation_index_is_the_lcm_on_every_small_chart():
         index = chart_saturation_index(chart)
         assert index == reference_chart_saturation_index(chart), chart
         assert index == math.lcm(*chart.branches), chart
+
+
+def test_monoids_import_leaves_out_numpy():
+    code = ("import sys, redjumps.lattices, redjumps.monoids\n"
+            "print('numpy' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(redjumps.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=env)
+    assert proc.stdout.strip() == "False"
 
 
 def test_chart_saturation_index_rejects_other_inputs():
@@ -338,6 +370,28 @@ def test_planar_monoid_membership():
     mixed = AffineMonoid(((2, 0), (0, 2), (1, 1)))
     assert mixed.group_contains((1, 1))
     assert not mixed.group_contains((1, 0))
+
+
+def test_group_membership_in_a_group_of_lower_rank():
+    # the generators span a line or a plane, so the Hermite form has fewer
+    # pivots than coordinates and the residual decides the last ones
+    line = AffineMonoid(((1, 1), (2, 2)))
+    assert line.group_contains((3, 3)) and line.group_contains((-1, -1))
+    assert not line.group_contains((1, 0)) and not line.group_contains((2, 3))
+    plane = AffineMonoid(((1, 0, 1), (0, 2, 2)))
+    assert plane.group_contains((1, -2, -1)) and plane.group_contains((0, 0, 0))
+    assert not plane.group_contains((1, 1, 2)) and not plane.group_contains((0, 0, 1))
+    assert not plane.contains((1, 1, 2)) and plane.contains((1, 2, 3))
+
+
+def test_monoid_membership_reads_numpy_integers_as_ints():
+    # a numpy integer that sets the grid bound would otherwise be shifted
+    # and multiplied in fixed width
+    P = AffineMonoid(((1, 0), (0, 1)))
+    assert P.contains((np.int64(100), 0)) and P._grid_bound == 100
+    Q = AffineMonoid(((3, 0, 0), (0, 1, 0), (0, 0, 1)))
+    assert Q.contains((np.int32(90), np.int64(2), 5))
+    assert not Q.contains((np.int16(89), 0, np.uint8(1))) and Q._grid_bound == 90
 
 
 def test_verify_lemm_coker_counts():
@@ -510,7 +564,11 @@ def assert_grids_match(generators, bounds):
         if bound > grid_bound:
             want, grid_bound = reference_ensure_grid(generators, grid_bound, bound)
         assert P._grid_bound == grid_bound, (generators, bounds)
-        assert np.array_equal(P._grid, want), (generators, bounds)
+        # every point of the box, in the row-major order of want's cells;
+        # equal bit counts then leave no stray bit outside the box
+        box = itertools.product(range(grid_bound + 1), repeat=len(generators[0]))
+        assert [P._lookup(x) for x in box] == want.ravel().tolist(), (generators, bounds)
+        assert int.from_bytes(P._grid, "little").bit_count() == want.sum(), (generators, bounds)
 
 
 def random_generators(rng):
@@ -547,9 +605,9 @@ def test_grid_closes_only_under_irredundant_generators(monkeypatch):
     closed = []
     close = monoids._close_under
 
-    def recording(grid, g, bound):
+    def recording(grid, g, *box):
         closed.append(g)
-        close(grid, g, bound)
+        return close(grid, g, *box)
 
     monkeypatch.setattr(monoids, "_close_under", recording)
     gens = ((2, 2), (0, 0), (1, 0), (3, 1), (0, 1), (1, 0), (9, 0), (0, 3), (1, 1))
