@@ -10,7 +10,9 @@ The input format is versioned:
     }
 
 "genus" defaults to 0 and "name" to "". Schema problems (bad JSON, wrong
-shapes or types, bytes that are not UTF-8) raise ParseError; a well-formed
+shapes or types, bytes that are not UTF-8) raise ParseError, as does JSON
+past the decoder's limits (nesting deeper than the recursion limit, an
+integer literal of more digits than int() converts); a well-formed
 document describing a structurally broken graph raises ValidationError
 from the constructor. Semantic validity (connectivity, gcd, integral
 self-intersections) is the caller's decision: parse_document does not run
@@ -39,6 +41,8 @@ def parse_document(text) -> ReductionGraph:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
+    except (RecursionError, ValueError) as exc:  # nested too deep, an int too long
+        raise ParseError(f"JSON beyond the parser's limits: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("top-level value must be an object")
     if doc.get("format") != FORMAT:

@@ -8,11 +8,23 @@ a conductor. Everything here is exact integer arithmetic: determinants
 and basis changes come from fraction-free (Bareiss, Math. Comp. 22 (1968))
 elimination. The public functions validate each matrix argument once;
 their private cores (_quotient, _smith) take validated rows.
+
+The random instances use public random.Random methods only, and
+random_unimodular draws its two distinct indices i, j exactly as
+rng.sample(range(n), 2) would, without its type check, pool list and
+bookkeeping. For n <= 21 sample keeps a pool of the n indices: it takes
+slot i = randrange(n), moves the last index into that slot, and takes
+slot j = randrange(n - 1) of what is left, which holds j unless j = i,
+when it holds n - 1. For a larger n it redraws randrange(n) until the
+second index differs from the first. sample makes each of these draws as
+one draw below k, the same one randrange(k) makes, so the indices, and
+the generator's state after them, are the same.
 """
 
 from __future__ import annotations
 
 from math import isqrt
+from operator import mul
 
 from .errors import (NotASublattice, PreconditionFailed, ShapeMismatch,
                      SingularMatrix)
@@ -44,11 +56,14 @@ def identity(n):
 
 
 def matmul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    if len(A[0]) != k:
+    """A . B for matrices given as lists of rows. Raises ShapeMismatch when
+    either is empty or ragged or the inner dimensions differ."""
+    cols = list(zip(*B))
+    if not cols or len({*map(len, A)}) != 1 or {*map(len, B)} != {len(cols)}:
+        raise ShapeMismatch("matrix rows must be nonempty and equal length")
+    if len(A[0]) != len(B):
         raise ShapeMismatch("inner dimensions do not match")
-    return [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m)]
-            for i in range(n)]
+    return [[sum(map(mul, row, col)) for col in cols] for row in A]
 
 
 def det(M):
@@ -330,15 +345,29 @@ def column_hnf(M):
 # -- random instances for the verification suites ----------------------------
 
 def random_unimodular(rng, n, steps=8):
-    """Product of random shears and swaps; determinant is +-1."""
+    """Product of random shears and swaps; determinant is +-1. Raises
+    PreconditionFailed, before any draw, unless n is a positive int."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise PreconditionFailed(f"n must be a positive integer, got {n!r}")
     U = identity(n)
     for _ in range(steps):
-        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
-        if n > 1 and rng.random() < 0.8:
-            c = rng.choice([-2, -1, 1, 2])
-            U[i] = [a + c * b for a, b in zip(U[i], U[j])]
-        elif n > 1:
-            U[i], U[j] = U[j], U[i]
+        if n > 1:
+            # two distinct indices, drawn as rng.sample(range(n), 2) draws
+            # them (see the module docstring)
+            i = rng.randrange(n)
+            if n <= 21:
+                j = rng.randrange(n - 1)
+                if j == i:
+                    j = n - 1
+            else:
+                j = rng.randrange(n)
+                while j == i:
+                    j = rng.randrange(n)
+            if rng.random() < 0.8:
+                c = rng.choice((-2, -1, 1, 2))
+                U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+            else:
+                U[i], U[j] = U[j], U[i]
         if rng.random() < 0.2:
             k = rng.randrange(n)
             U[k] = [-a for a in U[k]]
@@ -346,9 +375,10 @@ def random_unimodular(rng, n, steps=8):
 
 
 def _twisted_diagonal(rng, n, diag):
-    return matmul(matmul(random_unimodular(rng, n), [[diag[i] if i == j else 0
-                                                      for j in range(n)]
-                                                     for i in range(n)]),
+    """U . diag(diag) . V for random unimodular U and V, drawn in that
+    order; the diagonal factor scales the columns of U."""
+    U = random_unimodular(rng, n)
+    return matmul([[u * d for u, d in zip(row, diag)] for row in U],
                   random_unimodular(rng, n))
 
 

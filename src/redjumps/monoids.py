@@ -86,6 +86,10 @@ from .errors import (InternalInconsistency, NotSaturatedInput,
                      PreconditionFailed)
 from .lattices import column_hnf
 
+# The largest membership grid, in bits: 8 MiB. A grid on [0, B]^r takes up
+# to (2(B + 1))^r bits; the verification suites build at most 4,900.
+GRID_BITS = 1 << 26
+
 
 def _check_int(name, x, low=1):
     """Refuse x unless it is an int (not a bool) of at least low, 0 or 1."""
@@ -341,9 +345,18 @@ class AffineMonoid(Value):
         return len(self.generators[0])
 
     def _ensure_grid(self, bound):
+        """Build the grid on [0, B]^r for a B >= bound: at least double the
+        last B, unless that grid would pass GRID_BITS. Raises
+        PreconditionFailed, before allocating, when even B = bound would."""
         if bound <= self._grid_bound:
             return
-        bound = max(bound, 2 * self._grid_bound, 8)
+        if (2 * (bound + 1)) ** self.rank > GRID_BITS:
+            raise PreconditionFailed(
+                f"a membership grid on [0, {bound}]^{self.rank} would take "
+                f"more than GRID_BITS = {GRID_BITS} bits")
+        grown = max(bound, 2 * self._grid_bound, 8)
+        if (2 * (grown + 1)) ** self.rank <= GRID_BITS:
+            bound = grown
         stride = 2 * (bound + 1)
         strides = tuple(stride ** k for k in reversed(range(self.rank)))
         mask = _box_mask(self.rank, bound, stride)
@@ -368,7 +381,9 @@ class AffineMonoid(Value):
         return tuple(map(operator.index, x))
 
     def contains(self, x):
-        """Membership in the monoid (non-negative combinations only)."""
+        """Membership in the monoid (non-negative combinations only).
+        Raises PreconditionFailed when the grid that holds x would pass
+        GRID_BITS."""
         x = self._vector(x)
         if any(c < 0 for c in x):
             return False
@@ -403,7 +418,8 @@ class AffineMonoid(Value):
         return not any(residual)
 
     def is_saturated(self, box, kmax=None):
-        """Bounded saturation check on [0, box]^r with multipliers up to kmax."""
+        """Bounded saturation check on [0, box]^r with multipliers up to
+        kmax; PreconditionFailed when the grid would pass GRID_BITS."""
         _check_int("box", box, 0)
         if kmax is None:
             kmax = max(2, box)
@@ -427,7 +443,8 @@ def verify_lemm_coker(P, e, d, box):
     (P must be saturated for that criterion, hence NotSaturatedInput);
     whenever it does, the claim is that x + e lies in P. Returns the number
     of saturation elements checked; a counterexample raises
-    InternalInconsistency.
+    InternalInconsistency. A box whose grid would pass GRID_BITS raises
+    PreconditionFailed.
     """
     if not isinstance(P, AffineMonoid):
         raise PreconditionFailed("P must be an AffineMonoid")

@@ -327,6 +327,23 @@ def test_non_utf8_input_is_unparsable(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.count("error: not UTF-8") == 3
 
 
+def test_json_past_the_decoder_limits_is_unparsable(tmp_path, capsys):
+    # nesting past the recursion limit, and a multiplicity of more digits
+    # than int() converts: json.loads raises RecursionError and ValueError
+    deep = "[" * 100_000 + "]" * 100_000
+    long_int = GCD2_DOC.replace('"multiplicity": 2', '"multiplicity": ' + "7" * 5_000, 1)
+    assert long_int != GCD2_DOC
+    for k, text in enumerate((deep, long_int)):
+        doc = tmp_path / f"doc{k}.json"
+        doc.write_text(text)
+        for command in ("compute", "validate", "minimize"):
+            assert main([command, str(doc)]) == 3, (k, command)
+        with pytest.raises(ParseError):
+            parse_document(text)
+    err = capsys.readouterr().err
+    assert err.count("error: JSON beyond the parser's limits") == 6
+
+
 def test_verify_suites(capsys):
     assert main(["verify", "--suite", "graphs", "--count", "5", "--seed", "7"]) == 0
     out = capsys.readouterr().out

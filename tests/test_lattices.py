@@ -4,6 +4,7 @@ The Smith normal form cases were frozen from an independent hand/row-
 reduction computation before the implementation existed.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -17,8 +18,10 @@ from redjumps.errors import (
     ShapeMismatch,
     SingularMatrix,
 )
+from redjumps import lattices
 from redjumps.lattices import (
     _divisor_valuations,
+    _twisted_diagonal,
     chain_complement,
     check_sandwich,
     column_hnf,
@@ -356,3 +359,114 @@ def test_divisor_valuations_refuse_singular_matrices():
     for singular in ([[0]], [[1, 2], [2, 4]], [[1, 2, 3], [4, 5, 6], [5, 7, 9]]):
         with pytest.raises(SingularMatrix):
             _divisor_valuations(singular, 2)
+
+
+# -- the instance draws, pinned to the sample-based generators they replaced ------
+
+def reference_random_unimodular(rng, n, steps=8):
+    """random_unimodular as it drew its indices with rng.sample."""
+    U = identity(n)
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if n > 1 and rng.random() < 0.8:
+            c = rng.choice([-2, -1, 1, 2])
+            U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+        elif n > 1:
+            U[i], U[j] = U[j], U[i]
+        if rng.random() < 0.2:
+            k = rng.randrange(n)
+            U[k] = [-a for a in U[k]]
+    return U
+
+
+def reference_matmul(A, B):
+    n, k, m = len(A), len(B), len(B[0])
+    if len(A[0]) != k:
+        raise ShapeMismatch("inner dimensions do not match")
+    return [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m)]
+            for i in range(n)]
+
+
+def reference_twisted_diagonal(rng, n, diag):
+    """U . diag . V with the diagonal as a full matrix, U drawn first."""
+    return reference_matmul(
+        reference_matmul(reference_random_unimodular(rng, n),
+                         [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]),
+        reference_random_unimodular(rng, n))
+
+
+def test_random_unimodular_draws_as_sample_drew():
+    # sample keeps a pool of the indices up to n = 21 and redraws past it
+    cases = [(seed, n) for seed in range(300) for n in (1, 2, 3, 4)]
+    cases += [(seed, n) for seed in range(5) for n in (5, 8, 21, 22, 23, 40)]
+    for seed, n in cases:
+        new, old = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            assert random_unimodular(new, n) == reference_random_unimodular(old, n), (seed, n)
+            assert new.getstate() == old.getstate(), (seed, n)
+            diag = [new.randint(-9, 9) for _ in range(n)]
+            old.setstate(new.getstate())
+            assert (_twisted_diagonal(new, n, diag)
+                    == reference_twisted_diagonal(old, n, diag)), (seed, n)
+            assert new.getstate() == old.getstate(), (seed, n)
+
+
+def suite_draws(count, suite_count=10_000):
+    """(g, p, n, instance) for the first count sandwich instances and (g, p,
+    instance) for the first count complement instances of
+    lattice_suite(20260819, suite_count), in its draw order: by default
+    criterion 09's suite."""
+    rng = random.Random(20260819)
+    sandwiches, complements = [], []
+    for k in range(suite_count):
+        g, p, n = rng.randint(1, 4), rng.choice((2, 3, 5)), rng.randint(0, 3)
+        instance = random_sandwich_instance(rng, g, p, n)
+        if k < count:
+            sandwiches.append((g, p, n, instance))
+    for _ in range(count):
+        g, p = rng.randint(1, 4), rng.choice((2, 3, 5))
+        complements.append((g, p, random_complement_instance(rng, g, p)))
+    return sandwiches, complements, rng.getstate()
+
+
+def test_instances_draw_as_the_sample_based_generators_drew(monkeypatch):
+    # criterion 09's draw order at a tenth of its count
+    new = suite_draws(1_000, 1_000)
+    monkeypatch.setattr(lattices, "random_unimodular", reference_random_unimodular)
+    monkeypatch.setattr(lattices, "_twisted_diagonal", reference_twisted_diagonal)
+    monkeypatch.setattr(lattices, "matmul", reference_matmul)
+    assert suite_draws(1_000, 1_000) == new
+
+
+def test_criterion_09_instances_are_pinned():
+    # sha256 of the first 2,000 instances of each kind, taken from the
+    # sample-based generators before they were replaced
+    sandwiches, complements, _ = suite_draws(2_000)
+    digests = [hashlib.sha256("".join(map(repr, kind)).encode()).hexdigest()
+               for kind in (sandwiches, complements)]
+    assert digests == [
+        "44a0034b6daa262692494e879c99a3851dbba815d86022c4e9ebd9c66b766597",
+        "51e8529fb62170e7dc4710ede8a0c4401e7a44647dd67cf8fd6e7483db6d87f3",
+    ]
+
+
+def test_random_unimodular_refuses_a_rank_below_one_before_any_draw():
+    for n in (0, -1, -5, 2.0, True, "3", None):
+        rng = random.Random(7)
+        state = rng.getstate()
+        with pytest.raises(PreconditionFailed):
+            random_unimodular(rng, n)
+        assert rng.getstate() == state, n
+
+
+def test_matmul_refuses_malformed_operands():
+    A = [[1, 2], [3, 4]]
+    assert matmul(A, [[1], [1]]) == [[3], [7]]
+    assert matmul([[1, 2, 3]], [[1], [2], [3]]) == [[14]]
+    for left, right in [([], A), (A, []), ([[]], A), (A, [[], []]),  # empty
+                        ([[1, 2], [3]], A), ([[1], [3, 4]], A),  # ragged left
+                        (A, [[1, 2], [3]]), (A, [[1], [3, 4]]),  # ragged right
+                        (A, [[1, 2, 3]]), (A, [[1], [2], [3]]),  # inner dimensions
+                        ([[1, 2, 3], [4, 5, 6]], A)]:
+        with pytest.raises(ShapeMismatch):
+            matmul(left, right)

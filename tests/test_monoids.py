@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +44,7 @@ from redjumps.monoids import (
     sat_member_case2_search,
     verify_lemm_coker,
 )
+from redjumps.verify import monoid_suite
 
 
 # -- chart construction --------------------------------------------------------
@@ -515,6 +517,38 @@ def test_pushout_check_fills_the_grid_once(monkeypatch):
         fills.clear()
         verify_lemm_coker(AffineMonoid(gens), e, d, box)
         assert len(fills) == 1, (gens, e, d, box, fills)
+
+
+def test_grids_past_the_bit_budget_are_refused_at_once():
+    cube = AffineMonoid(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    start = time.perf_counter()
+    for call in (lambda: cube.contains((10**4, 0, 0)),
+                 lambda: cube.contains((10**100, 0, 0)),
+                 lambda: cube.is_saturated(10**3),
+                 lambda: verify_lemm_coker(cube, (1, 0, 0), 10**4, 1)):
+        with pytest.raises(PreconditionFailed, match="GRID_BITS"):
+            call()
+        assert cube._grid is None  # refused before any grid was built
+    assert time.perf_counter() - start < 0.5
+    # a grid that would double past the budget grows only as far as asked,
+    # and a grid past it is refused with the last grid kept
+    edge = math.isqrt(monoids.GRID_BITS) // 2 - 1  # the largest B: (2(B + 1))^2 fits
+    plane = AffineMonoid(((1, 0), (0, 1)))
+    assert plane.contains((edge // 2 + 1, 0)) and plane._grid_bound == edge // 2 + 1
+    assert plane.contains((edge, 1)) and plane._grid_bound == edge
+    with pytest.raises(PreconditionFailed):
+        plane.contains((edge + 1, 0))
+    assert plane._grid_bound == edge and plane.contains((edge, edge))
+
+
+def test_the_suites_fit_far_inside_the_bit_budget(monkeypatch):
+    # the largest grid the monoid suite builds has 4,900 bits; under that
+    # budget it gives the same rows, all passing
+    assert monoids.GRID_BITS >= 10_000 * 4_900
+    rows = monoid_suite(20260819, 200)
+    assert rows and all(row.good == row.total for row in rows), rows
+    monkeypatch.setattr(monoids, "GRID_BITS", 4_900)
+    assert monoid_suite(20260819, 200) == rows
 
 
 def test_monoid_checks_refuse_non_integer_vectors():
