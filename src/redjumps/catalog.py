@@ -215,7 +215,7 @@ def random_instance(seed: int, moves: int) -> GeneratedGraph:
         # an edgeless graph (the I0 seed before any move) only admits the
         # free-point move
         if rng.random() < 0.5 or not g.edges:
-            v = rng.choice(list(g.vertices))
+            v = rng.choice(g.vertices).id  # no vertex is contracted here
             g.blow_up_free_point(v)
             log.append(("free", v))
         else:

@@ -19,6 +19,11 @@ and the genus of the generic fiber comes out of adjunction:
 A graph derives both, with its neighbour lists, in one integer form built
 once (``ReductionGraph._compiled``). Every accessor and the jump kernel read
 it, and so do validate() and genus(), each computed once per graph.
+
+Model surgery runs on a mutable copy of that form indexed the same way
+(:class:`_Surgery`). minimize() computes the minimal model once per graph
+(``ReductionGraph._minimal``): a graph keeps its minimal model alive for as
+long as it lives, and analyze, run_checks and minimize share it.
 """
 
 from __future__ import annotations
@@ -97,7 +102,7 @@ def _structural_problems(vertices, edges):
         except (TypeError, ValueError):
             problems.append(Violation("edge-endpoint", f"edge #{k} {e!r} is not a pair of vertex ids", str(e)))
             continue
-        if not all(isinstance(x, str) and x in seen for x in (a, b)):
+        if not (isinstance(a, str) and a in seen and isinstance(b, str) and b in seen):
             problems.append(Violation("edge-endpoint", f"edge #{k} {a!r}-{b!r} references an unknown vertex", f"{a}-{b}"))
         if a == b:
             problems.append(Violation("loop", f"edge #{k} is a loop at {a!r}; loops are forbidden (resolve the node by a blow-up first)", a))
@@ -137,6 +142,13 @@ def _components(nbrs, members) -> int:
                         left.discard(w)
                         stack.append(w)
     return count
+
+
+def _lookup(index, vid) -> int:
+    try:
+        return index[vid]
+    except (KeyError, TypeError):  # TypeError: vid is not hashable
+        raise UnknownVertex(f"no vertex {vid!r}") from None
 
 
 class _Compiled(Value):
@@ -211,28 +223,23 @@ class ReductionGraph(Value):
                          [-(s // n) for n, s in zip(N, nbr_sum)],
                          sum(n * (2 * g - 2) + s for n, g, s in zip(N, genus, nbr_sum)))
 
-    def _index(self, vid: str) -> int:
-        try:
-            return self._compiled.index[vid]
-        except (KeyError, TypeError):  # TypeError: vid is not hashable
-            raise UnknownVertex(f"no vertex {vid!r}") from None
-
     @property
     def ids(self):
         return [v.id for v in self.vertices]
 
     def vertex(self, vid: str) -> Vertex:
-        return self.vertices[self._index(vid)]
+        return self.vertices[_lookup(self._compiled.index, vid)]
 
     def has_vertex(self, vid: str) -> bool:
         return isinstance(vid, str) and vid in self._compiled.index
 
     def degree(self, vid: str) -> int:
-        return len(self._compiled.nbrs[self._index(vid)])
+        return len(self._compiled.nbrs[_lookup(self._compiled.index, vid)])
 
     def neighbors(self, vid: str):
         """Ids opposite each incident edge (repeats for parallel edges)."""
-        return [self.vertices[w].id for w in self._compiled.nbrs[self._index(vid)]]
+        return [self.vertices[w].id
+                for w in self._compiled.nbrs[_lookup(self._compiled.index, vid)]]
 
     def multiplicity(self, vid: str) -> int:
         return self.vertex(vid).multiplicity
@@ -267,7 +274,7 @@ class ReductionGraph(Value):
     # -- derived geometry ---------------------------------------------------
 
     def self_intersection(self, vid: str) -> int:
-        c, k = self._compiled, self._index(vid)
+        c, k = self._compiled, _lookup(self._compiled.index, vid)
         return _self_intersection(vid, c.N[k], c.nbr_sum[k])
 
     def genus(self) -> int:
@@ -303,6 +310,31 @@ class ReductionGraph(Value):
         c = self._compiled
         return not any(map(_contractible, c.genus, c.N, c.nbrs, c.nbr_sum))
 
+    @cached_property
+    def _minimal(self):
+        """The minimal model of this valid graph, or None when it is minimal
+        (None rather than self: a graph caching itself would be a reference
+        cycle). A worklist: a min-heap of ids, seeded by one pass over
+        ``_compiled`` before any surgery form is built.
+        Only a contraction's neighbours with E^2 = -1 are pushed again, and
+        a popped id is contracted only if it is live and contractible, so
+        each step contracts the smallest contractible id. O(V + E + C log V)
+        for C contractions."""
+        c = self._compiled
+        heap = list(itertools.compress(  # the index keys are the ids in order
+            c.index, map(_contractible, c.genus, c.N, c.nbrs, c.nbr_sum)))
+        if not heap:
+            return None
+        heapq.heapify(heap)
+        s = _Surgery(self)
+        while heap:
+            i = s.index.get(heapq.heappop(heap))
+            if i is not None:
+                for w in s._contract(i):
+                    if s.nbr_sum[w] == s.N[w]:  # E^2 = -1, else not contractible
+                        heapq.heappush(heap, s.vertices[w].id)
+        return s.freeze()
+
     def stabilization_index(self) -> int:
         """lcm of principal multiplicities (1 if there are none). Defined on
         minimal graphs only."""
@@ -329,63 +361,60 @@ def _check_valid(report: ValidationReport):
 class _Surgery:
     """Mutable working copy of a graph for a run of blow-ups and blow-downs.
 
-    Vertices stay in their original order and edges in insertion order,
-    so :meth:`freeze` gives exactly the graph that the same moves applied
-    one by one to immutable graphs would give. Each move costs O(1) apart
+    It is the integer form of :class:`_Compiled`, seeded from it: vertex k
+    is ``vertices[k]`` (None once contracted; new vertices are appended)
+    with ``N[k]``, ``nbr_sum[k]`` and ``incidence[k]`` (edge key ->
+    opposite index), and ``index`` maps each live id to its index. The
+    genus is read off the vertex: surgery never changes it. ``edges`` maps
+    keys, in insertion order, to sorted id pairs, so :meth:`freeze` gives
+    exactly the graph that the same moves applied one by one to immutable
+    graphs would give. Ids are read only by the public methods, for fresh
+    names, for edge pairs and in :meth:`freeze`. Each move costs O(1) apart
     from finding an edge by position; only :meth:`freeze` validates.
     """
 
     def __init__(self, g: ReductionGraph):
+        c = g._compiled
         self.name = g.name
-        self.vertices = {v.id: v for v in g.vertices}
-        self.edges = dict(enumerate(g.edges))            # key -> sorted id pair
-        self.incidence = {vid: {} for vid in self.vertices}  # id -> {key: opposite id}
-        self.nbr_sum = dict(zip(self.vertices, g._compiled.nbr_sum))
+        self.vertices = list(g.vertices)
+        self.index = dict(c.index)
+        self.N, self.nbr_sum = c.N[:], c.nbr_sum[:]
+        self.incidence = [{} for _ in self.N]
+        self.edges = dict(enumerate(g.edges))  # key -> sorted id pair
         for k, (a, b) in self.edges.items():
-            self.incidence[a][k] = b
-            self.incidence[b][k] = a
-        self._next_key = len(g.edges)
+            i, j = c.index[a], c.index[b]
+            self.incidence[i][k] = j
+            self.incidence[j][k] = i
+        self._keys = itertools.count(len(g.edges))
         self._fresh = 1  # every "b<n>" with n below it is taken
 
-    def vertex(self, vid: str) -> Vertex:
-        try:
-            return self.vertices[vid]
-        except (KeyError, TypeError):  # TypeError: vid is not hashable
-            raise UnknownVertex(f"no vertex {vid!r}") from None
-
-    def contractible(self, vid: str) -> bool:
-        v = self.vertices[vid]
-        return _contractible(v.genus, v.multiplicity, self.incidence[vid].values(),
-                             self.nbr_sum[vid])
-
-    def _add_vertex(self, multiplicity: int, new_id) -> str:
+    def _add_vertex(self, multiplicity: int, new_id, *ends) -> str:
+        """A genus-0 vertex joined to each index in ends; returns its id."""
         if new_id is None:
-            while f"b{self._fresh}" in self.vertices:
+            while f"b{self._fresh}" in self.index:
                 self._fresh += 1
             new_id = f"b{self._fresh}"
         elif not isinstance(new_id, str) or not new_id:
             raise ValidationError(f"vertex ids must be non-empty strings, got {new_id!r}")
-        elif new_id in self.vertices:
+        elif new_id in self.index:
             raise ValidationError(f"vertex id {new_id!r} already in use")
-        self.vertices[new_id] = Vertex(new_id, multiplicity, 0)
-        self.incidence[new_id] = {}
-        self.nbr_sum[new_id] = 0
+        k = self.index[new_id] = len(self.vertices)
+        self.vertices.append(Vertex(new_id, multiplicity, 0))
+        self.N.append(multiplicity)
+        self.nbr_sum.append(0)
+        self.incidence.append({})
+        for i in ends:
+            self._add_edge(i, k)
         return new_id
 
-    def _add_edge(self, a: str, b: str):
-        k = self._next_key
-        self._next_key += 1
+    def _add_edge(self, i, j):
+        a, b = self.vertices[i].id, self.vertices[j].id
+        k = next(self._keys)
         self.edges[k] = (a, b) if a <= b else (b, a)
-        self.incidence[a][k] = b
-        self.incidence[b][k] = a
-        self.nbr_sum[a] += self.vertices[b].multiplicity
-        self.nbr_sum[b] += self.vertices[a].multiplicity
-
-    def _remove_edge(self, k: int):
-        a, b = self.edges.pop(k)
-        del self.incidence[a][k], self.incidence[b][k]
-        self.nbr_sum[a] -= self.vertices[b].multiplicity
-        self.nbr_sum[b] -= self.vertices[a].multiplicity
+        self.incidence[i][k] = j
+        self.incidence[j][k] = i
+        self.nbr_sum[i] += self.N[j]
+        self.nbr_sum[j] += self.N[i]
 
     def _edge_key(self, e) -> int:
         """Key of the edge e, given as a position in edge order (an int,
@@ -397,7 +426,7 @@ class _Surgery:
                     f"edge index {e} out of range (graph has {len(self.edges)} edges)")
             return next(itertools.islice(self.edges, e, None))
         if not (isinstance(e, (tuple, list)) and len(e) == 2
-                and all(isinstance(x, str) for x in e)):
+                and isinstance(e[0], str) and isinstance(e[1], str)):
             raise UnknownEdge(f"{e!r} is neither an edge index nor a pair of vertex ids")
         pair = tuple(sorted(e))
         for k, known in self.edges.items():
@@ -406,44 +435,54 @@ class _Surgery:
         raise UnknownEdge(f"no edge {pair[0]!r}-{pair[1]!r}")
 
     def blow_up_free_point(self, v: str, new_id=None) -> str:
-        nid = self._add_vertex(self.vertex(v).multiplicity, new_id)
-        self._add_edge(v, nid)
-        return nid
+        i = _lookup(self.index, v)
+        return self._add_vertex(self.N[i], new_id, i)
 
     def blow_up_edge(self, e, new_id=None) -> str:
-        k = self._edge_key(e)
-        a, b = self.edges[k]
-        nid = self._add_vertex(
-            self.vertices[a].multiplicity + self.vertices[b].multiplicity, new_id)
-        self._remove_edge(k)
-        self._add_edge(a, nid)
-        self._add_edge(b, nid)
-        return nid
+        key = self._edge_key(e)
+        a, b = self.edges[key]
+        i, j = self.index[a], self.index[b]
+        new_id = self._add_vertex(self.N[i] + self.N[j], new_id, i, j)
+        del self.edges[key], self.incidence[i][key], self.incidence[j][key]
+        self.nbr_sum[i] -= self.N[j]
+        self.nbr_sum[j] -= self.N[i]
+        return new_id
 
-    def blow_down(self, v: str) -> list:
-        """Contract v. Returns its neighbours: only their contractibility
-        can change."""
-        vert = self.vertex(v)
-        nbrs = list(self.incidence[v].values())
-        e2 = _self_intersection(v, vert.multiplicity, self.nbr_sum[v])
-        if vert.genus != 0 or not 1 <= len(nbrs) <= 2 or e2 != -1:
+    def blow_down(self, v: str):
+        """Contract v, or raise unless it is a contractible -1 curve."""
+        i = _lookup(self.index, v)
+        if self._contract(i):
+            return
+        genus, nbrs = self.vertices[i].genus, list(self.incidence[i].values())
+        e2 = _self_intersection(v, self.N[i], self.nbr_sum[i])
+        if genus or e2 != -1 or len(nbrs) > 2:  # else two edges to one vertex
             raise NotContractible(
                 f"vertex {v!r}: need genus 0, degree 1 or 2, self-intersection -1 "
-                f"(got genus {vert.genus}, degree {len(nbrs)}, E^2 {e2})")
-        if len(nbrs) == 2 and nbrs[0] == nbrs[1]:
-            raise WouldCreateLoop(
-                f"vertex {v!r} has both edges to {nbrs[0]!r}; contraction would create a node")
-        for k in list(self.incidence[v]):
-            self._remove_edge(k)
-        del self.vertices[v], self.incidence[v], self.nbr_sum[v]
-        self._fresh = 1  # v's id may have been a "b<n>" below the counter
+                f"(got genus {genus}, degree {len(nbrs)}, E^2 {e2})")
+        raise WouldCreateLoop(
+            f"vertex {v!r} has both edges to {self.vertices[nbrs[0]].id!r}; "
+            "contraction would create a node")
+
+    def _contract(self, i):
+        """Contract vertex i if it is contractible (see :func:`_contractible`).
+        Returns the indices of its neighbours, the only vertices whose
+        contractibility can change, or () if it is not contractible."""
+        nbrs = self.incidence[i].values()  # i's own incidence never changes below
+        if not _contractible(self.vertices[i].genus, self.N[i], nbrs, self.nbr_sum[i]):
+            return ()
+        for k, j in self.incidence[i].items():
+            del self.edges[k], self.incidence[j][k]
+            self.nbr_sum[j] -= self.N[i]
+        del self.index[self.vertices[i].id]
+        self.vertices[i] = None
+        self._fresh = 1  # the id may have been a "b<n>" below the counter
         if len(nbrs) == 2:
             self._add_edge(*nbrs)
         return nbrs
 
     def freeze(self) -> ReductionGraph:
         """The current graph, built and validated."""
-        return build(self.vertices.values(), self.edges.values(), self.name)
+        return build(filter(None, self.vertices), self.edges.values(), self.name)
 
 
 def blow_up_free_point(g: ReductionGraph, v: str, new_id: str | None = None) -> ReductionGraph:
@@ -489,25 +528,15 @@ def minimize(g: ReductionGraph) -> ReductionGraph:
     curve with both edges on one neighbour is not contractible and stays,
     so the true sncd model of I1 is minimal.
 
-    A worklist over one surgery form: a min-heap holds the contractible
-    ids, and after a contraction only the contracted vertex's neighbours
-    are tested again. O(V + E + C log V) for C contractions. g must be
-    valid (a cached report once g is validated), the result is validated
-    when it is built, and g itself is returned when nothing is contractible.
+    g must be valid (a cached report once g is validated): an invalid graph
+    raises ValidationError on every call, and nothing is cached for it. The
+    minimal model is computed once per graph (``ReductionGraph._minimal``)
+    and g keeps it alive, so analyze(g), run_checks(g) and minimize(g)
+    share one worklist run. g itself is returned when nothing is
+    contractible, so minimize(minimize(g)) is minimize(g).
     """
     _check_valid(g.validate())
-    s = _Surgery(g)
-    heap = [vid for vid in s.vertices if s.contractible(vid)]
-    if not heap:
-        return g
-    heapq.heapify(heap)
-    while heap:
-        vid = heapq.heappop(heap)
-        if vid in s.vertices and s.contractible(vid):
-            for w in s.blow_down(vid):
-                if s.contractible(w):
-                    heapq.heappush(heap, w)
-    return s.freeze()
+    return g._minimal or g
 
 
 def contract_chains(g: ReductionGraph):

@@ -37,12 +37,15 @@ model, but the candidate count sum_{d | some N_i} phi(d) is at least
 max N_i and grows like a Fibonacci number under repeated edge blow-ups.
 So compute_jumps and analyze scan minimize(g), which costs
 O(V + E + C log V) for C contractions and validates g (an invalid graph
-raises ValidationError). run_checks and analyze(g, with_checks=True) keep
-the scan of g itself as the reference route: the lower bound and the dual
-route are evaluated on it, and the model-independence check compares it
-with the scan of the minimal model. Every scan first counts its
-candidates, and a graph with more than WORK_BUDGET of them raises
-OverBudget instead of being scanned.
+raises ValidationError). The minimal model is computed once per graph
+object and kept with it, so analyze(g) followed by minimize(g) or
+run_checks(g), as in `redjumps compute --check --minimize`, contracts
+once. run_checks and analyze(g, with_checks=True) keep the scan of g
+itself as the reference route: the lower bound and the dual route are
+evaluated on it, and the model-independence check compares it with the
+scan of the minimal model. Every scan first counts its candidates, and a
+graph with more than WORK_BUDGET of them raises OverBudget instead of
+being scanned.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from redjumps import GeneratedGraph, JumpSpectrum, ReductionGraph
-from redjumps import minimize, random_instance
+from redjumps import graph, minimize, random_instance
 from redjumps.jumps import _scan
 
 CORPUS_SIZE = 550
@@ -39,3 +39,18 @@ def corpus():
             minimized=minimize(inst.graph),
         ))
     return items
+
+
+@pytest.fixture
+def worklist_runs(monkeypatch):
+    """The graphs minimize runs its worklist on, in order: each run builds
+    one surgery form, and so does each public blow-up or blow-down."""
+    runs = []
+
+    class Counting(graph._Surgery):
+        def __init__(self, g):
+            runs.append(g)
+            super().__init__(g)
+
+    monkeypatch.setattr(graph, "_Surgery", Counting)
+    return runs

@@ -25,6 +25,7 @@ from redjumps import (
     is_isomorphic,
     kodaira_graph,
     lattices,
+    minimize,
     parse_document,
     report_document,
     run_checks,
@@ -135,6 +136,23 @@ def test_compute_json_output(tmp_path, capsys):
     assert doc["model"] == {"vertices": 7, "edges": 6}
     assert doc["minimal_model"] == doc["model"]
     assert all(doc["checks"].values())
+
+
+def test_compute_minimizes_once(tmp_path, capsys, worklist_runs):
+    g = blow_up_edge(blow_up_free_point(kodaira_graph("III*"), "c"), 0)
+    path = doc_path(tmp_path, g)
+    worklist_runs.clear()
+    assert main(["compute", path, "--json", "--check", "--minimize"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["minimal"] is False
+    assert doc["minimal_model"] == {"vertices": 8, "edges": 7}
+    assert len(worklist_runs) == 1
+    for follow_up in (minimize, run_checks):
+        worklist_runs.clear()
+        g = parse_document(dump_graph(g))
+        analyze(g)
+        follow_up(g)
+        assert worklist_runs == [g], follow_up
 
 
 def test_compute_checks_the_true_i1_model(tmp_path, capsys):

@@ -285,6 +285,34 @@ def test_blow_down_rejects_non_exceptional():
         blow_down(star, "c")  # genus 1
 
 
+# the messages blow_down gave before the surgery form moved to vertex indices
+NEED = "need genus 0, degree 1 or 2, self-intersection -1"
+REFUSALS = [
+    (kodaira_graph("II"), "t1", NotContractible,
+     f"vertex 't1': {NEED} (got genus 0, degree 1, E^2 -2)"),
+    (genus2_example(), "c", NotContractible,
+     f"vertex 'c': {NEED} (got genus 1, degree 2, E^2 -1)"),
+    (kodaira_graph("I0"), "e", NotContractible,
+     f"vertex 'e': {NEED} (got genus 1, degree 0, E^2 0)"),
+    # a -1 curve meeting three others
+    (build([Vertex("c", 3), Vertex("t1", 1), Vertex("t2", 1), Vertex("t3", 1)],
+           [("c", "t1"), ("c", "t2"), ("c", "t3")]), "c", NotContractible,
+     f"vertex 'c': {NEED} (got genus 0, degree 3, E^2 -1)"),
+    (catalog_graph("I1"), "b", WouldCreateLoop,
+     "vertex 'b' has both edges to 'u'; contraction would create a node"),
+    (kodaira_graph("II"), "zz", UnknownVertex, "no vertex 'zz'"),
+    (kodaira_graph("II"), ["c"], UnknownVertex, "no vertex ['c']"),
+]
+
+
+@pytest.mark.parametrize("g, v, error, message", REFUSALS)
+def test_blow_down_refusals_keep_their_messages(g, v, error, message):
+    for down in (lambda: blow_down(g, v), lambda: _Surgery(g).blow_down(v)):
+        with pytest.raises(error) as caught:
+            down()
+        assert str(caught.value) == message
+
+
 def test_blow_down_refuses_to_create_loop():
     # u and b joined by two parallel edges; b is exceptional but its
     # contraction would close a loop at u, so the graph is already minimal.
@@ -307,6 +335,41 @@ def test_minimize_round_trip():
 def test_minimize_of_minimal_is_identity():
     g = kodaira_graph("II*")
     assert minimize(g) is g
+
+
+def fresh(g):
+    """An equal graph object with nothing cached, so minimize runs anew."""
+    return ReductionGraph(g.vertices, g.edges, g.name)
+
+
+def test_minimize_runs_once_per_graph(worklist_runs):
+    g = random_instance(3, 40).graph
+    assert not g.is_minimal()
+    worklist_runs.clear()  # random_instance built one surgery form
+    m = minimize(g)
+    assert worklist_runs == [g]
+    assert minimize(g) is m and worklist_runs == [g]
+    assert minimize(m) is m and minimize(minimize(g)) is m
+    assert worklist_runs == [g]  # a minimal graph is recognised on its integer form
+    # the cache answers for the graph object, not for equal graphs
+    assert minimize(fresh(g)) == m and len(worklist_runs) == 2
+
+
+def test_minimize_keeps_no_reference_cycle():
+    # a graph keeps its minimal model alive; a minimal graph caches None,
+    # not itself
+    g = blow_up_free_point(kodaira_graph("II"), "c")
+    m = minimize(g)
+    assert vars(g)["_minimal"] is m
+    assert minimize(m) is m and vars(m)["_minimal"] is None
+
+
+def test_minimize_caches_nothing_for_an_invalid_graph(worklist_runs):
+    g = ReductionGraph((Vertex("a", 1), Vertex("b", 2)), (("a", "b"),))  # 2 does not divide 1
+    for _ in range(2):
+        with pytest.raises(ValidationError):
+            minimize(g)
+    assert "_minimal" not in vars(g) and worklist_runs == []
 
 
 def test_catalog_entries_are_minimal():
@@ -341,20 +404,49 @@ def shuffled_relabelling(g, rng):
     return build(verts, edges, g.name)
 
 
+def assert_minimize_matches(g, label):
+    h = fresh(g)
+    m = minimize(h)
+    # graphs are equal when their vertex and edge tuples are, order included
+    assert m == reference_minimize(fresh(g)), label
+    assert (m is h) == h.is_minimal(), label
+
+
 def test_minimize_matches_the_rescan_loop(corpus):
     rng = random.Random(0)
     for item in corpus:
         g = item.inst.graph
-        assert item.minimized == reference_minimize(g), item.seed
-        h = shuffled_relabelling(g, rng)
-        assert minimize(h) == reference_minimize(h), item.seed
+        assert item.minimized == reference_minimize(fresh(g)), item.seed
+        assert_minimize_matches(g, item.seed)
+        assert_minimize_matches(shuffled_relabelling(g, rng), item.seed)
 
 
 def test_minimize_matches_the_rescan_loop_on_large_graphs():
     rng = random.Random(1)
     for seed in (0, 5):
-        g = shuffled_relabelling(random_instance(seed, 192).graph, rng)
-        assert minimize(g) == reference_minimize(g), seed
+        assert_minimize_matches(shuffled_relabelling(random_instance(seed, 192).graph, rng), seed)
+
+
+def fibonacci_chain(tag, depth):
+    """catalog_graph(tag) (with one free-point blow-up if it has no edge),
+    then depth blow-ups of the edge joining the two heaviest components."""
+    g = catalog_graph(tag)
+    if not g.edges:
+        g = blow_up_free_point(g, g.vertices[0].id)
+    for _ in range(depth):
+        k = max(range(len(g.edges)),
+                key=lambda k: sorted((g.multiplicity(x) for x in g.edges[k]), reverse=True))
+        g = blow_up_edge(g, k)
+    return g
+
+
+@pytest.mark.parametrize("tag", catalog_tags())
+def test_minimize_matches_the_rescan_loop_on_fibonacci_chains(tag):
+    rng = random.Random(tag)
+    for depth in (1, 4, 12):
+        g = fibonacci_chain(tag, depth)
+        assert_minimize_matches(g, (tag, depth))
+        assert_minimize_matches(shuffled_relabelling(g, rng), (tag, depth))
 
 
 def test_surgery_validates_once(monkeypatch):
