@@ -60,7 +60,7 @@ def _istar(n):
     return _graph.build(verts, edges, name=f"I{n}*")
 
 
-_TAG_RE = re.compile(r"^I(\d+)(\*?)$")
+_TAG_RE = re.compile(r"I([0-9]+)(\*?)")
 
 # Largest n for the tags I<n> and I<n>*: their graphs have about n vertices,
 # so a short tag must not ask for an unbounded build.
@@ -93,7 +93,7 @@ def kodaira_graph(tag: str) -> ReductionGraph:
         return _arms(4, [[2], [3, 2, 1], [3, 2, 1]], "III*")
     if tag == "II*":
         return _arms(6, [[3], [4, 2], [5, 4, 3, 2, 1]], "II*")
-    m = _TAG_RE.match(tag)
+    m = _TAG_RE.fullmatch(tag)
     if m is None:
         raise UnsupportedType(f"unknown fiber tag {tag!r}")
     digits, starred = m.group(1).lstrip("0") or "0", bool(m.group(2))
@@ -118,7 +118,7 @@ def expected_jump(tag: str) -> Fraction:
              "IV*": Fraction(2, 3), "III*": Fraction(3, 4), "II*": Fraction(5, 6)}
     if tag in table:
         return table[tag]
-    m = _TAG_RE.match(tag)
+    m = _TAG_RE.fullmatch(tag)
     if m is None and tag != "I1res":
         raise UnsupportedType(f"unknown fiber tag {tag!r}")
     if m is not None and m.group(2):

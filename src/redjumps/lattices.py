@@ -344,13 +344,13 @@ def column_hnf(M):
 
 # -- random instances for the verification suites ----------------------------
 
-def random_unimodular(rng, n, steps=8):
+def random_unimodular(rng, n):
     """Product of random shears and swaps; determinant is +-1. Raises
     PreconditionFailed, before any draw, unless n is a positive int."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise PreconditionFailed(f"n must be a positive integer, got {n!r}")
     U = identity(n)
-    for _ in range(steps):
+    for _ in range(8):
         if n > 1:
             # two distinct indices, drawn as rng.sample(range(n), 2) draws
             # them (see the module docstring)

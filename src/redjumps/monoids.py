@@ -250,22 +250,20 @@ def _branch_saturated(e, n, c, box):
     return True
 
 
-def chart_saturation_index(chart, nmax=3, box=24):
+def chart_saturation_index(chart):
     """Least degree e of base extension after which the chart stays
     saturated under every further tame extension.
 
     A further degree-n pushout of the degree-e extension is saturated for
     all n exactly when each branch multiplicity divides e, so the index is
     the lcm of the branch multiplicities; the implementation finds it by
-    the bounded box checks rather than by quoting that fact.
+    the box checks for n = 2, 3 on [-24, 24]^2 rather than by quoting that fact.
     """
     if not isinstance(chart, (SaturationChartCase1, SaturationChartCase2)):
         raise PreconditionFailed(f"not a saturation chart: {chart!r}")
-    _check_int("nmax", nmax)
-    _check_int("box", box, 0)
     for e in range(1, lcm(*chart.branches) + 1):
-        if all(_branch_saturated(e, n, c, box)
-               for n in range(2, nmax + 1) for c in chart.branches):
+        if all(_branch_saturated(e, n, c, 24)
+               for n in (2, 3) for c in chart.branches):
             return e
     raise InternalInconsistency("no stable degree found up to the lcm bound")
 
@@ -417,14 +415,12 @@ class AffineMonoid(Value):
                 residual = [ri - q * ci for ri, ci in zip(residual, col)]
         return not any(residual)
 
-    def is_saturated(self, box, kmax=None):
-        """Bounded saturation check on [0, box]^r with multipliers up to
-        kmax; PreconditionFailed when the grid would pass GRID_BITS."""
+    def is_saturated(self, box):
+        """Bounded saturation check on [0, box]^r with multipliers 2 to
+        max(2, box); PreconditionFailed when the grid would pass GRID_BITS."""
         _check_int("box", box, 0)
-        if kmax is None:
-            kmax = max(2, box)
-        _check_int("kmax", kmax, 0)
-        self._ensure_grid(max(box, box * kmax))
+        kmax = max(2, box)
+        self._ensure_grid(box * kmax)
         for x in itertools.product(range(box + 1), repeat=self.rank):
             if not any(x) or self._lookup(x) or not self._in_group(x):
                 continue

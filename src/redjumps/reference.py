@@ -9,7 +9,8 @@ What no ``redjumps compute`` runs, kept out of the modules it imports:
   agrees with the scan by construction;
 - ``principal_dominating``, the walk from a genus-0 tail to its principal
   component;
-- ``is_isomorphic``, label-preserving multigraph isomorphism (networkx).
+- ``is_isomorphic``, label-preserving multigraph isomorphism by colour
+  refinement and backtracking (McKay-Piperno, J. Symbolic Comput. 60 (2014)).
 
 The tests, the acceptance gate and the benchmark's per-layer census call
 these. ``cli``, ``io``, ``graph`` and ``jumps`` never import this module.
@@ -17,6 +18,7 @@ these. ``cli``, ``io``, ``graph`` and ``jumps`` never import this module.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from ._values import Value
@@ -139,21 +141,47 @@ def principal_dominating(g: ReductionGraph, v0: str) -> str:
     return cur
 
 
-def _as_multigraph(g: ReductionGraph):
-    """g as a networkx MultiGraph with the labels on its nodes."""
-    import networkx as nx
-
-    G = nx.MultiGraph()
-    for v in g.vertices:
-        G.add_node(v.id, multiplicity=v.multiplicity, genus=v.genus)
-    G.add_edges_from(g.edges)
-    return G
-
-
 def is_isomorphic(g1: ReductionGraph, g2: ReductionGraph) -> bool:
-    """Label-preserving multigraph isomorphism (multiplicity and genus)."""
-    import networkx as nx
-
-    match = nx.algorithms.isomorphism.categorical_node_match(
-        ["multiplicity", "genus"], [None, None])
-    return nx.is_isomorphic(_as_multigraph(g1), _as_multigraph(g2), node_match=match)
+    """Label-preserving multigraph isomorphism (multiplicity and genus):
+    colour refinement from the labels, then backtracking over vertices of
+    equal colour that checks the edge multiplicity to each placed vertex."""
+    if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
+        return False
+    cs, n = (g1._compiled, g2._compiled), len(g1.vertices)
+    # refine both graphs together until the number of colours stops growing
+    colours, count, palette = [list(zip(c.N, c.genus)) for c in cs], None, {}
+    while count != len(palette):
+        count, palette = len(palette), {}
+        colours = [[palette.setdefault((col[i], tuple(sorted(col[j] for j in c.nbrs[i]))),
+                                       len(palette)) for i in range(n)]
+                   for c, col in zip(cs, colours)]
+    col1, col2 = colours
+    hist = Counter(col1)
+    if hist != Counter(col2):
+        return False
+    # depth first from the rarest colours, so a parent is placed before its child
+    parent, stack = {}, [(s, None) for s in sorted(range(n), key=lambda i: -hist[col1[i]])]
+    while stack:
+        u, p = stack.pop()
+        if u not in parent:
+            parent[u] = p
+            stack += [(w, u) for w in cs[0].nbrs[u]]
+    order = list(parent)
+    A1, A2 = ([Counter(nb) for nb in c.nbrs] for c in cs)
+    f, back, pos, depth = {}, {}, [0] * n, 0  # f: order[:depth] -> g2, back its inverse
+    while 0 <= depth < n:
+        u = order[depth]
+        back.pop(f.pop(u, None), None)
+        # a child's image is a neighbour of its parent's image
+        cands = range(n) if parent[u] is None else cs[1].nbrs[f[parent[u]]]
+        while pos[depth] < len(cands):
+            v = cands[pos[depth]]
+            pos[depth] += 1
+            if col2[v] == col1[u] and v not in back and all(
+                    A2[v].get(f[w], 0) == k for w, k in A1[u].items() if w in f) and all(
+                    A1[u].get(back[x], 0) == k for x, k in A2[v].items() if x in back):
+                f[u], back[v], depth = v, u, depth + 1
+                break
+        else:
+            pos[depth], depth = 0, depth - 1
+    return depth == n

@@ -85,7 +85,9 @@ def test_fiber_index_limit(monkeypatch):
 
 
 def test_unknown_tags_are_rejected():
-    for bad in ("V", "I-1", "I2**", "IIa", ""):
+    # digits are ASCII only (Arabic-Indic three, fullwidth five), and a
+    # trailing newline is not part of a tag
+    for bad in ("V", "I-1", "I2**", "IIa", "", "I\u0663", "I\uff15", "I\u0663*", "I3\n"):
         with pytest.raises(UnsupportedType):
             kodaira_graph(bad)
         with pytest.raises(UnsupportedType):

@@ -1,10 +1,12 @@
 """Document parsing, serialization, and the command-line interface."""
 
 import argparse
+import ast
 import contextlib
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -189,6 +191,23 @@ def test_cli_import_leaves_out_networkx_and_numpy(tmp_path):
                                  ("_values", "cli", "errors", "graph", "io", "jumps")))
 
 
+def test_declared_dependencies_are_the_imported_ones():
+    # what the package imports from outside the standard library and itself
+    # is exactly what pyproject.toml declares
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).parents[1]
+    imported = set()
+    for path in (root / "src" / "redjumps").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    project = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in project["dependencies"]}
+    assert imported - set(sys.stdlib_module_names) - {"redjumps"} == declared == {"numpy"}
+
+
 def run_redjumps(*args, timeout):
     """One `redjumps` process, and its wall time in seconds."""
     env = {**os.environ, "PYTHONPATH": str(Path(redjumps.__file__).parents[1])}
@@ -316,7 +335,7 @@ def test_catalog_emits_document(capsys):
 
 
 def test_catalog_unsupported_tag(capsys):
-    for tag in ("V", "I99999999", "I99999999*", "I" + "9" * 5000):
+    for tag in ("V", "I99999999", "I99999999*", "I" + "9" * 5000, "I\u0663", "I\uff15"):
         assert main(["catalog", tag]) == 1
         assert "error:" in capsys.readouterr().err
 

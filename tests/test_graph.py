@@ -703,6 +703,54 @@ def test_isomorphism_ignores_ids_but_not_labels():
     assert not is_isomorphic(g, kodaira_graph("I3"))
 
 
+def unlabelled(edges):
+    """A graph of the given edges, every vertex labelled (1, 0)."""
+    ids = sorted({x for e in edges for x in e})
+    return ReductionGraph(tuple(Vertex(x, 1, 0) for x in ids), tuple(edges))
+
+
+K33 = [(a, b) for a in "abc" for b in "xyz"]
+PRISM = [("a", "b"), ("b", "c"), ("a", "c"), ("x", "y"), ("y", "z"), ("x", "z"),
+         ("a", "x"), ("b", "y"), ("c", "z")]
+
+
+def test_isomorphism_finds_shuffled_relabellings(corpus):
+    rng = random.Random(2)
+    for item in corpus:
+        for g in (item.inst.graph, item.minimized):
+            assert is_isomorphic(g, shuffled_relabelling(g, rng)), item.seed
+
+
+def test_isomorphism_separates_what_colour_refinement_cannot():
+    # both are 3-regular on six vertices with one label, so every vertex
+    # keeps one colour; the prism has triangles, K3,3 has none
+    k33, prism = unlabelled(K33), unlabelled(PRISM)
+    assert not is_isomorphic(k33, prism) and not is_isomorphic(prism, k33)
+    rng = random.Random(3)
+    for g in (k33, prism):
+        assert is_isomorphic(g, shuffled_relabelling(g, rng))
+
+
+def test_isomorphism_reads_labels_sizes_and_edge_multiplicities():
+    g = kodaira_graph("III*")
+    for k, v in enumerate(g.vertices):
+        for changed in (Vertex(v.id, v.multiplicity + 1, v.genus),
+                        Vertex(v.id, v.multiplicity, v.genus + 1)):
+            verts = g.vertices[:k] + (changed,) + g.vertices[k + 1:]
+            assert not is_isomorphic(g, ReductionGraph(verts, g.edges)), changed
+    # every vertex has degree 2 in both: only the multiplicities differ
+    doubled = unlabelled([("a", "b"), ("a", "b"), ("c", "d"), ("c", "d")])
+    square = unlabelled([("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
+    assert not is_isomorphic(doubled, square) and not is_isomorphic(square, doubled)
+    # one simple graph, every vertex of degree 4 in both: the doubled rungs
+    # lie on no triangle, the doubled ab and xy do
+    rungs = unlabelled(PRISM + [("a", "x"), ("b", "y"), ("c", "z")])
+    sides = unlabelled(PRISM + [("a", "b"), ("x", "y"), ("c", "z")])
+    assert not is_isomorphic(rungs, sides) and not is_isomorphic(sides, rungs)
+    assert not is_isomorphic(kodaira_graph("I3"), kodaira_graph("I4"))
+    assert not is_isomorphic(unlabelled(K33), unlabelled(K33[:-1]))
+
+
 # -- randomized surgery --------------------------------------------------------
 
 @settings(deadline=None, max_examples=40)
