@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cache
 
 from . import graph as _graph
-from ._values import Value
+from ._values import Value, _below
 from .errors import UnsupportedType
 from .graph import ReductionGraph, Vertex
 
@@ -204,10 +204,11 @@ def random_instance(seed: int, moves: int) -> GeneratedGraph:
     shared by every instance grown from it. All moves go to one surgery
     form: each is O(1) apart from picking its vertex or edge by position,
     a list copy or skip done in C, and the result is built and validated
-    once.
+    once. The picks are the draws rng.choice and rng.randrange make, taken
+    straight from getrandbits (see _values._below).
     """
     rng = random.Random(seed)
-    base_name = rng.choice(_SEED_NAMES)
+    base_name = _SEED_NAMES[_below(rng, len(_SEED_NAMES))]
     base = _seed(base_name)
     g = _graph._Surgery(base)
     log = []
@@ -215,11 +216,12 @@ def random_instance(seed: int, moves: int) -> GeneratedGraph:
         # an edgeless graph (the I0 seed before any move) only admits the
         # free-point move
         if rng.random() < 0.5 or not g.edges:
-            v = rng.choice(g.vertices).id  # no vertex is contracted here
+            # no vertex is contracted here
+            v = g.vertices[_below(rng, len(g.vertices))].id
             g.blow_up_free_point(v)
             log.append(("free", v))
         else:
-            e = rng.randrange(len(g.edges))
+            e = _below(rng, len(g.edges))
             g.blow_up_edge(e)
             log.append(("edge", e))
     return GeneratedGraph(g.freeze(), base, base_name, tuple(log))

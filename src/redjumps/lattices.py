@@ -7,18 +7,36 @@ elementary divisors of the inclusion over Z_p; their sum plays the role of
 a conductor. Everything here is exact integer arithmetic: determinants
 and basis changes come from fraction-free (Bareiss, Math. Comp. 22 (1968))
 elimination. The public functions validate each matrix argument once;
-their private cores (_quotient, _smith) take validated rows.
+their private cores (_quotient, _smith, _matmul, _column_hnf) take
+validated rows.
 
-The random instances use public random.Random methods only, and
-random_unimodular draws its two distinct indices i, j exactly as
-rng.sample(range(n), 2) would, without its type check, pool list and
-bookkeeping. For n <= 21 sample keeps a pool of the n indices: it takes
-slot i = randrange(n), moves the last index into that slot, and takes
-slot j = randrange(n - 1) of what is left, which holds j unless j = i,
-when it holds n - 1. For a larger n it redraws randrange(n) until the
-second index differs from the first. sample makes each of these draws as
-one draw below k, the same one randrange(k) makes, so the indices, and
-the generator's state after them, are the same.
+The p-adic valuations of the Smith diagonal come from one elimination
+over the local ring Z_(p) (Cohen, GTM 138, section 2.4), without the Smith form:
+multiplying a row or a column by an integer prime to p is invertible over
+Z_(p) and leaves those valuations as they are. Each step takes the entry
+u p^v (p not dividing u) of least valuation in the trailing block to the
+corner and clears the column below it by row_i <- u row_i - (c_i / p^v)
+row_0, an integer step as v <= v_p(c_i). Clearing the corner's row would
+only scale the other columns by u, so the step drops it and keeps the rest
+of the block, all of whose entries have valuation >= v. The corner
+valuations, in order, are the answer; an all-zero block means X is
+singular.
+
+The random instances draw every integer with _values._below: k =
+n.bit_length() bits from rng.getrandbits, again while the draw is >= n
+(random_unimodular writes that loop out for its own bounds). For a
+random.Random that is the draw its randrange, randint and choice make, so
+the instances, and the generator's state after each, are the same as
+theirs, without the argument handling around it. A generator that
+overrides random() but not getrandbits() is not supported: random.Random
+would then draw its integers from random() instead. random_unimodular
+draws its two distinct indices i, j exactly as rng.sample(range(n), 2)
+would. For n <= 21 sample keeps a pool of the n indices: it takes slot i
+below n, moves the last index into that slot, and takes slot j below n - 1
+of what is left, which holds j unless j = i, when it holds n - 1. For a
+larger n it redraws below n until the second index differs from the first.
+The generators multiply their own well-formed matrices unchecked, with
+_matmul.
 """
 
 from __future__ import annotations
@@ -26,6 +44,7 @@ from __future__ import annotations
 from math import isqrt
 from operator import mul
 
+from ._values import _below
 from .errors import (NotASublattice, PreconditionFailed, ShapeMismatch,
                      SingularMatrix)
 
@@ -63,6 +82,12 @@ def matmul(A, B):
         raise ShapeMismatch("matrix rows must be nonempty and equal length")
     if len(A[0]) != len(B):
         raise ShapeMismatch("inner dimensions do not match")
+    return _matmul(A, B)
+
+
+def _matmul(A, B):
+    """matmul on well-formed operands, unchecked."""
+    cols = list(zip(*B))
     return [[sum(map(mul, row, col)) for col in cols] for row in A]
 
 
@@ -139,37 +164,30 @@ def smith_normal_form(M):
     return _smith(_square(M))
 
 
-def _smith(M, transforms=True):
-    """smith_normal_form on a validated square matrix, left unchanged.
-    With transforms=False only D is computed, and U and V are None."""
+def _smith(M):
+    """smith_normal_form on a validated square matrix, left unchanged."""
     A = [row[:] for row in M]
     n = len(A)
-    U = identity(n) if transforms else None
-    V = identity(n) if transforms else None
+    U = identity(n)
+    V = identity(n)
 
     def row_op(i, j, q):  # row_i -= q * row_j
         A[i] = [a - q * b for a, b in zip(A[i], A[j])]
-        if transforms:
-            U[i] = [a - q * b for a, b in zip(U[i], U[j])]
+        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
 
     def col_op(i, j, q):  # col_i -= q * col_j
         for r in range(n):
             A[r][i] -= q * A[r][j]
-        if transforms:
-            for r in range(n):
-                V[r][i] -= q * V[r][j]
+            V[r][i] -= q * V[r][j]
 
     def swap_rows(i, j):
         A[i], A[j] = A[j], A[i]
-        if transforms:
-            U[i], U[j] = U[j], U[i]
+        U[i], U[j] = U[j], U[i]
 
     def swap_cols(i, j):
         for r in range(n):
             A[r][i], A[r][j] = A[r][j], A[r][i]
-        if transforms:
-            for r in range(n):
-                V[r][i], V[r][j] = V[r][j], V[r][i]
+            V[r][i], V[r][j] = V[r][j], V[r][i]
 
     for t in range(n):
         while True:
@@ -213,8 +231,7 @@ def _smith(M, transforms=True):
             row_op(t, bad, -1)
         if A[t][t] < 0:
             A[t] = [-a for a in A[t]]
-            if transforms:
-                U[t] = [-a for a in U[t]]
+            U[t] = [-a for a in U[t]]
     return U, A, V
 
 
@@ -222,19 +239,16 @@ def diagonal(D):
     return [D[i][i] for i in range(len(D))]
 
 
-def _valuation(x, p):
-    if x == 0:
-        raise SingularMatrix("zero has no finite valuation")
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
-
-
 def _check_prime(p):
     if not isinstance(p, int) or p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
         raise PreconditionFailed(f"p must be prime, got {p!r}")
+
+
+def _check_int(name, x, low=1):
+    """Refuse x unless it is an int (not a bool) of at least low, 0 or 1."""
+    if not isinstance(x, int) or isinstance(x, bool) or x < low:
+        kind = "positive" if low == 1 else "non-negative"
+        raise PreconditionFailed(f"{name} must be a {kind} integer, got {x!r}")
 
 
 def elementary_divisors(inner, outer, p):
@@ -245,8 +259,43 @@ def elementary_divisors(inner, outer, p):
 
 
 def _divisor_valuations(X, p):
-    _, D, _ = _smith(X, transforms=False)
-    return tuple(_valuation(d, p) for d in diagonal(D))
+    """The p-adic valuations of the Smith diagonal of a validated square X,
+    non-decreasing, by elimination over Z_(p) (see the module docstring).
+    Raises SingularMatrix when X is singular."""
+    A = [list(row) for row in X]
+    out = []
+    while A:
+        # the entry of least valuation, stopping at the first unit
+        best = None
+        for i, row in enumerate(A):
+            for j, x in enumerate(row):
+                if x:
+                    v = 0
+                    while x % p == 0:
+                        x //= p
+                        v += 1
+                    if best is None or v < best[0]:
+                        best = (v, i, j)
+                        if not v:
+                            break
+            if best is not None and not best[0]:
+                break
+        if best is None:
+            raise SingularMatrix("matrix is singular")
+        v, i, j = best
+        A[0], A[i] = A[i], A[0]
+        if j:
+            for row in A:
+                row[0], row[j] = row[j], row[0]
+        # row_i <- u row_i - (c_i / p^v) row_0 clears column 0 below the
+        # pivot u p^v; the last block is the rest
+        q = p ** v
+        top = A[0]
+        u = top[0] // q
+        A = [[u * x - c * y for x, y in zip(row[1:], top[1:])] if (c := row[0] // q)
+             else row[1:] for row in A[1:]]
+        out.append(v)
+    return tuple(out)
 
 
 def conductor(inner, outer, p):
@@ -262,8 +311,7 @@ def check_sandwich(l0, l1, l2, p, n):
     that way.
     """
     _check_prime(p)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise PreconditionFailed(f"n must be a non-negative integer, got {n!r}")
+    _check_int("n", n, 0)
     try:  # each argument validated once, in the order of the quotients
         l1 = _square(l1)
         l0 = _square(l0, len(l1))
@@ -274,7 +322,7 @@ def check_sandwich(l0, l1, l2, p, n):
     except (NotASublattice, SingularMatrix) as exc:
         raise PreconditionFailed(f"sandwich precondition fails: {exc}") from exc
     c1 = _divisor_valuations(x21, p)  # c(L2/L1)
-    c0 = _divisor_valuations(matmul(x21, x10), p)  # c(L2/L0): L2 X21 X10 = L0
+    c0 = _divisor_valuations(_matmul(x21, x10), p)  # c(L2/L0): L2 X21 X10 = L0
     return all(a <= b <= a + n for a, b in zip(c1, c0))
 
 
@@ -313,7 +361,11 @@ def column_hnf(M):
     Returns (columns, pivot_rows): the basis vectors as tuples and the row
     index of each column's leading entry.
     """
-    rows = _as_matrix(M)
+    return _column_hnf(_as_matrix(M))
+
+
+def _column_hnf(rows):
+    """column_hnf on a nonempty rectangular list of int rows, left unchanged."""
     r = len(rows)
     cols = [list(col) for col in zip(*rows)]
     t = 0
@@ -344,32 +396,47 @@ def column_hnf(M):
 
 # -- random instances for the verification suites ----------------------------
 
+_SHEARS = (-2, -1, 1, 2)
+
+
 def random_unimodular(rng, n):
     """Product of random shears and swaps; determinant is +-1. Raises
     PreconditionFailed, before any draw, unless n is a positive int."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise PreconditionFailed(f"n must be a positive integer, got {n!r}")
+    _check_int("n", n)
+    # _below(rng, n), _below(rng, n - 1) and _below(rng, 4) written out:
+    # this loop makes nearly all of the instances' draws
+    getrandbits, random = rng.getrandbits, rng.random
+    kn, kj = n.bit_length(), (n - 1).bit_length()
     U = identity(n)
     for _ in range(8):
         if n > 1:
             # two distinct indices, drawn as rng.sample(range(n), 2) draws
             # them (see the module docstring)
-            i = rng.randrange(n)
+            i = getrandbits(kn)
+            while i >= n:
+                i = getrandbits(kn)
             if n <= 21:
-                j = rng.randrange(n - 1)
+                j = getrandbits(kj)
+                while j >= n - 1:
+                    j = getrandbits(kj)
                 if j == i:
                     j = n - 1
             else:
-                j = rng.randrange(n)
+                j = _below(rng, n)
                 while j == i:
-                    j = rng.randrange(n)
-            if rng.random() < 0.8:
-                c = rng.choice((-2, -1, 1, 2))
+                    j = _below(rng, n)
+            if random() < 0.8:
+                c = getrandbits(3)
+                while c >= 4:
+                    c = getrandbits(3)
+                c = _SHEARS[c]
                 U[i] = [a + c * b for a, b in zip(U[i], U[j])]
             else:
                 U[i], U[j] = U[j], U[i]
-        if rng.random() < 0.2:
-            k = rng.randrange(n)
+        if random() < 0.2:
+            k = getrandbits(kn)
+            while k >= n:
+                k = getrandbits(kn)
             U[k] = [-a for a in U[k]]
     return U
 
@@ -378,33 +445,38 @@ def _twisted_diagonal(rng, n, diag):
     """U . diag(diag) . V for random unimodular U and V, drawn in that
     order; the diagonal factor scales the columns of U."""
     U = random_unimodular(rng, n)
-    return matmul([[u * d for u, d in zip(row, diag)] for row in U],
-                  random_unimodular(rng, n))
+    return _matmul([[u * d for u, d in zip(row, diag)] for row in U],
+                   random_unimodular(rng, n))
 
 
 def random_sandwich_instance(rng, g, p, n):
-    """(l0, l1, l2) with p^n L1 <= L0 <= L1 <= L2, by construction."""
+    """(l0, l1, l2) with p^n L1 <= L0 <= L1 <= L2, by construction. Raises
+    PreconditionFailed, before any draw, unless g is a positive int and n a
+    non-negative one."""
+    _check_int("g", g)
+    _check_int("n", n, 0)
     l2 = random_unimodular(rng, g)
-    m1 = _twisted_diagonal(rng, g, [rng.choice([1, p, p * p, rng.randrange(1, 7)])
-                                    for _ in range(g)])
-    l1 = matmul(l2, m1)
-    m0 = _twisted_diagonal(rng, g, [p ** rng.randint(0, n) for _ in range(g)])
-    l0 = matmul(l1, m0)
+    # the tuple, and so its last entry, is drawn before the index into it
+    diag = [(1, p, p * p, 1 + _below(rng, 6))[_below(rng, 4)] for _ in range(g)]
+    l1 = _matmul(l2, _twisted_diagonal(rng, g, diag))
+    m0 = _twisted_diagonal(rng, g, [p ** _below(rng, n + 1) for _ in range(g)])
+    l0 = _matmul(l1, m0)
     return l0, l1, l2
 
 
 def random_complement_instance(rng, g, p):
     """(l1, l2, l3, v) with L1 <= L2 <= L3 and c(L3/L1) = v of the shape
-    (0, ..., 0, a, ..., a)."""
-    zeros = rng.randint(0, g - 1)
-    a = rng.randint(1, 3)
+    (0, ..., 0, a, ..., a). Raises PreconditionFailed, before any draw,
+    unless g is a positive int."""
+    _check_int("g", g)
+    zeros = _below(rng, g)
+    a = 1 + _below(rng, 3)
     v = tuple([0] * zeros + [a] * (g - zeros))
     l3 = random_unimodular(rng, g)
-    l1 = matmul(l3, _twisted_diagonal(rng, g, [p ** c for c in v]))
-    k = rng.randint(1, g)
-    T = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(g)]
-    extra = matmul(l3, T)
-    stacked = [l1[i] + extra[i] for i in range(g)]
-    cols, _ = column_hnf(stacked)
+    l1 = _matmul(l3, _twisted_diagonal(rng, g, [p ** c for c in v]))
+    k = 1 + _below(rng, g)
+    T = [[_below(rng, 7) - 3 for _ in range(k)] for _ in range(g)]
+    extra = _matmul(l3, T)
+    cols, _ = _column_hnf([l1[i] + extra[i] for i in range(g)])
     l2 = [[c[i] for c in cols] for i in range(g)]
     return l1, l2, l3, v

@@ -84,18 +84,11 @@ from numbers import Integral
 from ._values import Value
 from .errors import (InternalInconsistency, NotSaturatedInput,
                      PreconditionFailed)
-from .lattices import column_hnf
+from .lattices import _check_int, column_hnf
 
 # The largest membership grid, in bits: 8 MiB. A grid on [0, B]^r takes up
 # to (2(B + 1))^r bits; the verification suites build at most 4,900.
 GRID_BITS = 1 << 26
-
-
-def _check_int(name, x, low=1):
-    """Refuse x unless it is an int (not a bool) of at least low, 0 or 1."""
-    if not isinstance(x, int) or isinstance(x, bool) or x < low:
-        kind = "positive" if low == 1 else "non-negative"
-        raise PreconditionFailed(f"{name} must be a {kind} integer, got {x!r}")
 
 
 class SaturationChartCase1(Value):
@@ -213,6 +206,11 @@ def divisible_case1(chart, s, t, i):
     degree-(s, i) element is divisible by t powers of the base parameter."""
     for name, x in (("s", s), ("t", t), ("i", i)):
         _check_int(name, x, 0)
+    return _divisible_case1(chart, s, t, i)
+
+
+def _divisible_case1(chart, s, t, i):
+    """divisible_case1 on non-negative ints, unchecked."""
     return chart.a * (s - i) - chart.m * t >= 0
 
 

@@ -176,7 +176,8 @@ def _box(chart, member, sat_member, box):
 def _divisibility(chart):
     """Divisibility grows with s, shrinks with t and with i, and survives
     trading one t for one i."""
-    table = np.array([[[monoids.divisible_case1(chart, s, t, i)
+    divisible = monoids._divisible_case1  # s, t and i are in range
+    table = np.array([[[divisible(chart, s, t, i)
                         for i in range(_BOX + 1)] for t in range(_BOX + 1)]
                       for s in range(2 * _BOX + 1)])
     return bool(np.all(table[:-1, :, :] <= table[1:, :, :])

@@ -1,11 +1,16 @@
 """Named fiber-type graphs and the random instance generator."""
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import redjumps
 from redjumps import (
     GeneratedGraph,
     blow_up_edge,
@@ -209,3 +214,17 @@ def test_random_instance_matches_an_uncached_build(monkeypatch):
         fresh = random_instance(s, s % 16)
         assert fresh.base is not inst.base
         assert fresh == inst and repr(fresh) == repr(inst), s
+
+
+def test_random_instance_leaves_out_the_verifiers():
+    # in a fresh interpreter: growing an instance loads none of the
+    # verification modules
+    heavy = {"numpy", "redjumps.lattices", "redjumps.monoids", "redjumps.verify"}
+    code = ("import sys\n"
+            "from redjumps import random_instance\n"
+            "random_instance(7, 64)\n"
+            f"print(sorted({heavy!r} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(Path(redjumps.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=env)
+    assert proc.stdout.strip() == "[]"

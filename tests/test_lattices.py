@@ -351,8 +351,18 @@ def gate_matrices(rng, count):
 def test_divisor_valuations_match_the_full_smith_form():
     rng = random.Random(20261018)
     for M in gate_matrices(rng, 1_000):
-        for p in (2, 3, 5):
+        for p in (2, 3, 5, 7):
             assert _divisor_valuations(M, p) == valuations(M, p), (M, p)
+    # ranks 5 and 6, dense and twisted, the diagonals carrying up to p^5
+    # next to units and other primes
+    for _ in range(150):
+        g, p = rng.randint(5, 6), rng.choice((2, 3, 5, 7))
+        diag = [rng.choice((1, p, p ** 5, rng.choice((2, 3, 5, 7)) * p ** rng.randint(0, 5)))
+                for _ in range(g)]
+        M = random_square(rng, g, range(-9, 10))
+        for X in ([M] if det(M) else []) + [_twisted_diagonal(rng, g, diag)]:
+            for q in (2, 3, 5, 7):
+                assert _divisor_valuations(X, q) == valuations(X, q), (X, q)
 
 
 def test_divisor_valuations_refuse_singular_matrices():
@@ -457,6 +467,19 @@ def test_random_unimodular_refuses_a_rank_below_one_before_any_draw():
         with pytest.raises(PreconditionFailed):
             random_unimodular(rng, n)
         assert rng.getstate() == state, n
+
+
+def test_instance_generators_refuse_bad_sizes_before_any_draw():
+    bad_g, bad_n = (0, -1, 2.0, True, "3", None), (-1, 1.0, True, "0", None)
+    calls = [lambda rng, g=g: random_complement_instance(rng, g, 2) for g in bad_g]
+    calls += [lambda rng, g=g: random_sandwich_instance(rng, g, 2, 1) for g in bad_g]
+    calls += [lambda rng, n=n: random_sandwich_instance(rng, 2, 2, n) for n in bad_n]
+    for k, call in enumerate(calls):
+        rng = random.Random(7)
+        state = rng.getstate()
+        with pytest.raises(PreconditionFailed):
+            call(rng)
+        assert rng.getstate() == state, k
 
 
 def test_matmul_refuses_malformed_operands():

@@ -1,8 +1,10 @@
-"""Value semantics of the package's frozen record classes, and its exports."""
+"""Value semantics of the package's frozen record classes, its exports, and
+the integer draw of its seeded generators."""
 
 import copy
 import os
 import pickle
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +13,7 @@ import pytest
 
 import redjumps
 from redjumps import analyze, compute_jumps, kodaira_graph, random_instance
+from redjumps._values import _below
 from redjumps.graph import ValidationReport, Vertex, Violation
 from redjumps.reference import IntegralDivisor, _terms_at
 from redjumps.monoids import (AffineMonoid, SaturationChartCase1,
@@ -94,3 +97,20 @@ def test_exports_resolve():
     assert redjumps.errors is __import__("redjumps.errors").errors
     with pytest.raises(AttributeError):
         redjumps.not_exported
+
+
+def test_below_draws_as_randrange_choice_and_randint():
+    # the same value and the same generator state after it, on every bit
+    # length and on both sides of each power of two
+    bounds = list(range(1, 71)) + [2 ** k + d for k in range(1, 71) for d in (-1, 0, 1)]
+    for n in bounds:
+        new, old = random.Random(n), random.Random(n)
+        for _ in range(5):
+            assert _below(new, n) == old.randrange(n), n
+            assert new.getstate() == old.getstate(), n
+    items = ("a", "b", "c", "d")
+    new, old = random.Random(1), random.Random(1)
+    for _ in range(200):
+        assert items[_below(new, 4)] == old.choice(items)
+        assert -3 + _below(new, 7) == old.randint(-3, 3)
+        assert new.getstate() == old.getstate()
