@@ -27,10 +27,10 @@ as a file; --check takes the next word only when it is not an option.
 
 Importing this module loads errors, _values, graph, jumps and io from
 the package and nothing else, and no argparse, gettext or locale: catalog
-and verify (and with it numpy) are imported inside the commands that use
-them, and the single-value and comparison code lives in reference, which
-no command imports. So a compute process pays only for the modules it
-runs.
+and verify are imported inside the commands that use them (and numpy only
+by verify's monoid suite), and the single-value and comparison code lives
+in reference, which no command imports. So a compute process pays only
+for the modules it runs.
 """
 
 from __future__ import annotations
@@ -62,17 +62,9 @@ def _print_violations(report):
         print(f"invalid: {v.code}{where}: {v.message}", file=sys.stderr)
 
 
-def _semantically_valid(g):
-    report = g.validate()
-    if not report.ok:
-        _print_violations(report)
-    return report.ok
-
-
 def _cmd_compute(args):
     g = parse_document(_read(args.file))
-    if not _semantically_valid(g):
-        return 1
+    minimal = _graph.minimize(g)  # raises on an invalid graph, before any scan
     if args.check not in (None, "all", *_jumps.CHECK_NAMES):
         names = ", ".join(_jumps.CHECK_NAMES)
         print(f"error: no check named {args.check!r} (have: {names})",
@@ -82,7 +74,7 @@ def _cmd_compute(args):
     checks = list(report.checks or ())
     if args.check not in (None, "all"):
         checks = [c for c in checks if c[0] == args.check]
-    minimized = _graph.minimize(g) if args.minimize else None
+    minimized = minimal if args.minimize else None
     if args.json:
         doc = report_document(report)
         if args.check is not None:
@@ -131,8 +123,6 @@ def _cmd_validate(args):
 
 def _cmd_minimize(args):
     g = parse_document(_read(args.file))
-    if not _semantically_valid(g):
-        return 1
     sys.stdout.write(dump_graph(_graph.minimize(g)))
     return 0
 

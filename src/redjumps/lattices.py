@@ -7,8 +7,13 @@ elementary divisors of the inclusion over Z_p; their sum plays the role of
 a conductor. Everything here is exact integer arithmetic: determinants
 and basis changes come from fraction-free (Bareiss, Math. Comp. 22 (1968))
 elimination. The public functions validate each matrix argument once;
-their private cores (_quotient, _smith, _matmul, _column_hnf) take
-validated rows.
+their private cores (_quotient, _matmul, _column_hnf) take validated rows.
+
+smith_normal_form runs its row and column steps on one block matrix B =
+[[M, I], [I, 0]] of size 2n and reads every pivot and multiplier off the
+top-left block. A row step acts on the first n rows and a column step on the
+first n columns, so the other blocks only record them, and B ends as
+[[D, U], [V, 0]] with U . M . V = D.
 
 The p-adic valuations of the Smith diagonal come from one elimination
 over the local ring Z_(p) (Cohen, GTM 138, section 2.4), without the Smith form:
@@ -50,8 +55,13 @@ from .errors import (NotASublattice, PreconditionFailed, ShapeMismatch,
 
 
 def _as_matrix(M):
-    rows = [list(r) for r in M]
-    if not rows or any(len(r) != len(rows[0]) for r in rows):
+    """M as a fresh list of int rows. Raises ShapeMismatch unless M is a
+    nonempty iterable of nonempty iterable rows of one length."""
+    try:
+        rows = [list(r) for r in M]
+    except TypeError:  # M or a row is not iterable: refused as empty
+        rows = []
+    if not rows or not rows[0] or any(len(r) != len(rows[0]) for r in rows):
         raise ShapeMismatch("matrix rows must be nonempty and equal length")
     for r in rows:
         for x in r:
@@ -75,11 +85,10 @@ def identity(n):
 
 
 def matmul(A, B):
-    """A . B for matrices given as lists of rows. Raises ShapeMismatch when
-    either is empty or ragged or the inner dimensions differ."""
-    cols = list(zip(*B))
-    if not cols or len({*map(len, A)}) != 1 or {*map(len, B)} != {len(cols)}:
-        raise ShapeMismatch("matrix rows must be nonempty and equal length")
+    """A . B for integer matrices given as lists of rows. Raises
+    ShapeMismatch when either is not a matrix or the inner dimensions
+    differ."""
+    A, B = _as_matrix(A), _as_matrix(B)
     if len(A[0]) != len(B):
         raise ShapeMismatch("inner dimensions do not match")
     return _matmul(A, B)
@@ -160,79 +169,57 @@ def _quotient(outer, inner):
 
 def smith_normal_form(M):
     """(U, D, V) with U . M . V = D diagonal, d_1 | d_2 | ... | d_n > 0,
-    and U, V unimodular. M must be square and nonsingular."""
-    return _smith(_square(M))
-
-
-def _smith(M):
-    """smith_normal_form on a validated square matrix, left unchanged."""
-    A = [row[:] for row in M]
+    and U, V unimodular. M must be square and nonsingular. The steps run
+    on B = [[M, I], [I, 0]] (see the module docstring)."""
+    A = _square(M)
     n = len(A)
-    U = identity(n)
-    V = identity(n)
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        A[i] = [a - q * b for a, b in zip(A[i], A[j])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for r in range(n):
-            A[r][i] -= q * A[r][j]
-            V[r][i] -= q * V[r][j]
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for r in range(n):
-            A[r][i], A[r][j] = A[r][j], A[r][i]
-            V[r][i], V[r][j] = V[r][j], V[r][i]
-
+    E = identity(n)
+    B = [a + e for a, e in zip(A, E)] + [e + [0] * n for e in E]
     for t in range(n):
         while True:
-            # Bring the smallest nonzero entry of the trailing block to (t, t).
+            # Bring the smallest nonzero entry of the trailing block, the
+            # first in row-major order, to (t, t).
             best = None
             for i in range(t, n):
+                row = B[i]
                 for j in range(t, n):
-                    if A[i][j] != 0 and (best is None or abs(A[i][j]) < abs(A[best[0]][best[1]])):
-                        best = (i, j)
+                    x = row[j]
+                    if x and (best is None or abs(x) < least):
+                        best, least = (i, j), abs(x)
             if best is None:  # rank t < n, as unimodular steps keep the rank
                 raise SingularMatrix("matrix is singular")
             bi, bj = best
-            if bi != t:
-                swap_rows(t, bi)
+            B[t], B[bi] = B[bi], B[t]
             if bj != t:
-                swap_cols(t, bj)
+                for row in B:
+                    row[t], row[bj] = row[bj], row[t]
+            top = B[t]
+            d = top[t]
             dirty = False
-            for i in range(t + 1, n):
-                if A[i][t] != 0:
-                    row_op(i, t, A[i][t] // A[t][t])
-                    if A[i][t] != 0:
-                        dirty = True
-            for j in range(t + 1, n):
-                if A[t][j] != 0:
-                    col_op(j, t, A[t][j] // A[t][t])
-                    if A[t][j] != 0:
-                        dirty = True
+            for i in range(t + 1, n):  # row_i -= q row_t
+                if B[i][t]:
+                    q = B[i][t] // d
+                    B[i] = [a - q * b for a, b in zip(B[i], top)]
+                    dirty = dirty or B[i][t] != 0
+            for j in range(t + 1, n):  # col_j -= q col_t
+                if top[j]:
+                    q = top[j] // d
+                    for row in B:
+                        row[j] -= q * row[t]
+                    dirty = dirty or top[j] != 0
             if dirty:
                 continue
-            # Pivot divides every remaining entry, or fold a bad row in.
-            bad = None
-            for i in range(t + 1, n):
-                for j in range(t + 1, n):
-                    if A[i][j] % A[t][t] != 0:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
+            # The pivot divides every remaining entry, or the first row
+            # holding a non-multiple is added to row t.
+            bad = next((B[i] for i in range(t + 1, n)
+                        if any(x % d for x in B[i][t + 1:n])), None)
             if bad is None:
                 break
-            row_op(t, bad, -1)
-        if A[t][t] < 0:
-            A[t] = [-a for a in A[t]]
-            U[t] = [-a for a in U[t]]
-    return U, A, V
+            B[t] = [a + b for a, b in zip(top, bad)]
+        if B[t][t] < 0:
+            B[t] = [-a for a in B[t]]
+    return ([row[n:] for row in B[:n]], [row[:n] for row in B[:n]],
+            [row[:n] for row in B[n:]])
 
 
 def diagonal(D):

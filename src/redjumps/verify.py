@@ -9,7 +9,7 @@ graphs suite checks random_instance(s, s % 16) for s in [seed, seed +
 count), with s as witness; the lattices suite checks count instances of
 each check, redrawing singular matrices; the monoids suite runs its
 exhaustive checks on every chart with m <= 12, and count random points
-and count pushout monoids.
+and count pushout monoids. numpy is imported by the monoid suite only.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 import random
 from collections import namedtuple
-
-import numpy as np
 
 from . import catalog, jumps, lattices, monoids
 
@@ -104,6 +102,8 @@ def _smith_form(M, d):
 
 
 def monoid_suite(seed, count):
+    import numpy as np
+
     rng = random.Random(seed)
     tally = _Tally()
     # int32 holds every value _box forms: the largest is n U with
@@ -157,6 +157,8 @@ def _box(chart, member, sat_member, box):
     """On the whole box, the closed forms equal the definitions: a shift k
     in [-_BOX, _BOX] into the orthant (enough, as a, m >= 1), and a
     multiple up to m times the largest branch multiplicity in the monoid."""
+    import numpy as np
+
     U, V, W = box
     # case 1 bounds v by its one branch, case 2 bounds u and v
     branches = tuple(zip((U, V)[-len(chart.branches):], chart.branches))
@@ -176,6 +178,8 @@ def _box(chart, member, sat_member, box):
 def _divisibility(chart):
     """Divisibility grows with s, shrinks with t and with i, and survives
     trading one t for one i."""
+    import numpy as np
+
     divisible = monoids._divisible_case1  # s, t and i are in range
     table = np.array([[[divisible(chart, s, t, i)
                         for i in range(_BOX + 1)] for t in range(_BOX + 1)]

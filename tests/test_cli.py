@@ -315,6 +315,18 @@ def test_validate_json(tmp_path, capsys):
     assert {v["code"] for v in doc["violations"]} == {"gcd"}
 
 
+def test_compute_and_minimize_report_an_invalid_graph_as_validate_does(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(GCD2_DOC)
+    assert main(["validate", str(bad)]) == 1
+    expected = capsys.readouterr().err
+    assert expected.startswith("invalid: gcd")
+    for argv in (["compute", str(bad)], ["compute", "--check", "bogus", str(bad)],
+                 ["minimize", str(bad)]):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", expected), argv
+
+
 def test_minimize_pipe(tmp_path, capsys):
     big = blow_up_free_point(kodaira_graph("III"), "c")
     assert main(["minimize", doc_path(tmp_path, big)]) == 0

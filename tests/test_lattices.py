@@ -5,6 +5,7 @@ reduction computation before the implementation existed.
 """
 
 import hashlib
+import math
 import random
 
 import pytest
@@ -314,13 +315,18 @@ def test_random_complement_instances_match(seed, g, p):
     assert elementary_divisors(l2, l3, p) == chain_complement(v, w)
 
 
-@settings(deadline=None, max_examples=40)
-@given(seed=st.integers(0, 10_000), n=st.integers(1, 4))
-def test_smith_normal_form_properties(seed, n):
+@settings(deadline=None, max_examples=80)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 6), twisted=st.booleans())
+def test_smith_normal_form_properties(seed, n, twisted):
     rng = random.Random(seed)
-    M = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(n)]
-    if det(M) == 0:
-        return
+    if twisted:  # U . diag . V with the diagonal carrying up to p^5
+        p = rng.choice((2, 3, 5, 7))
+        M = _twisted_diagonal(rng, n, [rng.choice((1, p, p ** 5, p ** rng.randint(0, 5)))
+                                       for _ in range(n)])
+    else:
+        M = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(n)]
+        if det(M) == 0:
+            return
     U, D, V = smith_normal_form(M)
     assert unimodular(U) and unimodular(V)
     assert matmul(matmul(U, M), V) == D
@@ -328,6 +334,7 @@ def test_smith_normal_form_properties(seed, n):
     assert all(d > 0 for d in ds)
     for a, b in zip(ds, ds[1:]):
         assert b % a == 0
+    assert math.prod(ds) == abs(det(M))
 
 
 # -- the Smith form without its transforms ----------------------------------------
@@ -490,6 +497,21 @@ def test_matmul_refuses_malformed_operands():
                         ([[1, 2], [3]], A), ([[1], [3, 4]], A),  # ragged left
                         (A, [[1, 2], [3]]), (A, [[1], [3, 4]]),  # ragged right
                         (A, [[1, 2, 3]]), (A, [[1], [2], [3]]),  # inner dimensions
-                        ([[1, 2, 3], [4, 5, 6]], A)]:
+                        ([[1, 2, 3], [4, 5, 6]], A),
+                        ([[1.5]], [[2]]), ([[2]], [[True]]),  # entries
+                        ([[1]], [1]), (5, A), (A, 5), (None, A)]:  # not a matrix
         with pytest.raises(ShapeMismatch):
             matmul(left, right)
+
+
+@pytest.mark.parametrize("bad", [5, None, [1, 2], [[]], [[], []], [[1, 2], [3]],
+                                 [[1.5]], [[True]], ["ab"]])
+def test_public_functions_refuse_what_is_not_an_integer_matrix(bad):
+    good = [[1]]
+    for call in (lambda: det(bad), lambda: matmul(bad, good), lambda: matmul(good, bad),
+                 lambda: lattice_quotient(bad, good), lambda: lattice_quotient(good, bad),
+                 lambda: smith_normal_form(bad), lambda: column_hnf(bad),
+                 lambda: elementary_divisors(bad, good, 2),
+                 lambda: elementary_divisors(good, bad, 2)):
+        with pytest.raises(ShapeMismatch):
+            call()

@@ -333,6 +333,20 @@ def test_monoids_import_leaves_out_numpy():
     assert proc.stdout.strip() == "False"
 
 
+def test_only_the_monoid_suite_loads_numpy():
+    code = ("import sys\n"
+            "from redjumps.verify import graph_suite, lattice_suite, monoid_suite\n"
+            "graph_suite(0, 2)\n"
+            "lattice_suite(0, 2)\n"
+            "print('numpy' in sys.modules)\n"
+            "monoid_suite(0, 1)\n"
+            "print('numpy' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(redjumps.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=env)
+    assert proc.stdout.split() == ["False", "True"]
+
+
 def test_chart_saturation_index_rejects_other_inputs():
     with pytest.raises(PreconditionFailed):
         chart_saturation_index("II")
