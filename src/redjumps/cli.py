@@ -19,18 +19,20 @@ stderr with no check table. compute answers from the minimal model, so
 only compute --check, which also scans the model as given, meets the
 budget on a model whose minimal model is small.
 
-The arguments are read by a small parser over one table of the commands
-(_COMMANDS), which also gives the usage and help text. It reads them as
-argparse would: options anywhere after the command, "--opt=value", unique
-prefixes of long options ("--js"), "--" before positional words, and "-"
-as a file; --check takes the next word only when it is not an option.
+The arguments are parsed by argparse, with one exception: _common reads
+the plain forms of compute, validate, minimize and catalog (the command,
+its exact switches, --check with or without a NAME, and the positional)
+to the values argparse would return, without importing it. Any other
+form, help and every usage error go to argparse. --check takes the next
+word as its NAME unless that word is an option, so a bare --check goes
+after FILE: "compute - --check" reads stdin.
 
-Importing this module loads errors, _values, graph, jumps and io from
-the package and nothing else, and no argparse, gettext or locale: catalog
-and verify are imported inside the commands that use them (and numpy only
-by verify's monoid suite), and the single-value and comparison code lives
-in reference, which no command imports. So a compute process pays only
-for the modules it runs.
+Importing this module loads errors, _values, graph and io from the
+package and nothing else, and no argparse, gettext or locale: jumps,
+catalog and verify are imported inside the commands that use them (and
+numpy only by verify's monoid suite), and the single-value and
+comparison code lives in reference, which no command imports. So a
+process pays only for the modules it runs.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ import sys
 from types import SimpleNamespace
 
 from . import graph as _graph
-from . import jumps as _jumps
 from .errors import (InternalInconsistency, OverBudget, ParseError,
                      RedjumpsError, ValidationError)
 from .io import dump_graph, parse_document, report_document
@@ -63,6 +64,8 @@ def _print_violations(report):
 
 
 def _cmd_compute(args):
+    from . import jumps as _jumps
+
     g = parse_document(_read(args.file))
     minimal = _graph.minimize(g)  # raises on an invalid graph, before any scan
     if args.check not in (None, "all", *_jumps.CHECK_NAMES):
@@ -107,8 +110,12 @@ def _cmd_compute(args):
 
 
 def _cmd_validate(args):
-    g = parse_document(_read(args.file))
-    report = g.validate()
+    try:
+        report = parse_document(_read(args.file)).validate()
+    except ValidationError as exc:  # structural: the constructor refused the graph
+        if exc.report is None:
+            raise
+        report = exc.report
     if args.json:
         print(json.dumps({
             "valid": report.ok,
@@ -150,226 +157,116 @@ def _cmd_verify(args):
     return 2 if failed else 0
 
 
-# -- the command line: one table for the parser, the usage and the help ----
+# -- the command line --------------------------------------------------------
 
-class _Option:
-    """One --option of a command. Without a metavar it is a switch, True
-    when given. Otherwise it takes a value, the text after "=" or the next
-    word, converted by ``convert``; with a ``const`` the value is optional:
-    the next word is taken only when it is not an option, and ``const``
-    stands in for a missing one."""
+_COMMANDS = {"compute": _cmd_compute, "validate": _cmd_validate,
+             "minimize": _cmd_minimize, "catalog": _cmd_catalog, "verify": _cmd_verify}
 
-    __slots__ = ("help", "metavar", "default", "convert", "const")
-
-    def __init__(self, help, metavar=None, default=False, convert=str, const=None):
-        self.help = help
-        self.metavar = metavar
-        self.default = default
-        self.convert = convert
-        self.const = const
-
-    def usage(self, flag):
-        if self.metavar is None:
-            return flag
-        if self.const is not None:
-            return f"{flag} [{self.metavar}]"
-        return f"{flag} {self.metavar}"
+# the commands _common reads: their positional and their switches
+_PLAIN = {"compute": ("file", ("--json", "--minimize")),
+          "validate": ("file", ("--json",)),
+          "minimize": ("file", ()),
+          "catalog": ("tag", ())}
 
 
-def _int(text):
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"invalid int value: {text!r}") from None
-
-
-def _non_negative_int(text):
-    value = _int(text)
-    if value < 0:
-        raise ValueError(f"must be non-negative, got {value}")
-    return value
-
-
-_SUITES = ("graphs", "lattices", "monoids", "all")
-
-
-def _suite(text):
-    if text not in _SUITES:
-        raise ValueError(f"invalid choice: {text!r} "
-                         f"(choose from {', '.join(map(repr, _SUITES))})")
-    return text
-
-
-_FILE = ("file", True, 'input document ("-" for stdin)')
-_JSON = _Option("machine-readable output")
-
-# name: (run, summary, positional, options); the positional is (name,
-# required, help) or None, and each option is keyed by its flag, whose
-# name without the dashes is the attribute it sets
-_COMMANDS = {
-    "compute": (_cmd_compute, "jump spectrum and invariants", _FILE, {
-        "--json": _JSON,
-        "--check": _Option("run consistency checks (default: all)", "NAME",
-                           default=None, const="all"),
-        "--minimize": _Option("also report the minimal model size")}),
-    "validate": (_cmd_validate, "validate an input document", _FILE, {"--json": _JSON}),
-    "minimize": (_cmd_minimize, "write the minimal model", _FILE, {}),
-    "catalog": (_cmd_catalog, "named fiber types",
-                ("tag", False, "emit this graph as a document"), {}),
-    "verify": (_cmd_verify, "randomized verification suites", None, {
-        "--suite": _Option("the suites to run (default: all)",
-                           "{" + ",".join(_SUITES) + "}", "all", _suite),
-        "--seed": _Option("random seed (default: 0)", "SEED", 0, _int),
-        "--count": _Option("instances per check (default: 100)", "COUNT", 100,
-                           _non_negative_int)}),
-}
-_HELP = ("-h", "--help")
-
-
-def _usage(command):
-    if command is None:
-        return f"usage: redjumps [-h] {{{','.join(_COMMANDS)}}} ..."
-    _, _, positional, options = _COMMANDS[command]
-    words = [f"usage: redjumps {command} [-h]",
-             *(f"[{option.usage(flag)}]" for flag, option in options.items())]
-    if positional is not None:
-        name, required, _ = positional
-        words.append(name if required else f"[{name}]")
-    return " ".join(words)
-
-
-def _fail(command, message):
-    """A usage error: exit 1, as for invalid input (2 is a failed check)."""
-    prog = "redjumps" if command is None else f"redjumps {command}"
-    print(f"{_usage(command)}\n{prog}: error: {message}", file=sys.stderr)
-    raise SystemExit(1)
-
-
-def _help(command, value):
-    if value is not None:
-        _fail(command, f"argument -h/--help: ignored explicit argument {value!r}")
-    rows = [("-h, --help", "show this help message and exit")]
-    if command is None:
-        summary = "Jump spectra of Jacobians from sncd reduction graphs."
-        sections = [("commands", [(name, c[1]) for name, c in _COMMANDS.items()])]
-    else:
-        _, summary, positional, options = _COMMANDS[command]
-        rows += [(option.usage(flag), option.help) for flag, option in options.items()]
-        sections = []
-        if positional is not None:
-            name, _, text = positional
-            sections.append(("positional arguments", [(name, text)]))
-    sections.append(("options", rows))
-    width = min(22, 2 + max(len(left) for _, rows in sections for left, _ in rows))
-    lines = [_usage(command), "", summary]
-    for title, rows in sections:
-        lines += ["", f"{title}:"]
-        for left, text in rows:
-            lines += ([f"  {left:<{width}}{text}"] if len(left) + 2 <= width
-                      else [f"  {left}", " " * (width + 2) + text])
-    print("\n".join(lines))
-    raise SystemExit(0)
-
-
-def _option(word, flags, command):
-    """(flag, the value after "=" or None) for a word naming one of flags,
-    or a unique prefix of a long one; (None, None) for an unknown option;
-    None for a word that is not an option: one not starting with "-", "-"
-    and "--", a negative number, or one with a space."""
-    if not word.startswith("-") or word in ("-", "--"):
+def _common(argv):
+    """The values argparse would return for a plain form, or None. A plain
+    form is a command of _PLAIN followed by its exact switches, --check
+    (compute only) and plain words (not starting with "-", or "-" itself),
+    at most one of those (one exactly, but for catalog); --check takes the
+    next word as NAME when it is plain. Any other word, help and every
+    error are left to argparse."""
+    if not argv or argv[0] not in _PLAIN:
         return None
-    name, eq, value = word.partition("=")
-    value = value if eq else None
-    if word in flags:
-        return word, None
-    if name in flags:
-        return name, value
-    if word.startswith("--"):
-        hits = [flag for flag in flags if flag.startswith(name)]
-        if len(hits) > 1:
-            _fail(command, f"ambiguous option: {name} could match {', '.join(hits)}")
-        if hits:
-            return hits[0], value
-    whole, dot, fraction = word[1:].partition(".")
-    if ((whole.isdecimal() or (dot and not whole)) and (not dot or fraction.isdecimal())
-            or " " in word):
+    command, words = argv[0], argv[1:]
+    positional, switches = _PLAIN[command]
+    values = {"command": command, **dict.fromkeys((flag[2:] for flag in switches), False)}
+    if command == "compute":
+        values["check"] = None
+    plain = []
+    i = 0
+    while i < len(words):
+        word = words[i]
+        i += 1
+        if word == "--check" and command == "compute":
+            if i < len(words) and _is_plain(words[i]):
+                values["check"], i = words[i], i + 1
+            else:
+                values["check"] = "all"
+        elif word in switches:
+            values[word[2:]] = True
+        elif _is_plain(word):
+            plain.append(word)
+        else:
+            return None
+    if len(plain) > 1 or (not plain and positional == "file"):
         return None
-    return None, None
+    values[positional] = plain[0] if plain else None
+    return SimpleNamespace(**values)
+
+
+def _is_plain(word):
+    return word == "-" or not word.startswith("-")
 
 
 def _parse_args(argv):
-    """The command and its values, read as argparse reads them: options
-    anywhere after the command, "--opt=value", unique prefixes of long
-    options, "--" before words that are only positional, and "-" as a
-    word. A usage error or -h/--help exits."""
+    """The command and its values: _common reads the plain forms, and
+    argparse, imported only here, everything else. A usage error or
+    -h/--help exits."""
     argv = list(argv)
-    extras = []
-    for k, word in enumerate(argv):  # before the command only -h and --help
-        hit = _option(word, _HELP, None)
-        if hit is None:
-            break
-        if hit[0] is None:
-            extras.append(word)
-        else:
-            _help(None, hit[1])
-    else:
-        _fail(None, "the following arguments are required: command")
-    command, words = argv[k], argv[k + 1:]
-    if command not in _COMMANDS:
-        _fail(None, f"argument command: invalid choice: {command!r} "
-                    f"(choose from {', '.join(map(repr, _COMMANDS))})")
-    _, _, positional, options = _COMMANDS[command]
-    values = {"command": command, **{flag[2:]: option.default
-                                     for flag, option in options.items()}}
-    end = words.index("--") if "--" in words else len(words)
-    flags = {**dict.fromkeys(_HELP), **options}
-    hits = [_option(word, flags, command) for word in words[:end]]
-    positionals = []
-    i = 0
-    while i < end:
-        word, hit = words[i], hits[i]
-        i += 1
-        if hit is None:
-            positionals.append(word)
-        elif hit[0] is None:
-            extras.append(word)
-        elif hit[0] in _HELP:
-            _help(command, hit[1])
-        else:
-            flag, value = hit
-            option = options[flag]
-            if option.metavar is None:
-                if value is not None:
-                    _fail(command, f"argument {flag}: ignored explicit argument {value!r}")
-                value = True
-            else:
-                if value is None and i < end and hits[i] is None:
-                    value, i = words[i], i + 1
-                if value is not None:
-                    try:
-                        value = option.convert(value)
-                    except ValueError as exc:
-                        _fail(command, f"argument {flag}: {exc}")
-                elif option.const is None:
-                    _fail(command, f"argument {flag}: expected one argument")
-                else:
-                    value = option.const
-            values[flag[2:]] = value
-    positionals += words[end + 1:]
-    if positional is not None:
-        name, required, _ = positional
-        if not positionals and required:
-            _fail(command, f"the following arguments are required: {name}")
-        values[name] = positionals.pop(0) if positionals else None
-    if extras or positionals:
-        _fail(command, "unrecognized arguments: " + " ".join(extras + positionals))
-    return SimpleNamespace(**values)
+    args = _common(argv)
+    if args is not None:
+        return args
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):  # a usage error is invalid input (1), not a failed check (2)
+            self.print_usage(sys.stderr)
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
+    def count(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+        return value
+
+    parser = Parser(prog="redjumps",
+                    description="Jump spectra of Jacobians from sncd reduction graphs.")
+    sub = parser.add_subparsers(title="commands", dest="command", required=True)
+
+    def command(name, summary):
+        return sub.add_parser(name, help=summary, description=summary)
+
+    file_help = 'input document ("-" for stdin)'
+    json_help = "machine-readable output"
+    p = command("compute", "jump spectrum and invariants")
+    p.add_argument("file", help=file_help)
+    p.add_argument("--json", action="store_true", help=json_help)
+    p.add_argument("--check", nargs="?", const="all", metavar="NAME",
+                   help="run consistency checks (default: all)")
+    p.add_argument("--minimize", action="store_true", help="also report the minimal model size")
+    p = command("validate", "validate an input document")
+    p.add_argument("file", help=file_help)
+    p.add_argument("--json", action="store_true", help=json_help)
+    p = command("minimize", "write the minimal model")
+    p.add_argument("file", help=file_help)
+    p = command("catalog", "named fiber types")
+    p.add_argument("tag", nargs="?", help="emit this graph as a document")
+    p = command("verify", "randomized verification suites")
+    p.add_argument("--suite", choices=("graphs", "lattices", "monoids", "all"), default="all",
+                   help="the suites to run (default: all)")
+    p.add_argument("--seed", type=int, default=0, help="random seed (default: 0)")
+    p.add_argument("--count", type=count, default=100, help="instances per check (default: 100)")
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return _COMMANDS[args.command][0](args)
+        return _COMMANDS[args.command](args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

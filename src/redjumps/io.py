@@ -25,7 +25,6 @@ import json
 
 from .errors import ParseError
 from .graph import ReductionGraph, Vertex
-from .jumps import AnalysisReport
 
 FORMAT = "reduction-graph/1"
 

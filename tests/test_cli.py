@@ -14,6 +14,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import redjumps
 from redjumps import (
@@ -32,7 +34,7 @@ from redjumps import (
     report_document,
     run_checks,
 )
-from redjumps.cli import _parse_args, main
+from redjumps.cli import _common, _parse_args, main
 from redjumps.errors import ParseError, ValidationError
 
 GCD2_DOC = json.dumps({
@@ -175,20 +177,40 @@ def test_cli_import_leaves_out_networkx_and_numpy(tmp_path):
     heavy = {"argparse", "gettext", "locale", "networkx", "numpy", "dataclasses",
              "inspect", "redjumps.catalog", "redjumps.verify", "redjumps.reference"}
     path = doc_path(tmp_path, kodaira_graph("II*"))
-    code = ("import sys, contextlib, io, redjumps.cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    code = redjumps.cli.main(['compute', {path!r}, '--json', '--check'])\n"
-            "print(code)\n"
-            f"print(sorted({heavy!r} & set(sys.modules)))\n"
-            "print(sorted(m for m in sys.modules if m.startswith('redjumps.')))")
-    env = {**os.environ, "PYTHONPATH": str(Path(redjumps.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True, env=env)
-    code, left_in, package = proc.stdout.splitlines()
+
+    def run(argv, stdin=None):
+        code = ("import sys, contextlib, io, redjumps.cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    code = redjumps.cli.main({argv!r})\n"
+                "print(code)\n"
+                f"print(sorted({heavy!r} & set(sys.modules)))\n"
+                "print(sorted(m for m in sys.modules if m.startswith('redjumps.')))\n"
+                "print('fractions' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": str(Path(redjumps.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, input=stdin,
+                              text=True, check=True, env=env)
+        return proc.stdout.splitlines()
+
+    code, left_in, package, _ = run(["compute", path, "--json", "--check"])
     assert code == "0"
     assert left_in == "[]"
     assert package == str(sorted(f"redjumps.{m}" for m in
                                  ("_values", "cli", "errors", "graph", "io", "jumps")))
+    # the other plain forms load no argparse either, and only the commands
+    # that need them load jumps or catalog, and with them fractions
+    for argv, stdin, more in (
+            (["validate", path, "--json"], None, ()),
+            (["minimize", path], None, ()),
+            (["catalog"], None, ("catalog",)),
+            (["catalog", "II"], None, ("catalog",)),
+            (["compute", "-", "--check", "dual-route", "--minimize"],
+             Path(path).read_text(), ("jumps",))):
+        code, left_in, package, fractions = run(argv, stdin)
+        assert code == "0", argv
+        assert left_in == str([f"redjumps.{m}" for m in more if m == "catalog"]), argv
+        assert package == str(sorted(f"redjumps.{m}" for m in
+                                     ("_values", "cli", "errors", "graph", "io", *more))), argv
+        assert fractions == str(bool(more)), argv
 
 
 def test_declared_dependencies_are_the_imported_ones():
@@ -306,13 +328,36 @@ def test_validate(tmp_path, capsys):
     assert "invalid: gcd" in capsys.readouterr().err
 
 
-def test_validate_json(tmp_path, capsys):
+def structural_doc(vertices, edges=()):
+    return json.dumps({"format": "reduction-graph/1", "edges": [list(e) for e in edges],
+                       "vertices": [{"id": v, "multiplicity": n, "genus": g}
+                                    for v, n, g in vertices]})
+
+
+@pytest.mark.parametrize("text, codes", [
+    (GCD2_DOC, {"gcd"}),
+    # structural violations: the constructor raises, with a report
+    (structural_doc([("a", 1, 0), ("a", 1, 0)]), {"vertex-id"}),
+    (structural_doc([("a", 1, 0)], [("a", "a")]), {"loop"}),
+    (structural_doc([("a", 1, 0)], [("a", "b")]), {"edge-endpoint"}),
+    (structural_doc([("a", 0, 0)]), {"multiplicity"}),
+    (structural_doc([("a", 1, -1)]), {"genus-label"}),
+])
+def test_validate_json(text, codes, tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(GCD2_DOC)
+    bad.write_text(text)
+    assert main(["validate", str(bad)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
     assert main(["validate", "--json", str(bad)]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["valid"] is False
-    assert {v["code"] for v in doc["violations"]} == {"gcd"}
+    assert {v["code"] for v in doc["violations"]} == codes
+    # the text form prints the same violations, one line each
+    lines = err.splitlines()
+    assert len(lines) == len(doc["violations"])
+    assert all(line.startswith(f"invalid: {v['code']}")
+               for line, v in zip(lines, doc["violations"]))
 
 
 def test_compute_and_minimize_report_an_invalid_graph_as_validate_does(tmp_path, capsys):
@@ -464,11 +509,11 @@ def test_main_reads_sys_argv(monkeypatch, capsys):
     assert "error: argument --count" in capsys.readouterr().err
 
 
-# -- the argument parser against the argparse one it replaced --------------------
+# -- the argument parser against a plain argparse one ----------------------------
 
 def reference_parser():
-    """The argparse parser the command line used to build, without the
-    handlers: the reference for the table-driven one."""
+    """The parser of the command line built by argparse alone, without the
+    handlers: the reference for _parse_args and its argparse-free path."""
 
     def non_negative_int(text):
         value = int(text)
@@ -569,3 +614,43 @@ def test_parser_matches_argparse(argv):
     words = shlex.split(argv)
     assert parse_with(_parse_args, words) == \
         parse_with(reference_parser().parse_args, words)
+
+
+# commands and words: exact options, plain words, and what only looks like them
+FIRST_WORDS = ("compute", "validate", "minimize", "catalog", "verify", "frobnicate", "-h", "--")
+WORDS = ("f", "g", "dual-route", "graphs", "3", "", "-", "--json", "--minimize", "--check",
+         "--suite", "--seed", "--count", "--", "-5", "-x", "--js", "--check=x", "-h", "-a b")
+# the options of the plain forms, "--check NAME" as one
+PLAIN_OPTIONS = {"compute": ("--json", "--minimize", "--check", "--check all",
+                             "--check dual-route"),
+                 "validate": ("--json",), "minimize": (), "catalog": ()}
+
+
+@st.composite
+def argvs(draw):
+    """Any words after a command, or a plain form with at most one word put in."""
+    if draw(st.booleans()):
+        return [draw(st.sampled_from(FIRST_WORDS)),
+                *draw(st.lists(st.sampled_from(WORDS), max_size=5))]
+    command = draw(st.sampled_from(list(PLAIN_OPTIONS)))
+    options = draw(st.lists(st.sampled_from(PLAIN_OPTIONS["compute"]), max_size=3))
+    words = [word for option in options if option in PLAIN_OPTIONS[command]
+             for word in option.split()]
+    words.insert(draw(st.integers(0, len(words))), draw(st.sampled_from(("f", "-", "", "g"))))
+    if draw(st.booleans()):
+        words.insert(draw(st.integers(0, len(words))), draw(st.sampled_from(WORDS)))
+    return [command, *words]
+
+
+def test_fuzzed_argv_parse_as_argparse_does():
+    taken = []
+
+    @settings(deadline=None, max_examples=400)
+    @given(argvs())
+    def check(argv):
+        taken.append(_common(argv) is not None)
+        assert parse_with(_parse_args, argv) == parse_with(reference_parser().parse_args, argv)
+
+    check()
+    # the argparse-free path reads a fair share of the draws
+    assert sum(taken) >= len(taken) // 10, (sum(taken), len(taken))
