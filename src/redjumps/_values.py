@@ -1,5 +1,6 @@
-"""The frozen value-type base of the package's record classes, and the
-integer draw the seeded generators share.
+"""The frozen value-type base of the package's record classes, the
+integer draw the seeded generators share, and the check they make of their
+integer arguments.
 
 A subclass lists its fields in ``_fields``, declares ``__slots__`` (the
 fields, plus any cache slots or ``__dict__`` it needs) and sets each field
@@ -11,15 +12,17 @@ deletion; and copying and pickling through ``__init__``.
 The ``__init__`` methods are written out per class: a generic constructor
 looping over ``*args`` is slower to call, and a surgery run builds
 thousands of vertices. Nothing is generated at import time (no ``exec``),
-and nothing beyond ``operator`` is imported: the standard library's class
-generator pulls in ``inspect``, ``ast`` and ``dis``, and every
-``redjumps`` process pays for its imports.
+and nothing beyond ``operator`` and ``errors`` is imported: the standard
+library's class generator pulls in ``inspect``, ``ast`` and ``dis``, and
+every ``redjumps`` process pays for its imports.
 
-``_below`` lives here so that ``catalog`` and ``lattices`` share it
-without either importing the other.
+``_below`` and ``_check_int`` live here so that ``catalog`` and
+``lattices`` share them without either importing the other.
 """
 
 from operator import attrgetter
+
+from .errors import PreconditionFailed
 
 
 class Value:
@@ -72,3 +75,11 @@ def _below(rng, n):
     while r >= n:
         r = getrandbits(k)
     return r
+
+
+def _check_int(name, x, low=1):
+    """Refuse x with PreconditionFailed unless it is an int (not a bool) of
+    at least low, 0 or 1; low=None takes any int."""
+    if not isinstance(x, int) or isinstance(x, bool) or (low is not None and x < low):
+        kind = {None: "an", 0: "a non-negative", 1: "a positive"}[low]
+        raise PreconditionFailed(f"{name} must be {kind} integer, got {x!r}")

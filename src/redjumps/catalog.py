@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cache
 
 from . import graph as _graph
-from ._values import Value, _below
+from ._values import Value, _below, _check_int
 from .errors import UnsupportedType
 from .graph import ReductionGraph, Vertex
 
@@ -66,34 +66,35 @@ _TAG_RE = re.compile(r"I([0-9]+)(\*?)")
 # so a short tag must not ask for an unbounded build.
 MAX_FIBER_INDEX = 10_000
 
+# Every fixed-shape name: (builder, classical jump, or None for a higher-
+# genus shape). In I1, the blown-up node, u meets the -1 curve b (N = 2)
+# twice, so b cannot be contracted. I1res is the I2 cycle under an old name,
+# kept as a corpus seed; star5 (genus 5) and twin (genus 2) are seeds only.
+_SHAPES = {
+    "I0": (lambda: _graph.build([Vertex("e", 1, 1)], [], name="I0"), Fraction(0)),
+    "I1": (lambda: _graph.build([Vertex("u", 1, 0), Vertex("b", 2, 0)],
+                                [("u", "b"), ("u", "b")], name="I1"), Fraction(0)),
+    "I1res": (lambda: _graph.build([Vertex("u", 1, 0), Vertex("v", 1, 0)],
+                                   [("u", "v"), ("u", "v")], name="I1res"), Fraction(0)),
+    "II": (lambda: _star(6, 0, [3, 2, 1], "II"), Fraction(1, 6)),
+    "III": (lambda: _star(4, 0, [2, 1, 1], "III"), Fraction(1, 4)),
+    "IV": (lambda: _star(3, 0, [1, 1, 1], "IV"), Fraction(1, 3)),
+    "IV*": (lambda: _arms(3, [[2, 1], [2, 1], [2, 1]], "IV*"), Fraction(2, 3)),
+    "III*": (lambda: _arms(4, [[2], [3, 2, 1], [3, 2, 1]], "III*"), Fraction(3, 4)),
+    "II*": (lambda: _arms(6, [[3], [4, 2], [5, 4, 3, 2, 1]], "II*"), Fraction(5, 6)),
+    "genus2": (lambda: _star(2, 1, [1, 1], "genus2"), None),
+    "star5": (lambda: _star(4, 1, [2, 1, 1], "star5"), None),
+    "twin": (lambda: _graph.build([Vertex("u", 1, 1), Vertex("v", 1, 1)], [("u", "v")],
+                                  name="twin"), None),
+}
+_KODAIRA = frozenset(name for name, (_, jump) in _SHAPES.items() if jump is not None)
 
-def kodaira_graph(tag: str) -> ReductionGraph:
-    """Dual graph of the Kodaira fiber named by tag ("I3", "I0*", "II*", ...).
 
-    "I1" is the sncd model of the nodal cubic: the blow-up of its node, a
-    reduced component u meeting the exceptional curve b (N = 2) twice; b is
-    a -1 curve that cannot be contracted, so the model is minimal. "I1res"
-    is the I2 cycle (two reduced components, a doubled edge) under an old
-    name, kept because the corpus seeds include it. I<n> and I<n>* with
-    n > MAX_FIBER_INDEX raise UnsupportedType.
-    """
-    if tag == "I1res":
-        return _graph.build(
-            [Vertex("u", 1, 0), Vertex("v", 1, 0)],
-            [("u", "v"), ("u", "v")], name="I1res")
-    if tag == "II":
-        return _star(6, 0, [3, 2, 1], "II")
-    if tag == "III":
-        return _star(4, 0, [2, 1, 1], "III")
-    if tag == "IV":
-        return _star(3, 0, [1, 1, 1], "IV")
-    if tag == "IV*":
-        return _arms(3, [[2, 1], [2, 1], [2, 1]], "IV*")
-    if tag == "III*":
-        return _arms(4, [[2], [3, 2, 1], [3, 2, 1]], "III*")
-    if tag == "II*":
-        return _arms(6, [[3], [4, 2], [5, 4, 3, 2, 1]], "II*")
-    m = _TAG_RE.fullmatch(tag)
+def _family(tag):
+    """The (builder, jump) entry of the tag I<n> or I<n>*: ASCII digits,
+    leading zeros allowed, n at most MAX_FIBER_INDEX, checked before
+    anything is built. Raises UnsupportedType for any other tag."""
+    m = _TAG_RE.fullmatch(tag) if isinstance(tag, str) else None
     if m is None:
         raise UnsupportedType(f"unknown fiber tag {tag!r}")
     digits, starred = m.group(1).lstrip("0") or "0", bool(m.group(2))
@@ -103,46 +104,33 @@ def kodaira_graph(tag: str) -> ReductionGraph:
             f"fiber tag {tag!r}: n is above the limit {MAX_FIBER_INDEX}")
     n = int(digits)
     if starred:
-        return _istar(n)
-    if n == 0:
-        return _graph.build([Vertex("e", 1, 1)], [], name="I0")
-    if n == 1:
-        return _graph.build([Vertex("u", 1, 0), Vertex("b", 2, 0)],
-                            [("u", "b"), ("u", "b")], name="I1")
-    return _cycle(n, f"I{n}")
+        return (lambda: _istar(n)), Fraction(1, 2)
+    return _SHAPES[f"I{n}"] if n < 2 else ((lambda: _cycle(n, f"I{n}")), Fraction(0))
+
+
+def _entry(tag, names):
+    """The _SHAPES entry of tag if names holds it, else _family(tag)."""
+    if isinstance(tag, str) and tag in names:
+        return _SHAPES[tag]
+    return _family(tag)
+
+
+def kodaira_graph(tag: str) -> ReductionGraph:
+    """Dual graph of the Kodaira fiber tag ("I3", "I0*", "II*", ...): a
+    _SHAPES name with a classical jump, or I<n> or I<n>* (see _family)."""
+    return _entry(tag, _KODAIRA)[0]()
 
 
 def expected_jump(tag: str) -> Fraction:
-    """The classical nonzero jump of the fiber type (0 for the I_n family)."""
-    table = {"II": Fraction(1, 6), "III": Fraction(1, 4), "IV": Fraction(1, 3),
-             "IV*": Fraction(2, 3), "III*": Fraction(3, 4), "II*": Fraction(5, 6)}
-    if tag in table:
-        return table[tag]
-    m = _TAG_RE.fullmatch(tag)
-    if m is None and tag != "I1res":
-        raise UnsupportedType(f"unknown fiber tag {tag!r}")
-    if m is not None and m.group(2):
-        return Fraction(1, 2)
-    return Fraction(0)
+    """The classical nonzero jump of the fiber type (0 for the I_n family),
+    for the tags kodaira_graph accepts; any other raises UnsupportedType."""
+    return _entry(tag, _KODAIRA)[1]
 
 
 def genus2_example() -> ReductionGraph:
     """Genus-2 graph with jumps 0 and 1/2: an elliptic double component
     with two reduced tails."""
-    return _graph.build(
-        [Vertex("c", 2, 1), Vertex("t1", 1, 0), Vertex("t2", 1, 0)],
-        [("c", "t1"), ("c", "t2")], name="genus2")
-
-
-def _star5() -> ReductionGraph:
-    """Genus-5 seed: elliptic component of multiplicity 4 with three tails."""
-    return _star(4, 1, [2, 1, 1], "star5")
-
-
-def _twin() -> ReductionGraph:
-    """Genus-2 seed: two elliptic reduced components joined by an edge."""
-    return _graph.build(
-        [Vertex("u", 1, 1), Vertex("v", 1, 1)], [("u", "v")], name="twin")
+    return _SHAPES["genus2"][0]()
 
 
 # the names of the seed pool, sorted: random_instance draws one by position
@@ -155,11 +143,7 @@ _SEED_NAMES = tuple(sorted(("I0", "I2", "I5", "II", "III", "IV", "I0*", "I3*",
 def _seed(name: str) -> ReductionGraph:
     """The pool seed called name, built and validated once per process:
     graphs are immutable, and surgery works on a copy."""
-    if name == "star5":
-        return _star5()
-    if name == "twin":
-        return _twin()
-    return catalog_graph(name)
+    return _entry(name, _SHAPES)[0]()
 
 
 def seed_graphs() -> dict:
@@ -168,17 +152,20 @@ def seed_graphs() -> dict:
 
 
 def catalog_tags() -> list:
-    """Names accepted by the CLI catalog command."""
+    """The names `redjumps catalog` prints, in this order. The command also
+    accepts I1 and every I<n> and I<n>* up to MAX_FIBER_INDEX (10^4)."""
     tags = ["I0", "I1res"] + [f"I{n}" for n in range(2, 11)]
     tags += [f"I{n}*" for n in range(0, 6)]
     tags += ["II", "III", "IV", "IV*", "III*", "II*", "genus2"]
     return tags
 
 
+_LISTED = _SHAPES.keys() & catalog_tags()
+
+
 def catalog_graph(name: str) -> ReductionGraph:
-    if name == "genus2":
-        return genus2_example()
-    return kodaira_graph(name)
+    """The graph called name: a name of catalog_tags(), I1, I<n> or I<n>*."""
+    return _entry(name, _LISTED)[0]()
 
 
 class GeneratedGraph(Value):
@@ -205,8 +192,12 @@ def random_instance(seed: int, moves: int) -> GeneratedGraph:
     form: each is O(1) apart from picking its vertex or edge by position,
     a list copy or skip done in C, and the result is built and validated
     once. The picks are the draws rng.choice and rng.randrange make, taken
-    straight from getrandbits (see _values._below).
+    straight from getrandbits (see _values._below). Raises
+    PreconditionFailed, before any draw, unless seed is an int and moves an
+    int >= 0, bools neither.
     """
+    _check_int("seed", seed, None)
+    _check_int("moves", moves, 0)
     rng = random.Random(seed)
     base_name = _SEED_NAMES[_below(rng, len(_SEED_NAMES))]
     base = _seed(base_name)

@@ -523,10 +523,10 @@ def blow_down(g: ReductionGraph, v: str) -> ReductionGraph:
 def minimize(g: ReductionGraph) -> ReductionGraph:
     """Blow down until no contractible exceptional curve remains.
 
-    The contraction order is unchanged: always the lexicographically
-    smallest contractible id. The result is independent of order. A -1
-    curve with both edges on one neighbour is not contractible and stays,
-    so the true sncd model of I1 is minimal.
+    Each step contracts the lexicographically smallest contractible id;
+    the result does not depend on the order. A -1 curve with both edges on
+    one neighbour is not contractible and stays, so the true sncd model of
+    I1 is minimal.
 
     g must be valid (a cached report once g is validated): an invalid graph
     raises ValidationError on every call, and nothing is cached for it. The

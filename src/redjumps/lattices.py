@@ -49,7 +49,7 @@ from __future__ import annotations
 from math import isqrt
 from operator import mul
 
-from ._values import _below
+from ._values import _below, _check_int
 from .errors import (NotASublattice, PreconditionFailed, ShapeMismatch,
                      SingularMatrix)
 
@@ -229,13 +229,6 @@ def diagonal(D):
 def _check_prime(p):
     if not isinstance(p, int) or p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
         raise PreconditionFailed(f"p must be prime, got {p!r}")
-
-
-def _check_int(name, x, low=1):
-    """Refuse x unless it is an int (not a bool) of at least low, 0 or 1."""
-    if not isinstance(x, int) or isinstance(x, bool) or x < low:
-        kind = "positive" if low == 1 else "non-negative"
-        raise PreconditionFailed(f"{name} must be a {kind} integer, got {x!r}")
 
 
 def elementary_divisors(inner, outer, p):

@@ -81,10 +81,10 @@ import operator
 from math import lcm
 from numbers import Integral
 
-from ._values import Value
+from ._values import Value, _check_int
 from .errors import (InternalInconsistency, NotSaturatedInput,
                      PreconditionFailed)
-from .lattices import _check_int, column_hnf
+from .lattices import column_hnf
 
 # The largest membership grid, in bits: 8 MiB. A grid on [0, B]^r takes up
 # to (2(B + 1))^r bits; the verification suites build at most 4,900.

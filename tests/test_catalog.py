@@ -17,6 +17,7 @@ from redjumps import (
     blow_up_free_point,
     catalog_graph,
     catalog_tags,
+    dump_graph,
     expected_jump,
     genus2_example,
     is_isomorphic,
@@ -25,7 +26,7 @@ from redjumps import (
     seed_graphs,
 )
 from redjumps import catalog
-from redjumps.errors import UnsupportedType
+from redjumps.errors import PreconditionFailed, UnsupportedType
 from redjumps.graph import _Surgery
 
 
@@ -80,9 +81,11 @@ def test_fiber_index_limit(monkeypatch):
     monkeypatch.setattr(catalog, "_cycle", refuse)
     monkeypatch.setattr(catalog, "_istar", refuse)
     above = catalog.MAX_FIBER_INDEX + 1
-    for tag in (f"I{above}", f"I{above}*", "I99999999", "I" + "9" * 5000):
+    for tag in (f"I{above}", f"I{above}*", "I99999", "I99999999", "I" + "9" * 5000):
         with pytest.raises(UnsupportedType, match="limit"):
             kodaira_graph(tag)
+        with pytest.raises(UnsupportedType, match="limit"):
+            expected_jump(tag)
     monkeypatch.undo()
     assert len(kodaira_graph(f"I{catalog.MAX_FIBER_INDEX}").vertices) == \
         catalog.MAX_FIBER_INDEX
@@ -90,13 +93,28 @@ def test_fiber_index_limit(monkeypatch):
 
 
 def test_unknown_tags_are_rejected():
-    # digits are ASCII only (Arabic-Indic three, fullwidth five), and a
-    # trailing newline is not part of a tag
-    for bad in ("V", "I-1", "I2**", "IIa", "", "I\u0663", "I\uff15", "I\u0663*", "I3\n"):
+    # digits are ASCII only (Arabic-Indic three, fullwidth five), a
+    # trailing newline is not part of a tag, and a tag is a str
+    for bad in ("V", "I-1", "I2**", "IIa", "", "I\u0663", "I\uff15", "I\u0663*", "I3\n",
+                5, None, b"II", ["II"]):
         with pytest.raises(UnsupportedType):
             kodaira_graph(bad)
         with pytest.raises(UnsupportedType):
             expected_jump(bad)
+
+
+def test_catalog_outputs_are_pinned():
+    # every listed tag's document, the extra tags the command accepts, the
+    # seed pool and the classical jumps, as they were before the names
+    # moved to one table
+    h = hashlib.sha256()
+    for tag in catalog_tags() + ["I1", "I0003", "I10000", "I10000*", "I00"]:
+        h.update(dump_graph(catalog_graph(tag)).encode())
+    for name, g in seed_graphs().items():
+        h.update((name + dump_graph(g)).encode())
+    for tag in ("II", "III", "IV", "IV*", "III*", "II*", "I1res", "I0", "I7", "I3*"):
+        h.update(repr(expected_jump(tag)).encode())
+    assert h.hexdigest() == "f419639c5654f6b62e0f0db5a0fbb91682e0fb20851a51b780f6e14923b3ef1d"
 
 
 def test_expected_jumps():
@@ -192,6 +210,26 @@ def test_random_instance_is_pinned():
         g = inst.graph
         h.update(repr((g.vertices, g.edges, g.name, inst.base_name, inst.moves)).encode())
     assert h.hexdigest() == "b2bd07466a28bdc2e7cf63934796e468ecfd6a6f809f2a6e3cde2c8a80b1feb9"
+
+
+def test_random_instance_refuses_bad_sizes_before_any_draw(monkeypatch):
+    # a seed must be an int and moves an int >= 0, bools neither; no
+    # generator made before the refusal has drawn
+    made = []
+
+    class Recorded(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append((self, self.getstate()))
+
+    monkeypatch.setattr(catalog.random, "Random", Recorded)
+    calls = [(seed, 2) for seed in (None, 2.5, "3", True, [3])]
+    calls += [(3, moves) for moves in (-1, True, False, 2.5, "2", None)]
+    for seed, moves in calls:
+        with pytest.raises(PreconditionFailed):
+            random_instance(seed, moves)
+        assert all(rng.getstate() == state for rng, state in made), (seed, moves)
+    assert random_instance(-3, 0).moves == () and made
 
 
 def test_random_instance_handles_the_edgeless_seed():

@@ -509,6 +509,27 @@ def test_main_reads_sys_argv(monkeypatch, capsys):
     assert "error: argument --count" in capsys.readouterr().err
 
 
+
+def test_readme_library_example():
+    # the README's Library snippet runs, and each expression in it is
+    # followed by its repr as a comment, on its line or the next
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    snippet = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    lines = snippet.splitlines()
+    namespace, shown = {}, []
+    for stmt in ast.parse(snippet).body:
+        if not isinstance(stmt, ast.Expr):
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+            continue
+        value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+        comment = (lines[stmt.end_lineno - 1][stmt.end_col_offset:].strip()
+                   or lines[stmt.end_lineno].strip())
+        assert comment.startswith("# "), ast.unparse(stmt)
+        shown.append((comment[2:], repr(value)))
+    assert len(shown) == 4
+    for comment, value in shown:
+        assert comment == value
+
 # -- the argument parser against a plain argparse one ----------------------------
 
 def reference_parser():
