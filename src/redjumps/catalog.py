@@ -90,18 +90,25 @@ _SHAPES = {
 _KODAIRA = frozenset(name for name, (_, jump) in _SHAPES.items() if jump is not None)
 
 
+def _quoted(tag, limit=40):
+    """repr(tag), cut to limit characters ending in "...": a message that
+    quotes the tag stays one short line."""
+    text = repr(tag)
+    return text if len(text) <= limit else text[:limit - 3] + "..."
+
+
 def _family(tag):
     """The (builder, jump) entry of the tag I<n> or I<n>*: ASCII digits,
     leading zeros allowed, n at most MAX_FIBER_INDEX, checked before
     anything is built. Raises UnsupportedType for any other tag."""
     m = _TAG_RE.fullmatch(tag) if isinstance(tag, str) else None
     if m is None:
-        raise UnsupportedType(f"unknown fiber tag {tag!r}")
+        raise UnsupportedType(f"unknown fiber tag {_quoted(tag)}")
     digits, starred = m.group(1).lstrip("0") or "0", bool(m.group(2))
     # the length test first: int() refuses strings of more than 4300 digits
     if len(digits) > len(str(MAX_FIBER_INDEX)) or int(digits) > MAX_FIBER_INDEX:
         raise UnsupportedType(
-            f"fiber tag {tag!r}: n is above the limit {MAX_FIBER_INDEX}")
+            f"fiber tag {_quoted(tag)}: n is above the limit {MAX_FIBER_INDEX}")
     n = int(digits)
     if starred:
         return (lambda: _istar(n)), Fraction(1, 2)

@@ -16,9 +16,9 @@ and the genus of the generic fiber comes out of adjunction:
 
     2g - 2 = sum_v N_v * (2 g_v - 2 - E_v^2).
 
-A graph derives both, with its neighbour lists, in one integer form built
-once (``ReductionGraph._compiled``). Every accessor and the jump kernel read
-it, and so do validate() and genus(), each computed once per graph.
+A graph's constructor derives both, with the neighbour lists, in one
+integer form (``ReductionGraph._compiled``) while it checks the structure.
+Every accessor, validate(), genus() and the jump kernel read that form.
 
 Model surgery runs on a mutable copy of that form indexed the same way
 (:class:`_Surgery`). minimize() computes the minimal model once per graph
@@ -32,6 +32,7 @@ import heapq
 import itertools
 from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 
 from ._values import Value
 from .errors import (
@@ -77,38 +78,6 @@ class ValidationReport(Value):
         return [f"{v.code}: {v.message}" for v in self.violations]
 
 
-def _structural_problems(vertices, edges):
-    problems = []
-    seen = set()
-    for v in vertices:
-        if not isinstance(v, Vertex):
-            problems.append(Violation("vertex", f"{v!r} is not a Vertex", str(v)))
-            continue
-        if not isinstance(v.id, str) or not v.id:
-            problems.append(Violation("vertex-id", "vertex ids must be non-empty strings", str(v.id)))
-        elif v.id in seen:
-            problems.append(Violation("vertex-id", f"duplicate vertex id {v.id!r}", v.id))
-        if isinstance(v.id, str):
-            seen.add(v.id)
-        if not isinstance(v.multiplicity, int) or isinstance(v.multiplicity, bool) or v.multiplicity < 1:
-            problems.append(Violation("multiplicity", f"vertex {v.id!r} needs integer multiplicity >= 1, got {v.multiplicity!r}", v.id))
-        if not isinstance(v.genus, int) or isinstance(v.genus, bool) or v.genus < 0:
-            problems.append(Violation("genus-label", f"vertex {v.id!r} needs integer genus >= 0, got {v.genus!r}", v.id))
-    if not vertices:
-        problems.append(Violation("empty", "graph needs at least one vertex"))
-    for k, e in enumerate(edges):
-        try:
-            a, b = e
-        except (TypeError, ValueError):
-            problems.append(Violation("edge-endpoint", f"edge #{k} {e!r} is not a pair of vertex ids", str(e)))
-            continue
-        if not (isinstance(a, str) and a in seen and isinstance(b, str) and b in seen):
-            problems.append(Violation("edge-endpoint", f"edge #{k} {a!r}-{b!r} references an unknown vertex", f"{a}-{b}"))
-        if a == b:
-            problems.append(Violation("loop", f"edge #{k} is a loop at {a!r}; loops are forbidden (resolve the node by a blow-up first)", a))
-    return problems
-
-
 def _self_intersection(vid, multiplicity: int, nbr_sum: int) -> int:
     """E^2 = -(sum of neighbour multiplicities) / N."""
     if nbr_sum % multiplicity != 0:
@@ -152,76 +121,110 @@ def _lookup(index, vid) -> int:
 
 
 class _Compiled(Value):
-    """Integer form of a graph, from one pass over its edges: vertex k is
+    """Integer form of a graph, built by its constructor: vertex k is
     ``vertices[k]`` and ``index[id]``, ``nbrs[k]`` its neighbour indices
     (repeated for parallel edges) and ``nbr_sum[k]`` their multiplicities'
-    sum. On a valid graph ``E2[k] = -(nbr_sum[k] // N[k])`` is E_k^2 and
-    ``adjunction`` = sum of N_k (2 g_k - 2) + nbr_sum[k] is 2g - 2."""
+    sum. On a valid graph -(nbr_sum[k] // N[k]) is E_k^2 and ``adjunction``
+    = sum of N_k (2 g_k - 2) + nbr_sum[k] is 2g - 2."""
 
-    __slots__ = _fields = ("index", "N", "genus", "nbrs", "nbr_sum", "E2", "adjunction")
+    __slots__ = _fields = ("index", "N", "genus", "nbrs", "nbr_sum", "adjunction")
 
     def __init__(self, index: dict[str, int], N: list[int], genus: list[int],
-                 nbrs: list[list[int]], nbr_sum: list[int], E2: list[int],
-                 adjunction: int):
+                 nbrs: list[list[int]], nbr_sum: list[int], adjunction: int):
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "nbrs", nbrs)
         object.__setattr__(self, "nbr_sum", nbr_sum)
-        object.__setattr__(self, "E2", E2)
         object.__setattr__(self, "adjunction", adjunction)
 
 
 class ReductionGraph(Value):
     """Immutable labelled multigraph. Edges are unordered id pairs.
 
-    Construction rejects structural garbage (duplicate ids, loops, unknown
-    endpoints, bad label or id types). The semantic invariants
-    (connectivity, gcd of multiplicities = 1, integral self-intersections,
-    derived genus >= 1) are checked by :meth:`validate`; use :func:`build`
-    to construct and validate in one step. All operations below assume a
-    valid graph.
-
-    Every accessor reads one derived form, ``_compiled`` (see
-    :class:`_Compiled`), built on first use. ``validate()`` and ``genus()``
-    read it too, and each is computed once per graph (``genus()`` raises
-    anew on each call on an invalid graph).
+    One pass over the vertices and one over the edges check the structure
+    (ids, labels, endpoints, loops; every violation raised in one
+    ValidationError) and build ``_compiled`` (:class:`_Compiled`), which
+    every accessor reads. Exact int and str take a fast path, subclasses
+    the isinstance tests; int labels are stored as exact ints. The semantic
+    invariants (connectivity, gcd 1, integral self-intersections, genus
+    >= 1) are checked by :meth:`validate`, once per graph; :func:`build`
+    constructs and validates. Operations below assume a valid graph, where
+    ``genus()`` reads the adjunction sum alone.
     """
 
     _fields = ("vertices", "edges", "name")
-    __slots__ = _fields + ("__dict__",)  # the cached properties live in __dict__
+    __slots__ = _fields + ("_compiled", "__dict__")  # cached properties: __dict__
 
     def __init__(self, vertices: tuple[Vertex, ...], edges: tuple[tuple[str, str], ...],
                  name: str = ""):
-        object.__setattr__(self, "vertices", tuple(vertices))
-        edges = tuple(edges)
-        try:  # str(): a non-string endpoint is reported below, not a TypeError here
-            edges = tuple((a, b) if str(a) <= str(b) else (b, a) for a, b in edges)
-        except (TypeError, ValueError):
-            pass  # an edge that is not a pair: reported below
-        object.__setattr__(self, "edges", edges)
+        vertices, edges = tuple(vertices), tuple(edges)
+        problems, index, N, genus = [], {}, [], []
+        for v in vertices:
+            if type(v) is not Vertex and not isinstance(v, Vertex):
+                problems.append(Violation("vertex", f"{v!r} is not a Vertex", str(v)))
+                continue
+            vid, n, g = v.id, v.multiplicity, v.genus
+            if type(vid) is not str or not vid or vid in index:
+                if not isinstance(vid, str) or not vid:
+                    problems.append(Violation("vertex-id", "vertex ids must be non-empty strings", str(vid)))
+                elif vid in index:
+                    problems.append(Violation("vertex-id", f"duplicate vertex id {vid!r}", vid))
+            if isinstance(vid, str):  # an empty id is still a known endpoint
+                index[vid] = len(N)
+            if type(n) is not int or n < 1:
+                if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+                    problems.append(Violation("multiplicity", f"vertex {vid!r} needs integer multiplicity >= 1, got {n!r}", vid))
+                n = int(n) if isinstance(n, int) else 0
+            if type(g) is not int or g < 0:
+                if not isinstance(g, int) or isinstance(g, bool) or g < 0:
+                    problems.append(Violation("genus-label", f"vertex {vid!r} needs integer genus >= 0, got {g!r}", vid))
+                g = int(g) if isinstance(g, int) else 0
+            N.append(n)
+            genus.append(g)
+        if not vertices:
+            problems.append(Violation("empty", "graph needs at least one vertex"))
+        nbrs, nbr_sum, pairs, flagged, loose = [[] for _ in N], [0] * len(N), [], [], False
+        # ends sorted by str(); once an edge is no pair, or str() refuses an end, reports quote edges as given
+        for k, e in enumerate(edges):
+            try:
+                a, b = e
+                pairs.append((a, b) if (a <= b if type(a) is str and type(b) is str
+                                        else str(a) <= str(b)) else (b, a))
+            except (TypeError, ValueError):
+                pairs.append(e)
+                flagged.append(k)
+                loose = True
+                continue
+            i = index.get(a) if type(a) is str or isinstance(a, str) else None
+            j = index.get(b) if type(b) is str or isinstance(b, str) else None
+            if i is None or j is None or i == j:
+                flagged.append(k)
+            else:
+                nbrs[i].append(j)
+                nbrs[j].append(i)
+                nbr_sum[i] += N[j]
+                nbr_sum[j] += N[i]
+        for k in flagged:
+            e = (edges if loose else pairs)[k]
+            try:
+                a, b = e
+            except (TypeError, ValueError):
+                problems.append(Violation("edge-endpoint", f"edge #{k} {e!r} is not a pair of vertex ids", str(e)))
+                continue
+            if not (isinstance(a, str) and a in index and isinstance(b, str) and b in index):
+                problems.append(Violation("edge-endpoint", f"edge #{k} {a!r}-{b!r} references an unknown vertex", f"{a}-{b}"))
+            if a == b:
+                problems.append(Violation("loop", f"edge #{k} is a loop at {a!r}; loops are forbidden (resolve the node by a blow-up first)", a))
+        if problems:
+            _check_valid(ValidationReport(False, tuple(problems)))
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", tuple(pairs))
         object.__setattr__(self, "name", name)
-        problems = _structural_problems(self.vertices, self.edges)
-        _check_valid(ValidationReport(not problems, tuple(problems)))
+        object.__setattr__(self, "_compiled", _Compiled(  # adjunction: see _Compiled
+            index, N, genus, nbrs, nbr_sum, 2 * sum(map(mul, N, genus)) - 2 * sum(N) + sum(nbr_sum)))
 
     # -- basic accessors ---------------------------------------------------
-
-    @cached_property
-    def _compiled(self) -> _Compiled:
-        index = {v.id: k for k, v in enumerate(self.vertices)}
-        N = [v.multiplicity for v in self.vertices]
-        genus = [v.genus for v in self.vertices]
-        nbrs = [[] for _ in N]
-        nbr_sum = [0] * len(N)
-        for a, b in self.edges:
-            i, j = index[a], index[b]
-            nbrs[i].append(j)
-            nbrs[j].append(i)
-            nbr_sum[i] += N[j]
-            nbr_sum[j] += N[i]
-        return _Compiled(index, N, genus, nbrs, nbr_sum,
-                         [-(s // n) for n, s in zip(N, nbr_sum)],
-                         sum(n * (2 * g - 2) + s for n, g, s in zip(N, genus, nbr_sum)))
 
     @property
     def ids(self):
@@ -279,18 +282,18 @@ class ReductionGraph(Value):
 
     def genus(self) -> int:
         """Genus of the generic fiber, via adjunction: 2g - 2 is the sum of
-        N_v (2 g_v - 2 - E_v^2)."""
+        N_v (2 g_v - 2 - E_v^2), an even sum (see _report)."""
         return self._genus
 
     @cached_property
     def _genus(self) -> int:
         c = self._compiled
-        for v, n, s in zip(self.vertices, c.N, c.nbr_sum):
-            _self_intersection(v.id, n, s)  # raises unless E_v^2 is integral
-        g = 1 + c.adjunction // 2  # an even sum, see _report
-        if g < 1:
-            raise InconsistentGeometry(f"derived genus {g} < 1")
-        return g
+        if not self._report.ok:  # else every E_v^2 is integral and g >= 1
+            for v, n, s in zip(self.vertices, c.N, c.nbr_sum):
+                _self_intersection(v.id, n, s)  # raises unless E_v^2 is integral
+            if c.adjunction < 0:
+                raise InconsistentGeometry(f"derived genus {1 + c.adjunction // 2} < 1")
+        return 1 + c.adjunction // 2
 
     def first_betti(self) -> int:
         """b_1 of the dual graph: |E| - |V| + 1 (graph is connected)."""
@@ -313,13 +316,12 @@ class ReductionGraph(Value):
     @cached_property
     def _minimal(self):
         """The minimal model of this valid graph, or None when it is minimal
-        (None rather than self: a graph caching itself would be a reference
-        cycle). A worklist: a min-heap of ids, seeded by one pass over
-        ``_compiled`` before any surgery form is built.
-        Only a contraction's neighbours with E^2 = -1 are pushed again, and
-        a popped id is contracted only if it is live and contractible, so
-        each step contracts the smallest contractible id. O(V + E + C log V)
-        for C contractions."""
+        (caching self would be a reference cycle). A worklist: a min-heap of
+        the contractible ids of ``_compiled``, before any surgery form is
+        built. A contraction pushes its neighbours with E^2 = -1 again, and a
+        popped id is contracted if it is live and contractible, so each step
+        contracts the smallest contractible id. O(V + E + C log V) for C
+        contractions."""
         c = self._compiled
         heap = list(itertools.compress(  # the index keys are the ids in order
             c.index, map(_contractible, c.genus, c.N, c.nbrs, c.nbr_sum)))

@@ -19,18 +19,20 @@ boundary of M_d, the edges i-w with i in M_d and w outside:
     mult(a/d) = sum_{M_d} g_i - |M_d| + sigma_d + [d = 1]
                 - (sum over boundary edges of (a N_w mod d)) / d
 
-The kernel compiles the graph to integer lists once, computes M_d, its
-inner edges, sigma_d, its boundary, its genus and its components once per
-denominator d, and only the last sum once per numerator a. Only q with I_q
-nonempty can be jumps, so the candidates are the a/d with d dividing some
-N_i and a prime to d; the scan never loops over [0, m), m = lcm(N_i),
-which explodes under repeated blow-ups while the candidate set stays small.
+The kernel reads the integer form the graph built when it was
+constructed. It computes M_d, its inner edges, sigma_d, its boundary and
+its genus once per denominator d (w is in M_d exactly when d divides N_w),
+and only the last sum once per numerator a. Only q with I_q nonempty can
+be jumps, so the candidates are the a/d with d dividing some N_i and a
+prime to d; the scan never loops over [0, m), m = lcm(N_i), which explodes
+under repeated blow-ups while the candidate set stays small.
 
 The dual route is the direct intersection-number form, the Euler
 characteristic of the twisted line bundle on the I_q part of the reduced
 fiber: sum_{M_d} (g_i - 1 + deg_i + E_i . floor(q C_k)) minus the edges
 inside M_d, with every floor evaluated afresh. The lower bound b_1(M_d) +
-sum_{M_d} g_i depends on d alone.
+sum_{M_d} g_i depends on d alone; the components of M_d that b_1 needs
+are counted only when a check reads the bound.
 
 Which model each route scans. The spectrum does not depend on the sncd
 model, but the candidate count sum_{d | some N_i} phi(d) is at least
@@ -95,27 +97,28 @@ class _Terms(Value):
     """Everything the three routes need of one denominator d: ``members``
     is M_d = {i : d | N_i} as vertex indices, ``inner`` the number of edges
     with both ends in M_d, ``boundary`` holds N_w for each edge i-w with i
-    in M_d and w outside, ``genus`` is the sum of g_i over M_d and
-    ``components`` the number of connected components of M_d."""
+    in M_d and w outside, and ``genus`` is the sum of g_i over M_d.
+    ``components(c)`` counts the components of M_d on each call."""
 
-    __slots__ = _fields = ("d", "members", "inner", "boundary", "genus", "components")
+    __slots__ = _fields = ("d", "members", "inner", "boundary", "genus")
 
     def __init__(self, d: int, members: tuple[int, ...], inner: int,
-                 boundary: tuple[int, ...], genus: int, components: int):
+                 boundary: tuple[int, ...], genus: int):
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "inner", inner)
         object.__setattr__(self, "boundary", boundary)
         object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "components", components)
 
     @property
     def sigma(self) -> int:
         return self.inner + len(self.boundary)
 
-    @property
-    def lower_bound(self) -> int:
-        return self.inner - len(self.members) + self.components + self.genus
+    def components(self, c) -> int:
+        return _components(c.nbrs, self.members)
+
+    def lower_bound(self, c) -> int:
+        return self.inner - len(self.members) + self.components(c) + self.genus
 
     def mult(self, a: int) -> int:
         """Main route at a/d, by the integer boundary form."""
@@ -123,30 +126,29 @@ class _Terms(Value):
         if rest:
             raise InternalInconsistency(
                 f"boundary sum at {Fraction(a, self.d)} is not a multiple of {self.d}")
-        return (self.genus - len(self.members) + self.sigma + int(self.d == 1)
-                - tail)
+        return self.genus - len(self.members) + self.sigma + int(self.d == 1) - tail
 
     def euler(self, c, a: int) -> int:
         """Dual route at a/d, by the direct intersection-number form."""
         d = self.d
         total = -self.inner
-        for i in self.members:
-            e_dot = (a * c.N[i] // d) * c.E2[i] + sum(a * c.N[w] // d for w in c.nbrs[i])
+        for i in self.members:  # E_i^2 = -(nbr_sum_i / N_i)
+            e_dot = (-(a * c.N[i] // d) * (c.nbr_sum[i] // c.N[i])
+                     + sum(a * c.N[w] // d for w in c.nbrs[i]))
             total += c.genus[i] - 1 + len(c.nbrs[i]) + e_dot
         return total
 
 
 def _terms(c, d: int, members) -> _Terms:
-    inside = set(members)
-    half_inner, boundary = 0, []
+    N, half_inner, boundary = c.N, 0, []
     for i in members:
         for w in c.nbrs[i]:
-            if w in inside:
-                half_inner += 1
+            if N[w] % d:  # w is outside M_d
+                boundary.append(N[w])
             else:
-                boundary.append(c.N[w])
+                half_inner += 1
     return _Terms(d, tuple(members), half_inner // 2, tuple(boundary),
-                  sum(c.genus[i] for i in members), _components(c.nbrs, members))
+                  sum(c.genus[i] for i in members))
 
 
 def _prime_powers(n: int):
@@ -183,10 +185,7 @@ def _members_by_denominator(c) -> dict:
         raise OverBudget(f"at least {top} candidates (the largest multiplicity), "
                          f"work budget {WORK_BUDGET}", top)
     divisors = {n: _divisor_phis(n) for n in set(c.N)}
-    phi = {}
-    for phis in divisors.values():
-        phi.update(phis)
-    count = sum(phi.values())
+    count = sum({d: f for phis in divisors.values() for d, f in phis.items()}.values())
     if count > WORK_BUDGET:
         raise OverBudget(f"{count} candidates, work budget {WORK_BUDGET}", count)
     members = {}
@@ -206,11 +205,10 @@ def _scan(g: ReductionGraph, checks: bool = False):
     checks is set, whether every nonzero candidate meets the lower bound and
     the dual route. Asserts non-negativity; whether the multiplicities sum
     to the genus is left to the caller (see _asserted_total)."""
-    c = g._compiled
-    entries = []
-    ok_bound = ok_dual = True
+    c, entries, ok_bound, ok_dual = g._compiled, [], True, True
     for d, members in _members_by_denominator(c).items():
         t = _terms(c, d, members)
+        bound = t.lower_bound(c) if checks and d > 1 else None
         for a in _numerators(d):
             mult = t.mult(a)
             if mult < 0:
@@ -219,7 +217,7 @@ def _scan(g: ReductionGraph, checks: bool = False):
             if mult:
                 entries.append((Fraction(a, d), mult))
             if checks and a:
-                ok_bound = ok_bound and mult >= t.lower_bound
+                ok_bound = ok_bound and mult >= bound
                 ok_dual = ok_dual and mult == t.euler(c, a)
     return JumpSpectrum(tuple(sorted(entries)), g.genus()), ok_bound, ok_dual
 
@@ -241,13 +239,14 @@ def compute_jumps(g: ReductionGraph) -> JumpSpectrum:
 
 
 def tame_base_change_conductor(s: JumpSpectrum) -> Fraction:
-    """Sum of the jumps counted with multiplicity."""
-    return sum((v * m for v, m in s.entries), Fraction(0))
+    """Sum of the jumps with multiplicity, as one sum over their lcm."""
+    m = s.denominator_lcm()  # the zero jump's denominator is 1
+    return Fraction(sum(v.numerator * (m // v.denominator) * k for v, k in s.entries), m)
 
 
 def unipotent_rank(g: ReductionGraph) -> int:
     """u = genus - sum of component genera - first Betti number."""
-    u = g.genus() - sum(v.genus for v in g.vertices) - g.first_betti()
+    u = g.genus() - sum(g._compiled.genus) - g.first_betti()
     if u < 0:
         raise InternalInconsistency(f"negative unipotent rank {u}")
     return u
@@ -286,10 +285,8 @@ def analyze(g: ReductionGraph, with_checks: bool = False) -> AnalysisReport:
     principal components and ``minimal`` describe g as given.
     """
     minimized = minimize(g)
-    if with_checks:
-        spectrum, checks = _checked(g, minimized)
-    else:
-        spectrum, checks = _asserted_total(_scan(minimized)[0]), None
+    spectrum, checks = (_checked(g, minimized) if with_checks
+                        else (_asserted_total(_scan(minimized)[0]), None))
     return AnalysisReport(
         name=g.name,
         genus=spectrum.genus,

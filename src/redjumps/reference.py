@@ -99,7 +99,7 @@ def jump_multiplicity_via_euler(g: ReductionGraph, j: int) -> int:
 
 def lower_bound(g: ReductionGraph, j: int) -> int:
     """b_1 of the induced subgraph on I_j plus the genera over I_j."""
-    return _terms_at(g, j, lo=1)[0].lower_bound
+    return _terms_at(g, j, lo=1)[0].lower_bound(g._compiled)
 
 
 def candidate_values(g: ReductionGraph):

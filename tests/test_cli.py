@@ -397,6 +397,20 @@ def test_catalog_unsupported_tag(capsys):
         assert "error:" in capsys.readouterr().err
 
 
+def test_catalog_long_tag_gives_a_short_error_line(capsys):
+    # a tag is quoted cut to 40 characters; a short tag is quoted whole
+    for tag, words in (("I" + "9" * 5000, "is above the limit"), ("X" * 5001, "unknown fiber tag")):
+        assert main(["catalog", tag]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and len(captured.err) < 120, len(captured.err)
+        assert words in captured.err and repr(tag)[:37] + "..." in captured.err
+    assert main(["catalog", "I99999"]) == 1
+    assert capsys.readouterr().err == "error: fiber tag 'I99999': n is above the limit 10000\n"
+    assert main(["catalog", "bogus"]) == 1
+    assert capsys.readouterr().err == "error: unknown fiber tag 'bogus'\n"
+
+
 def test_catalog_i1(capsys):
     assert main(["catalog", "I1"]) == 0
     g = parse_document(capsys.readouterr().out)
@@ -455,11 +469,11 @@ def test_verify_lattice_and_monoid_suites(suite, capsys):
                for good, total in [counts.split("/")])
 
 
-@pytest.mark.parametrize("check_sandwich", [lambda *args: False,
-                                            lambda *args: 1 // 0])
-def test_verify_reports_a_witness(check_sandwich, monkeypatch, capsys):
-    # a false or raising check fails its instance, and the suite goes on
-    monkeypatch.setattr(lattices, "check_sandwich", check_sandwich)
+@pytest.mark.parametrize("sandwich", [lambda *args: False, lambda *args: 1 // 0])
+def test_verify_reports_a_witness(sandwich, monkeypatch, capsys):
+    # a false or raising check fails its instance, and the suite goes on;
+    # the suite calls the core of check_sandwich on the lattices it drew
+    monkeypatch.setattr(lattices, "_sandwich", sandwich)
     assert main(["verify", "--suite", "lattices", "--count", "3"]) == 2
     out = capsys.readouterr().out
     assert "lattices/sandwich: 0/3  FAIL (first: (" in out
@@ -467,12 +481,13 @@ def test_verify_reports_a_witness(check_sandwich, monkeypatch, capsys):
 
 
 def test_verify_counts_only_nonsingular_smith_forms(monkeypatch, capsys):
-    # every counted matrix reaches smith_normal_form: with it broken, none
-    # passes, although some singular matrices were drawn (and redrawn)
+    # every counted matrix reaches the Smith form: with it broken, none
+    # passes, although some singular matrices were drawn (and redrawn); the
+    # suite calls the cores of det and smith_normal_form on what it drew
     dets = []
-    det = lattices.det
-    monkeypatch.setattr(lattices, "det", lambda M: dets.append(det(M)) or dets[-1])
-    monkeypatch.setattr(lattices, "smith_normal_form", lambda M: None)
+    det = lattices._det
+    monkeypatch.setattr(lattices, "_det", lambda M: dets.append(det(M)) or dets[-1])
+    monkeypatch.setattr(lattices, "_smith", lambda M: None)
     assert main(["verify", "--suite", "lattices", "--count", "100"]) == 2
     assert 0 in dets
     assert "lattices/snf: 0/100  FAIL" in capsys.readouterr().out

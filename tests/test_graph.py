@@ -2,11 +2,12 @@
 
 import itertools
 import random
+from enum import IntEnum
 from functools import cached_property
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from redjumps import ReductionGraph, Vertex
@@ -103,6 +104,112 @@ def test_empty_graph_rejected():
 def test_edges_are_normalized():
     g = ReductionGraph((Vertex("b", 1, 1), Vertex("a", 1, 1)), (("b", "a"), ("a", "b")))
     assert g.edges == (("a", "b"), ("a", "b"))
+
+
+def reference_structural_problems(vertices, edges):
+    """The structural check as a pass of its own, after the edge
+    normalization, as the constructor made it before it checked and
+    compiled in one pass: the reference for that pass."""
+    vertices, edges = tuple(vertices), tuple(edges)
+    try:
+        edges = tuple((a, b) if str(a) <= str(b) else (b, a) for a, b in edges)
+    except (TypeError, ValueError):
+        pass
+    problems = []
+    seen = set()
+    for v in vertices:
+        if not isinstance(v, Vertex):
+            problems.append(Violation("vertex", f"{v!r} is not a Vertex", str(v)))
+            continue
+        if not isinstance(v.id, str) or not v.id:
+            problems.append(Violation("vertex-id", "vertex ids must be non-empty strings", str(v.id)))
+        elif v.id in seen:
+            problems.append(Violation("vertex-id", f"duplicate vertex id {v.id!r}", v.id))
+        if isinstance(v.id, str):
+            seen.add(v.id)
+        if not isinstance(v.multiplicity, int) or isinstance(v.multiplicity, bool) or v.multiplicity < 1:
+            problems.append(Violation("multiplicity", f"vertex {v.id!r} needs integer multiplicity >= 1, got {v.multiplicity!r}", v.id))
+        if not isinstance(v.genus, int) or isinstance(v.genus, bool) or v.genus < 0:
+            problems.append(Violation("genus-label", f"vertex {v.id!r} needs integer genus >= 0, got {v.genus!r}", v.id))
+    if not vertices:
+        problems.append(Violation("empty", "graph needs at least one vertex"))
+    for k, e in enumerate(edges):
+        try:
+            a, b = e
+        except (TypeError, ValueError):
+            problems.append(Violation("edge-endpoint", f"edge #{k} {e!r} is not a pair of vertex ids", str(e)))
+            continue
+        if not (isinstance(a, str) and a in seen and isinstance(b, str) and b in seen):
+            problems.append(Violation("edge-endpoint", f"edge #{k} {a!r}-{b!r} references an unknown vertex", f"{a}-{b}"))
+        if a == b:
+            problems.append(Violation("loop", f"edge #{k} is a loop at {a!r}; loops are forbidden (resolve the node by a blow-up first)", a))
+    return problems
+
+
+class Name(str):
+    """An id of a str subclass: it takes the isinstance tests."""
+
+
+class Small(IntEnum):
+    ZERO = 0
+    ONE = 1
+    TWO = 2
+    THREE = 3
+
+
+class Node(Vertex):
+    """A Vertex subclass."""
+
+    __slots__ = ()
+
+
+_NAMES = st.sampled_from("abcd")
+
+
+@st.composite
+def structures(draw):
+    """Vertices and edges, malformed in every way the check reports, or
+    well formed with subclass ids and labels mixed in."""
+    if draw(st.booleans()):  # well formed ids and labels, some of subclass types
+        ids = draw(st.lists(_NAMES, min_size=1, max_size=4, unique=True))
+        ids = [draw(st.sampled_from((i, Name(i)))) for i in ids]
+        label = st.one_of(st.integers(1, 3), st.sampled_from(list(Small)[1:]))
+        vertices = [draw(st.sampled_from((Vertex, Node)))(i, draw(label),
+                                                          draw(label) - 1) for i in ids]
+        pairs = st.tuples(st.sampled_from(ids), st.sampled_from(ids)).filter(lambda e: e[0] != e[1])
+        return vertices, draw(st.lists(pairs, max_size=6)) if len(ids) > 1 else []
+    vid = st.one_of(_NAMES, _NAMES.map(Name), st.sampled_from(["", Name(""), 0, 2, None, ["a"]]))
+    label = st.one_of(st.integers(-1, 3), st.booleans(), st.sampled_from([0.0, 1.0, 2.5]),
+                      st.sampled_from(list(Small)))
+    vertex = st.one_of(st.builds(Vertex, vid, label, label), st.builds(Node, vid, label, label),
+                       st.sampled_from([None, ("a", 1, 0), 3, "a"]))
+    end = st.one_of(st.sampled_from("abcdez"), _NAMES.map(Name), st.sampled_from(["", 1, None, ["a"]]))
+    edge = st.one_of(st.tuples(end, end), st.lists(end, max_size=3).map(tuple),
+                     st.sampled_from([None, 5, "ab", "abc"]))
+    return draw(st.lists(vertex, max_size=5)), draw(st.lists(edge, max_size=5))
+
+
+@settings(max_examples=800, deadline=None)
+@example(([Vertex("a", True), Vertex("b", 1.0), Vertex("c", Small.TWO, Small.ONE)], []))
+@example(([Vertex(Name("a"), 1), Vertex("", 1), Vertex("a", 1), Vertex(["x"], 1)], []))
+@example(([Vertex("a", 1, 1), Vertex("b", 1)], [("zz", "a"), ("b", "b"), ("b", "a")]))
+@example(([Vertex("a", 1, 1), Vertex("b", 1)], [("zz", "a"), ("b", "b"), "abc"]))
+@example(([], []))
+@given(structures())
+def test_one_pass_check_matches_the_separate_check(case):
+    vertices, edges = case
+    expected = reference_structural_problems(vertices, edges)
+    try:
+        g = ReductionGraph(vertices, edges)
+    except ValidationError as exc:
+        assert exc.report == ValidationReport(False, tuple(expected))
+        return
+    assert expected == []
+    # subclass ids and labels compile to the form exact types give
+    exact = ReductionGraph([Vertex(str(v.id), int(v.multiplicity), int(v.genus)) for v in vertices],
+                           [(str(a), str(b)) for a, b in edges])
+    assert repr(g._compiled) == repr(exact._compiled)
+    assert g.edges == exact.edges
 
 
 # -- semantic validation ------------------------------------------------------
@@ -645,7 +752,7 @@ def test_terms_components_match_the_id_keyed_search(corpus):
         c = g._compiled
         for d, members in _members_by_denominator(c).items():
             ids = {g.vertices[i].id for i in members}
-            assert _terms(c, d, members).components == reference_components(g, ids), (item.seed, d)
+            assert _terms(c, d, members).components(c) == reference_components(g, ids), (item.seed, d)
 
 
 def test_fresh_ids_reuse_a_contracted_id():

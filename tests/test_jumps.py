@@ -4,6 +4,7 @@ The single-value multiplicities asserted here were computed by hand from
 the intersection formula (index set, floor divisor, sigma) and frozen.
 """
 
+import hashlib
 import json
 from fractions import Fraction
 from math import gcd, lcm
@@ -402,6 +403,32 @@ def test_compute_jumps_validates_through_minimize():
         compute_jumps(g)
     with pytest.raises(ValidationError):
         analyze(g)
+
+
+def fibonacci_chain(tag, depth):
+    """The catalog graph, then depth blow-ups of the edge joining the two
+    heaviest components, the first such edge in edge order."""
+    g = catalog_graph(tag)
+    for _ in range(depth):
+        g = blow_up_edge(g, max(range(len(g.edges)), key=lambda k: sorted(
+            (g.multiplicity(x) for x in g.edges[k]), reverse=True)))
+    return g
+
+
+def test_outputs_are_pinned():
+    # the ten 12-step chains of the benchmark's chains workload and the
+    # random corpus: reports with and without checks, the check table and
+    # the minimal model, as they were before construction compiled the graph
+    graphs = [fibonacci_chain(tag, 12) for tag in
+              ("II", "III", "IV", "IV*", "III*", "II*", "I0*", "I3*", "genus2", "I2")]
+    graphs += [random_instance(s, s % 16).graph for s in range(400)]
+    graphs += [random_instance(s, 192).graph for s in range(8)]
+    h = hashlib.sha256()
+    for g in graphs:
+        for part in (repr(analyze(g)), repr(analyze(g, with_checks=True)),
+                     repr(run_checks(g)), dump_graph(minimize(g))):
+            h.update(part.encode() + b"\0")
+    assert h.hexdigest() == "8b16020f0e572b82bd04722b61b4aacd89fe6f44351b0c6e75a8ff9262eca292"
 
 
 # -- the work budget -------------------------------------------------------------------

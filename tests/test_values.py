@@ -69,7 +69,7 @@ def test_value_semantics(value, hashable):
 
 def test_caches_are_not_fields():
     g, h = kodaira_graph("III"), kodaira_graph("III")
-    g._compiled  # fills the cache of g only
+    g.validate(), g.genus()  # fill the caches of g only
     assert g == h and hash(g) == hash(h)
     P = AffineMonoid(((1, 0), (1, 2)))
     assert P.contains((2, 2)) and not P.contains((0, 1))
