@@ -90,11 +90,11 @@ _SHAPES = {
 _KODAIRA = frozenset(name for name, (_, jump) in _SHAPES.items() if jump is not None)
 
 
-def _quoted(tag, limit=40):
-    """repr(tag), cut to limit characters ending in "...": a message that
+def _quoted(tag):
+    """repr(tag), cut to 40 characters ending in "...": a message that
     quotes the tag stays one short line."""
     text = repr(tag)
-    return text if len(text) <= limit else text[:limit - 3] + "..."
+    return text if len(text) <= 40 else text[:37] + "..."
 
 
 def _family(tag):

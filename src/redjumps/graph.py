@@ -145,11 +145,11 @@ class ReductionGraph(Value):
     One pass over the vertices and one over the edges check the structure
     (ids, labels, endpoints, loops; every violation raised in one
     ValidationError) and build ``_compiled`` (:class:`_Compiled`), which
-    every accessor reads. Exact int and str take a fast path, subclasses
-    the isinstance tests; int labels are stored as exact ints. The semantic
-    invariants (connectivity, gcd 1, integral self-intersections, genus
-    >= 1) are checked by :meth:`validate`, once per graph; :func:`build`
-    constructs and validates. Operations below assume a valid graph, where
+    every accessor reads. Exact int labels skip the bool test; int labels
+    are stored as exact ints, and exact str ends are sorted without str().
+    The semantic invariants (connectivity, gcd 1, integral
+    self-intersections, genus >= 1) are checked by :meth:`validate`, once
+    per graph; :func:`build` constructs and validates. Operations below assume a valid graph, where
     ``genus()`` reads the adjunction sum alone.
     """
 
@@ -161,15 +161,14 @@ class ReductionGraph(Value):
         vertices, edges = tuple(vertices), tuple(edges)
         problems, index, N, genus = [], {}, [], []
         for v in vertices:
-            if type(v) is not Vertex and not isinstance(v, Vertex):
+            if not isinstance(v, Vertex):
                 problems.append(Violation("vertex", f"{v!r} is not a Vertex", str(v)))
                 continue
             vid, n, g = v.id, v.multiplicity, v.genus
-            if type(vid) is not str or not vid or vid in index:
-                if not isinstance(vid, str) or not vid:
-                    problems.append(Violation("vertex-id", "vertex ids must be non-empty strings", str(vid)))
-                elif vid in index:
-                    problems.append(Violation("vertex-id", f"duplicate vertex id {vid!r}", vid))
+            if not isinstance(vid, str) or not vid:
+                problems.append(Violation("vertex-id", "vertex ids must be non-empty strings", str(vid)))
+            elif vid in index:
+                problems.append(Violation("vertex-id", f"duplicate vertex id {vid!r}", vid))
             if isinstance(vid, str):  # an empty id is still a known endpoint
                 index[vid] = len(N)
             if type(n) is not int or n < 1:
@@ -185,19 +184,22 @@ class ReductionGraph(Value):
         if not vertices:
             problems.append(Violation("empty", "graph needs at least one vertex"))
         nbrs, nbr_sum, pairs, flagged, loose = [[] for _ in N], [0] * len(N), [], [], False
-        # ends sorted by str(); once an edge is no pair, or str() refuses an end, reports quote edges as given
+        # ends sorted by str(); once an edge is no pair, or str() refuses an
+        # end, the edges stay as given (``pairs`` is then read no more)
         for k, e in enumerate(edges):
             try:
                 a, b = e
-                pairs.append((a, b) if (a <= b if type(a) is str and type(b) is str
-                                        else str(a) <= str(b)) else (b, a))
             except (TypeError, ValueError):
-                pairs.append(e)
                 flagged.append(k)
                 loose = True
                 continue
-            i = index.get(a) if type(a) is str or isinstance(a, str) else None
-            j = index.get(b) if type(b) is str or isinstance(b, str) else None
+            try:
+                pairs.append((a, b) if (a <= b if type(a) is str and type(b) is str
+                                        else str(a) <= str(b)) else (b, a))
+            except (TypeError, ValueError):
+                loose = True
+            i = index.get(a) if isinstance(a, str) else None
+            j = index.get(b) if isinstance(b, str) else None
             if i is None or j is None or i == j:
                 flagged.append(k)
             else:
@@ -219,7 +221,7 @@ class ReductionGraph(Value):
         if problems:
             _check_valid(ValidationReport(False, tuple(problems)))
         object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", tuple(pairs))
+        object.__setattr__(self, "edges", edges if loose else tuple(pairs))
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_compiled", _Compiled(  # adjunction: see _Compiled
             index, N, genus, nbrs, nbr_sum, 2 * sum(map(mul, N, genus)) - 2 * sum(N) + sum(nbr_sum)))
@@ -283,10 +285,6 @@ class ReductionGraph(Value):
     def genus(self) -> int:
         """Genus of the generic fiber, via adjunction: 2g - 2 is the sum of
         N_v (2 g_v - 2 - E_v^2), an even sum (see _report)."""
-        return self._genus
-
-    @cached_property
-    def _genus(self) -> int:
         c = self._compiled
         if not self._report.ok:  # else every E_v^2 is integral and g >= 1
             for v, n, s in zip(self.vertices, c.N, c.nbr_sum):
@@ -316,12 +314,13 @@ class ReductionGraph(Value):
     @cached_property
     def _minimal(self):
         """The minimal model of this valid graph, or None when it is minimal
-        (caching self would be a reference cycle). A worklist: a min-heap of
-        the contractible ids of ``_compiled``, before any surgery form is
-        built. A contraction pushes its neighbours with E^2 = -1 again, and a
-        popped id is contracted if it is live and contractible, so each step
-        contracts the smallest contractible id. O(V + E + C log V) for C
-        contractions."""
+        (None rather than self: a graph caching itself would be a reference
+        cycle). A worklist: a min-heap of ids, seeded by one pass over
+        ``_compiled`` before any surgery form is built.
+        Only a contraction's neighbours with E^2 = -1 are pushed again, and
+        a popped id is contracted only if it is live and contractible, so
+        each step contracts the smallest contractible id. O(V + E + C log V)
+        for C contractions."""
         c = self._compiled
         heap = list(itertools.compress(  # the index keys are the ids in order
             c.index, map(_contractible, c.genus, c.N, c.nbrs, c.nbr_sum)))

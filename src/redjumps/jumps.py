@@ -126,7 +126,8 @@ class _Terms(Value):
         if rest:
             raise InternalInconsistency(
                 f"boundary sum at {Fraction(a, self.d)} is not a multiple of {self.d}")
-        return self.genus - len(self.members) + self.sigma + int(self.d == 1) - tail
+        return (self.genus - len(self.members) + self.sigma + int(self.d == 1)
+                - tail)
 
     def euler(self, c, a: int) -> int:
         """Dual route at a/d, by the direct intersection-number form."""
@@ -185,7 +186,10 @@ def _members_by_denominator(c) -> dict:
         raise OverBudget(f"at least {top} candidates (the largest multiplicity), "
                          f"work budget {WORK_BUDGET}", top)
     divisors = {n: _divisor_phis(n) for n in set(c.N)}
-    count = sum({d: f for phis in divisors.values() for d, f in phis.items()}.values())
+    phi = {}
+    for phis in divisors.values():
+        phi.update(phis)
+    count = sum(phi.values())
     if count > WORK_BUDGET:
         raise OverBudget(f"{count} candidates, work budget {WORK_BUDGET}", count)
     members = {}
@@ -205,7 +209,9 @@ def _scan(g: ReductionGraph, checks: bool = False):
     checks is set, whether every nonzero candidate meets the lower bound and
     the dual route. Asserts non-negativity; whether the multiplicities sum
     to the genus is left to the caller (see _asserted_total)."""
-    c, entries, ok_bound, ok_dual = g._compiled, [], True, True
+    c = g._compiled
+    entries = []
+    ok_bound = ok_dual = True
     for d, members in _members_by_denominator(c).items():
         t = _terms(c, d, members)
         bound = t.lower_bound(c) if checks and d > 1 else None
@@ -285,8 +291,10 @@ def analyze(g: ReductionGraph, with_checks: bool = False) -> AnalysisReport:
     principal components and ``minimal`` describe g as given.
     """
     minimized = minimize(g)
-    spectrum, checks = (_checked(g, minimized) if with_checks
-                        else (_asserted_total(_scan(minimized)[0]), None))
+    if with_checks:
+        spectrum, checks = _checked(g, minimized)
+    else:
+        spectrum, checks = _asserted_total(_scan(minimized)[0]), None
     return AnalysisReport(
         name=g.name,
         genus=spectrum.genus,

@@ -106,15 +106,20 @@ def test_edges_are_normalized():
     assert g.edges == (("a", "b"), ("a", "b"))
 
 
+def reference_edges(edges):
+    """The edge normalization: ends sorted by str(), or every edge as given
+    once an edge is no pair or str() refuses an end."""
+    try:
+        return tuple((a, b) if str(a) <= str(b) else (b, a) for a, b in edges)
+    except (TypeError, ValueError):
+        return tuple(edges)
+
+
 def reference_structural_problems(vertices, edges):
     """The structural check as a pass of its own, after the edge
     normalization, as the constructor made it before it checked and
     compiled in one pass: the reference for that pass."""
-    vertices, edges = tuple(vertices), tuple(edges)
-    try:
-        edges = tuple((a, b) if str(a) <= str(b) else (b, a) for a, b in edges)
-    except (TypeError, ValueError):
-        pass
+    vertices, edges = tuple(vertices), reference_edges(edges)
     problems = []
     seen = set()
     for v in vertices:
@@ -148,6 +153,13 @@ def reference_structural_problems(vertices, edges):
 
 class Name(str):
     """An id of a str subclass: it takes the isinstance tests."""
+
+
+class Mute(str):
+    """An id of a str subclass whose str() raises."""
+
+    def __str__(self):
+        raise TypeError("no str()")
 
 
 class Small(IntEnum):
@@ -195,6 +207,8 @@ def structures(draw):
 @example(([Vertex("a", 1, 1), Vertex("b", 1)], [("zz", "a"), ("b", "b"), ("b", "a")]))
 @example(([Vertex("a", 1, 1), Vertex("b", 1)], [("zz", "a"), ("b", "b"), "abc"]))
 @example(([], []))
+@example(([Vertex("a", 1, 1), Vertex("b", 1)], [(Mute("b"), "a")]))
+@example(([Vertex("a", 1, 1), Vertex("b", 1)], [(Mute("b"), "a"), ("zz", "a")]))
 @given(structures())
 def test_one_pass_check_matches_the_separate_check(case):
     vertices, edges = case
@@ -206,10 +220,10 @@ def test_one_pass_check_matches_the_separate_check(case):
         return
     assert expected == []
     # subclass ids and labels compile to the form exact types give
-    exact = ReductionGraph([Vertex(str(v.id), int(v.multiplicity), int(v.genus)) for v in vertices],
-                           [(str(a), str(b)) for a, b in edges])
+    exact = ReductionGraph([Vertex(str.__str__(v.id), int(v.multiplicity), int(v.genus))
+                            for v in vertices], [(str.__str__(a), str.__str__(b)) for a, b in edges])
     assert repr(g._compiled) == repr(exact._compiled)
-    assert g.edges == exact.edges
+    assert g.edges == reference_edges(edges)
 
 
 # -- semantic validation ------------------------------------------------------
@@ -572,8 +586,9 @@ def test_surgery_validates_once(monkeypatch):
     random_instance(7, 1024)
     assert len(calls) <= 1  # the result: the first call above built the seed
 
-    # computations, not calls: the report and the genus are cached per graph
-    computed = {"_report": 0, "_genus": 0}
+    # computations, not calls: the report is cached per graph, and genus()
+    # on a valid graph reads the adjunction sum alone
+    computed = {"_report": 0}
     for name in computed:
         compute = vars(ReductionGraph)[name].func
 
@@ -586,15 +601,14 @@ def test_surgery_validates_once(monkeypatch):
         monkeypatch.setattr(ReductionGraph, name, prop)
     g = ReductionGraph(graph.vertices, graph.edges)
     report, genus = g.validate(), g.genus()
-    assert computed == {"_report": 1, "_genus": 1}
+    assert computed == {"_report": 1}
     assert g.validate() is report and g.genus() == genus
-    assert computed == {"_report": 1, "_genus": 1}
+    assert computed == {"_report": 1}
     for s in range(64):
-        computed.update(_report=0, _genus=0)
+        computed.update(_report=0)
         run_checks(random_instance(s, s % 16).graph)
-        # the seed, the instance and its minimal model; the scans of the
-        # last two
-        assert computed["_report"] <= 3 and computed["_genus"] <= 2, (s, computed)
+        # the seed, the instance and its minimal model
+        assert computed["_report"] <= 3, (s, computed)
 
 
 # -- the one derived form against the id-keyed accessors it replaced ---------
