@@ -28,8 +28,7 @@ _EXPORTS = {
                     "jumps"),
     **dict.fromkeys(["IntegralDivisor", "candidate_values", "floor_divisor", "index_set",
                      "intersect", "is_isomorphic", "jump_multiplicity",
-                     "jump_multiplicity_via_euler", "lower_bound", "principal_dominating",
-                     "sigma"], "reference"),
+                     "jump_multiplicity_via_euler", "lower_bound", "sigma"], "reference"),
 }
 
 __version__ = "0.1.0"

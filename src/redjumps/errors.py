@@ -45,10 +45,6 @@ class NotMinimal(RedjumpsError):
     """Operation defined only on minimal graphs was given a non-minimal one."""
 
 
-class NoPrincipalFound(RedjumpsError):
-    """A chain walk ended without reaching a principal component."""
-
-
 class PreconditionFailed(RedjumpsError):
     pass
 

@@ -149,8 +149,8 @@ class ReductionGraph(Value):
     are stored as exact ints, and exact str ends are sorted without str().
     The semantic invariants (connectivity, gcd 1, integral
     self-intersections, genus >= 1) are checked by :meth:`validate`, once
-    per graph; :func:`build` constructs and validates. Operations below assume a valid graph, where
-    ``genus()`` reads the adjunction sum alone.
+    per graph; :func:`build` constructs and validates. Operations below
+    assume a valid graph, where ``genus()`` reads the adjunction sum alone.
     """
 
     _fields = ("vertices", "edges", "name")

@@ -8,8 +8,9 @@ a conductor. Everything here is exact integer arithmetic: determinants
 and basis changes come from fraction-free (Bareiss, Math. Comp. 22 (1968))
 elimination. The public functions validate each matrix argument once;
 their private cores (_det, _quotient, _matmul, _smith, _divisor_valuations,
-_sandwich, _column_hnf) take validated rows, and the verification suite
-calls them on the matrices it drew itself.
+_sandwich) take validated rows, and the verification suite calls them on
+the matrices it drew itself. _column_hnf has no checked form: its callers
+pass rows they built themselves.
 
 smith_normal_form runs its row and column steps on one block matrix B =
 [[M, I], [I, 0]] of size 2n and reads every pivot and multiplier off the
@@ -48,7 +49,6 @@ _matmul.
 
 from __future__ import annotations
 
-from math import isqrt
 from operator import mul
 
 from ._values import _below, _check_int
@@ -237,9 +237,26 @@ def diagonal(D):
     return [D[i][i] for i in range(len(D))]
 
 
+# Miller-Rabin to the first 13 primes as bases decides every n below
+# _PRIME_LIMIT (Sorenson-Webster, Math. Comp. 86 (2017)). A base that divides
+# n fails its round, so the rounds also do trial division by the bases.
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def _check_prime(p):
-    if not isinstance(p, int) or p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+    if not isinstance(p, int) or p < 2:
         raise PreconditionFailed(f"p must be prime, got {p!r}")
+    if p in _BASES:
+        return
+    if p >= _PRIME_LIMIT:
+        raise PreconditionFailed(
+            f"p must be below {_PRIME_LIMIT}, got a {p.bit_length()}-bit p")
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d 2^s with d odd
+    d = (p - 1) >> s
+    for a in _BASES:  # p passes base a iff a^d = 1 or a^(d 2^k) = -1 for a k < s
+        if pow(a, d, p) != 1 and all(pow(a, d << k, p) != p - 1 for k in range(s)):
+            raise PreconditionFailed(f"p must be prime, got {p!r}")
 
 
 def elementary_divisors(inner, outer, p):
@@ -287,11 +304,6 @@ def _divisor_valuations(X, p):
              else row[1:] for row in A[1:]]
         out.append(v)
     return tuple(out)
-
-
-def conductor(inner, outer, p):
-    """Sum of the elementary divisor valuations of inner <= outer at p."""
-    return sum(elementary_divisors(inner, outer, p))
 
 
 def check_sandwich(l0, l1, l2, p, n):
@@ -353,17 +365,10 @@ def chain_complement(v, w):
     return tuple([0] * zeros + [a - w[g - 1 - t] for t in range(g - zeros)])
 
 
-def column_hnf(M):
-    """Staircase basis of the column lattice of an integer matrix.
-
-    Returns (columns, pivot_rows): the basis vectors as tuples and the row
-    index of each column's leading entry.
-    """
-    return _column_hnf(_as_matrix(M))
-
-
 def _column_hnf(rows):
-    """column_hnf on a nonempty rectangular list of int rows, left unchanged."""
+    """Staircase basis of the column lattice of a nonempty rectangular list
+    of int rows, left unchanged. Returns (columns, pivot_rows): the basis
+    vectors as tuples and the row index of each column's leading entry."""
     r = len(rows)
     cols = [list(col) for col in zip(*rows)]
     t = 0

@@ -28,13 +28,15 @@ a*m makes the feasible interval for k at least 1 long, and on a boundary
 facet the denominator of the critical ratio divides the branch
 multiplicity. The closed-form membership and saturation functions accept
 plain integers or integer arrays (numpy's, say) componentwise; this module
-itself imports no numpy.
+itself imports no numpy. _divisible_case1 takes non-negative ints unchecked:
+only the monoid suite calls it, on the box it ranges over.
 
 AffineMonoid covers finitely generated submonoids of N^r for the pushout
 lemma: Q = P +_N (1/d) N glued along 1 |-> e in P has canonical forms
 (x, n/d) with x in P^gp and 0 <= n < d, and for saturated P,
 (x, n/d) in Q^sat iff d x + n e in P (multiplying any witness multiple by
-d lands in P's group and saturation finishes the argument).
+d lands in P's group and saturation finishes the argument). Membership in
+P^gp reads lattices._column_hnf of the generators the constructor checked.
 
 Membership in an AffineMonoid is read off a grid on [0, B]^r that holds
 the monoid's points in the box. Since generators are non-negative, every
@@ -84,7 +86,7 @@ from numbers import Integral
 from ._values import Value, _check_int
 from .errors import (InternalInconsistency, NotSaturatedInput,
                      PreconditionFailed)
-from .lattices import column_hnf
+from .lattices import _column_hnf
 
 # The largest membership grid, in bits: 8 MiB. A grid on [0, B]^r takes up
 # to (2(B + 1))^r bits; the verification suites build at most 4,900.
@@ -201,24 +203,11 @@ def cokernel_generators_case1(chart):
     return tuple((j, (j * a) // m) for j in range(1, m))
 
 
-def divisible_case1(chart, s, t, i):
-    """Divisibility of monomials in the case-1 chart algebra: whether the
-    degree-(s, i) element is divisible by t powers of the base parameter."""
-    for name, x in (("s", s), ("t", t), ("i", i)):
-        _check_int(name, x, 0)
-    return _divisible_case1(chart, s, t, i)
-
-
 def _divisible_case1(chart, s, t, i):
-    """divisible_case1 on non-negative ints, unchecked."""
+    """Divisibility of monomials in the case-1 chart algebra: whether the
+    degree-(s, i) element is divisible by t powers of the base parameter,
+    for non-negative ints s, t and i (unchecked)."""
     return chart.a * (s - i) - chart.m * t >= 0
-
-
-def filtration_summands(chart, i):
-    """Indices of the graded summands above level i, for 0 <= i < m."""
-    if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i <= chart.m - 1:
-        raise PreconditionFailed(f"need 0 <= i <= m - 1 = {chart.m - 1}, got {i!r}")
-    return list(range(1, chart.m - i))
 
 
 def charts_case1(max_m):
@@ -402,7 +391,7 @@ class AffineMonoid(Value):
         """group_contains for a vector already validated."""
         if self._hnf is None:
             rows = [[g[i] for g in self.generators] for i in range(self.rank)]
-            object.__setattr__(self, "_hnf", column_hnf(rows))
+            object.__setattr__(self, "_hnf", _column_hnf(rows))
         cols, pivots = self._hnf
         residual = x
         for col, pr in zip(cols, pivots):

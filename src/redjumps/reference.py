@@ -1,4 +1,4 @@
-"""Single values of the jump formulas, a tail walk and graph isomorphism.
+"""Single values of the jump formulas and graph isomorphism.
 
 What no ``redjumps compute`` runs, kept out of the modules it imports:
 
@@ -7,8 +7,6 @@ What no ``redjumps compute`` runs, kept out of the modules it imports:
   the main and the dual route, the lower bound, and the candidate list.
   Each reads the per-denominator terms of the ``jumps`` kernel, so it
   agrees with the scan by construction;
-- ``principal_dominating``, the walk from a genus-0 tail to its principal
-  component;
 - ``is_isomorphic``, label-preserving multigraph isomorphism by colour
   refinement and backtracking (McKay-Piperno, J. Symbolic Comput. 60 (2014)).
 
@@ -22,7 +20,7 @@ from collections import Counter
 from fractions import Fraction
 
 from ._values import Value
-from .errors import InternalInconsistency, NoPrincipalFound, PreconditionFailed
+from .errors import InternalInconsistency, PreconditionFailed
 from .graph import ReductionGraph
 from .jumps import _members_by_denominator, _numerators, _terms
 
@@ -109,37 +107,7 @@ def candidate_values(g: ReductionGraph):
                   for a in _numerators(d))
 
 
-# -- walks and comparisons of graphs ----------------------------------------
-
-def principal_dominating(g: ReductionGraph, v0: str) -> str:
-    """Walk a genus-0 tail of multiplicity N_0 > 1 to its principal end.
-
-    From a degree-1 genus-0 vertex the walk follows the unique chain of
-    degree-2 genus-0 vertices; the component it lands on is principal,
-    has multiplicity divisible by N_0, and (on minimal graphs) strictly
-    larger than N_0. Both divisibility facts are asserted.
-    """
-    if not g.is_minimal():
-        raise PreconditionFailed("principal_dominating expects a minimal graph")
-    start = g.vertex(v0)
-    if start.genus != 0 or g.degree(v0) != 1 or start.multiplicity <= 1:
-        raise PreconditionFailed(
-            f"vertex {v0!r}: need genus 0, degree 1 and multiplicity > 1 "
-            f"(got genus {start.genus}, degree {g.degree(v0)}, N {start.multiplicity})")
-    principal = g.principal_components()
-    prev, cur = v0, g.neighbors(v0)[0]
-    while cur not in principal:  # so cur has genus 0 and degree <= 2
-        if g.degree(cur) != 2:
-            raise NoPrincipalFound(f"chain from {v0!r} dead-ends at {cur!r}")
-        # prev has one edge to cur (it is v0 or a chain vertex), so cur's
-        # other edge leads on
-        prev, cur = cur, [w for w in g.neighbors(cur) if w != prev][0]
-    n0, nt = start.multiplicity, g.multiplicity(cur)
-    if nt % n0 != 0 or nt <= n0:
-        raise InternalInconsistency(
-            f"tail multiplicity {n0} should strictly divide principal {nt}")
-    return cur
-
+# -- comparisons of graphs --------------------------------------------------
 
 def is_isomorphic(g1: ReductionGraph, g2: ReductionGraph) -> bool:
     """Label-preserving multigraph isomorphism (multiplicity and genus):

@@ -23,7 +23,6 @@ from redjumps import (
     is_isomorphic,
     kodaira_graph,
     minimize,
-    principal_dominating,
     random_instance,
 )
 from redjumps.errors import (
@@ -31,7 +30,6 @@ from redjumps.errors import (
     NonIntegralSelfIntersection,
     NotContractible,
     NotMinimal,
-    PreconditionFailed,
     UnknownEdge,
     UnknownVertex,
     ValidationError,
@@ -790,25 +788,6 @@ def test_contract_chains_examples():
 def test_contract_chains_requires_minimal_model():
     with pytest.raises(NotMinimal):
         contract_chains(blow_up_free_point(kodaira_graph("II"), "c"))
-
-
-def test_principal_dominating_walks_to_center():
-    g = kodaira_graph("II")
-    assert principal_dominating(g, "t1") == "c"
-    assert principal_dominating(g, "t2") == "c"
-    assert principal_dominating(kodaira_graph("III*"), "a1_1") == "c"
-    # end of the middle II* arm, two steps from the center
-    assert principal_dominating(kodaira_graph("II*"), "a2_2") == "c"
-
-
-def test_principal_dominating_preconditions():
-    g = kodaira_graph("IV")
-    with pytest.raises(PreconditionFailed):
-        principal_dominating(g, "t1")  # multiplicity 1
-    with pytest.raises(PreconditionFailed):
-        principal_dominating(g, "c")  # not a tail
-    with pytest.raises(PreconditionFailed):
-        principal_dominating(blow_up_free_point(g, "c"), "t1")
 
 
 # -- isomorphism ---------------------------------------------------------------

@@ -21,12 +21,11 @@ from redjumps.errors import (
 )
 from redjumps import lattices
 from redjumps.lattices import (
+    _column_hnf,
     _divisor_valuations,
     _twisted_diagonal,
     chain_complement,
     check_sandwich,
-    column_hnf,
-    conductor,
     det,
     diagonal,
     elementary_divisors,
@@ -229,17 +228,34 @@ def test_elementary_divisors_examples():
 
 
 def test_conductor_sums_valuations():
-    assert conductor([[4, 0], [0, 8]], identity(2), 2) == 5
-    assert conductor(identity(2), identity(2), 3) == 0
+    assert sum(elementary_divisors([[4, 0], [0, 8]], identity(2), 2)) == 5
+    assert sum(elementary_divisors(identity(2), identity(2), 3)) == 0
 
 
 def test_prime_is_validated():
-    with pytest.raises(PreconditionFailed):
-        elementary_divisors(identity(2), identity(2), 4)
-    with pytest.raises(PreconditionFailed):
-        conductor(identity(2), identity(2), 1)
-    with pytest.raises(PreconditionFailed):  # too large for a float square root
-        elementary_divisors(identity(2), identity(2), 10**400)
+    for p in (4, 1, 0, -7, True, 2.0):
+        with pytest.raises(PreconditionFailed, match="must be prime"):
+            elementary_divisors(identity(2), identity(2), p)
+    # 43^2, Carmichael numbers and strong pseudoprimes to the first bases
+    for p in (1849, 561, 41041, 3215031751, 3825123056546413051,
+              318665857834031151167461):
+        with pytest.raises(PreconditionFailed, match="must be prime"):
+            elementary_divisors(identity(2), identity(2), p)
+    for p in (2, 3, 5, 41, 43, 2**31 - 1, 10**14 + 31, 2**61 - 1):
+        assert elementary_divisors(identity(2), identity(2), p) == (0, 0)
+    limit = lattices._PRIME_LIMIT
+    for p in (limit, 2**89 - 1, 10**400):  # 2^89 - 1 is prime, but above the limit
+        with pytest.raises(PreconditionFailed, match=f"below {limit}"):
+            elementary_divisors(identity(2), identity(2), p)
+    # the Miller-Rabin rounds agree with trial division
+    for p in range(2, 20_000):
+        prime = all(p % q for q in range(2, math.isqrt(p) + 1))
+        try:
+            lattices._check_prime(p)
+        except PreconditionFailed:
+            assert not prime, p
+        else:
+            assert prime, p
 
 
 def test_check_sandwich_accepts_a_true_chain():
@@ -282,12 +298,12 @@ def test_chain_complement_validates_shapes():
 
 
 def test_column_hnf():
-    cols, pivots = column_hnf([[2, 0, 1], [0, 2, 1]])
+    cols, pivots = _column_hnf([[2, 0, 1], [0, 2, 1]])
     assert pivots == [0, 1]
     # the span has index 2 in Z^2: the staircase determinant is +-2
     a, b = cols
     assert abs(a[0] * b[1] - a[1] * b[0]) == 2
-    cols, pivots = column_hnf([[0, 0], [0, 0]])
+    cols, pivots = _column_hnf([[0, 0], [0, 0]])
     assert cols == [] and pivots == []
 
 
@@ -510,7 +526,7 @@ def test_public_functions_refuse_what_is_not_an_integer_matrix(bad):
     good = [[1]]
     for call in (lambda: det(bad), lambda: matmul(bad, good), lambda: matmul(good, bad),
                  lambda: lattice_quotient(bad, good), lambda: lattice_quotient(good, bad),
-                 lambda: smith_normal_form(bad), lambda: column_hnf(bad),
+                 lambda: smith_normal_form(bad),
                  lambda: elementary_divisors(bad, good, 2),
                  lambda: elementary_divisors(good, bad, 2)):
         with pytest.raises(ShapeMismatch):

@@ -27,12 +27,11 @@ from redjumps.monoids import (
     AffineMonoid,
     SaturationChartCase1,
     SaturationChartCase2,
+    _divisible_case1,
     chart_saturation_index,
     charts_case1,
     charts_case2,
     cokernel_generators_case1,
-    divisible_case1,
-    filtration_summands,
     member_case1,
     member_case1_search,
     member_case2,
@@ -234,14 +233,10 @@ def test_cokernel_generator_invariant(m, data):
 
 def test_divisible_case1():
     chart = SaturationChartCase1(2, 6)
-    assert divisible_case1(chart, 9, 3, 0)  # 2*9 >= 6*3
-    assert not divisible_case1(chart, 9, 3, 1)
-    assert divisible_case1(chart, 3, 1, 0)
-    assert not divisible_case1(chart, 2, 1, 0)
-    with pytest.raises(PreconditionFailed):
-        divisible_case1(chart, -1, 0, 0)
-    with pytest.raises(PreconditionFailed):
-        divisible_case1(chart, 1, 0.5, 0)
+    assert _divisible_case1(chart, 9, 3, 0)  # 2*9 >= 6*3
+    assert not _divisible_case1(chart, 9, 3, 1)
+    assert _divisible_case1(chart, 3, 1, 0)
+    assert not _divisible_case1(chart, 2, 1, 0)
 
 
 def test_divisibility_is_monotone():
@@ -249,26 +244,13 @@ def test_divisibility_is_monotone():
     for s in range(0, 20):
         for t in range(0, 5):
             for i in range(0, 6):
-                if divisible_case1(chart, s, t, i):
-                    assert divisible_case1(chart, s + 1, t, i)
+                if _divisible_case1(chart, s, t, i):
+                    assert _divisible_case1(chart, s + 1, t, i)
                     if t > 0:
-                        assert divisible_case1(chart, s, t - 1, i)
+                        assert _divisible_case1(chart, s, t - 1, i)
                     if i > 0:
-                        assert divisible_case1(chart, s, t, i - 1)
+                        assert _divisible_case1(chart, s, t, i - 1)
 
-
-def test_filtration_summands():
-    chart = SaturationChartCase1(1, 5)
-    assert filtration_summands(chart, 0) == [1, 2, 3, 4]
-    assert filtration_summands(chart, 3) == [1]
-    assert filtration_summands(chart, 4) == []
-    with pytest.raises(PreconditionFailed):
-        filtration_summands(chart, 5)
-    with pytest.raises(PreconditionFailed):
-        filtration_summands(chart, -1)
-
-
-# -- stabilization degree of a chart --------------------------------------------------
 
 def test_chart_saturation_index_case1():
     assert chart_saturation_index(SaturationChartCase1(1, 1)) == 1

@@ -99,6 +99,20 @@ def test_exports_resolve():
         redjumps.not_exported
 
 
+def test_removed_names_stay_removed():
+    # names that nothing but their own tests called; "conductor" as a plain
+    # word stays, for the tame base-change conductor
+    from redjumps import errors, lattices, monoids, reference
+
+    removed = ("principal_dominating", "NoPrincipalFound", "filtration_summands",
+               "conductor", "divisible_case1", "column_hnf")
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    for name in removed:
+        for module in (redjumps, reference, lattices, monoids, errors):
+            assert not hasattr(module, name), (module.__name__, name)
+        assert f"`{name}`" not in readme, name
+
+
 def test_below_draws_as_randrange_choice_and_randint():
     # the same value and the same generator state after it, on every bit
     # length and on both sides of each power of two
