@@ -341,6 +341,29 @@ def test_stabilization_index_requires_minimal_model():
         g.stabilization_index()
 
 
+def tail_end(g, v0):
+    """The first principal component on the genus-0 chain from tail v0."""
+    prev, cur = v0, g.neighbors(v0)[0]
+    while cur not in g.principal_components():
+        assert g.vertex(cur).genus == 0 and g.degree(cur) == 2, (v0, cur)
+        prev, cur = cur, [w for w in g.neighbors(cur) if w != prev][0]
+    return cur
+
+
+def test_tails_end_on_a_proper_multiple():
+    # on a minimal model a genus-0 tail of multiplicity N_0 > 1 meets b N_0,
+    # b >= 2, so its chain rises in multiples of N_0 to a principal component
+    assert tail_end(kodaira_graph("II"), "t1") == tail_end(kodaira_graph("II"), "t2") == "c"
+    assert tail_end(kodaira_graph("III*"), "a1_1") == "c"
+    assert tail_end(kodaira_graph("II*"), "a2_2") == "c"  # two steps from the center
+    for tag in catalog_tags():
+        g = catalog_graph(tag)
+        for v in g.vertices:
+            if v.genus == 0 and g.degree(v.id) == 1 and v.multiplicity > 1:
+                n = g.multiplicity(tail_end(g, v.id))
+                assert n % v.multiplicity == 0 and n > v.multiplicity, (tag, v.id)
+
+
 # -- blow-ups and blow-downs --------------------------------------------------
 
 def test_blow_up_free_point_shape():

@@ -247,7 +247,9 @@ def test_prime_is_validated():
     for p in (limit, 2**89 - 1, 10**400):  # 2^89 - 1 is prime, but above the limit
         with pytest.raises(PreconditionFailed, match=f"below {limit}"):
             elementary_divisors(identity(2), identity(2), p)
-    # the Miller-Rabin rounds agree with trial division
+
+
+def test_check_prime_agrees_with_trial_division():
     for p in range(2, 20_000):
         prime = all(p % q for q in range(2, math.isqrt(p) + 1))
         try:
