@@ -15,9 +15,9 @@ parse_document, so input that is not UTF-8 is unparsable (3). Exit codes:
 error, 2 failed check or internal inconsistency, 3 unreadable or
 unparsable input, 4 over the work budget: a candidate scan would visit
 more than jumps.WORK_BUDGET candidates, and the count is printed on
-stderr with no check table. compute answers from the minimal model, so
-only compute --check, which also scans the model as given, meets the
-budget on a model whose minimal model is small.
+stderr with no check table. compute answers from the nodes (see jumps),
+so only compute --check, which also scans every vertex of the model as
+given, meets the budget on a model whose minimal model is small.
 
 The arguments are parsed by argparse, with one exception: _common reads
 the plain forms of compute, validate, minimize and catalog (the command,
@@ -67,17 +67,17 @@ def _cmd_compute(args):
     from . import jumps as _jumps
 
     g = parse_document(_read(args.file))
-    minimal = _graph.minimize(g)  # raises on an invalid graph, before any scan
+    _graph._check_valid(g.validate())  # an invalid graph exits 1 first
     if args.check not in (None, "all", *_jumps.CHECK_NAMES):
         names = ", ".join(_jumps.CHECK_NAMES)
         print(f"error: no check named {args.check!r} (have: {names})",
               file=sys.stderr)
         return 1
+    minimized = _graph.minimize(g) if args.minimize else None
     report = _jumps.analyze(g, with_checks=args.check is not None)
     checks = list(report.checks or ())
     if args.check not in (None, "all"):
         checks = [c for c in checks if c[0] == args.check]
-    minimized = minimal if args.minimize else None
     if args.json:
         doc = report_document(report)
         if args.check is not None:

@@ -36,18 +36,26 @@ are counted only when a check reads the bound.
 
 Which model each route scans. The spectrum does not depend on the sncd
 model, but the candidate count sum_{d | some N_i} phi(d) is at least
-max N_i and grows like a Fibonacci number under repeated edge blow-ups.
-So compute_jumps and analyze scan minimize(g), which costs
-O(V + E + C log V) for C contractions and validates g (an invalid graph
-raises ValidationError). The minimal model is computed once per graph
-object and kept with it, so analyze(g) followed by minimize(g) or
-run_checks(g), as in `redjumps compute --check --minimize`, contracts
-once. run_checks and analyze(g, with_checks=True) keep the scan of g
-itself as the reference route: the lower bound and the dual route are
-evaluated on it, and the model-independence check compares it with the
-scan of the minimal model. Every scan first counts its candidates, and a
-graph with more than WORK_BUDGET of them raises OverBudget instead of
-being scanned.
+max N_i and grows like a Fibonacci number under repeated edge blow-ups,
+on chain vertices (genus 0, exactly two incident edges, maybe to one
+neighbour), which contribute nothing. By vertex, with tau(w) = 1/2 if
+d | N_w and 1 - <a N_w / d> otherwise (<x> the fractional part),
+mult(a/d) is [d = 1] plus the sum over M_d of c_i(a) = g_i - 1 + the
+sum over the edges i-w of tau(w). Lemma: c_i(a) = 0 for a chain vertex
+i in M_d. Its neighbours have N_w1 + N_w2 = -E_i^2 N_i = 0 mod d, so both
+lie in M_d (-1 + 1/2 + 1/2) or neither does, and then a N_w1 and a N_w2
+are nonzero residues summing to d (-1 + 2 - 1). So compute_jumps and
+analyze scan only the nodes, the other vertices: those of g, validated,
+unless a node of g is contractible or the nodes of g have more than
+WORK_BUDGET candidates, and else those of minimize(g), O(V + E + C log V)
+for C contractions. The minimal model is computed once per graph object
+and kept with it, so analyze(g) followed by minimize(g) or run_checks(g)
+contracts once. run_checks and analyze(g, with_checks=True) keep the
+scan of every vertex of g as the reference route: the lower bound and
+the dual route are evaluated on it, and the model-independence check
+compares it with the node route on the minimal model. Every scan first
+counts the candidates of the vertices it scans, and more than
+WORK_BUDGET of them raise OverBudget instead of being scanned.
 """
 
 from __future__ import annotations
@@ -58,7 +66,8 @@ from types import SimpleNamespace
 
 from ._values import Value
 from .errors import InternalInconsistency, OverBudget
-from .graph import ReductionGraph, _components, contract_chains, minimize
+from .graph import (ReductionGraph, _check_valid, _components, _contractible,
+                    contract_chains, minimize)
 
 # The most candidates a/d one scan may visit: a few seconds of work.
 WORK_BUDGET = 2_000_000
@@ -94,45 +103,48 @@ class JumpSpectrum(Value):
 # -- the kernel: per-denominator terms of the compiled graph -----------------
 
 class _Terms(Value):
-    """Everything the three routes need of one denominator d: ``members``
-    is M_d = {i : d | N_i} as vertex indices, ``inner`` the number of edges
-    with both ends in M_d, ``boundary`` holds N_w for each edge i-w with i
-    in M_d and w outside, and ``genus`` is the sum of g_i over M_d.
-    ``components(c)`` counts the components of M_d on each call."""
+    """Everything the three routes need of one denominator d and a set S
+    of vertices in M_d = {i : d | N_i}, all of M_d or its nodes: ``members``
+    is S as vertex indices, ``half_inner`` the number of half-edges from S
+    into M_d, ``boundary`` holds N_w for each edge i-w with i in S and w
+    outside M_d, and ``genus`` is the sum of g_i over S. ``sigma``, the lower
+    bound and the dual route need S = M_d, and ``components(c)`` counts the
+    components of M_d on each call."""
 
-    __slots__ = _fields = ("d", "members", "inner", "boundary", "genus")
+    __slots__ = _fields = ("d", "members", "half_inner", "boundary", "genus")
 
-    def __init__(self, d: int, members: tuple[int, ...], inner: int,
+    def __init__(self, d: int, members: tuple[int, ...], half_inner: int,
                  boundary: tuple[int, ...], genus: int):
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "members", members)
-        object.__setattr__(self, "inner", inner)
+        object.__setattr__(self, "half_inner", half_inner)
         object.__setattr__(self, "boundary", boundary)
         object.__setattr__(self, "genus", genus)
 
     @property
     def sigma(self) -> int:
-        return self.inner + len(self.boundary)
+        return self.half_inner // 2 + len(self.boundary)
 
     def components(self, c) -> int:
         return _components(c.nbrs, self.members)
 
     def lower_bound(self, c) -> int:
-        return self.inner - len(self.members) + self.components(c) + self.genus
+        return self.half_inner // 2 - len(self.members) + self.components(c) + self.genus
 
     def mult(self, a: int) -> int:
-        """Main route at a/d, by the integer boundary form."""
-        tail, rest = divmod(sum(a * n % self.d for n in self.boundary), self.d)
+        """Main route at a/d: [d = 1] plus the c_i(a) of S, scaled by 2d."""
+        d = self.d
+        tail, rest = divmod(d * self.half_inner
+                            - 2 * sum(a * n % d for n in self.boundary), 2 * d)
         if rest:
             raise InternalInconsistency(
-                f"boundary sum at {Fraction(a, self.d)} is not a multiple of {self.d}")
-        return (self.genus - len(self.members) + self.sigma + int(self.d == 1)
-                - tail)
+                f"half-edge sum at {Fraction(a, d)} is not a multiple of {2 * d}")
+        return self.genus - len(self.members) + len(self.boundary) + int(d == 1) + tail
 
     def euler(self, c, a: int) -> int:
         """Dual route at a/d, by the direct intersection-number form."""
         d = self.d
-        total = -self.inner
+        total = -(self.half_inner // 2)
         for i in self.members:  # E_i^2 = -(nbr_sum_i / N_i)
             e_dot = (-(a * c.N[i] // d) * (c.nbr_sum[i] // c.N[i])
                      + sum(a * c.N[w] // d for w in c.nbrs[i]))
@@ -148,7 +160,7 @@ def _terms(c, d: int, members) -> _Terms:
                 boundary.append(N[w])
             else:
                 half_inner += 1
-    return _Terms(d, tuple(members), half_inner // 2, tuple(boundary),
+    return _Terms(d, tuple(members), half_inner, tuple(boundary),
                   sum(c.genus[i] for i in members))
 
 
@@ -176,25 +188,26 @@ def _divisor_phis(n: int) -> dict[int, int]:
     return phis
 
 
-def _members_by_denominator(c) -> dict:
-    """M_d for every d dividing some N_i. Raises OverBudget first when the
+def _members_by_denominator(c, indices) -> dict:
+    """M_d restricted to the vertex indices ``indices``, for d = 1 and every
+    d dividing N_i of some i there. Raises OverBudget first when the
     candidates, sum of phi(d) over those d, number more than WORK_BUDGET.
     That sum is at least max N_i (sum_{d | N} phi(d) = N), so a larger
     N_i is over the budget before anything is factored."""
-    top = max(c.N)
+    top = max((c.N[i] for i in indices), default=1)
     if top > WORK_BUDGET:
         raise OverBudget(f"at least {top} candidates (the largest multiplicity), "
                          f"work budget {WORK_BUDGET}", top)
-    divisors = {n: _divisor_phis(n) for n in set(c.N)}
-    phi = {}
+    divisors = {n: _divisor_phis(n) for n in {c.N[i] for i in indices}}
+    phi = {1: 1}
     for phis in divisors.values():
         phi.update(phis)
     count = sum(phi.values())
     if count > WORK_BUDGET:
         raise OverBudget(f"{count} candidates, work budget {WORK_BUDGET}", count)
-    members = {}
-    for i, n in enumerate(c.N):
-        for d in divisors[n]:
+    members = {1: []}
+    for i in indices:
+        for d in divisors[c.N[i]]:
             members.setdefault(d, []).append(i)
     return members
 
@@ -204,15 +217,23 @@ def _numerators(d: int):
     return [0] if d == 1 else [a for a in range(1, d) if gcd(a, d) == 1]
 
 
-def _scan(g: ReductionGraph, checks: bool = False):
-    """One pass over the candidates of g itself: the spectrum and, when
-    checks is set, whether every nonzero candidate meets the lower bound and
-    the dual route. Asserts non-negativity; whether the multiplicities sum
-    to the genus is left to the caller (see _asserted_total)."""
+def _nodes(g: ReductionGraph) -> list[int]:
+    """Indices of all vertices of g but the chain vertices."""
+    c = g._compiled
+    return [i for i, nbrs in enumerate(c.nbrs) if len(nbrs) != 2 or c.genus[i]]
+
+
+def _scan(g: ReductionGraph, indices=None, checks: bool = False):
+    """One pass over the candidates of the vertex indices of g, all of them
+    by default: the spectrum and, when checks is set, whether every nonzero
+    candidate meets the lower bound and the dual route. Asserts
+    non-negativity; whether the multiplicities sum to the genus is left to
+    the caller (see _asserted_total)."""
     c = g._compiled
     entries = []
     ok_bound = ok_dual = True
-    for d, members in _members_by_denominator(c).items():
+    for d, members in _members_by_denominator(
+            c, range(len(c.N)) if indices is None else indices).items():
         t = _terms(c, d, members)
         bound = t.lower_bound(c) if checks and d > 1 else None
         for a in _numerators(d):
@@ -237,11 +258,21 @@ def _asserted_total(spectrum: JumpSpectrum) -> JumpSpectrum:
 
 
 def compute_jumps(g: ReductionGraph) -> JumpSpectrum:
-    """Full jump spectrum, scanned on minimize(g); asserts the multiplicity
-    total equals the genus. Raises ValidationError on an invalid graph and
-    OverBudget when the minimal model has more than WORK_BUDGET
-    candidates."""
-    return _asserted_total(_scan(minimize(g))[0])
+    """Full jump spectrum by the node route (see the module docstring);
+    asserts the multiplicity total equals the genus. Raises ValidationError
+    on an invalid graph and OverBudget when the nodes of the model scanned
+    have more than WORK_BUDGET candidates."""
+    _check_valid(g.validate())
+    c = g._compiled
+    # a contractible node has degree 1: contractible vertices of degree 2 are chain vertices
+    if not any(len(nbrs) == 1 and _contractible(c.genus[i], c.N[i], nbrs, c.nbr_sum[i])
+               for i, nbrs in enumerate(c.nbrs)):
+        try:
+            return _asserted_total(_scan(g, _nodes(g))[0])
+        except OverBudget:  # a heavy node of g, which minimize may remove
+            pass
+    m = minimize(g)
+    return _asserted_total(_scan(m, _nodes(m))[0])
 
 
 def tame_base_change_conductor(s: JumpSpectrum) -> Fraction:
@@ -285,16 +316,12 @@ def analyze(g: ReductionGraph, with_checks: bool = False) -> AnalysisReport:
 
     The spectrum, the conductor and the stabilization index (the lcm of
     the reduced denominators of the jumps) do not depend on the model, and
-    are read off the scan of minimize(g). With checks they come from the
-    reference route instead, the scan of g itself, which run_checks
-    compares with the minimal-model scan. The unipotent rank, the
-    principal components and ``minimal`` describe g as given.
+    are read off the node route of compute_jumps. With checks they come
+    from the reference route instead, the scan of every vertex of g, which
+    run_checks compares with the node route on minimize(g). The unipotent
+    rank, the principal components and ``minimal`` describe g as given.
     """
-    minimized = minimize(g)
-    if with_checks:
-        spectrum, checks = _checked(g, minimized)
-    else:
-        spectrum, checks = _asserted_total(_scan(minimized)[0]), None
+    spectrum, checks = _checked(g, minimize(g)) if with_checks else (compute_jumps(g), None)
     return AnalysisReport(
         name=g.name,
         genus=spectrum.genus,
@@ -303,7 +330,7 @@ def analyze(g: ReductionGraph, with_checks: bool = False) -> AnalysisReport:
         unipotent_rank=unipotent_rank(g),
         stabilization_index=spectrum.denominator_lcm(),
         principal_components=tuple(sorted(g.principal_components())),
-        minimal=minimized is g,
+        minimal=g.is_minimal(),
         checks=tuple(checks) if with_checks else None,
     )
 
@@ -319,8 +346,8 @@ def run_checks(g: ReductionGraph):
     positive-genus components, the denominator-lcm route to the
     stabilization index, the chain-contraction route to it, and model
     independence. The spectrum, the lower bound and the dual route come
-    from one scan of g itself; model independence compares that spectrum
-    with the scan of minimize(g), the same scan when g is minimal.
+    from one scan of every vertex of g, the reference route; model
+    independence compares that spectrum with the node route on minimize(g).
     """
     return _checked(g, minimize(g))[1]
 
@@ -360,7 +387,7 @@ def _checked(g: ReductionGraph, minimized: ReductionGraph):
         g=g, minimized=minimized, spectrum=spectrum, ok_bound=ok_bound,
         ok_dual=ok_dual, mults=spectrum.as_dict(), genus=g.genus(),
         u=unipotent_rank(g), index=minimized.stabilization_index(),
-        minimal_spectrum=spectrum if minimized is g else _scan(minimized)[0],
+        minimal_spectrum=_scan(minimized, _nodes(minimized))[0],
         principal_mults=sorted(minimized.vertex(i).multiplicity
                                for i in minimized.principal_components()))
     return spectrum, [(name, test(facts)) for name, test in _CHECKS]

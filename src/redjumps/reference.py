@@ -103,7 +103,8 @@ def lower_bound(g: ReductionGraph, j: int) -> int:
 def candidate_values(g: ReductionGraph):
     """All values in [0,1) whose index set is nonempty: 0 and a/N_i, of g
     itself (not of its minimal model); OverBudget past WORK_BUDGET."""
-    return sorted(Fraction(a, d) for d in _members_by_denominator(g._compiled)
+    c = g._compiled
+    return sorted(Fraction(a, d) for d in _members_by_denominator(c, range(len(c.N)))
                   for a in _numerators(d))
 
 

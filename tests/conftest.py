@@ -22,9 +22,10 @@ class CorpusItem:
 
 @pytest.fixture(scope="session")
 def corpus():
-    # the spectra are scans of the given models, the reference route of
-    # run_checks: compute_jumps scans the minimal model, so comparing its
-    # answers across blow-ups would compare one scan with itself
+    # the spectra are scans of every vertex of the given models, the
+    # reference route of run_checks: compute_jumps may answer from the one
+    # minimal model, so comparing its answers across blow-ups could compare
+    # one scan with itself
     base_spectra = {}
     items = []
     for seed in range(CORPUS_SIZE):

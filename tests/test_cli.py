@@ -240,10 +240,10 @@ def run_redjumps(*args, timeout):
     return proc, time.perf_counter() - start
 
 
-def test_compute_answers_a_large_model_from_its_minimal_model(tmp_path):
+def test_compute_answers_a_large_model_from_its_nodes(tmp_path):
     # II, then 40 blow-ups of the edge joining the two heaviest components:
     # a 5 KB document with 44 vertices and N up to 1.3e9, far too many
-    # candidates to scan, whose minimal model is II again
+    # candidates to scan, whose nodes are those of II
     g = kodaira_graph("II")
     for _ in range(40):
         k = max(range(len(g.edges)),

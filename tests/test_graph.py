@@ -785,7 +785,7 @@ def test_terms_components_match_the_id_keyed_search(corpus):
     for item in corpus:
         g = item.inst.graph
         c = g._compiled
-        for d, members in _members_by_denominator(c).items():
+        for d, members in _members_by_denominator(c, range(len(c.N))).items():
             ids = {g.vertices[i].id for i in members}
             assert _terms(c, d, members).components(c) == reference_components(g, ids), (item.seed, d)
 

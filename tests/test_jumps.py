@@ -44,7 +44,7 @@ from redjumps import (
     tame_base_change_conductor,
     unipotent_rank,
 )
-from redjumps import jumps
+from redjumps import graph, jumps
 from redjumps.cli import main
 from redjumps.errors import (InternalInconsistency, OverBudget, PreconditionFailed,
                              ValidationError)
@@ -53,9 +53,14 @@ F = Fraction
 
 
 def given_model_spectrum(g):
-    """The scan of g itself, the reference route of run_checks;
-    compute_jumps scans minimize(g) instead."""
+    """The scan of every vertex of g, the reference route of run_checks;
+    compute_jumps takes the node route instead."""
     return jumps._scan(g)[0]
+
+
+def node_route(g):
+    """The scan of the nodes of g alone."""
+    return jumps._scan(g, jumps._nodes(g))[0]
 
 
 # -- divisor helpers -----------------------------------------------------------
@@ -362,7 +367,7 @@ def test_model_independence_check(monkeypatch):
     assert ("model-independence", True) in run_checks(kodaira_graph("II"))
 
 
-# -- the answer comes from the minimal model -----------------------------------------
+# -- the answer comes from the nodes of the model -------------------------------------
 
 def assert_answers_equal_the_given_model_scan(g, key):
     s = given_model_spectrum(g)
@@ -397,7 +402,7 @@ def test_answers_equal_the_given_model_scan_on_the_corpus(corpus):
         assert r.minimal == g.is_minimal(), item.seed
 
 
-def test_compute_jumps_validates_through_minimize():
+def test_compute_jumps_and_analyze_validate_g():
     g = ReductionGraph((Vertex("a", 2, 1),), ())  # gcd 2
     with pytest.raises(ValidationError):
         compute_jumps(g)
@@ -413,6 +418,57 @@ def fibonacci_chain(tag, depth):
         g = blow_up_edge(g, max(range(len(g.edges)), key=lambda k: sorted(
             (g.multiplicity(x) for x in g.edges[k]), reverse=True)))
     return g
+
+
+def test_analyze_runs_no_surgery_on_an_edge_blow_up_chain(monkeypatch, tmp_path, capsys):
+    # edge blow-ups add chain vertices only, so no node is contractible and
+    # the answer comes from the nodes of the model as given
+    g = fibonacci_chain("II", 12)
+    expected = analyze(fibonacci_chain("II", 12))
+    path = tmp_path / "chain.json"
+    path.write_text(dump_graph(g))
+    assert main(["compute", str(path), "--json"]) == 0
+    out = capsys.readouterr().out
+
+    def no_surgery(*args):
+        raise AssertionError("model surgery ran")
+
+    monkeypatch.setattr(graph, "_Surgery", no_surgery)
+    assert analyze(g) == expected and expected.minimal is False
+    assert compute_jumps(g) == given_model_spectrum(g)
+    assert main(["compute", str(path), "--json"]) == 0
+    assert capsys.readouterr().out == out
+
+
+def test_a_contractible_node_sends_analyze_to_the_minimal_model(worklist_runs):
+    # a free-point blow-up leaves a contractible tail: analyze minimizes, and
+    # the minimal model it caches serves the minimize that follows
+    g = blow_up_free_point(kodaira_graph("IV"), "c")
+    worklist_runs.clear()
+    assert analyze(g).jumps == ((F(1, 3), 1),)
+    assert worklist_runs == [g]
+    minimize(g)
+    assert worklist_runs == [g]
+
+
+def test_a_heavy_node_falls_back_to_the_minimal_model(tmp_path, capsys):
+    # II plus 40 edge blow-ups, then a free point blown up on the heaviest
+    # vertex and the edge to that new tail: no node is contractible, but
+    # the heaviest vertex is now a node, far over the work budget
+    g = fibonacci_chain("II", 40)
+    top = max(g.ids, key=g.multiplicity)
+    g = blow_up_edge(blow_up_free_point(g, top, "tail"), (top, "tail"))
+    c, nodes = g._compiled, jumps._nodes(g)
+    assert len(g.vertices) == 46
+    assert max(c.N[i] for i in nodes) == g.multiplicity(top) == 1_300_483_311
+    assert not any(contractible(g, g.vertices[i].id) for i in nodes)
+    with pytest.raises(OverBudget):
+        node_route(g)
+    assert compute_jumps(g).as_dict() == {F(1, 6): 1}
+    path = tmp_path / "heavy.json"
+    path.write_text(dump_graph(g))
+    assert main(["compute", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["jumps"] == [{"value": "1/6", "multiplicity": 1}]
 
 
 def test_outputs_are_pinned():
@@ -505,7 +561,8 @@ def test_spectrum_invariants(seed, moves):
 @settings(deadline=None, max_examples=40)
 @given(seed=st.integers(0, 100_000), moves=st.integers(0, 10))
 def test_spectrum_is_a_blow_up_invariant(seed, moves):
-    # on the given models: compute_jumps would scan the one minimal model
+    # the reference route on each given model: compute_jumps may scan the
+    # one minimal model
     inst = random_instance(seed, moves)
     base = given_model_spectrum(inst.base)
     assert given_model_spectrum(inst.graph).entries == base.entries
@@ -557,3 +614,26 @@ def surgered_models(draw):
 def test_checks_pass_on_surgered_models(g):
     assert all(ok for _, ok in run_checks(g)), run_checks(g)
     assert given_model_spectrum(g) == compute_jumps(minimize(g))
+
+
+@settings(deadline=None, max_examples=200)
+@given(g=surgered_models())
+def test_node_route_equals_the_reference_scan(g):
+    s = given_model_spectrum(g)
+    assert node_route(g) == s
+    assert node_route(minimize(g)) == s
+
+
+def test_a_chain_vertex_contributes_nothing():
+    # the lemma of the node route: on its own in M_d, a chain vertex gives
+    # c_i(a) = 0, so its terms sum to [d = 1] at every a/d
+    graphs = [catalog_graph(tag) for tag in (*catalog_tags(), "I1")] + list(SEEDS.values())
+    chains = 0
+    for g in graphs:
+        c = g._compiled
+        for i in sorted(set(range(len(c.N))) - set(jumps._nodes(g))):
+            chains += 1
+            for d in jumps._divisor_phis(c.N[i]):
+                t = jumps._terms(c, d, [i])
+                assert all(t.mult(a) == (d == 1) for a in jumps._numerators(d)), (g.name, i, d)
+    assert chains > 100
