@@ -197,11 +197,11 @@ def random_instance(seed: int, moves: int) -> GeneratedGraph:
     blow-ups. Each seed is built once per process, when first drawn, and
     shared by every instance grown from it. All moves go to one surgery
     form: each is O(1) apart from picking its vertex or edge by position,
-    a list copy or skip done in C, and the result is built and validated
-    once. The picks are the draws rng.choice and rng.randrange make, taken
-    straight from getrandbits (see _values._below). Raises
-    PreconditionFailed, before any draw, unless seed is an int and moves an
-    int >= 0, bools neither.
+    a list copy or skip done in C; the form checks the seed's cached
+    report, not the result. The picks are the draws rng.choice and
+    rng.randrange make, taken straight from getrandbits (see
+    _values._below). Raises PreconditionFailed, before any draw, unless
+    seed is an int and moves an int >= 0, bools neither.
     """
     _check_int("seed", seed, None)
     _check_int("moves", moves, 0)

@@ -21,7 +21,8 @@ integer form (``ReductionGraph._compiled``) while it checks the structure.
 Every accessor, validate(), genus() and the jump kernel read that form.
 
 Model surgery runs on a mutable copy of that form indexed the same way
-(:class:`_Surgery`). minimize() computes the minimal model once per graph
+(:class:`_Surgery`), which checks the graph it starts from, not its
+results. minimize() computes the minimal model once per graph
 (``ReductionGraph._minimal``): a graph keeps its minimal model alive for as
 long as it lives, and analyze, run_checks and minimize share it.
 """
@@ -96,6 +97,12 @@ def _contractible(genus: int, multiplicity: int, nbrs, nbr_sum: int) -> bool:
             and (len(nbrs) == 1 or (len(nbrs) == 2 and len(set(nbrs)) == 2)))
 
 
+def _nodes(g) -> list[int]:
+    """Indices of all vertices of g but the chain vertices (genus 0, two edges)."""
+    c = g._compiled
+    return [i for i, nbrs in enumerate(c.nbrs) if len(nbrs) != 2 or c.genus[i]]
+
+
 def _components(nbrs, members) -> int:
     """Number of connected components of the subgraph induced on the
     vertex indices ``members``; ``nbrs[i]`` lists the neighbours of i."""
@@ -142,8 +149,8 @@ class _Compiled(Value):
 class ReductionGraph(Value):
     """Immutable labelled multigraph. Edges are unordered id pairs.
 
-    One pass over the vertices and one over the edges check the structure
-    (ids, labels, endpoints, loops; every violation raised in one
+    One pass over the vertices and one over the sorted edges check the
+    structure (ids, labels, endpoints, loops; every violation raised in one
     ValidationError) and build ``_compiled`` (:class:`_Compiled`), which
     every accessor reads. Exact int labels skip the bool test; int labels
     are stored as exact ints, and exact str ends are sorted without str().
@@ -183,45 +190,34 @@ class ReductionGraph(Value):
             genus.append(g)
         if not vertices:
             problems.append(Violation("empty", "graph needs at least one vertex"))
-        nbrs, nbr_sum, pairs, flagged, loose = [[] for _ in N], [0] * len(N), [], [], False
-        # ends sorted by str(); once an edge is no pair, or str() refuses an
-        # end, the edges stay as given (``pairs`` is then read no more)
+        try:  # ends sorted by str(), or every edge as given if one is no pair or str() refuses an end
+            edges = tuple([(a, b) if (a <= b if type(a) is str and type(b) is str
+                                      else str(a) <= str(b)) else (b, a) for a, b in edges])
+        except (TypeError, ValueError):
+            pass
+        nbrs, nbr_sum = [[] for _ in N], [0] * len(N)
         for k, e in enumerate(edges):
-            try:
-                a, b = e
-            except (TypeError, ValueError):
-                flagged.append(k)
-                loose = True
-                continue
-            try:
-                pairs.append((a, b) if (a <= b if type(a) is str and type(b) is str
-                                        else str(a) <= str(b)) else (b, a))
-            except (TypeError, ValueError):
-                loose = True
-            i = index.get(a) if isinstance(a, str) else None
-            j = index.get(b) if isinstance(b, str) else None
-            if i is None or j is None or i == j:
-                flagged.append(k)
-            else:
-                nbrs[i].append(j)
-                nbrs[j].append(i)
-                nbr_sum[i] += N[j]
-                nbr_sum[j] += N[i]
-        for k in flagged:
-            e = (edges if loose else pairs)[k]
             try:
                 a, b = e
             except (TypeError, ValueError):
                 problems.append(Violation("edge-endpoint", f"edge #{k} {e!r} is not a pair of vertex ids", str(e)))
                 continue
-            if not (isinstance(a, str) and a in index and isinstance(b, str) and b in index):
+            i = index.get(a) if isinstance(a, str) else None
+            j = index.get(b) if isinstance(b, str) else None
+            if i is not None and j is not None and i != j:
+                nbrs[i].append(j)
+                nbrs[j].append(i)
+                nbr_sum[i] += N[j]
+                nbr_sum[j] += N[i]
+                continue
+            if i is None or j is None:
                 problems.append(Violation("edge-endpoint", f"edge #{k} {a!r}-{b!r} references an unknown vertex", f"{a}-{b}"))
             if a == b:
                 problems.append(Violation("loop", f"edge #{k} is a loop at {a!r}; loops are forbidden (resolve the node by a blow-up first)", a))
         if problems:
             _check_valid(ValidationReport(False, tuple(problems)))
         object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", edges if loose else tuple(pairs))
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_compiled", _Compiled(  # adjunction: see _Compiled
             index, N, genus, nbrs, nbr_sum, 2 * sum(map(mul, N, genus)) - 2 * sum(N) + sum(nbr_sum)))
@@ -347,7 +343,7 @@ class ReductionGraph(Value):
 
 def build(vertices, edges, name: str = "") -> ReductionGraph:
     """Construct a graph and raise ValidationError unless it is fully valid."""
-    g = ReductionGraph(tuple(vertices), tuple(edges), name)
+    g = ReductionGraph(vertices, edges, name)
     _check_valid(g.validate())
     return g
 
@@ -371,10 +367,16 @@ class _Surgery:
     exactly the graph that the same moves applied one by one to immutable
     graphs would give. Ids are read only by the public methods, for fresh
     names, for edge pairs and in :meth:`freeze`. Each move costs O(1) apart
-    from finding an edge by position; only :meth:`freeze` validates.
+    from finding an edge by position. It refuses an invalid graph, and
+    :meth:`freeze` checks nothing, as the moves keep a valid graph valid. A
+    blow-up adds a -1 curve and changes each neighbour's sum by a multiple
+    of that neighbour's own N: gcd, connectivity and the adjunction sum stay.
+    A contraction keeps connectivity, gcd (N_v is its neighbour's N or the
+    sum of its two), integral E^2 (the neighbours' rise by 1) and the genus.
     """
 
     def __init__(self, g: ReductionGraph):
+        _check_valid(g.validate())
         c = g._compiled
         self.name = g.name
         self.vertices = list(g.vertices)
@@ -482,8 +484,8 @@ class _Surgery:
         return nbrs
 
     def freeze(self) -> ReductionGraph:
-        """The current graph, built and validated."""
-        return build(filter(None, self.vertices), self.edges.values(), self.name)
+        """The current graph, valid as its start was (see the class)."""
+        return ReductionGraph(filter(None, self.vertices), self.edges.values(), self.name)
 
 
 def blow_up_free_point(g: ReductionGraph, v: str, new_id: str | None = None) -> ReductionGraph:
@@ -552,8 +554,7 @@ def contract_chains(g: ReductionGraph):
     """
     if not g.is_minimal():
         raise NotMinimal("contract_chains is defined on the minimal model")
-    kept = [v.multiplicity for v in g.vertices
-            if v.genus >= 1 or g.degree(v.id) != 2]
+    kept = [g._compiled.N[i] for i in _nodes(g)]
     if not kept:
-        return sorted(v.multiplicity for v in g.vertices), 1
+        return sorted(g._compiled.N), 1
     return sorted(kept), lcm(*kept)

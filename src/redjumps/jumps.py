@@ -67,7 +67,7 @@ from types import SimpleNamespace
 from ._values import Value
 from .errors import InternalInconsistency, OverBudget
 from .graph import (ReductionGraph, _check_valid, _components, _contractible,
-                    contract_chains, minimize)
+                    _nodes, contract_chains, minimize)
 
 # The most candidates a/d one scan may visit: a few seconds of work.
 WORK_BUDGET = 2_000_000
@@ -132,7 +132,10 @@ class _Terms(Value):
         return self.half_inner // 2 - len(self.members) + self.components(c) + self.genus
 
     def mult(self, a: int) -> int:
-        """Main route at a/d: [d = 1] plus the c_i(a) of S, scaled by 2d."""
+        """Main route at a/d: [d = 1] plus the c_i(a) of S, scaled by 2d.
+        M_d and its nodes, the two S the routes pass, have an even half-edge
+        count (each chain of chain vertices in M_d ends at two nodes of M_d)
+        and one boundary, whose sum d divides: a remainder is a fault."""
         d = self.d
         tail, rest = divmod(d * self.half_inner
                             - 2 * sum(a * n % d for n in self.boundary), 2 * d)
@@ -215,12 +218,6 @@ def _members_by_denominator(c, indices) -> dict:
 def _numerators(d: int):
     """The a with a/d in lowest terms and 0 <= a/d < 1."""
     return [0] if d == 1 else [a for a in range(1, d) if gcd(a, d) == 1]
-
-
-def _nodes(g: ReductionGraph) -> list[int]:
-    """Indices of all vertices of g but the chain vertices."""
-    c = g._compiled
-    return [i for i, nbrs in enumerate(c.nbrs) if len(nbrs) != 2 or c.genus[i]]
 
 
 def _scan(g: ReductionGraph, indices=None, checks: bool = False):
@@ -321,7 +318,7 @@ def analyze(g: ReductionGraph, with_checks: bool = False) -> AnalysisReport:
     run_checks compares with the node route on minimize(g). The unipotent
     rank, the principal components and ``minimal`` describe g as given.
     """
-    spectrum, checks = _checked(g, minimize(g)) if with_checks else (compute_jumps(g), None)
+    spectrum, checks = _checked(g) if with_checks else (compute_jumps(g), None)
     return AnalysisReport(
         name=g.name,
         genus=spectrum.genus,
@@ -349,7 +346,7 @@ def run_checks(g: ReductionGraph):
     from one scan of every vertex of g, the reference route; model
     independence compares that spectrum with the node route on minimize(g).
     """
-    return _checked(g, minimize(g))[1]
+    return _checked(g)[1]
 
 
 # Every check of _checked, in report order: a name and a test of the facts
@@ -380,8 +377,9 @@ _CHECKS = (
 CHECK_NAMES = tuple(name for name, _ in _CHECKS)
 
 
-def _checked(g: ReductionGraph, minimized: ReductionGraph):
+def _checked(g: ReductionGraph):
     """The scan of g (the reference route) and the checks on it."""
+    minimized = minimize(g)
     spectrum, ok_bound, ok_dual = _scan(g, checks=True)
     facts = SimpleNamespace(
         g=g, minimized=minimized, spectrum=spectrum, ok_bound=ok_bound,

@@ -465,6 +465,18 @@ def test_blow_down_refuses_to_create_loop():
     assert minimize(g) == g and g.is_minimal()
 
 
+def test_surgery_refuses_an_invalid_graph_before_any_move():
+    # b has E^2 = -1/2: every move, even one on an unknown vertex, raises
+    # the report of the graph it starts from
+    g = ReductionGraph((Vertex("a", 1, 1), Vertex("b", 2)), (("a", "b"),))
+    for move in (lambda: blow_up_free_point(g, "b"), lambda: blow_up_edge(g, 0),
+                 lambda: blow_down(g, "b"), lambda: blow_up_free_point(g, "zz")):
+        with pytest.raises(ValidationError) as caught:
+            move()
+        assert caught.value.report == g.validate()
+        assert not caught.value.report.ok
+
+
 def test_minimize_round_trip():
     g = kodaira_graph("IV*")
     h = blow_up_free_point(g, "c", new_id="x")
@@ -624,6 +636,12 @@ def test_surgery_validates_once(monkeypatch):
     report, genus = g.validate(), g.genus()
     assert computed == {"_report": 1}
     assert g.validate() is report and g.genus() == genus
+    assert computed == {"_report": 1}
+    # surgery checks the graph it starts from, whose report is cached, and
+    # computes none for its result: the seed, built above, and g are valid
+    random_instance(7, 1024)
+    assert computed == {"_report": 1}
+    minimize(g)
     assert computed == {"_report": 1}
     for s in range(64):
         computed.update(_report=0)

@@ -637,3 +637,11 @@ def test_a_chain_vertex_contributes_nothing():
                 t = jumps._terms(c, d, [i])
                 assert all(t.mult(a) == (d == 1) for a in jumps._numerators(d)), (g.name, i, d)
     assert chains > 100
+
+
+def test_an_odd_half_edge_sum_is_an_internal_inconsistency():
+    # t3 alone is neither M_1 nor its nodes: one half-edge into M_1, so the
+    # scaled sum is odd and the guard in mult refuses it
+    c = kodaira_graph("II")._compiled
+    with pytest.raises(InternalInconsistency):
+        jumps._terms(c, 1, [c.index["t3"]]).mult(0)
