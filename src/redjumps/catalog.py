@@ -149,7 +149,7 @@ _SEED_NAMES = tuple(sorted(("I0", "I2", "I5", "II", "III", "IV", "I0*", "I3*",
 @cache
 def _seed(name: str) -> ReductionGraph:
     """The pool seed called name, built and validated once per process:
-    graphs are immutable, and surgery works on a copy."""
+    graphs are immutable, and blow-ups work on a copy."""
     return _entry(name, _SHAPES)[0]()
 
 
@@ -195,11 +195,11 @@ def random_instance(seed: int, moves: int) -> GeneratedGraph:
     blow-up, so the result is always a valid graph with the same genus and
     jump spectrum as its base. Fresh ids run b1, b2, ... as with the public
     blow-ups. Each seed is built once per process, when first drawn, and
-    shared by every instance grown from it. All moves go to one surgery
-    form: each is O(1) apart from picking its vertex or edge by position,
-    a list copy or skip done in C; the form checks the seed's cached
-    report, not the result. The picks are the draws rng.choice and
-    rng.randrange make, taken straight from getrandbits (see
+    shared by every instance grown from it. All moves go to one blow-up
+    form, with the edges in a plain list: each move is O(1) apart from the
+    one ``del`` of a blown-up edge, a memmove done in C; the form checks
+    the seed's cached report, not the result. The picks are the draws
+    rng.choice and rng.randrange make, taken straight from getrandbits (see
     _values._below). Raises PreconditionFailed, before any draw, unless
     seed is an int and moves an int >= 0, bools neither.
     """
@@ -214,7 +214,6 @@ def random_instance(seed: int, moves: int) -> GeneratedGraph:
         # an edgeless graph (the I0 seed before any move) only admits the
         # free-point move
         if rng.random() < 0.5 or not g.edges:
-            # no vertex is contracted here
             v = g.vertices[_below(rng, len(g.vertices))].id
             g.blow_up_free_point(v)
             log.append(("free", v))

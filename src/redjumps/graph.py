@@ -20,9 +20,11 @@ A graph's constructor derives both, with the neighbour lists, in one
 integer form (``ReductionGraph._compiled``) while it checks the structure.
 Every accessor, validate(), genus() and the jump kernel read that form.
 
-Model surgery runs on a mutable copy of that form indexed the same way
-(:class:`_Surgery`), which checks the graph it starts from, not its
-results. minimize() computes the minimal model once per graph
+Contractions read that form directly: blow_down() once, and minimize() as
+a worklist on copies of its neighbour lists that only grow. Blow-ups run
+on a mutable copy (:class:`_Surgery`) whose edges are a plain list, so an
+edge move is one ``del``. Every move checks the graph it starts from, not
+its result. minimize() computes the minimal model once per graph
 (``ReductionGraph._minimal``): a graph keeps its minimal model alive for as
 long as it lives, and analyze, run_checks and minimize share it.
 """
@@ -311,26 +313,48 @@ class ReductionGraph(Value):
     def _minimal(self):
         """The minimal model of this valid graph, or None when it is minimal
         (None rather than self: a graph caching itself would be a reference
-        cycle). A worklist: a min-heap of ids, seeded by one pass over
-        ``_compiled`` before any surgery form is built.
-        Only a contraction's neighbours with E^2 = -1 are pushed again, and
-        a popped id is contracted only if it is live and contractible, so
-        each step contracts the smallest contractible id. O(V + E + C log V)
-        for C contractions."""
+        cycle). A worklist on ``_compiled``: a min-heap of ids, seeded by one
+        pass over it. Only a contraction's neighbours with E^2 = -1 are
+        pushed again, and a popped id is contracted only if it is live and
+        contractible, so each step contracts the smallest contractible id.
+        The neighbour lists are copies that only grow: an edge dies with one
+        of its ends, so a vertex's live neighbours are the live entries of
+        its list. Each contraction raises its neighbours' E^2 by 1, so an id
+        is pushed at most once and a list is scanned at most once. The
+        result keeps g's edges with both ends live, then the joining edges
+        in the order the contractions added them. O(V + E + C log V) for C
+        contractions."""
         c = self._compiled
         heap = list(itertools.compress(  # the index keys are the ids in order
             c.index, map(_contractible, c.genus, c.N, c.nbrs, c.nbr_sum)))
         if not heap:
             return None
         heapq.heapify(heap)
-        s = _Surgery(self)
+        N, nbrs, nbr_sum = c.N, [ns[:] for ns in c.nbrs], c.nbr_sum[:]
+        live, added = [True] * len(N), []
         while heap:
-            i = s.index.get(heapq.heappop(heap))
-            if i is not None:
-                for w in s._contract(i):
-                    if s.nbr_sum[w] == s.N[w]:  # E^2 = -1, else not contractible
-                        heapq.heappush(heap, s.vertices[w].id)
-        return s.freeze()
+            i = c.index[heapq.heappop(heap)]
+            if not live[i]:
+                continue
+            ends = [w for w in nbrs[i] if live[w]]
+            if not _contractible(c.genus[i], N[i], ends, nbr_sum[i]):
+                continue
+            live[i] = False
+            if len(ends) == 2:  # one joining edge replaces the two of i
+                a, b = ends
+                nbrs[a].append(b)
+                nbrs[b].append(a)
+                added.append((a, b))
+            for w in ends:
+                nbr_sum[w] -= N[w]  # N_i is N_w or N_a + N_b: E_w^2 rises by 1
+                if nbr_sum[w] == N[w]:  # E^2 = -1, else not contractible
+                    heapq.heappush(heap, self.vertices[w].id)
+        edges = [e for e in self.edges if live[c.index[e[0]]] and live[c.index[e[1]]]]
+        for a, b in added:
+            if live[a] and live[b]:
+                a, b = self.vertices[a].id, self.vertices[b].id
+                edges.append((a, b) if a <= b else (b, a))
+        return ReductionGraph(itertools.compress(self.vertices, live), edges, self.name)
 
     def stabilization_index(self) -> int:
         """lcm of principal multiplicities (1 if there are none). Defined on
@@ -356,43 +380,29 @@ def _check_valid(report: ValidationReport):
 # -- model surgery ----------------------------------------------------------
 
 class _Surgery:
-    """Mutable working copy of a graph for a run of blow-ups and blow-downs.
+    """Mutable working copy of a valid graph for a run of blow-ups.
 
-    It is the integer form of :class:`_Compiled`, seeded from it: vertex k
-    is ``vertices[k]`` (None once contracted; new vertices are appended)
-    with ``N[k]``, ``nbr_sum[k]`` and ``incidence[k]`` (edge key ->
-    opposite index), and ``index`` maps each live id to its index. The
-    genus is read off the vertex: surgery never changes it. ``edges`` maps
-    keys, in insertion order, to sorted id pairs, so :meth:`freeze` gives
-    exactly the graph that the same moves applied one by one to immutable
-    graphs would give. Ids are read only by the public methods, for fresh
-    names, for edge pairs and in :meth:`freeze`. Each move costs O(1) apart
-    from finding an edge by position. It refuses an invalid graph, and
-    :meth:`freeze` checks nothing, as the moves keep a valid graph valid. A
-    blow-up adds a -1 curve and changes each neighbour's sum by a multiple
-    of that neighbour's own N: gcd, connectivity and the adjunction sum stay.
-    A contraction keeps connectivity, gcd (N_v is its neighbour's N or the
-    sum of its two), integral E^2 (the neighbours' rise by 1) and the genus.
+    ``vertices`` in order, new ones appended, ``index`` from each id to its
+    position, and ``edges`` a list of sorted id pairs in order: an edge is
+    its own position, a blown-up edge is one ``del``, and :meth:`freeze`
+    gives exactly the graph that the same moves applied one by one to
+    immutable graphs would give. It refuses an invalid graph, and
+    :meth:`freeze` checks nothing: a blow-up adds a -1 curve and changes
+    each neighbour's neighbour sum by a multiple of that neighbour's own N,
+    so gcd, connectivity and the adjunction sum stay. A new vertex's
+    multiplicity is an exact int, as the constructor compiles it.
     """
 
     def __init__(self, g: ReductionGraph):
         _check_valid(g.validate())
-        c = g._compiled
         self.name = g.name
         self.vertices = list(g.vertices)
-        self.index = dict(c.index)
-        self.N, self.nbr_sum = c.N[:], c.nbr_sum[:]
-        self.incidence = [{} for _ in self.N]
-        self.edges = dict(enumerate(g.edges))  # key -> sorted id pair
-        for k, (a, b) in self.edges.items():
-            i, j = c.index[a], c.index[b]
-            self.incidence[i][k] = j
-            self.incidence[j][k] = i
-        self._keys = itertools.count(len(g.edges))
+        self.index = dict(g._compiled.index)
+        self.edges = list(g.edges)
         self._fresh = 1  # every "b<n>" with n below it is taken
 
     def _add_vertex(self, multiplicity: int, new_id, *ends) -> str:
-        """A genus-0 vertex joined to each index in ends; returns its id."""
+        """A genus-0 vertex joined to each id in ends; returns its id."""
         if new_id is None:
             while f"b{self._fresh}" in self.index:
                 self._fresh += 1
@@ -401,91 +411,46 @@ class _Surgery:
             raise ValidationError(f"vertex ids must be non-empty strings, got {new_id!r}")
         elif new_id in self.index:
             raise ValidationError(f"vertex id {new_id!r} already in use")
-        k = self.index[new_id] = len(self.vertices)
+        self.index[new_id] = len(self.vertices)
         self.vertices.append(Vertex(new_id, multiplicity, 0))
-        self.N.append(multiplicity)
-        self.nbr_sum.append(0)
-        self.incidence.append({})
-        for i in ends:
-            self._add_edge(i, k)
+        self.edges += [(a, new_id) if a <= new_id else (new_id, a) for a in ends]
         return new_id
 
-    def _add_edge(self, i, j):
-        a, b = self.vertices[i].id, self.vertices[j].id
-        k = next(self._keys)
-        self.edges[k] = (a, b) if a <= b else (b, a)
-        self.incidence[i][k] = j
-        self.incidence[j][k] = i
-        self.nbr_sum[i] += self.N[j]
-        self.nbr_sum[j] += self.N[i]
-
-    def _edge_key(self, e) -> int:
-        """Key of the edge e, given as a position in edge order (an int,
+    def _edge_index(self, e) -> int:
+        """Position of the edge e, given as a position in edge order (an int,
         not a bool) or as an endpoint pair of ids (the first such edge).
         Anything else is an UnknownEdge."""
         if isinstance(e, int) and not isinstance(e, bool):
             if not 0 <= e < len(self.edges):
                 raise UnknownEdge(
                     f"edge index {e} out of range (graph has {len(self.edges)} edges)")
-            return next(itertools.islice(self.edges, e, None))
+            return e
         if not (isinstance(e, (tuple, list)) and len(e) == 2
                 and isinstance(e[0], str) and isinstance(e[1], str)):
             raise UnknownEdge(f"{e!r} is neither an edge index nor a pair of vertex ids")
         pair = tuple(sorted(e))
-        for k, known in self.edges.items():
-            if known == pair:
-                return k
-        raise UnknownEdge(f"no edge {pair[0]!r}-{pair[1]!r}")
+        try:
+            return self.edges.index(pair)
+        except ValueError:
+            raise UnknownEdge(f"no edge {pair[0]!r}-{pair[1]!r}") from None
+
+    def _vertex(self, vid) -> Vertex:
+        return self.vertices[_lookup(self.index, vid)]
 
     def blow_up_free_point(self, v: str, new_id=None) -> str:
-        i = _lookup(self.index, v)
-        return self._add_vertex(self.N[i], new_id, i)
+        u = self._vertex(v)
+        return self._add_vertex(int(u.multiplicity), new_id, u.id)
 
     def blow_up_edge(self, e, new_id=None) -> str:
-        key = self._edge_key(e)
-        a, b = self.edges[key]
-        i, j = self.index[a], self.index[b]
-        new_id = self._add_vertex(self.N[i] + self.N[j], new_id, i, j)
-        del self.edges[key], self.incidence[i][key], self.incidence[j][key]
-        self.nbr_sum[i] -= self.N[j]
-        self.nbr_sum[j] -= self.N[i]
+        k = self._edge_index(e)
+        u, w = map(self._vertex, self.edges[k])
+        new_id = self._add_vertex(int(u.multiplicity) + int(w.multiplicity), new_id, u.id, w.id)
+        del self.edges[k]
         return new_id
-
-    def blow_down(self, v: str):
-        """Contract v, or raise unless it is a contractible -1 curve."""
-        i = _lookup(self.index, v)
-        if self._contract(i):
-            return
-        genus, nbrs = self.vertices[i].genus, list(self.incidence[i].values())
-        e2 = _self_intersection(v, self.N[i], self.nbr_sum[i])
-        if genus or e2 != -1 or len(nbrs) > 2:  # else two edges to one vertex
-            raise NotContractible(
-                f"vertex {v!r}: need genus 0, degree 1 or 2, self-intersection -1 "
-                f"(got genus {genus}, degree {len(nbrs)}, E^2 {e2})")
-        raise WouldCreateLoop(
-            f"vertex {v!r} has both edges to {self.vertices[nbrs[0]].id!r}; "
-            "contraction would create a node")
-
-    def _contract(self, i):
-        """Contract vertex i if it is contractible (see :func:`_contractible`).
-        Returns the indices of its neighbours, the only vertices whose
-        contractibility can change, or () if it is not contractible."""
-        nbrs = self.incidence[i].values()  # i's own incidence never changes below
-        if not _contractible(self.vertices[i].genus, self.N[i], nbrs, self.nbr_sum[i]):
-            return ()
-        for k, j in self.incidence[i].items():
-            del self.edges[k], self.incidence[j][k]
-            self.nbr_sum[j] -= self.N[i]
-        del self.index[self.vertices[i].id]
-        self.vertices[i] = None
-        self._fresh = 1  # the id may have been a "b<n>" below the counter
-        if len(nbrs) == 2:
-            self._add_edge(*nbrs)
-        return nbrs
 
     def freeze(self) -> ReductionGraph:
         """The current graph, valid as its start was (see the class)."""
-        return ReductionGraph(filter(None, self.vertices), self.edges.values(), self.name)
+        return ReductionGraph(self.vertices, self.edges, self.name)
 
 
 def blow_up_free_point(g: ReductionGraph, v: str, new_id: str | None = None) -> ReductionGraph:
@@ -518,9 +483,25 @@ def blow_down(g: ReductionGraph, v: str) -> ReductionGraph:
     parallel edges to one neighbour would turn into a loop, which leaves
     the strict-normal-crossings class: WouldCreateLoop.
     """
-    s = _Surgery(g)
-    s.blow_down(v)
-    return s.freeze()
+    _check_valid(g.validate())
+    c = g._compiled
+    i = _lookup(c.index, v)
+    genus, nbrs = c.genus[i], c.nbrs[i]
+    if not _contractible(genus, c.N[i], nbrs, c.nbr_sum[i]):
+        e2 = _self_intersection(v, c.N[i], c.nbr_sum[i])
+        if genus or e2 != -1 or len(nbrs) > 2:  # else two edges to one vertex
+            raise NotContractible(
+                f"vertex {v!r}: need genus 0, degree 1 or 2, self-intersection -1 "
+                f"(got genus {genus}, degree {len(nbrs)}, E^2 {e2})")
+        raise WouldCreateLoop(
+            f"vertex {v!r} has both edges to {g.vertices[nbrs[0]].id!r}; "
+            "contraction would create a node")
+    vid = g.vertices[i].id
+    edges = [e for e in g.edges if vid not in e]
+    if len(nbrs) == 2:
+        a, b = (g.vertices[w].id for w in nbrs)
+        edges.append((a, b) if a <= b else (b, a))
+    return ReductionGraph(g.vertices[:i] + g.vertices[i + 1:], edges, g.name)
 
 
 def minimize(g: ReductionGraph) -> ReductionGraph:

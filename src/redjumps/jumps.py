@@ -225,7 +225,8 @@ def _scan(g: ReductionGraph, indices=None, checks: bool = False):
     by default: the spectrum and, when checks is set, whether every nonzero
     candidate meets the lower bound and the dual route. Asserts
     non-negativity; whether the multiplicities sum to the genus is left to
-    the caller (see _asserted_total)."""
+    the caller (see _asserted_total). g is valid, as every caller checked
+    it or got it from minimize, so its genus is read off the adjunction sum."""
     c = g._compiled
     entries = []
     ok_bound = ok_dual = True
@@ -243,7 +244,7 @@ def _scan(g: ReductionGraph, indices=None, checks: bool = False):
             if checks and a:
                 ok_bound = ok_bound and mult >= bound
                 ok_dual = ok_dual and mult == t.euler(c, a)
-    return JumpSpectrum(tuple(sorted(entries)), g.genus()), ok_bound, ok_dual
+    return JumpSpectrum(tuple(sorted(entries)), 1 + c.adjunction // 2), ok_bound, ok_dual
 
 
 def _asserted_total(spectrum: JumpSpectrum) -> JumpSpectrum:

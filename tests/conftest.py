@@ -1,11 +1,12 @@
 """Shared fixtures: a deterministic corpus of random reduction graphs."""
 
 import dataclasses
+from functools import cached_property
 
 import pytest
 
 from redjumps import GeneratedGraph, JumpSpectrum, ReductionGraph
-from redjumps import graph, minimize, random_instance
+from redjumps import minimize, random_instance
 from redjumps.jumps import _scan
 
 CORPUS_SIZE = 550
@@ -44,14 +45,18 @@ def corpus():
 
 @pytest.fixture
 def worklist_runs(monkeypatch):
-    """The graphs minimize runs its worklist on, in order: each run builds
-    one surgery form, and so does each public blow-up or blow-down."""
+    """The graphs minimize runs its worklist on, in order: each graph whose
+    minimal model is computed and is not the graph itself."""
     runs = []
+    minimal = vars(ReductionGraph)["_minimal"].func
 
-    class Counting(graph._Surgery):
-        def __init__(self, g):
-            runs.append(g)
-            super().__init__(g)
+    def counted(self):
+        m = minimal(self)
+        if m is not None:
+            runs.append(self)
+        return m
 
-    monkeypatch.setattr(graph, "_Surgery", Counting)
+    prop = cached_property(counted)
+    prop.__set_name__(ReductionGraph, "_minimal")
+    monkeypatch.setattr(ReductionGraph, "_minimal", prop)
     return runs

@@ -159,6 +159,14 @@ def test_compute_minimizes_once(tmp_path, capsys, worklist_runs):
         assert worklist_runs == [g], follow_up
 
 
+def test_compute_minimize_prints_both_model_sizes(tmp_path, capsys):
+    g = blow_up_edge(blow_up_free_point(kodaira_graph("III*"), "c"), 0)
+    assert main(["compute", doc_path(tmp_path, g), "--minimize"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "model: 10 vertices, 9 edges" in lines
+    assert "minimal model: 8 vertices, 7 edges" in lines
+
+
 def test_compute_checks_the_true_i1_model(tmp_path, capsys):
     # the blow-up of the node of I1: b is a -1 curve meeting u twice, which
     # cannot be contracted, so this model is minimal

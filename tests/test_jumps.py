@@ -44,7 +44,7 @@ from redjumps import (
     tame_base_change_conductor,
     unipotent_rank,
 )
-from redjumps import graph, jumps
+from redjumps import jumps
 from redjumps.cli import main
 from redjumps.errors import (InternalInconsistency, OverBudget, PreconditionFailed,
                              ValidationError)
@@ -341,6 +341,17 @@ def test_bad_total_is_reported_by_the_check(monkeypatch, tmp_path, capsys):
     path.write_text(dump_graph(g))
     assert main(["compute", str(path), "--check"]) == 2
     assert "check total-equals-genus: FAIL" in capsys.readouterr().out
+    # without --check the kernel's own assertion exits 2
+    assert main(["compute", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal inconsistency: jump multiplicities sum to 3, genus is 2\n"
+    # two jumps too few at every d = 2 candidate: a negative multiplicity
+    monkeypatch.setattr(jumps._Terms, "mult",
+                        lambda self, a: mult(self, a) - 2 * (self.d == 2))
+    with pytest.raises(InternalInconsistency) as caught:
+        compute_jumps(g)
+    assert str(caught.value) == "negative jump multiplicity -1 at 1/2"
 
 
 def test_positive_genus_jumps_check(monkeypatch):
@@ -430,10 +441,10 @@ def test_analyze_runs_no_surgery_on_an_edge_blow_up_chain(monkeypatch, tmp_path,
     assert main(["compute", str(path), "--json"]) == 0
     out = capsys.readouterr().out
 
-    def no_surgery(*args):
+    def no_surgery(self):
         raise AssertionError("model surgery ran")
 
-    monkeypatch.setattr(graph, "_Surgery", no_surgery)
+    monkeypatch.setattr(ReductionGraph, "_minimal", property(no_surgery))
     assert analyze(g) == expected and expected.minimal is False
     assert compute_jumps(g) == given_model_spectrum(g)
     assert main(["compute", str(path), "--json"]) == 0
