@@ -10,11 +10,12 @@ a repr that names every field; ``AttributeError`` on assignment and
 deletion; and copying and pickling through ``__init__``.
 
 The ``__init__`` methods are written out per class: a generic constructor
-looping over ``*args`` is slower to call, and a surgery run builds
-thousands of vertices. Nothing is generated at import time (no ``exec``),
-and nothing beyond ``operator`` and ``errors`` is imported: the standard
-library's class generator pulls in ``inspect``, ``ast`` and ``dis``, and
-every ``redjumps`` process pays for its imports.
+looping over ``*args`` is slower to call, and random_instance builds one
+``Vertex`` per move, thousands in a long run. Nothing is generated at
+import time (no ``exec``), and nothing beyond ``operator`` and ``errors``
+is imported: the standard library's class generator pulls in
+``inspect``, ``ast`` and ``dis``, and every ``redjumps`` process pays for
+its imports.
 
 ``_below`` and ``_check_int`` live here so that ``catalog`` and
 ``lattices`` share them without either importing the other.

@@ -193,32 +193,47 @@ def random_instance(seed: int, moves: int) -> GeneratedGraph:
 
     Deterministic in (seed, moves). Every move is a valid-by-construction
     blow-up, so the result is always a valid graph with the same genus and
-    jump spectrum as its base. Fresh ids run b1, b2, ... as with the public
-    blow-ups. Each seed is built once per process, when first drawn, and
-    shared by every instance grown from it. All moves go to one blow-up
-    form, with the edges in a plain list: each move is O(1) apart from the
-    one ``del`` of a blown-up edge, a memmove done in C; the form checks
-    the seed's cached report, not the result. The picks are the draws
-    rng.choice and rng.randrange make, taken straight from getrandbits (see
-    _values._below). Raises PreconditionFailed, before any draw, unless
-    seed is an int and moves an int >= 0, bools neither.
+    jump spectrum as its base. Each seed is built once per process, when
+    first drawn, and shared by every instance grown from it. The moves run
+    on vertex indices, on three plain lists grown from the seed's compiled
+    form: the multiplicities, the edges as index pairs and the ids. A move
+    appends one multiplicity, one id and one or two pairs, and blowing up
+    edge k is ``pairs.pop(k)``, a memmove done in C; the result is the
+    graph the public blow-ups give, fresh ids b1, b2, ... included, built
+    once at the end. The picks are the draws rng.choice and rng.randrange
+    make, taken straight from getrandbits (see _values._below). Raises
+    PreconditionFailed, before any draw, unless seed is an int and moves
+    an int >= 0, bools neither.
     """
     _check_int("seed", seed, None)
     _check_int("moves", moves, 0)
     rng = random.Random(seed)
     base_name = _SEED_NAMES[_below(rng, len(_SEED_NAMES))]
     base = _seed(base_name)
-    g = _graph._Surgery(base)
+    c = base._compiled
+    N, ids = c.N[:], base.ids
+    pairs = [(c.index[a], c.index[b]) for a, b in base.edges]
+    fresh = _graph._fresh_ids(c.index)  # never an id of base, nor one given before
     log = []
     for _ in range(moves):
+        new = len(ids)
         # an edgeless graph (the I0 seed before any move) only admits the
         # free-point move
-        if rng.random() < 0.5 or not g.edges:
-            v = g.vertices[_below(rng, len(g.vertices))].id
-            g.blow_up_free_point(v)
-            log.append(("free", v))
+        if rng.random() < 0.5 or not pairs:
+            i = _below(rng, new)
+            N.append(N[i])
+            pairs.append((i, new))
+            log.append(("free", ids[i]))
         else:
-            e = _below(rng, len(g.edges))
-            g.blow_up_edge(e)
-            log.append(("edge", e))
-    return GeneratedGraph(g.freeze(), base, base_name, tuple(log))
+            k = _below(rng, len(pairs))
+            i, j = pairs.pop(k)
+            if ids[j] < ids[i]:  # the end whose id sorts first gets the first edge
+                i, j = j, i
+            N.append(N[i] + N[j])
+            pairs += (i, new), (j, new)
+            log.append(("edge", k))
+        ids.append(next(fresh))
+    start = len(base.vertices)
+    vertices = base.vertices + tuple(map(Vertex, ids[start:], N[start:]))
+    graph = ReductionGraph(vertices, [(ids[i], ids[j]) for i, j in pairs], base.name)
+    return GeneratedGraph(graph, base, base_name, tuple(log))

@@ -20,11 +20,11 @@ A graph's constructor derives both, with the neighbour lists, in one
 integer form (``ReductionGraph._compiled``) while it checks the structure.
 Every accessor, validate(), genus() and the jump kernel read that form.
 
-Contractions read that form directly: blow_down() once, and minimize() as
-a worklist on copies of its neighbour lists that only grow. Blow-ups run
-on a mutable copy (:class:`_Surgery`) whose edges are a plain list, so an
-edge move is one ``del``. Every move checks the graph it starts from, not
-its result. minimize() computes the minimal model once per graph
+Every move reads that form: a blow-up builds its result from the start's
+vertices, edges and id index, blow_down() drops one vertex, and minimize()
+runs a worklist on copies of the neighbour lists that only grow. New ids
+come from :func:`_fresh_ids`. Every move checks the graph it starts from,
+not its result. minimize() computes the minimal model once per graph
 (``ReductionGraph._minimal``): a graph keeps its minimal model alive for as
 long as it lives, and analyze, run_checks and minimize share it.
 """
@@ -96,7 +96,7 @@ def _contractible(genus: int, multiplicity: int, nbrs, nbr_sum: int) -> bool:
     meeting one neighbour twice would contract to a node, which leaves the
     sncd class, so it is not contractible."""
     return (genus == 0 and nbr_sum == multiplicity
-            and (len(nbrs) == 1 or (len(nbrs) == 2 and len(set(nbrs)) == 2)))
+            and (len(nbrs) == 1 or (len(nbrs) == 2 and nbrs[0] != nbrs[1])))
 
 
 def _nodes(g) -> list[int]:
@@ -325,19 +325,22 @@ class ReductionGraph(Value):
         in the order the contractions added them. O(V + E + C log V) for C
         contractions."""
         c = self._compiled
-        heap = list(itertools.compress(  # the index keys are the ids in order
-            c.index, map(_contractible, c.genus, c.N, c.nbrs, c.nbr_sum)))
+        index, N, genus, vertices = c.index, c.N, c.genus, self.vertices
+        # the index keys are the ids in order
+        heap = [vid for vid, n, g, ns, s in zip(index, N, genus, c.nbrs, c.nbr_sum)
+                if s == n and _contractible(g, n, ns, s)]
         if not heap:
             return None
         heapq.heapify(heap)
-        N, nbrs, nbr_sum = c.N, [ns[:] for ns in c.nbrs], c.nbr_sum[:]
+        heappop, heappush = heapq.heappop, heapq.heappush
+        nbrs, nbr_sum = [ns[:] for ns in c.nbrs], c.nbr_sum[:]
         live, added = [True] * len(N), []
         while heap:
-            i = c.index[heapq.heappop(heap)]
-            if not live[i]:
+            i = index[heappop(heap)]
+            if not live[i] or nbr_sum[i] != N[i]:  # dead, or E^2 != -1
                 continue
             ends = [w for w in nbrs[i] if live[w]]
-            if not _contractible(c.genus[i], N[i], ends, nbr_sum[i]):
+            if not _contractible(genus[i], N[i], ends, nbr_sum[i]):
                 continue
             live[i] = False
             if len(ends) == 2:  # one joining edge replaces the two of i
@@ -348,13 +351,13 @@ class ReductionGraph(Value):
             for w in ends:
                 nbr_sum[w] -= N[w]  # N_i is N_w or N_a + N_b: E_w^2 rises by 1
                 if nbr_sum[w] == N[w]:  # E^2 = -1, else not contractible
-                    heapq.heappush(heap, self.vertices[w].id)
-        edges = [e for e in self.edges if live[c.index[e[0]]] and live[c.index[e[1]]]]
+                    heappush(heap, vertices[w].id)
+        edges = [e for e in self.edges if live[index[e[0]]] and live[index[e[1]]]]
         for a, b in added:
             if live[a] and live[b]:
-                a, b = self.vertices[a].id, self.vertices[b].id
+                a, b = vertices[a].id, vertices[b].id
                 edges.append((a, b) if a <= b else (b, a))
-        return ReductionGraph(itertools.compress(self.vertices, live), edges, self.name)
+        return ReductionGraph(itertools.compress(vertices, live), edges, self.name)
 
     def stabilization_index(self) -> int:
         """lcm of principal multiplicities (1 if there are none). Defined on
@@ -378,79 +381,45 @@ def _check_valid(report: ValidationReport):
 
 
 # -- model surgery ----------------------------------------------------------
+# A blow-up adds a -1 curve and changes each neighbour's neighbour sum by a
+# multiple of that neighbour's own N, so gcd, connectivity and the
+# adjunction sum stay: a blow-up of a valid graph needs no check.
 
-class _Surgery:
-    """Mutable working copy of a valid graph for a run of blow-ups.
+def _fresh_ids(taken):
+    """The ids b1, b2, ... that are not in taken, in order."""
+    for n in itertools.count(1):
+        if f"b{n}" not in taken:
+            yield f"b{n}"
 
-    ``vertices`` in order, new ones appended, ``index`` from each id to its
-    position, and ``edges`` a list of sorted id pairs in order: an edge is
-    its own position, a blown-up edge is one ``del``, and :meth:`freeze`
-    gives exactly the graph that the same moves applied one by one to
-    immutable graphs would give. It refuses an invalid graph, and
-    :meth:`freeze` checks nothing: a blow-up adds a -1 curve and changes
-    each neighbour's neighbour sum by a multiple of that neighbour's own N,
-    so gcd, connectivity and the adjunction sum stay. A new vertex's
-    multiplicity is an exact int, as the constructor compiles it.
-    """
 
-    def __init__(self, g: ReductionGraph):
-        _check_valid(g.validate())
-        self.name = g.name
-        self.vertices = list(g.vertices)
-        self.index = dict(g._compiled.index)
-        self.edges = list(g.edges)
-        self._fresh = 1  # every "b<n>" with n below it is taken
+def _new_id(index, new_id) -> str:
+    """new_id, refused with ValidationError unless it is a non-empty str
+    that is not in index; the first fresh id when it is None."""
+    if new_id is None:
+        return next(_fresh_ids(index))
+    if not isinstance(new_id, str) or not new_id:
+        raise ValidationError(f"vertex ids must be non-empty strings, got {new_id!r}")
+    if new_id in index:
+        raise ValidationError(f"vertex id {new_id!r} already in use")
+    return new_id
 
-    def _add_vertex(self, multiplicity: int, new_id, *ends) -> str:
-        """A genus-0 vertex joined to each id in ends; returns its id."""
-        if new_id is None:
-            while f"b{self._fresh}" in self.index:
-                self._fresh += 1
-            new_id = f"b{self._fresh}"
-        elif not isinstance(new_id, str) or not new_id:
-            raise ValidationError(f"vertex ids must be non-empty strings, got {new_id!r}")
-        elif new_id in self.index:
-            raise ValidationError(f"vertex id {new_id!r} already in use")
-        self.index[new_id] = len(self.vertices)
-        self.vertices.append(Vertex(new_id, multiplicity, 0))
-        self.edges += [(a, new_id) if a <= new_id else (new_id, a) for a in ends]
-        return new_id
 
-    def _edge_index(self, e) -> int:
-        """Position of the edge e, given as a position in edge order (an int,
-        not a bool) or as an endpoint pair of ids (the first such edge).
-        Anything else is an UnknownEdge."""
-        if isinstance(e, int) and not isinstance(e, bool):
-            if not 0 <= e < len(self.edges):
-                raise UnknownEdge(
-                    f"edge index {e} out of range (graph has {len(self.edges)} edges)")
-            return e
-        if not (isinstance(e, (tuple, list)) and len(e) == 2
-                and isinstance(e[0], str) and isinstance(e[1], str)):
-            raise UnknownEdge(f"{e!r} is neither an edge index nor a pair of vertex ids")
-        pair = tuple(sorted(e))
-        try:
-            return self.edges.index(pair)
-        except ValueError:
-            raise UnknownEdge(f"no edge {pair[0]!r}-{pair[1]!r}") from None
-
-    def _vertex(self, vid) -> Vertex:
-        return self.vertices[_lookup(self.index, vid)]
-
-    def blow_up_free_point(self, v: str, new_id=None) -> str:
-        u = self._vertex(v)
-        return self._add_vertex(int(u.multiplicity), new_id, u.id)
-
-    def blow_up_edge(self, e, new_id=None) -> str:
-        k = self._edge_index(e)
-        u, w = map(self._vertex, self.edges[k])
-        new_id = self._add_vertex(int(u.multiplicity) + int(w.multiplicity), new_id, u.id, w.id)
-        del self.edges[k]
-        return new_id
-
-    def freeze(self) -> ReductionGraph:
-        """The current graph, valid as its start was (see the class)."""
-        return ReductionGraph(self.vertices, self.edges, self.name)
+def _edge_index(edges, e) -> int:
+    """Position of the edge e, given as a position in edge order (an int,
+    not a bool) or as an endpoint pair of ids (the first such edge).
+    Anything else is an UnknownEdge."""
+    if isinstance(e, int) and not isinstance(e, bool):
+        if not 0 <= e < len(edges):
+            raise UnknownEdge(f"edge index {e} out of range (graph has {len(edges)} edges)")
+        return e
+    if not (isinstance(e, (tuple, list)) and len(e) == 2
+            and isinstance(e[0], str) and isinstance(e[1], str)):
+        raise UnknownEdge(f"{e!r} is neither an edge index nor a pair of vertex ids")
+    pair = tuple(sorted(e))
+    try:
+        return edges.index(pair)
+    except ValueError:
+        raise UnknownEdge(f"no edge {pair[0]!r}-{pair[1]!r}") from None
 
 
 def blow_up_free_point(g: ReductionGraph, v: str, new_id: str | None = None) -> ReductionGraph:
@@ -458,21 +427,31 @@ def blow_up_free_point(g: ReductionGraph, v: str, new_id: str | None = None) -> 
 
     The exceptional curve inherits multiplicity N_v, genus 0, and meets v
     once. Genus, first Betti number and the jump spectrum are unchanged.
+    The new vertex comes last, named new_id or the first fresh "b<n>".
     """
-    s = _Surgery(g)
-    s.blow_up_free_point(v, new_id)
-    return s.freeze()
+    _check_valid(g.validate())
+    c = g._compiled
+    i = _lookup(c.index, v)
+    new_id = _new_id(c.index, new_id)
+    return ReductionGraph(g.vertices + (Vertex(new_id, c.N[i]),),
+                          g.edges + ((g.vertices[i].id, new_id),), g.name)
 
 
 def blow_up_edge(g: ReductionGraph, e, new_id: str | None = None) -> ReductionGraph:
     """Blow up an intersection point.
 
     The edge e (an index, or an endpoint pair) between i and j is replaced
-    by a new genus-0 vertex of multiplicity N_i + N_j joined to both.
+    by a new genus-0 vertex of multiplicity N_i + N_j joined to both: the
+    edge leaves its place, and the new vertex's edges come last, the one
+    to the end whose id sorts first before the other.
     """
-    s = _Surgery(g)
-    s.blow_up_edge(e, new_id)
-    return s.freeze()
+    _check_valid(g.validate())
+    c = g._compiled
+    k = _edge_index(g.edges, e)
+    a, b = g.edges[k]
+    new_id = _new_id(c.index, new_id)
+    return ReductionGraph(g.vertices + (Vertex(new_id, c.N[c.index[a]] + c.N[c.index[b]]),),
+                          g.edges[:k] + g.edges[k + 1:] + ((a, new_id), (b, new_id)), g.name)
 
 
 def blow_down(g: ReductionGraph, v: str) -> ReductionGraph:

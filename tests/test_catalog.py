@@ -27,7 +27,6 @@ from redjumps import (
 )
 from redjumps import catalog
 from redjumps.errors import PreconditionFailed, UnsupportedType
-from redjumps.graph import _Surgery
 
 
 def test_catalog_entries_are_valid_minimal_models():
@@ -175,23 +174,23 @@ def test_seed_names_are_the_sorted_pool():
 
 
 def reference_random_instance(seed, moves):
-    """random_instance drawing from a freshly built pool of every seed."""
+    """random_instance drawing from a freshly built pool of every seed, one
+    public blow-up per move."""
     rng = random.Random(seed)
     pool = seed_graphs()
     base_name = rng.choice(sorted(pool))
-    base = pool[base_name]
-    g = _Surgery(base)
+    base = g = pool[base_name]
     log = []
     for _ in range(moves):
         if rng.random() < 0.5 or not g.edges:
-            v = rng.choice(list(g.index))
-            g.blow_up_free_point(v)
+            v = rng.choice(g.ids)
+            g = blow_up_free_point(g, v)
             log.append(("free", v))
         else:
             e = rng.randrange(len(g.edges))
-            g.blow_up_edge(e)
+            g = blow_up_edge(g, e)
             log.append(("edge", e))
-    return GeneratedGraph(g.freeze(), base, base_name, tuple(log))
+    return GeneratedGraph(g, base, base_name, tuple(log))
 
 
 def test_random_instance_builds_the_drawn_seed_of_the_pool(corpus):
@@ -201,8 +200,8 @@ def test_random_instance_builds_the_drawn_seed_of_the_pool(corpus):
 
 def test_random_instance_is_pinned():
     # the fold test above and reference_random_instance both go through the
-    # surgery form, so a change to it would move both sides together; this
-    # digest was taken before the surgery form moved to vertex indices
+    # public blow-ups, so a change to them would move both sides together;
+    # this digest was taken before the moves ran on vertex indices
     h = hashlib.sha256()
     for seed, moves in ([(s, s % 16) for s in range(3000)] + [(s, 192) for s in range(8)]
                         + [(7, 1024)]):

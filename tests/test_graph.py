@@ -471,7 +471,8 @@ def test_surgery_refuses_an_invalid_graph_before_any_move():
     # the report of the graph it starts from
     g = ReductionGraph((Vertex("a", 1, 1), Vertex("b", 2)), (("a", "b"),))
     for move in (lambda: blow_up_free_point(g, "b"), lambda: blow_up_edge(g, 0),
-                 lambda: blow_down(g, "b"), lambda: blow_up_free_point(g, "zz")):
+                 lambda: blow_down(g, "b"), lambda: blow_up_free_point(g, "zz"),
+                 lambda: blow_up_edge(g, 99), lambda: blow_up_free_point(g, "a", new_id="b")):
         with pytest.raises(ValidationError) as caught:
             move()
         assert caught.value.report == g.validate()
@@ -591,7 +592,7 @@ def test_minimize_matches_the_rescan_loop(corpus):
 
 def test_minimize_matches_the_rescan_loop_on_large_graphs():
     rng = random.Random(1)
-    for seed in (0, 5):
+    for seed in range(8):  # the bushy benchmark graphs
         assert_minimize_matches(shuffled_relabelling(random_instance(seed, 192).graph, rng), seed)
 
 
@@ -619,19 +620,25 @@ def test_minimize_matches_the_rescan_loop_on_fibonacci_chains(tag):
 
 def test_surgery_validates_once(monkeypatch):
     graph = random_instance(7, 1024).graph
-    calls = []
-    validate = ReductionGraph.validate
+    calls, constructed = [], []
+    validate, init = ReductionGraph.validate, ReductionGraph.__init__
 
     def counting(self):
         calls.append(self)
         return validate(self)
 
+    def counting_init(self, *args):
+        constructed.append(self)
+        init(self, *args)
+
     monkeypatch.setattr(ReductionGraph, "validate", counting)
     minimize(graph)
     assert len(calls) <= 2
     calls.clear()
-    random_instance(7, 1024)
+    monkeypatch.setattr(ReductionGraph, "__init__", counting_init)
+    inst = random_instance(7, 1024)
     assert len(calls) <= 1  # the result: the first call above built the seed
+    assert constructed == [inst.graph]  # once, after the last move
 
     # computations, not calls: the report is cached per graph, and genus()
     # on a valid graph reads the adjunction sum alone
@@ -832,6 +839,31 @@ def test_fresh_ids_reuse_a_contracted_id():
     g3 = blow_up_free_point(blow_down(g2, "b1"), "t1")
     g4 = blow_up_free_point(g3, "t1")
     assert [g3.ids[-1], g4.ids[-1]] == ["b1", "b3"]
+
+
+def test_fresh_ids_skip_the_taken_ones():
+    # type II with its centre called b3 and one tail b1
+    g = build([Vertex("b3", 6), Vertex("a", 3), Vertex("b1", 2), Vertex("t", 1)],
+              [("b3", "a"), ("b3", "b1"), ("b3", "t")])
+    g1 = blow_up_free_point(g, "a")
+    g2 = blow_up_free_point(g1, "b3")
+    assert [g1.ids[-1], g2.ids[-1]] == ["b2", "b4"]
+    assert blow_up_edge(g2, 0).ids[-1] == "b5"
+
+
+def test_blow_up_edge_keeps_the_edge_order():
+    # the blown-up edge leaves its place; the new vertex's two edges come
+    # last, the one to the end whose id sorts first before the other
+    g = blow_up_free_point(blow_up_free_point(kodaira_graph("IV*"), "c"), "a2_1", new_id="a0")
+    for a, b in [("a1_1", "c"), ("a0", "a2_1"), ("b1", "c")]:
+        k = g.edges.index((a, b))
+        h = blow_up_edge(g, k)
+        assert blow_up_edge(g, (b, a)) == blow_up_edge(g, [a, b]) == h
+        new = tuple(tuple(sorted((end, "b2"))) for end in (a, b))
+        assert h.edges == g.edges[:k] + g.edges[k + 1:] + new
+    # a parallel pair names its first edge
+    g = kodaira_graph("I1res")
+    assert blow_up_edge(g, ("v", "u")) == blow_up_edge(g, 0)
 
 
 # -- chain contraction and tail domination ------------------------------------
