@@ -23,12 +23,12 @@ _EXPORTS = {
                      "contract_chains", "minimize"], "graph"),
     **dict.fromkeys(["dump_graph", "graph_document", "parse_document",
                      "report_document"], "io"),
-    **dict.fromkeys(["AnalysisReport", "JumpSpectrum", "analyze", "compute_jumps",
-                     "run_checks", "tame_base_change_conductor", "unipotent_rank"],
-                    "jumps"),
-    **dict.fromkeys(["IntegralDivisor", "candidate_values", "floor_divisor", "index_set",
-                     "intersect", "is_isomorphic", "jump_multiplicity",
-                     "jump_multiplicity_via_euler", "lower_bound", "sigma"], "reference"),
+    **dict.fromkeys(["AnalysisReport", "JumpSpectrum", "analyze", "candidate_values",
+                     "compute_jumps", "run_checks", "tame_base_change_conductor",
+                     "unipotent_rank"], "jumps"),
+    **dict.fromkeys(["IntegralDivisor", "floor_divisor", "index_set", "intersect",
+                     "is_isomorphic", "jump_multiplicity", "jump_multiplicity_via_euler",
+                     "lower_bound", "sigma"], "reference"),
 }
 
 __version__ = "0.1.0"

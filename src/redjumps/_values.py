@@ -17,8 +17,8 @@ is imported: the standard library's class generator pulls in
 ``inspect``, ``ast`` and ``dis``, and every ``redjumps`` process pays for
 its imports.
 
-``_below`` and ``_check_int`` live here so that ``catalog`` and
-``lattices`` share them without either importing the other.
+``_below``, ``_check_int`` and ``_quoted`` live here so that the modules
+share them without importing each other.
 """
 
 from operator import attrgetter
@@ -83,4 +83,14 @@ def _check_int(name, x, low=1):
     at least low, 0 or 1; low=None takes any int."""
     if not isinstance(x, int) or isinstance(x, bool) or (low is not None and x < low):
         kind = {None: "an", 0: "a non-negative", 1: "a positive"}[low]
-        raise PreconditionFailed(f"{name} must be {kind} integer, got {x!r}")
+        raise PreconditionFailed(f"{name} must be {kind} integer, got {_quoted(x)}")
+
+
+def _quoted(x):
+    """repr(x) cut to 40 characters ending in "...", so a message quoting
+    it stays one short line. An int wider than 128 bits, of 39 digits or
+    more, is named by its bit length: str() refuses one of 4301 digits."""
+    if isinstance(x, int) and x.bit_length() > 128:
+        return f"{'-' * (x < 0)}<{x.bit_length()}-bit int>"
+    text = repr(x)
+    return text if len(text) <= 40 else text[:37] + "..."

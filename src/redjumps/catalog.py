@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cache
 
 from . import graph as _graph
-from ._values import Value, _below, _check_int
+from ._values import Value, _below, _check_int, _quoted
 from .errors import UnsupportedType
 from .graph import ReductionGraph, Vertex
 
@@ -88,13 +88,6 @@ _SHAPES = {
                                   name="twin"), None),
 }
 _KODAIRA = frozenset(name for name, (_, jump) in _SHAPES.items() if jump is not None)
-
-
-def _quoted(tag):
-    """repr(tag), cut to 40 characters ending in "...": a message that
-    quotes the tag stays one short line."""
-    text = repr(tag)
-    return text if len(text) <= 40 else text[:37] + "..."
 
 
 def _family(tag):

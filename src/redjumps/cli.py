@@ -15,9 +15,10 @@ parse_document, so input that is not UTF-8 is unparsable (3). Exit codes:
 error, 2 failed check or internal inconsistency, 3 unreadable or
 unparsable input, 4 over the work budget: a candidate scan would visit
 more than jumps.WORK_BUDGET candidates, and the count is printed on
-stderr with no check table. compute answers from the nodes (see jumps),
-so only compute --check, which also scans every vertex of the model as
-given, meets the budget on a model whose minimal model is small.
+stderr with no check table, 141 stdout closed by its reader, as a shell
+reports a process that SIGPIPE ends. compute answers from the nodes (see
+jumps), so only compute --check, which scans every vertex of the model
+as given, meets the budget on a model whose minimal model is small.
 
 The arguments are parsed by argparse, with one exception: _common reads
 the plain forms of compute, validate, minimize and catalog (the command,
@@ -27,17 +28,17 @@ form, help and every usage error go to argparse. --check takes the next
 word as its NAME unless that word is an option, so a bare --check goes
 after FILE: "compute - --check" reads stdin.
 
-Importing this module loads errors, _values, graph and io from the
-package and nothing else, and no argparse, gettext or locale: jumps,
-catalog and verify are imported inside the commands that use them (and
-numpy only by verify's monoid suite), and the single-value and
-comparison code lives in reference, which no command imports. So a
-process pays only for the modules it runs.
+So that a process pays only for the modules it runs, importing this
+module loads errors, _values, graph and io from the package and nothing
+else, and no argparse, gettext or locale: jumps, catalog and verify are
+imported inside the commands that use them (numpy only by verify's
+monoid suite), and no command imports reference.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 from types import SimpleNamespace
 
@@ -104,9 +105,7 @@ def _cmd_compute(args):
                   f"{len(minimized.edges)} edges")
         for name, ok in checks:
             print(f"check {name}: {'ok' if ok else 'FAIL'}")
-    if any(not ok for _, ok in checks):
-        return 2
-    return 0
+    return 2 if any(not ok for _, ok in checks) else 0
 
 
 def _cmd_validate(args):
@@ -138,10 +137,9 @@ def _cmd_catalog(args):
     from . import catalog as _catalog
 
     if args.tag is None:
-        for tag in _catalog.catalog_tags():
-            print(tag)
-        return 0
-    sys.stdout.write(dump_graph(_catalog.catalog_graph(args.tag)))
+        print("\n".join(_catalog.catalog_tags()))
+    else:
+        sys.stdout.write(dump_graph(_catalog.catalog_graph(args.tag)))
     return 0
 
 
@@ -266,7 +264,12 @@ def _parse_args(argv):
 def main(argv=None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:  # fd 1 to devnull, so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

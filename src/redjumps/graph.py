@@ -37,7 +37,7 @@ from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 
-from ._values import Value
+from ._values import Value, _quoted
 from .errors import (
     InconsistentGeometry,
     NonIntegralSelfIntersection,
@@ -85,7 +85,7 @@ def _self_intersection(vid, multiplicity: int, nbr_sum: int) -> int:
     """E^2 = -(sum of neighbour multiplicities) / N."""
     if nbr_sum % multiplicity != 0:
         raise NonIntegralSelfIntersection(
-            f"vertex {vid!r}: {multiplicity} does not divide neighbour sum {nbr_sum}")
+            f"vertex {vid!r}: {_quoted(multiplicity)} does not divide neighbour sum {_quoted(nbr_sum)}")
     return -(nbr_sum // multiplicity)
 
 
@@ -182,11 +182,11 @@ class ReductionGraph(Value):
                 index[vid] = len(N)
             if type(n) is not int or n < 1:
                 if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-                    problems.append(Violation("multiplicity", f"vertex {vid!r} needs integer multiplicity >= 1, got {n!r}", vid))
+                    problems.append(Violation("multiplicity", f"vertex {vid!r} needs integer multiplicity >= 1, got {_quoted(n)}", vid))
                 n = int(n) if isinstance(n, int) else 0
             if type(g) is not int or g < 0:
                 if not isinstance(g, int) or isinstance(g, bool) or g < 0:
-                    problems.append(Violation("genus-label", f"vertex {vid!r} needs integer genus >= 0, got {g!r}", vid))
+                    problems.append(Violation("genus-label", f"vertex {vid!r} needs integer genus >= 0, got {_quoted(g)}", vid))
                 g = int(g) if isinstance(g, int) else 0
             N.append(n)
             genus.append(g)
@@ -262,15 +262,15 @@ class ReductionGraph(Value):
         problems = [] if self.is_connected() else [Violation("connected", "graph is not connected")]
         g = gcd(*c.N)
         if g != 1:
-            problems.append(Violation("gcd", f"gcd of multiplicities is {g}, must be 1"))
+            problems.append(Violation("gcd", f"gcd of multiplicities is {_quoted(g)}, must be 1"))
         bad = [Violation("self-intersection",
-                         f"vertex {v.id!r}: multiplicity {n} does not divide "
-                         f"the sum {s} of neighbouring multiplicities", v.id)
+                         f"vertex {v.id!r}: multiplicity {_quoted(n)} does not divide "
+                         f"the sum {_quoted(s)} of neighbouring multiplicities", v.id)
                for v, n, s in zip(self.vertices, c.N, c.nbr_sum) if s % n]
         # the genus is meaningful once self-intersections are integral; the
         # adjunction sum is even then, as 0 = N.M.N = sum N_i^2 E_i^2 mod 2
         if not bad and c.adjunction < 0:
-            bad.append(Violation("genus", f"derived genus {1 + c.adjunction // 2} < 1"))
+            bad.append(Violation("genus", f"derived genus {_quoted(1 + c.adjunction // 2)} < 1"))
         problems += bad
         return ValidationReport(not problems, tuple(problems))
 
@@ -288,7 +288,7 @@ class ReductionGraph(Value):
             for v, n, s in zip(self.vertices, c.N, c.nbr_sum):
                 _self_intersection(v.id, n, s)  # raises unless E_v^2 is integral
             if c.adjunction < 0:
-                raise InconsistentGeometry(f"derived genus {1 + c.adjunction // 2} < 1")
+                raise InconsistentGeometry(f"derived genus {_quoted(1 + c.adjunction // 2)} < 1")
         return 1 + c.adjunction // 2
 
     def first_betti(self) -> int:

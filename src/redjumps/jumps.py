@@ -64,7 +64,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from types import SimpleNamespace
 
-from ._values import Value
+from ._values import Value, _quoted
 from .errors import InternalInconsistency, OverBudget
 from .graph import (ReductionGraph, _check_valid, _components, _contractible,
                     _nodes, contract_chains, minimize)
@@ -83,11 +83,7 @@ class JumpSpectrum(Value):
         object.__setattr__(self, "genus", genus)
 
     def multiplicity(self, value) -> int:
-        value = Fraction(value)
-        for v, mult in self.entries:
-            if v == value:
-                return mult
-        return 0
+        return self.as_dict().get(Fraction(value), 0)
 
     def values(self):
         return [v for v, _ in self.entries]
@@ -107,9 +103,8 @@ class _Terms(Value):
     of vertices in M_d = {i : d | N_i}, all of M_d or its nodes: ``members``
     is S as vertex indices, ``half_inner`` the number of half-edges from S
     into M_d, ``boundary`` holds N_w for each edge i-w with i in S and w
-    outside M_d, and ``genus`` is the sum of g_i over S. ``sigma``, the lower
-    bound and the dual route need S = M_d, and ``components(c)`` counts the
-    components of M_d on each call."""
+    outside M_d, ``genus`` the sum of g_i over S. The lower bound, which
+    counts components on each call, and the dual route need S = M_d."""
 
     __slots__ = _fields = ("d", "members", "half_inner", "boundary", "genus")
 
@@ -121,15 +116,9 @@ class _Terms(Value):
         object.__setattr__(self, "boundary", boundary)
         object.__setattr__(self, "genus", genus)
 
-    @property
-    def sigma(self) -> int:
-        return self.half_inner // 2 + len(self.boundary)
-
-    def components(self, c) -> int:
-        return _components(c.nbrs, self.members)
-
     def lower_bound(self, c) -> int:
-        return self.half_inner // 2 - len(self.members) + self.components(c) + self.genus
+        return (self.half_inner // 2 - len(self.members) + _components(c.nbrs, self.members)
+                + self.genus)
 
     def mult(self, a: int) -> int:
         """Main route at a/d: [d = 1] plus the c_i(a) of S, scaled by 2d.
@@ -199,7 +188,7 @@ def _members_by_denominator(c, indices) -> dict:
     N_i is over the budget before anything is factored."""
     top = max((c.N[i] for i in indices), default=1)
     if top > WORK_BUDGET:
-        raise OverBudget(f"at least {top} candidates (the largest multiplicity), "
+        raise OverBudget(f"at least {_quoted(top)} candidates (the largest multiplicity), "
                          f"work budget {WORK_BUDGET}", top)
     divisors = {n: _divisor_phis(n) for n in {c.N[i] for i in indices}}
     phi = {1: 1}
@@ -218,6 +207,14 @@ def _members_by_denominator(c, indices) -> dict:
 def _numerators(d: int):
     """The a with a/d in lowest terms and 0 <= a/d < 1."""
     return [0] if d == 1 else [a for a in range(1, d) if gcd(a, d) == 1]
+
+
+def candidate_values(g: ReductionGraph):
+    """All values in [0,1) whose index set is nonempty: 0 and a/N_i, of g
+    itself (not of its minimal model); OverBudget past WORK_BUDGET."""
+    c = g._compiled
+    return sorted(Fraction(a, d) for d in _members_by_denominator(c, range(len(c.N)))
+                  for a in _numerators(d))
 
 
 def _scan(g: ReductionGraph, indices=None, checks: bool = False):

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from operator import mul
 
-from ._values import _below, _check_int
+from ._values import _below, _check_int, _quoted
 from .errors import (NotASublattice, PreconditionFailed, ShapeMismatch,
                      SingularMatrix)
 
@@ -246,7 +246,7 @@ _PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
 
 def _check_prime(p):
     if not isinstance(p, int) or p < 2:
-        raise PreconditionFailed(f"p must be prime, got {p!r}")
+        raise PreconditionFailed(f"p must be prime, got {_quoted(p)}")
     if p in _BASES:
         return
     if p >= _PRIME_LIMIT:

@@ -4,14 +4,14 @@ What no ``redjumps compute`` runs, kept out of the modules it imports:
 
 - the single-value API at j/m, m = lcm(N_i): the index set I_j, sigma,
   the floor divisor and intersection numbers, the multiplicity of j/m by
-  the main and the dual route, the lower bound, and the candidate list.
-  Each reads the per-denominator terms of the ``jumps`` kernel, so it
-  agrees with the scan by construction;
+  the main and the dual route, and the lower bound, read off the labels as
+  the formulas are written, apart from the ``jumps`` kernel they check.
+  All but the floor divisor and intersections refuse an invalid graph;
 - ``is_isomorphic``, label-preserving multigraph isomorphism by colour
   refinement and backtracking (McKay-Piperno, J. Symbolic Comput. 60 (2014)).
 
-The tests, the acceptance gate and the benchmark's per-layer census call
-these. ``cli``, ``io``, ``graph`` and ``jumps`` never import this module.
+The tests and the acceptance gate call these. ``cli``, ``io``, ``graph``
+and ``jumps`` never import this module.
 """
 
 from __future__ import annotations
@@ -19,10 +19,9 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 
-from ._values import Value
+from ._values import Value, _quoted
 from .errors import InternalInconsistency, PreconditionFailed
-from .graph import ReductionGraph
-from .jumps import _members_by_denominator, _numerators, _terms
+from .graph import ReductionGraph, _check_valid, _components
 
 
 class IntegralDivisor(Value):
@@ -42,26 +41,28 @@ class IntegralDivisor(Value):
 def _check_j(g: ReductionGraph, j, lo=0):
     m = g.multiplicity_lcm()
     if not isinstance(j, int) or isinstance(j, bool) or not lo <= j < m:
-        raise PreconditionFailed(f"need integer j with {lo} <= j < m = {m}, got {j!r}")
+        raise PreconditionFailed(f"need integer j with {lo} <= j < m = {_quoted(m)}, got {_quoted(j)}")
     return Fraction(j, m)
 
 
-def _terms_at(g: ReductionGraph, j, lo=0):
-    """The terms of the denominator d of j/m, and its numerator a."""
-    q = _check_j(g, j, lo)
-    c, d = g._compiled, q.denominator
-    return _terms(c, d, [i for i, n in enumerate(c.N) if n % d == 0]), q.numerator
+def _members(g: ReductionGraph, j, lo=0):
+    """Check g and lo <= j < m; return I_j as vertices and its inner edge count."""
+    _check_valid(g.validate())
+    d = _check_j(g, j, lo).denominator  # i in I_j iff j N_i / m is an integer
+    members = [v for v in g.vertices if v.multiplicity % d == 0]
+    ids = {v.id for v in members}
+    return members, sum(a in ids and b in ids for a, b in g.edges)
 
 
 def index_set(g: ReductionGraph, j: int) -> set[str]:
     """I_j = { i : (m/N_i) divides j }."""
-    t, _ = _terms_at(g, j)
-    return {g.vertices[i].id for i in t.members}
+    return {v.id for v in _members(g, j)[0]}
 
 
 def sigma(g: ReductionGraph, j: int) -> int:
     """Number of edges meeting at least one I_j vertex."""
-    return _terms_at(g, j)[0].sigma
+    ids = index_set(g, j)
+    return sum(a in ids or b in ids for a, b in g.edges)
 
 
 def floor_divisor(g: ReductionGraph, j: int) -> IntegralDivisor:
@@ -80,32 +81,28 @@ def intersect(g: ReductionGraph, D: IntegralDivisor, v: str) -> int:
 
 
 def jump_multiplicity(g: ReductionGraph, j: int) -> int:
-    """Multiplicity of j/m as a jump; non-negative for valid graphs."""
-    t, a = _terms_at(g, j)
-    out = t.mult(a)
+    """Multiplicity of j/m as a jump: the sum over I_j of
+    E_i . floor((j/m) C_k) + g_i - 1, plus sigma and [j = 0]."""
+    members, D = _members(g, j)[0], floor_divisor(g, j)
+    out = sum(intersect(g, D, v.id) + v.genus - 1 for v in members) + sigma(g, j) + (j == 0)
     if out < 0:
         raise InternalInconsistency(f"negative jump multiplicity {out} at j={j}")
     return out
 
 
 def jump_multiplicity_via_euler(g: ReductionGraph, j: int) -> int:
-    """Independent route: Euler characteristic of the twisted line bundle
-    on the I_j part of the reduced fiber; 1 <= j < m."""
-    t, a = _terms_at(g, j, lo=1)
-    return t.euler(g._compiled, a)
+    """Independent route, 1 <= j < m: the Euler characteristic of the twisted
+    line bundle on the I_j part of the reduced fiber, the sum over I_j of
+    g_i - 1 + deg i + E_i . floor((j/m) C_k) minus the edges inside I_j."""
+    (members, inner), D = _members(g, j, lo=1), floor_divisor(g, j)
+    return sum(v.genus - 1 + g.degree(v.id) + intersect(g, D, v.id) for v in members) - inner
 
 
 def lower_bound(g: ReductionGraph, j: int) -> int:
     """b_1 of the induced subgraph on I_j plus the genera over I_j."""
-    return _terms_at(g, j, lo=1)[0].lower_bound(g._compiled)
-
-
-def candidate_values(g: ReductionGraph):
-    """All values in [0,1) whose index set is nonempty: 0 and a/N_i, of g
-    itself (not of its minimal model); OverBudget past WORK_BUDGET."""
-    c = g._compiled
-    return sorted(Fraction(a, d) for d in _members_by_denominator(c, range(len(c.N)))
-                  for a in _numerators(d))
+    (members, inner), c = _members(g, j, lo=1), g._compiled
+    return (inner - len(members) + sum(v.genus for v in members)
+            + _components(c.nbrs, [c.index[v.id] for v in members]))
 
 
 # -- comparisons of graphs --------------------------------------------------

@@ -12,6 +12,7 @@ from fractions import Fraction
 from redjumps import (
     blow_up_edge,
     blow_up_free_point,
+    candidate_values,
     catalog_graph,
     catalog_tags,
     compute_jumps,
@@ -26,7 +27,6 @@ from redjumps import (
     unipotent_rank,
 )
 from redjumps.jumps import _scan
-from redjumps.reference import candidate_values
 from redjumps.verify import lattice_suite, monoid_suite
 
 ELLIPTIC_TAGS = (["I0"] + [f"I{n}" for n in range(2, 11)]

@@ -238,13 +238,13 @@ def test_declared_dependencies_are_the_imported_ones():
     assert imported - set(sys.stdlib_module_names) - {"redjumps"} == declared == {"numpy"}
 
 
-def run_redjumps(*args, timeout):
+def run_redjumps(*args, timeout, stdout=subprocess.PIPE):
     """One `redjumps` process, and its wall time in seconds."""
     env = {**os.environ, "PYTHONPATH": str(Path(redjumps.__file__).parents[1])}
     code = "import sys; from redjumps.cli import main; sys.exit(main())"
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
-                          text=True, env=env, timeout=timeout)
+    proc = subprocess.run([sys.executable, "-c", code, *args], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=env, timeout=timeout)
     return proc, time.perf_counter() - start
 
 
@@ -458,6 +458,42 @@ def test_json_past_the_decoder_limits_is_unparsable(tmp_path, capsys):
             parse_document(text)
     err = capsys.readouterr().err
     assert err.count("error: JSON beyond the parser's limits") == 6
+
+
+def test_huge_integers_give_short_refusals(tmp_path, capsys):
+    # six isolated vertices of N = 9 * 10^4299 (a derived genus of 4,302
+    # digits, past what str() converts), and one vertex of 4,000 digits:
+    # invalid (1), with every integer of over 128 bits named by its width
+    six = {"format": "reduction-graph/1", "edges": [], "vertices": [
+        {"id": f"v{k}", "multiplicity": 9 * 10 ** 4299} for k in range(6)]}
+    one = GCD2_DOC.replace('"multiplicity": 2', '"multiplicity": ' + "7" * 4_000, 1)
+    for k, text in enumerate((json.dumps(six), one)):
+        doc = tmp_path / f"doc{k}.json"
+        doc.write_text(text)
+        for argv in (["validate", str(doc)], ["validate", "--json", str(doc)],
+                     ["compute", str(doc)], ["compute", str(doc), "--json", "--check"]):
+            assert main(argv) == 1, (k, argv)
+            captured = capsys.readouterr()
+            text = captured.out + captured.err
+            assert "gcd of multiplicities is <" in text, (k, argv)
+            assert max(map(len, text.encode().splitlines())) <= 200, (k, argv)
+
+
+@pytest.mark.parametrize("argv", [["compute", "DOC"], ["compute", "--json", "DOC"],
+                                  ["catalog"], ["catalog", "II"], ["minimize", "DOC"],
+                                  ["validate", "--json", "DOC"]])
+def test_a_closed_stdout_exits_141_without_a_traceback(argv, tmp_path):
+    # stdout is a pipe whose read end is closed before the process starts,
+    # so its first write to stdout fails, whatever the timing
+    path = doc_path(tmp_path, blow_up_edge(kodaira_graph("II*"), 0))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc, _ = run_redjumps(*(path if word == "DOC" else word for word in argv),
+                               timeout=60, stdout=write)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, "")
 
 
 def test_verify_suites(capsys):

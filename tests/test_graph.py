@@ -17,11 +17,14 @@ from redjumps import (
     blow_up_edge,
     blow_up_free_point,
     build,
+    candidate_values,
     catalog_graph,
     catalog_tags,
     contract_chains,
+    floor_divisor,
     genus2_example,
     is_isomorphic,
+    jump_multiplicity,
     kodaira_graph,
     minimize,
     random_instance,
@@ -32,13 +35,17 @@ from redjumps.errors import (
     NonIntegralSelfIntersection,
     NotContractible,
     NotMinimal,
+    OverBudget,
+    PreconditionFailed,
     UnknownEdge,
     UnknownVertex,
+    UnsupportedType,
     ValidationError,
     WouldCreateLoop,
 )
-from redjumps.graph import ValidationReport, Violation
-from redjumps.jumps import _members_by_denominator, _terms, run_checks
+from redjumps.graph import ValidationReport, Violation, _components
+from redjumps.jumps import _members_by_denominator, run_checks
+from redjumps.lattices import elementary_divisors
 
 
 def codes(exc: ValidationError):
@@ -266,6 +273,33 @@ def test_build_accepts_plain_iterables():
     g = build([Vertex("a", 1, 1)], [], name="point")
     assert g.name == "point"
     assert g.validate().ok
+
+
+def test_huge_integers_are_refused_in_short_messages():
+    # an int past the 4300 digits str() converts is named by its bit length
+    huge = 10 ** 5000
+    one, two = (ReductionGraph([Vertex(f"v{k}", huge) for k in range(n)], []) for n in (1, 2))
+    wide = ReductionGraph([Vertex("a", huge), Vertex("b", 1)], [("a", "b")])
+    cases = [
+        (lambda: ReductionGraph([Vertex("a", -huge)], []), ValidationError),
+        (lambda: ReductionGraph([Vertex("a", 1, -huge)], []), ValidationError),
+        (lambda: catalog_graph(huge), UnsupportedType),
+        (two.genus, InconsistentGeometry),
+        (lambda: wide.self_intersection("a"), NonIntegralSelfIntersection),
+        (lambda: floor_divisor(one, -1), PreconditionFailed),
+        (lambda: floor_divisor(kodaira_graph("II"), huge), PreconditionFailed),
+        (lambda: jump_multiplicity(one, 0), ValidationError),
+        (lambda: candidate_values(one), OverBudget),
+        (lambda: random_instance(0, -huge), PreconditionFailed),
+        (lambda: elementary_divisors([[1]], [[1]], -huge), PreconditionFailed),
+    ]
+    for k, (call, kind) in enumerate(cases):
+        with pytest.raises(kind) as e:
+            call()
+        assert "-bit int>" in str(e.value) and len(str(e.value)) <= 200, k
+    messages = [v.message for v in two.validate().violations]
+    assert "gcd of multiplicities is <16610-bit int>, must be 1" in messages
+    assert "derived genus -<16611-bit int> < 1" in messages
 
 
 # -- derived geometry ---------------------------------------------------------
@@ -828,7 +862,7 @@ def test_terms_components_match_the_id_keyed_search(corpus):
         c = g._compiled
         for d, members in _members_by_denominator(c, range(len(c.N))).items():
             ids = {g.vertices[i].id for i in members}
-            assert _terms(c, d, members).components(c) == reference_components(g, ids), (item.seed, d)
+            assert _components(c.nbrs, members) == reference_components(g, ids), (item.seed, d)
 
 
 def test_fresh_ids_reuse_a_contracted_id():

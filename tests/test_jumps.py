@@ -6,8 +6,12 @@ the intersection formula (index set, floor divisor, sigma) and frozen.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -376,6 +380,33 @@ def test_model_independence_check(monkeypatch):
                         lambda self, a: mult(self, a) + (self.d == 9))
     assert ("model-independence", False) in run_checks(g)
     assert ("model-independence", True) in run_checks(kodaira_graph("II"))
+
+
+# -- the single values against the kernel ---------------------------------------
+
+def test_reference_imports_no_kernel():
+    code = "import sys, redjumps.reference; print('redjumps.jumps' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(jumps.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=env)
+    assert proc.stdout == "False\n"
+
+
+def test_single_values_catch_a_kernel_that_keeps_its_totals(monkeypatch):
+    # star5 carries 1/4 twice and 3/4 once; a kernel that moves one unit of
+    # multiplicity from 1/4 to 3/4 keeps every total and sign, so its own
+    # guards stay quiet, but the single values read the labels, not it
+    g = seed_graphs()["star5"]
+    m = g.multiplicity_lcm()
+    single = {q: jump_multiplicity(g, int(q * m)) for q in candidate_values(g)}
+    assert (single[F(1, 4)], single[F(3, 4)]) == (2, 1)
+    assert compute_jumps(g).as_dict() == {q: k for q, k in single.items() if k}
+    mult = jumps._Terms.mult
+    monkeypatch.setattr(jumps._Terms, "mult", lambda self, a: mult(self, a)
+                        + (self.d == 4) * ((a == 3) - (a == 1)))
+    broken = compute_jumps(g)
+    assert broken.as_dict() != {q: k for q, k in single.items() if k}
+    assert {q: jump_multiplicity(g, int(q * m)) for q in single} == single
 
 
 # -- the answer comes from the nodes of the model -------------------------------------

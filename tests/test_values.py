@@ -12,10 +12,10 @@ from pathlib import Path
 import pytest
 
 import redjumps
-from redjumps import analyze, compute_jumps, kodaira_graph, random_instance
+from redjumps import analyze, compute_jumps, jumps, kodaira_graph, random_instance
 from redjumps._values import _below
 from redjumps.graph import ValidationReport, Vertex, Violation
-from redjumps.reference import IntegralDivisor, _terms_at
+from redjumps.reference import IntegralDivisor
 from redjumps.monoids import (AffineMonoid, SaturationChartCase1,
                               SaturationChartCase2)
 
@@ -30,7 +30,7 @@ def _instances():
         (g, True),
         (IntegralDivisor({"c": 1}), False),  # a dict field
         (compute_jumps(g), True),
-        (_terms_at(g, 1)[0], True),
+        (jumps._terms(g._compiled, 6, [0]), True),
         (analyze(g, with_checks=True), True),
         (random_instance(3, 4), True),
         (SaturationChartCase1(2, 6), True),
