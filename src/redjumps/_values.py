@@ -17,8 +17,8 @@ is imported: the standard library's class generator pulls in
 ``inspect``, ``ast`` and ``dis``, and every ``redjumps`` process pays for
 its imports.
 
-``_below``, ``_check_int`` and ``_quoted`` live here so that the modules
-share them without importing each other.
+``_below``, ``_check_int``, ``_shown`` and ``_quoted`` live here so that
+the modules share them without importing each other.
 """
 
 from operator import attrgetter
@@ -86,11 +86,20 @@ def _check_int(name, x, low=1):
         raise PreconditionFailed(f"{name} must be {kind} integer, got {_quoted(x)}")
 
 
-def _quoted(x):
-    """repr(x) cut to 40 characters ending in "...", so a message quoting
-    it stays one short line. An int wider than 128 bits, of 39 digits or
-    more, is named by its bit length: str() refuses one of 4301 digits."""
+def _shown(x, form=repr):
+    """form(x), repr or str, for a refusal message. An int wider than 128
+    bits, of 39 digits or more, is named by its bit length: str() refuses
+    one of 4301 digits. A value whose form raises, such as a tuple holding
+    such an int, is named by its type."""
     if isinstance(x, int) and x.bit_length() > 128:
         return f"{'-' * (x < 0)}<{x.bit_length()}-bit int>"
-    text = repr(x)
+    try:
+        return form(x)
+    except Exception:
+        return f"<unprintable {type(x).__name__}>"
+
+
+def _quoted(x):
+    """_shown(x) cut to 40 characters, ending in "...", so a message stays short."""
+    text = _shown(x)
     return text if len(text) <= 40 else text[:37] + "..."

@@ -37,7 +37,7 @@ from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 
-from ._values import Value, _quoted
+from ._values import Value, _quoted, _shown
 from .errors import (
     InconsistentGeometry,
     NonIntegralSelfIntersection,
@@ -171,22 +171,22 @@ class ReductionGraph(Value):
         problems, index, N, genus = [], {}, [], []
         for v in vertices:
             if not isinstance(v, Vertex):
-                problems.append(Violation("vertex", f"{v!r} is not a Vertex", str(v)))
+                problems.append(Violation("vertex", f"{_shown(v)} is not a Vertex", _shown(v, str)))
                 continue
             vid, n, g = v.id, v.multiplicity, v.genus
             if not isinstance(vid, str) or not vid:
-                problems.append(Violation("vertex-id", "vertex ids must be non-empty strings", str(vid)))
+                problems.append(Violation("vertex-id", "vertex ids must be non-empty strings", _shown(vid, str)))
             elif vid in index:
                 problems.append(Violation("vertex-id", f"duplicate vertex id {vid!r}", vid))
             if isinstance(vid, str):  # an empty id is still a known endpoint
                 index[vid] = len(N)
             if type(n) is not int or n < 1:
                 if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-                    problems.append(Violation("multiplicity", f"vertex {vid!r} needs integer multiplicity >= 1, got {_quoted(n)}", vid))
+                    problems.append(Violation("multiplicity", f"vertex {_shown(vid)} needs integer multiplicity >= 1, got {_quoted(n)}", vid))
                 n = int(n) if isinstance(n, int) else 0
             if type(g) is not int or g < 0:
                 if not isinstance(g, int) or isinstance(g, bool) or g < 0:
-                    problems.append(Violation("genus-label", f"vertex {vid!r} needs integer genus >= 0, got {_quoted(g)}", vid))
+                    problems.append(Violation("genus-label", f"vertex {_shown(vid)} needs integer genus >= 0, got {_quoted(g)}", vid))
                 g = int(g) if isinstance(g, int) else 0
             N.append(n)
             genus.append(g)
@@ -195,14 +195,14 @@ class ReductionGraph(Value):
         try:  # ends sorted by str(), or every edge as given if one is no pair or str() refuses an end
             edges = tuple([(a, b) if (a <= b if type(a) is str and type(b) is str
                                       else str(a) <= str(b)) else (b, a) for a, b in edges])
-        except (TypeError, ValueError):
+        except Exception:  # str() of an end may raise anything
             pass
         nbrs, nbr_sum = [[] for _ in N], [0] * len(N)
         for k, e in enumerate(edges):
             try:
                 a, b = e
             except (TypeError, ValueError):
-                problems.append(Violation("edge-endpoint", f"edge #{k} {e!r} is not a pair of vertex ids", str(e)))
+                problems.append(Violation("edge-endpoint", f"edge #{k} {_shown(e)} is not a pair of vertex ids", _shown(e, str)))
                 continue
             i = index.get(a) if isinstance(a, str) else None
             j = index.get(b) if isinstance(b, str) else None
@@ -213,9 +213,9 @@ class ReductionGraph(Value):
                 nbr_sum[j] += N[i]
                 continue
             if i is None or j is None:
-                problems.append(Violation("edge-endpoint", f"edge #{k} {a!r}-{b!r} references an unknown vertex", f"{a}-{b}"))
+                problems.append(Violation("edge-endpoint", f"edge #{k} {_shown(a)}-{_shown(b)} references an unknown vertex", f"{_shown(a, str)}-{_shown(b, str)}"))
             if a == b:
-                problems.append(Violation("loop", f"edge #{k} is a loop at {a!r}; loops are forbidden (resolve the node by a blow-up first)", a))
+                problems.append(Violation("loop", f"edge #{k} is a loop at {_shown(a)}; loops are forbidden (resolve the node by a blow-up first)", a))
         if problems:
             _check_valid(ValidationReport(False, tuple(problems)))
         object.__setattr__(self, "vertices", vertices)
@@ -353,10 +353,7 @@ class ReductionGraph(Value):
                 if nbr_sum[w] == N[w]:  # E^2 = -1, else not contractible
                     heappush(heap, vertices[w].id)
         edges = [e for e in self.edges if live[index[e[0]]] and live[index[e[1]]]]
-        for a, b in added:
-            if live[a] and live[b]:
-                a, b = vertices[a].id, vertices[b].id
-                edges.append((a, b) if a <= b else (b, a))
+        edges += [(vertices[a].id, vertices[b].id) for a, b in added if live[a] and live[b]]
         return ReductionGraph(itertools.compress(vertices, live), edges, self.name)
 
     def stabilization_index(self) -> int:
@@ -478,8 +475,7 @@ def blow_down(g: ReductionGraph, v: str) -> ReductionGraph:
     vid = g.vertices[i].id
     edges = [e for e in g.edges if vid not in e]
     if len(nbrs) == 2:
-        a, b = (g.vertices[w].id for w in nbrs)
-        edges.append((a, b) if a <= b else (b, a))
+        edges.append((g.vertices[nbrs[0]].id, g.vertices[nbrs[1]].id))
     return ReductionGraph(g.vertices[:i] + g.vertices[i + 1:], edges, g.name)
 
 

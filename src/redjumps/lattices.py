@@ -6,11 +6,7 @@ matrix and the p-adic valuations of its Smith normal form diagonal are the
 elementary divisors of the inclusion over Z_p; their sum plays the role of
 a conductor. Everything here is exact integer arithmetic: determinants
 and basis changes come from fraction-free (Bareiss, Math. Comp. 22 (1968))
-elimination. The public functions validate each matrix argument once;
-their private cores (_det, _quotient, _matmul, _smith, _divisor_valuations,
-_sandwich) take validated rows, and the verification suite calls them on
-the matrices it drew itself. _column_hnf has no checked form: its callers
-pass rows they built themselves.
+elimination. The public functions validate each matrix argument once.
 
 smith_normal_form runs its row and column steps on one block matrix B =
 [[M, I], [I, 0]] of size 2n and reads every pivot and multiplier off the
@@ -104,12 +100,7 @@ def _matmul(A, B):
 
 def det(M):
     """Exact determinant by fraction-free (Bareiss) elimination."""
-    return _det(_square(M))
-
-
-def _det(M):
-    """det of a validated square matrix, left unchanged."""
-    A = [row[:] for row in M]
+    A = _square(M)
     n = len(A)
     sign = 1
     prev = 1
@@ -178,11 +169,7 @@ def smith_normal_form(M):
     """(U, D, V) with U . M . V = D diagonal, d_1 | d_2 | ... | d_n > 0,
     and U, V unimodular. M must be square and nonsingular. The steps run
     on B = [[M, I], [I, 0]] (see the module docstring)."""
-    return _smith(_square(M))
-
-
-def _smith(A):
-    """smith_normal_form of a validated square matrix, left unchanged."""
+    A = _square(M)
     n = len(A)
     E = identity(n)
     B = [a + e for a, e in zip(A, E)] + [e + [0] * n for e in E]
@@ -315,18 +302,11 @@ def check_sandwich(l0, l1, l2, p, n):
     """
     _check_prime(p)
     _check_int("n", n, 0)
-    return _sandwich(l0, l1, l2, p, n, _square)
-
-
-def _sandwich(l0, l1, l2, p, n, square=lambda M, rank=None: M):
-    """check_sandwich for a prime p and an int n >= 0. square validates
-    each lattice once, in the order of the quotients; by default the
-    lattices are taken as validated square matrices of one rank."""
-    try:
-        l1 = square(l1)
-        l0 = square(l0, len(l1))
+    try:  # each lattice is validated once, in the order of the quotients
+        l1 = _square(l1)
+        l0 = _square(l0, len(l1))
         x10 = _quotient(l1, l0)
-        l2 = square(l2, len(l1))
+        l2 = _square(l2, len(l1))
         x21 = _quotient(l2, l1)
         _quotient(l0, [[p ** n * x for x in row] for row in l1])
     except (NotASublattice, SingularMatrix) as exc:

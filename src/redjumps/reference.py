@@ -46,30 +46,39 @@ def _check_j(g: ReductionGraph, j, lo=0):
 
 
 def _members(g: ReductionGraph, j, lo=0):
-    """Check g and lo <= j < m; return I_j as vertices and its inner edge count."""
+    """Check g and lo <= j < m; return q = j/m and I_j as vertices."""
     _check_valid(g.validate())
-    d = _check_j(g, j, lo).denominator  # i in I_j iff j N_i / m is an integer
-    members = [v for v in g.vertices if v.multiplicity % d == 0]
-    ids = {v.id for v in members}
-    return members, sum(a in ids and b in ids for a, b in g.edges)
+    q = _check_j(g, j, lo)  # i in I_j iff q N_i is an integer
+    return q, [v for v in g.vertices if v.multiplicity % q.denominator == 0]
+
+
+def _sigma(g: ReductionGraph, ids) -> int:
+    return sum(a in ids or b in ids for a, b in g.edges)
+
+
+def _inner(g: ReductionGraph, ids) -> int:
+    """Number of edges with both ends in ids."""
+    return sum(a in ids and b in ids for a, b in g.edges)
+
+
+def _floor(g: ReductionGraph, q: Fraction) -> IntegralDivisor:
+    return IntegralDivisor({v.id: (q.numerator * v.multiplicity) // q.denominator
+                            for v in g.vertices})
 
 
 def index_set(g: ReductionGraph, j: int) -> set[str]:
     """I_j = { i : (m/N_i) divides j }."""
-    return {v.id for v in _members(g, j)[0]}
+    return {v.id for v in _members(g, j)[1]}
 
 
 def sigma(g: ReductionGraph, j: int) -> int:
     """Number of edges meeting at least one I_j vertex."""
-    ids = index_set(g, j)
-    return sum(a in ids or b in ids for a, b in g.edges)
+    return _sigma(g, index_set(g, j))
 
 
 def floor_divisor(g: ReductionGraph, j: int) -> IntegralDivisor:
     """floor((j/m) C_k): coefficient floor(j N_i / m) at vertex i."""
-    q = _check_j(g, j)
-    return IntegralDivisor({v.id: (q.numerator * v.multiplicity) // q.denominator
-                            for v in g.vertices})
+    return _floor(g, _check_j(g, j))
 
 
 def intersect(g: ReductionGraph, D: IntegralDivisor, v: str) -> int:
@@ -83,8 +92,10 @@ def intersect(g: ReductionGraph, D: IntegralDivisor, v: str) -> int:
 def jump_multiplicity(g: ReductionGraph, j: int) -> int:
     """Multiplicity of j/m as a jump: the sum over I_j of
     E_i . floor((j/m) C_k) + g_i - 1, plus sigma and [j = 0]."""
-    members, D = _members(g, j)[0], floor_divisor(g, j)
-    out = sum(intersect(g, D, v.id) + v.genus - 1 for v in members) + sigma(g, j) + (j == 0)
+    q, members = _members(g, j)
+    D = _floor(g, q)
+    out = (sum(intersect(g, D, v.id) + v.genus - 1 for v in members)
+           + _sigma(g, {v.id for v in members}) + (j == 0))
     if out < 0:
         raise InternalInconsistency(f"negative jump multiplicity {out} at j={j}")
     return out
@@ -94,14 +105,16 @@ def jump_multiplicity_via_euler(g: ReductionGraph, j: int) -> int:
     """Independent route, 1 <= j < m: the Euler characteristic of the twisted
     line bundle on the I_j part of the reduced fiber, the sum over I_j of
     g_i - 1 + deg i + E_i . floor((j/m) C_k) minus the edges inside I_j."""
-    (members, inner), D = _members(g, j, lo=1), floor_divisor(g, j)
-    return sum(v.genus - 1 + g.degree(v.id) + intersect(g, D, v.id) for v in members) - inner
+    q, members = _members(g, j, lo=1)
+    D = _floor(g, q)
+    return (sum(v.genus - 1 + g.degree(v.id) + intersect(g, D, v.id) for v in members)
+            - _inner(g, {v.id for v in members}))
 
 
 def lower_bound(g: ReductionGraph, j: int) -> int:
     """b_1 of the induced subgraph on I_j plus the genera over I_j."""
-    (members, inner), c = _members(g, j, lo=1), g._compiled
-    return (inner - len(members) + sum(v.genus for v in members)
+    members, c = _members(g, j, lo=1)[1], g._compiled
+    return (_inner(g, {v.id for v in members}) - len(members) + sum(v.genus for v in members)
             + _components(c.nbrs, [c.index[v.id] for v in members]))
 
 

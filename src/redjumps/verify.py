@@ -7,10 +7,10 @@ instance (None if none failed). A check that raises fails its instance,
 with (instance, exception) as witness, and the suite goes on. Sizes: the
 graphs suite checks random_instance(s, s % 16) for s in [seed, seed +
 count), with s as witness; the lattices suite checks count instances of
-each check, redrawing singular matrices, with the private cores of
-lattices, so no matrix it drew is validated again; the monoids suite runs its
-exhaustive checks on every chart with m <= 12, and count random points
-and count pushout monoids. numpy is imported by the monoid suite only.
+each check through the public functions of lattices, redrawing singular
+matrices; the monoids suite runs its exhaustive checks on every chart with
+m <= 12, and count random points and count pushout monoids. numpy is
+imported by the monoid suite only.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ def lattice_suite(seed, count):
         g, p, n = rng.randint(1, 4), rng.choice(_PRIMES), rng.randint(0, 3)
         l0, l1, l2 = lattices.random_sandwich_instance(rng, g, p, n)
         tally.check("sandwich", (l0, l1, l2, p, n),
-                    lambda: lattices._sandwich(l0, l1, l2, p, n))
+                    lambda: lattices.check_sandwich(l0, l1, l2, p, n))
     for _ in range(count):
         g, p = rng.randint(1, 4), rng.choice(_PRIMES)
         l1, l2, l3, v = lattices.random_complement_instance(rng, g, p)
@@ -79,24 +79,24 @@ def lattice_suite(seed, count):
         while d == 0:
             g = rng.randint(1, 4)
             M = [[rng.randrange(-9, 10) for _ in range(g)] for _ in range(g)]
-            d = lattices._det(M)
+            d = lattices.det(M)
         tally.check("snf", M, lambda: _smith_form(M, d))
     return tally.rows("lattices")
 
 
 def _complements(l1, l2, l3, v, p):
     """c(L3/L2) and c(L2/L1) are each other's complements against v."""
-    lower = lattices._divisor_valuations(lattices._quotient(l2, l1), p)
-    upper = lattices._divisor_valuations(lattices._quotient(l3, l2), p)
+    lower = lattices.elementary_divisors(l1, l2, p)
+    upper = lattices.elementary_divisors(l2, l3, p)
     return (lattices.chain_complement(v, lower) == upper
             and lattices.chain_complement(v, upper) == lower)
 
 
 def _smith_form(M, d):
-    U, D, V = lattices._smith(M)
+    U, D, V = lattices.smith_normal_form(M)
     diag = lattices.diagonal(D)
-    return (lattices._det(U) in (1, -1) and lattices._det(V) in (1, -1)
-            and lattices._matmul(lattices._matmul(U, M), V) == D
+    return (lattices.det(U) in (1, -1) and lattices.det(V) in (1, -1)
+            and lattices.matmul(lattices.matmul(U, M), V) == D
             and all(x > 0 for x in diag)
             and all(b % a == 0 for a, b in zip(diag, diag[1:]))
             and math.prod(diag) == abs(d))

@@ -1,4 +1,5 @@
-"""Shared fixtures: a deterministic corpus of random reduction graphs."""
+"""Shared fixtures and helpers: a deterministic corpus of random reduction
+graphs and the Fibonacci blow-up chains."""
 
 import dataclasses
 from functools import cached_property
@@ -6,10 +7,29 @@ from functools import cached_property
 import pytest
 
 from redjumps import GeneratedGraph, JumpSpectrum, ReductionGraph
-from redjumps import minimize, random_instance
+from redjumps import blow_up_edge, blow_up_free_point, catalog_graph, minimize, random_instance
 from redjumps.jumps import _scan
 
 CORPUS_SIZE = 550
+
+
+def heaviest_edge(g):
+    """Index of the edge joining the two heaviest components, the first
+    such edge in edge order: blowing it up again and again makes the
+    multiplicities grow like Fibonacci numbers."""
+    return max(range(len(g.edges)),
+               key=lambda k: sorted((g.multiplicity(x) for x in g.edges[k]), reverse=True))
+
+
+def fibonacci_chain(tag, depth):
+    """catalog_graph(tag) (with one free-point blow-up if it has no edge),
+    then depth blow-ups of its heaviest edge."""
+    g = catalog_graph(tag)
+    if not g.edges:
+        g = blow_up_free_point(g, g.vertices[0].id)
+    for _ in range(depth):
+        g = blow_up_edge(g, heaviest_edge(g))
+    return g
 
 
 @dataclasses.dataclass(frozen=True)

@@ -515,9 +515,8 @@ def test_verify_lattice_and_monoid_suites(suite, capsys):
 
 @pytest.mark.parametrize("sandwich", [lambda *args: False, lambda *args: 1 // 0])
 def test_verify_reports_a_witness(sandwich, monkeypatch, capsys):
-    # a false or raising check fails its instance, and the suite goes on;
-    # the suite calls the core of check_sandwich on the lattices it drew
-    monkeypatch.setattr(lattices, "_sandwich", sandwich)
+    # a false or raising check fails its instance, and the suite goes on
+    monkeypatch.setattr(lattices, "check_sandwich", sandwich)
     assert main(["verify", "--suite", "lattices", "--count", "3"]) == 2
     out = capsys.readouterr().out
     assert "lattices/sandwich: 0/3  FAIL (first: (" in out
@@ -526,12 +525,11 @@ def test_verify_reports_a_witness(sandwich, monkeypatch, capsys):
 
 def test_verify_counts_only_nonsingular_smith_forms(monkeypatch, capsys):
     # every counted matrix reaches the Smith form: with it broken, none
-    # passes, although some singular matrices were drawn (and redrawn); the
-    # suite calls the cores of det and smith_normal_form on what it drew
+    # passes, although some singular matrices were drawn (and redrawn)
     dets = []
-    det = lattices._det
-    monkeypatch.setattr(lattices, "_det", lambda M: dets.append(det(M)) or dets[-1])
-    monkeypatch.setattr(lattices, "_smith", lambda M: None)
+    det = lattices.det
+    monkeypatch.setattr(lattices, "det", lambda M: dets.append(det(M)) or dets[-1])
+    monkeypatch.setattr(lattices, "smith_normal_form", lambda M: None)
     assert main(["verify", "--suite", "lattices", "--count", "100"]) == 2
     assert 0 in dets
     assert "lattices/snf: 0/100  FAIL" in capsys.readouterr().out

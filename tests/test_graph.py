@@ -47,6 +47,8 @@ from redjumps.graph import ValidationReport, Violation, _components
 from redjumps.jumps import _members_by_denominator, run_checks
 from redjumps.lattices import elementary_divisors
 
+from conftest import fibonacci_chain
+
 
 def codes(exc: ValidationError):
     return {v.code for v in exc.report.violations}
@@ -275,6 +277,15 @@ def test_build_accepts_plain_iterables():
     assert g.validate().ok
 
 
+class Unprintable:
+    """An object whose repr() and str() raise."""
+
+    def __repr__(self):
+        raise RuntimeError("no repr")
+
+    __str__ = __repr__
+
+
 def test_huge_integers_are_refused_in_short_messages():
     # an int past the 4300 digits str() converts is named by its bit length
     huge = 10 ** 5000
@@ -300,6 +311,24 @@ def test_huge_integers_are_refused_in_short_messages():
     messages = [v.message for v in two.validate().violations]
     assert "gcd of multiplicities is <16610-bit int>, must be 1" in messages
     assert "derived genus -<16611-bit int> < 1" in messages
+    # the constructor's refusals, where the huge int may be an id, a
+    # non-Vertex or (inside) an edge end, and an object whose repr raises
+    refusals = [
+        (lambda: ReductionGraph([Vertex(huge, 1)], []), "<16610-bit int>"),
+        (lambda: ReductionGraph((huge,), ()), "<16610-bit int>"),
+        (lambda: ReductionGraph([Vertex("a", 1, 1)], [("a", huge)]), "a-<16610-bit int>"),
+        (lambda: ReductionGraph([Vertex("a", 1, 1)], [(("x", huge), "a")]),
+         "<unprintable tuple>-a"),
+        (lambda: ReductionGraph([Vertex("a", 1, 1)], [("x", huge, "a")]), "<unprintable tuple>"),
+        (lambda: ReductionGraph([Unprintable()], []), "<unprintable Unprintable>"),
+        (lambda: ReductionGraph([Vertex("a", 1, 1)], [(Unprintable(), "a")]),
+         "<unprintable Unprintable>-a"),
+    ]
+    for k, (call, where) in enumerate(refusals):
+        with pytest.raises(ValidationError) as e:
+            call()
+        assert e.value.report.violations[0].where == where, k
+        assert len(str(e.value)) <= 200, k
 
 
 # -- derived geometry ---------------------------------------------------------
@@ -628,19 +657,6 @@ def test_minimize_matches_the_rescan_loop_on_large_graphs():
     rng = random.Random(1)
     for seed in range(8):  # the bushy benchmark graphs
         assert_minimize_matches(shuffled_relabelling(random_instance(seed, 192).graph, rng), seed)
-
-
-def fibonacci_chain(tag, depth):
-    """catalog_graph(tag) (with one free-point blow-up if it has no edge),
-    then depth blow-ups of the edge joining the two heaviest components."""
-    g = catalog_graph(tag)
-    if not g.edges:
-        g = blow_up_free_point(g, g.vertices[0].id)
-    for _ in range(depth):
-        k = max(range(len(g.edges)),
-                key=lambda k: sorted((g.multiplicity(x) for x in g.edges[k]), reverse=True))
-        g = blow_up_edge(g, k)
-    return g
 
 
 @pytest.mark.parametrize("tag", catalog_tags())

@@ -53,6 +53,8 @@ from redjumps.cli import main
 from redjumps.errors import (InternalInconsistency, OverBudget, PreconditionFailed,
                              ValidationError)
 
+from conftest import fibonacci_chain, heaviest_edge
+
 F = Fraction
 
 
@@ -246,13 +248,10 @@ def assert_kernel(g, reference=None):
 
 
 def edge_chain(g):
-    """g, then repeated blow-ups of the edge joining the two heaviest
-    components (multiplicities grow like Fibonacci numbers), while m <= BRUTE_MAX_M."""
+    """g, then repeated blow-ups of its heaviest edge, while m <= BRUTE_MAX_M."""
     while g.multiplicity_lcm() <= BRUTE_MAX_M:
         yield g
-        k = max(range(len(g.edges)),
-                key=lambda k: sorted((g.multiplicity(x) for x in g.edges[k]), reverse=True))
-        g = blow_up_edge(g, k)
+        g = blow_up_edge(g, heaviest_edge(g))
 
 
 def test_dual_route_on_catalog_exhaustive():
@@ -450,16 +449,6 @@ def test_compute_jumps_and_analyze_validate_g():
         compute_jumps(g)
     with pytest.raises(ValidationError):
         analyze(g)
-
-
-def fibonacci_chain(tag, depth):
-    """The catalog graph, then depth blow-ups of the edge joining the two
-    heaviest components, the first such edge in edge order."""
-    g = catalog_graph(tag)
-    for _ in range(depth):
-        g = blow_up_edge(g, max(range(len(g.edges)), key=lambda k: sorted(
-            (g.multiplicity(x) for x in g.edges[k]), reverse=True)))
-    return g
 
 
 def test_analyze_runs_no_surgery_on_an_edge_blow_up_chain(monkeypatch, tmp_path, capsys):

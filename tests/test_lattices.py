@@ -469,7 +469,7 @@ def test_instances_draw_as_the_sample_based_generators_drew(monkeypatch):
     new = suite_draws(1_000, 1_000)
     monkeypatch.setattr(lattices, "random_unimodular", reference_random_unimodular)
     monkeypatch.setattr(lattices, "_twisted_diagonal", reference_twisted_diagonal)
-    monkeypatch.setattr(lattices, "matmul", reference_matmul)
+    monkeypatch.setattr(lattices, "_matmul", reference_matmul)
     assert suite_draws(1_000, 1_000) == new
 
 
