@@ -99,25 +99,40 @@ def _contractible(genus: int, multiplicity: int, nbrs, nbr_sum: int) -> bool:
             and (len(nbrs) == 1 or (len(nbrs) == 2 and nbrs[0] != nbrs[1])))
 
 
+def _is_node(genus: int, nbrs) -> bool:
+    """Every vertex but a chain vertex (genus 0, exactly two edges) is a node."""
+    return genus != 0 or len(nbrs) != 2
+
+
+def _is_principal(genus: int, nbrs) -> bool:
+    """A principal component: genus >= 1, or genus 0 meeting the rest in
+    >= 3 points. Every principal component is a node."""
+    return genus != 0 or len(nbrs) > 2
+
+
 def _nodes(g) -> list[int]:
-    """Indices of all vertices of g but the chain vertices (genus 0, two edges)."""
+    """Indices of the nodes of g (see :func:`_is_node`)."""
     c = g._compiled
-    return [i for i, nbrs in enumerate(c.nbrs) if len(nbrs) != 2 or c.genus[i]]
+    return list(itertools.compress(range(len(c.N)), map(_is_node, c.genus, c.nbrs)))
 
 
 def _components(nbrs, members) -> int:
     """Number of connected components of the subgraph induced on the
-    vertex indices ``members``; ``nbrs[i]`` lists the neighbours of i."""
-    left, count = set(members), 0
+    vertex indices ``members``; ``nbrs[i]`` lists the neighbours of i.
+    ``left[i]`` marks the members not yet reached: a list, as indexing it
+    is cheaper than a set's membership test."""
+    left, count = [False] * len(nbrs), 0
     for i in members:
-        if i in left:
+        left[i] = True
+    for i in members:
+        if left[i]:
             count += 1
-            left.discard(i)
+            left[i] = False
             stack = [i]
             while stack:
                 for w in nbrs[stack.pop()]:
-                    if w in left:
-                        left.discard(w)
+                    if left[w]:
+                        left[w] = False
                         stack.append(w)
     return count
 
@@ -301,8 +316,7 @@ class ReductionGraph(Value):
     def principal_components(self) -> set[str]:
         """Components of genus >= 1, or genus 0 meeting the rest in >= 3 points."""
         c = self._compiled
-        return {v.id for v, g, nb in zip(self.vertices, c.genus, c.nbrs)
-                if g >= 1 or len(nb) >= 3}
+        return set(itertools.compress(self.ids, map(_is_principal, c.genus, c.nbrs)))
 
     def is_minimal(self) -> bool:
         """No contractible exceptional curve (see :func:`_contractible`)."""

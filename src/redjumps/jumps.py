@@ -45,29 +45,35 @@ sum over the edges i-w of tau(w). Lemma: c_i(a) = 0 for a chain vertex
 i in M_d. Its neighbours have N_w1 + N_w2 = -E_i^2 N_i = 0 mod d, so both
 lie in M_d (-1 + 1/2 + 1/2) or neither does, and then a N_w1 and a N_w2
 are nonzero residues summing to d (-1 + 2 - 1). So compute_jumps and
-analyze scan only the nodes, the other vertices: those of g, validated,
-unless a node of g is contractible or the nodes of g have more than
-WORK_BUDGET candidates, and else those of minimize(g), O(V + E + C log V)
-for C contractions. The minimal model is computed once per graph object
-and kept with it, so analyze(g) followed by minimize(g) or run_checks(g)
-contracts once. run_checks and analyze(g, with_checks=True) keep the
-scan of every vertex of g as the reference route: the lower bound and
-the dual route are evaluated on it, and the model-independence check
-compares it with the node route on the minimal model. Every scan first
-counts the candidates of the vertices it scans, and more than
-WORK_BUDGET of them raise OverBudget instead of being scanned.
+analyze scan only the nodes, the other vertices. One walk over the
+compiled form of g, validated, lists them and finds whether one is
+contractible; for analyze the same walk gathers the principal components
+of g and whether g is minimal. The scan reads the nodes of g unless one
+is contractible or they have more than WORK_BUDGET candidates, and else
+those of minimize(g), O(V + E + C log V) for C contractions. The minimal
+model is computed once per graph object and kept with it, so analyze(g)
+followed by minimize(g) or run_checks(g) contracts once. run_checks and
+analyze(g, with_checks=True) keep the scan of every vertex of g as the
+reference route: the lower bound and the dual route are evaluated on it,
+and the model-independence check compares it with the node route on the
+minimal model. Every scan first counts the candidates of the vertices it
+scans, and more than WORK_BUDGET of them raise OverBudget instead of
+being scanned. The divisor table of a multiplicity N, phi(d) for each d
+dividing N, is factored once and kept read-only, for the last 256
+multiplicities asked for.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
-from types import SimpleNamespace
+from types import MappingProxyType, SimpleNamespace
 
 from ._values import Value, _quoted
 from .errors import InternalInconsistency, OverBudget
 from .graph import (ReductionGraph, _check_valid, _components, _contractible,
-                    _nodes, contract_chains, minimize)
+                    _is_node, _is_principal, _nodes, contract_chains, minimize)
 
 # The most candidates a/d one scan may visit: a few seconds of work.
 WORK_BUDGET = 2_000_000
@@ -92,8 +98,9 @@ class JumpSpectrum(Value):
         return dict(self.entries)
 
     def denominator_lcm(self) -> int:
-        """lcm of the reduced denominators of the nonzero jumps (1 if none)."""
-        return lcm(*(v.denominator for v, _ in self.entries if v != 0))
+        """lcm of the reduced denominators of the nonzero jumps (1 if none);
+        the zero jump's denominator is 1, so it needs no test."""
+        return lcm(*(v.denominator for v, _ in self.entries))
 
 
 # -- the kernel: per-denominator terms of the compiled graph -----------------
@@ -145,15 +152,17 @@ class _Terms(Value):
 
 
 def _terms(c, d: int, members) -> _Terms:
-    N, half_inner, boundary = c.N, 0, []
+    N, nbrs, genus = c.N, c.nbrs, c.genus
+    half_inner, boundary, total = 0, [], 0
     for i in members:
-        for w in c.nbrs[i]:
-            if N[w] % d:  # w is outside M_d
-                boundary.append(N[w])
+        total += genus[i]
+        for w in nbrs[i]:
+            n = N[w]
+            if n % d:  # w is outside M_d
+                boundary.append(n)
             else:
                 half_inner += 1
-    return _Terms(d, tuple(members), half_inner, tuple(boundary),
-                  sum(c.genus[i] for i in members))
+    return _Terms(d, tuple(members), half_inner, tuple(boundary), total)
 
 
 def _prime_powers(n: int):
@@ -171,13 +180,16 @@ def _prime_powers(n: int):
         yield n, 1
 
 
-def _divisor_phis(n: int) -> dict[int, int]:
-    """phi(d) for every divisor d of n, from the factorization of n."""
+@lru_cache(maxsize=256)
+def _divisor_phis(n: int) -> MappingProxyType:
+    """phi(d) for every divisor d of n, from the factorization of n, as a
+    read-only table. The tables of the last 256 multiplicities asked for
+    are kept, and every caller shares them."""
     phis = {1: 1}
     for p, k in _prime_powers(n):
         powers = {1: 1, **{p ** e: (p - 1) * p ** (e - 1) for e in range(1, k + 1)}}
         phis = {d * q: f * g for d, f in phis.items() for q, g in powers.items()}
-    return phis
+    return MappingProxyType(phis)
 
 
 def _members_by_denominator(c, indices) -> dict:
@@ -186,21 +198,22 @@ def _members_by_denominator(c, indices) -> dict:
     candidates, sum of phi(d) over those d, number more than WORK_BUDGET.
     That sum is at least max N_i (sum_{d | N} phi(d) = N), so a larger
     N_i is over the budget before anything is factored."""
-    top = max((c.N[i] for i in indices), default=1)
+    N = c.N
+    mults = {N[i] for i in indices}
+    top = max(mults, default=1)
     if top > WORK_BUDGET:
         raise OverBudget(f"at least {_quoted(top)} candidates (the largest multiplicity), "
                          f"work budget {WORK_BUDGET}", top)
-    divisors = {n: _divisor_phis(n) for n in {c.N[i] for i in indices}}
     phi = {1: 1}
-    for phis in divisors.values():
-        phi.update(phis)
+    for n in mults:
+        phi.update(_divisor_phis(n))
     count = sum(phi.values())
     if count > WORK_BUDGET:
         raise OverBudget(f"{count} candidates, work budget {WORK_BUDGET}", count)
-    members = {1: []}
+    members = {d: [] for d in phi}
     for i in indices:
-        for d in divisors[c.N[i]]:
-            members.setdefault(d, []).append(i)
+        for d in _divisor_phis(N[i]):
+            members[d].append(i)
     return members
 
 
@@ -252,28 +265,63 @@ def _asserted_total(spectrum: JumpSpectrum) -> JumpSpectrum:
     return spectrum
 
 
+def _walk(g: ReductionGraph):
+    """One walk over the compiled form of g: the node indices, or None once
+    a node is contractible; the ids of the principal components; whether g
+    is minimal. A contractible node has degree 1 (a contractible vertex of
+    degree 2 is a chain vertex), and after one the walk gathers the
+    principal components alone."""
+    c = g._compiled
+    N, genus, nbr_sum, vertices = c.N, c.genus, c.nbr_sum, g.vertices
+    nodes, principal, minimal = [], [], True
+    for i, nbrs in enumerate(c.nbrs):
+        node = _is_node(genus[i], nbrs)
+        if (nodes is not None and nbr_sum[i] == N[i]
+                and _contractible(genus[i], N[i], nbrs, nbr_sum[i])):
+            minimal = False
+            if node:
+                nodes = None
+        if node:
+            if nodes is not None:
+                nodes.append(i)
+            if _is_principal(genus[i], nbrs):
+                principal.append(vertices[i].id)
+    return nodes, principal, minimal
+
+
+def _node_route(g: ReductionGraph):
+    """The spectrum by the node route (see the module docstring), with the
+    principal components of g and whether g is minimal, from one _walk:
+    the nodes of g are scanned unless one is contractible or they are over
+    the budget, and else those of minimize(g)."""
+    _check_valid(g.validate())
+    nodes, principal, minimal = _walk(g)
+    if nodes is not None:
+        try:
+            return _asserted_total(_scan(g, nodes)[0]), principal, minimal
+        except OverBudget:  # a heavy node of g, which minimize may remove
+            pass
+    m = minimize(g)
+    return _asserted_total(_scan(m, _nodes(m))[0]), principal, minimal
+
+
 def compute_jumps(g: ReductionGraph) -> JumpSpectrum:
     """Full jump spectrum by the node route (see the module docstring);
     asserts the multiplicity total equals the genus. Raises ValidationError
     on an invalid graph and OverBudget when the nodes of the model scanned
     have more than WORK_BUDGET candidates."""
-    _check_valid(g.validate())
-    c = g._compiled
-    # a contractible node has degree 1: contractible vertices of degree 2 are chain vertices
-    if not any(len(nbrs) == 1 and _contractible(c.genus[i], c.N[i], nbrs, c.nbr_sum[i])
-               for i, nbrs in enumerate(c.nbrs)):
-        try:
-            return _asserted_total(_scan(g, _nodes(g))[0])
-        except OverBudget:  # a heavy node of g, which minimize may remove
-            pass
-    m = minimize(g)
-    return _asserted_total(_scan(m, _nodes(m))[0])
+    return _node_route(g)[0]
+
+
+def _conductor(s: JumpSpectrum, m: int) -> Fraction:
+    """Sum of the jumps with multiplicity, as one sum over m, the lcm of
+    their denominators (the zero jump's denominator is 1)."""
+    return Fraction(sum(v.numerator * (m // v.denominator) * k for v, k in s.entries), m)
 
 
 def tame_base_change_conductor(s: JumpSpectrum) -> Fraction:
     """Sum of the jumps with multiplicity, as one sum over their lcm."""
-    m = s.denominator_lcm()  # the zero jump's denominator is 1
-    return Fraction(sum(v.numerator * (m // v.denominator) * k for v, k in s.entries), m)
+    return _conductor(s, s.denominator_lcm())
 
 
 def unipotent_rank(g: ReductionGraph) -> int:
@@ -314,19 +362,25 @@ def analyze(g: ReductionGraph, with_checks: bool = False) -> AnalysisReport:
     are read off the node route of compute_jumps. With checks they come
     from the reference route instead, the scan of every vertex of g, which
     run_checks compares with the node route on minimize(g). The unipotent
-    rank, the principal components and ``minimal`` describe g as given.
+    rank, the principal components and ``minimal`` describe g as given;
+    without checks the node route reads the last two in its walk.
     """
-    spectrum, checks = _checked(g) if with_checks else (compute_jumps(g), None)
+    if with_checks:
+        spectrum, checks = _checked(g)
+        principal, minimal, checks = g.principal_components(), g.is_minimal(), tuple(checks)
+    else:
+        (spectrum, principal, minimal), checks = _node_route(g), None
+    m = spectrum.denominator_lcm()
     return AnalysisReport(
         name=g.name,
         genus=spectrum.genus,
         jumps=spectrum.entries,
-        tame_base_change_conductor=tame_base_change_conductor(spectrum),
+        tame_base_change_conductor=_conductor(spectrum, m),
         unipotent_rank=unipotent_rank(g),
-        stabilization_index=spectrum.denominator_lcm(),
-        principal_components=tuple(sorted(g.principal_components())),
-        minimal=g.is_minimal(),
-        checks=tuple(checks) if with_checks else None,
+        stabilization_index=m,
+        principal_components=tuple(sorted(principal)),
+        minimal=minimal,
+        checks=checks,
     )
 
 

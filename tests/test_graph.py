@@ -47,7 +47,7 @@ from redjumps.graph import ValidationReport, Violation, _components
 from redjumps.jumps import _members_by_denominator, run_checks
 from redjumps.lattices import elementary_divisors
 
-from conftest import fibonacci_chain
+from blowup_chains import fibonacci_chain
 
 
 def codes(exc: ValidationError):

@@ -53,7 +53,7 @@ from redjumps.cli import main
 from redjumps.errors import (InternalInconsistency, OverBudget, PreconditionFailed,
                              ValidationError)
 
-from conftest import fibonacci_chain, heaviest_edge
+from blowup_chains import fibonacci_chain, heaviest_edge
 
 F = Fraction
 
@@ -466,6 +466,8 @@ def test_analyze_runs_no_surgery_on_an_edge_blow_up_chain(monkeypatch, tmp_path,
 
     monkeypatch.setattr(ReductionGraph, "_minimal", property(no_surgery))
     assert analyze(g) == expected and expected.minimal is False
+    for tag in ("II", "I0*", "genus2"):  # the only contractible curve is a chain vertex
+        assert_analysis_equals_the_separate_facts(fibonacci_chain(tag, 3))
     assert compute_jumps(g) == given_model_spectrum(g)
     assert main(["compute", str(path), "--json"]) == 0
     assert capsys.readouterr().out == out
@@ -521,11 +523,32 @@ def test_outputs_are_pinned():
 # -- the work budget -------------------------------------------------------------------
 
 def test_divisor_phis():
-    for n in range(1, 400):
-        phis = jumps._divisor_phis(n)
-        assert set(phis) == {d for d in range(1, n + 1) if n % d == 0}, n
-        assert phis == {d: sum(gcd(a, d) == 1 for a in range(d)) for d in phis}, n
-        assert sum(phis.values()) == n
+    # the first pass tries to alter every table; the second, in reverse
+    # order, reads the tables still kept, which must be as they were
+    for order in (range(1, 400), range(399, 0, -1)):
+        for n in order:
+            phis = jumps._divisor_phis(n)
+            assert set(phis) == {d for d in range(1, n + 1) if n % d == 0}, n
+            assert phis == {d: sum(gcd(a, d) == 1 for a in range(d)) for d in phis}, n
+            assert sum(phis.values()) == n
+            with pytest.raises(TypeError):
+                phis[n] = 0
+            with pytest.raises(TypeError):
+                del phis[1]
+
+
+def test_divisor_tables_are_shared_and_bounded():
+    memo = jumps._divisor_phis
+    memo.cache_clear()
+    table = memo(360)
+    assert memo(360) is table
+    with pytest.raises(AttributeError):
+        table.clear()
+    maxsize = memo.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize <= 1024
+    for n in range(1, 3 * maxsize):
+        memo(n)
+    assert memo.cache_info().currsize == maxsize
 
 
 def test_work_budget(monkeypatch, tmp_path, capsys):
@@ -649,10 +672,58 @@ def test_checks_pass_on_surgered_models(g):
 
 @settings(deadline=None, max_examples=200)
 @given(g=surgered_models())
+def test_the_walk_and_the_node_list_agree(g):
+    # the walk of the node route and graph._nodes share one definition of
+    # a node: every vertex but those of genus 0 with exactly two edges
+    c = g._compiled
+    nodes, _, _ = jumps._walk(g)
+    assert jumps._nodes(g) == [i for i, nbrs in enumerate(c.nbrs) if c.genus[i] or len(nbrs) != 2]
+    if nodes is None:  # a contractible node: the walk stops listing
+        assert any(contractible(g, g.vertices[i].id) for i in jumps._nodes(g))
+    else:
+        assert nodes == jumps._nodes(g)
+    m = minimize(g)
+    assert jumps._walk(m)[0] == jumps._nodes(m)
+
+
+@settings(deadline=None, max_examples=200)
+@given(g=surgered_models())
 def test_node_route_equals_the_reference_scan(g):
     s = given_model_spectrum(g)
     assert node_route(g) == s
     assert node_route(minimize(g)) == s
+
+
+def assert_analysis_equals_the_separate_facts(g):
+    """analyze(g) against the facts read one by one, afterwards."""
+    r = analyze(g)
+    assert r.jumps == given_model_spectrum(g).entries
+    assert r.principal_components == tuple(sorted(g.principal_components()))
+    assert r.minimal == g.is_minimal()
+    assert r.tame_base_change_conductor == tame_base_change_conductor(compute_jumps(g))
+    assert r.stabilization_index == compute_jumps(g).denominator_lcm()
+    return r
+
+
+@settings(deadline=None, max_examples=100)
+@given(g=surgered_models())
+def test_analyze_equals_the_separate_facts_on_surgered_models(g):
+    assert_analysis_equals_the_separate_facts(g)
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 100_000), moves=st.integers(0, 40))
+def test_analyze_equals_the_separate_facts_on_random_instances(seed, moves):
+    assert_analysis_equals_the_separate_facts(random_instance(seed, moves).graph)
+
+
+def test_analyze_of_a_free_point_blow_up_minimizes(worklist_runs):
+    # a free-point blow-up leaves a contractible tail, a node: analyze
+    # scans the minimal model, and still describes g as given
+    g = blow_up_free_point(catalog_graph("genus2"), "c")
+    worklist_runs.clear()
+    r = assert_analysis_equals_the_separate_facts(g)
+    assert worklist_runs == [g] and r.minimal is False
 
 
 def test_a_chain_vertex_contributes_nothing():
