@@ -58,17 +58,14 @@ reference route: the lower bound and the dual route are evaluated on it,
 and the model-independence check compares it with the node route on the
 minimal model. Every scan first counts the candidates of the vertices it
 scans, and more than WORK_BUDGET of them raise OverBudget instead of
-being scanned. The divisor table of a multiplicity N, phi(d) for each d
-dividing N, is factored once and kept read-only, for the last 256
-multiplicities asked for.
+being scanned.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
-from types import MappingProxyType, SimpleNamespace
+from types import SimpleNamespace
 
 from ._values import Value, _quoted
 from .errors import InternalInconsistency, OverBudget
@@ -165,31 +162,23 @@ def _terms(c, d: int, members) -> _Terms:
     return _Terms(d, tuple(members), half_inner, tuple(boundary), total)
 
 
-def _prime_powers(n: int):
-    """(p, k) for each prime power p^k exactly dividing n, by trial division."""
-    p = 2
-    while p * p <= n:
-        k = 0
-        while n % p == 0:
-            n //= p
-            k += 1
-        if k:
-            yield p, k
+def _divisor_phis(n: int) -> dict[int, int]:
+    """phi(d) for every divisor d of n, from the factorization of n by
+    trial division: each prime power p^k exactly dividing n multiplies
+    the table by phi(p^e) = (p - 1) p^(e - 1), e = 0..k."""
+    phis, p = {1: 1}, 2
+    while n > 1:
+        if p * p > n:  # what is left of n is prime
+            p = n
+        if n % p == 0:
+            powers, q = [(1, 1)], 1
+            while n % p == 0:
+                n //= p
+                powers.append((q * p, q * (p - 1)))
+                q *= p
+            phis = {d * e: f * g for d, f in phis.items() for e, g in powers}
         p += 1 if p == 2 else 2
-    if n > 1:
-        yield n, 1
-
-
-@lru_cache(maxsize=256)
-def _divisor_phis(n: int) -> MappingProxyType:
-    """phi(d) for every divisor d of n, from the factorization of n, as a
-    read-only table. The tables of the last 256 multiplicities asked for
-    are kept, and every caller shares them."""
-    phis = {1: 1}
-    for p, k in _prime_powers(n):
-        powers = {1: 1, **{p ** e: (p - 1) * p ** (e - 1) for e in range(1, k + 1)}}
-        phis = {d * q: f * g for d, f in phis.items() for q, g in powers.items()}
-    return MappingProxyType(phis)
+    return phis
 
 
 def _members_by_denominator(c, indices) -> dict:
@@ -198,22 +187,22 @@ def _members_by_denominator(c, indices) -> dict:
     candidates, sum of phi(d) over those d, number more than WORK_BUDGET.
     That sum is at least max N_i (sum_{d | N} phi(d) = N), so a larger
     N_i is over the budget before anything is factored."""
-    N = c.N
-    mults = {N[i] for i in indices}
+    mults = {c.N[i] for i in indices}
     top = max(mults, default=1)
     if top > WORK_BUDGET:
         raise OverBudget(f"at least {_quoted(top)} candidates (the largest multiplicity), "
                          f"work budget {WORK_BUDGET}", top)
+    divisors = {n: _divisor_phis(n) for n in mults}
     phi = {1: 1}
-    for n in mults:
-        phi.update(_divisor_phis(n))
+    for phis in divisors.values():
+        phi.update(phis)
     count = sum(phi.values())
     if count > WORK_BUDGET:
         raise OverBudget(f"{count} candidates, work budget {WORK_BUDGET}", count)
-    members = {d: [] for d in phi}
+    members = {1: []}
     for i in indices:
-        for d in _divisor_phis(N[i]):
-            members[d].append(i)
+        for d in divisors[c.N[i]]:
+            members.setdefault(d, []).append(i)
     return members
 
 
@@ -276,8 +265,7 @@ def _walk(g: ReductionGraph):
     nodes, principal, minimal = [], [], True
     for i, nbrs in enumerate(c.nbrs):
         node = _is_node(genus[i], nbrs)
-        if (nodes is not None and nbr_sum[i] == N[i]
-                and _contractible(genus[i], N[i], nbrs, nbr_sum[i])):
+        if nodes is not None and _contractible(genus[i], N[i], nbrs, nbr_sum[i]):
             minimal = False
             if node:
                 nodes = None
@@ -313,15 +301,10 @@ def compute_jumps(g: ReductionGraph) -> JumpSpectrum:
     return _node_route(g)[0]
 
 
-def _conductor(s: JumpSpectrum, m: int) -> Fraction:
-    """Sum of the jumps with multiplicity, as one sum over m, the lcm of
-    their denominators (the zero jump's denominator is 1)."""
-    return Fraction(sum(v.numerator * (m // v.denominator) * k for v, k in s.entries), m)
-
-
 def tame_base_change_conductor(s: JumpSpectrum) -> Fraction:
     """Sum of the jumps with multiplicity, as one sum over their lcm."""
-    return _conductor(s, s.denominator_lcm())
+    m = s.denominator_lcm()  # the zero jump's denominator is 1
+    return Fraction(sum(v.numerator * (m // v.denominator) * k for v, k in s.entries), m)
 
 
 def unipotent_rank(g: ReductionGraph) -> int:
@@ -370,14 +353,13 @@ def analyze(g: ReductionGraph, with_checks: bool = False) -> AnalysisReport:
         principal, minimal, checks = g.principal_components(), g.is_minimal(), tuple(checks)
     else:
         (spectrum, principal, minimal), checks = _node_route(g), None
-    m = spectrum.denominator_lcm()
     return AnalysisReport(
         name=g.name,
         genus=spectrum.genus,
         jumps=spectrum.entries,
-        tame_base_change_conductor=_conductor(spectrum, m),
+        tame_base_change_conductor=tame_base_change_conductor(spectrum),
         unipotent_rank=unipotent_rank(g),
-        stabilization_index=m,
+        stabilization_index=spectrum.denominator_lcm(),
         principal_components=tuple(sorted(principal)),
         minimal=minimal,
         checks=checks,

