@@ -18,17 +18,23 @@ is the image of N^3 in Z^3 / <(a, b, -m)>:
 
 The closed forms are what the package computes with; the _search variants
 re-derive them from the definitions with bounded enumeration. The shift
-searches scan only the k that the inequalities allow, and the argument for
-that uses nothing but a, b, m >= 1: a k < -|u| gives u + k a <= u + k < 0,
-and a k > |w| gives w - k m <= w - k < 0, so every feasible k lies in
-[-|u|, |w|] (in [-|v|, |w|] in case 1, from v + k a >= 0); each inequality
-is still tested at every k of that range. The bounds a*m and m*max(a, b)
-on the saturation multiplier are exact: off the cone boundary, scaling by
-a*m makes the feasible interval for k at least 1 long, and on a boundary
-facet the denominator of the critical ratio divides the branch
-multiplicity. The closed-form membership and saturation functions accept
-plain integers or integer arrays (numpy's, say) componentwise; this module
-itself imports no numpy. _divisible_case1 takes non-negative ints unchecked:
+searches scan only the k that the signs allow, and the argument for that
+uses nothing but a, b, m >= 1. A branch coordinate x of multiplicity c
+(v in case 1; u and v in case 2) rules out every k < -x when x >= 0, as
+x + k c <= x + k < 0, and every k <= 0 when x < 0, as x + k c <= x < 0;
+so the scan starts at k = -x or k = 1, in case 2 at the larger of the u
+and v bounds. Since m >= 1, w - k m strictly decreases in k, so the first
+scanned k with w - k m < 0 ends the scan with False; and the range ends
+at |w|, as a k > |w| gives w - k m <= w - k < 0. Every inequality is
+still tested at every scanned k, and no floor or ceil is taken, so the
+searches stay independent of the closed forms they check. The bounds a*m
+and m*max(a, b) on the saturation multiplier are exact: off the cone
+boundary, scaling by a*m makes the feasible interval for k at least 1
+long, and on a boundary facet the denominator of the critical ratio
+divides the branch multiplicity. The closed-form membership and
+saturation functions accept plain integers or integer arrays (numpy's,
+say) componentwise; this module itself imports no numpy. The searches
+take integers only. _divisible_case1 takes non-negative ints unchecked:
 only the monoid suite calls it, on the box it ranges over.
 
 AffineMonoid covers finitely generated submonoids of N^r for the pushout
@@ -158,12 +164,22 @@ def sat_member_case2(chart, q):
 
 
 def member_case1_search(chart, q):
-    """Definition-level membership: search the shift k directly, over the
-    range [-|v|, |w|] that holds every feasible k."""
+    """Definition-level membership: search the shift k directly, from the
+    first k the sign of v allows up to the first k with w - k m < 0.
+
+    For v >= 0 the scan starts at k = -v, as a k < -v gives
+    v + k a <= v + k < 0; for v < 0 it starts at k = 1, as a k <= 0 gives
+    v + k a <= v < 0. Since m >= 1, w - k m strictly decreases in k, so the
+    first k where it is negative ends the scan with False. Every scanned k
+    tests both inequalities. A non-integral v or w raises TypeError."""
     _, v, w = q
     a, m = chart.a, chart.m
-    for k in range(-abs(v), abs(w) + 1):
-        if v + k * a >= 0 and w - k * m >= 0:
+    if v < 0:
+        operator.index(v)  # range() refuses a non-integral -v or w
+    for k in range(-v if v >= 0 else 1, abs(w) + 1):
+        if w - k * m < 0:
+            return False
+        if v + k * a >= 0:
             return True
     return False
 
@@ -176,17 +192,31 @@ def sat_member_case1_search(chart, q):
 
 
 def member_case2_search(chart, q):
-    """Definition-level membership: search the shift k directly, over the
-    range [-|u|, |w|] that holds every feasible k."""
+    """Definition-level membership: search the shift k directly, from the
+    first k the signs of u and v allow up to the first k with w - k m < 0.
+
+    Each branch coordinate x of multiplicity c allows no k below -x when
+    x >= 0 (x + k c <= x + k < 0) and no k <= 0 when x < 0
+    (x + k c <= x < 0); the scan starts at the larger of the two bounds.
+    Since m >= 1, w - k m strictly decreases in k, so the first k where it
+    is negative ends the scan with False. Every scanned k tests all three
+    inequalities. A non-integral u, v or w raises TypeError."""
     u, v, w = q
     a, b, m = chart.a, chart.b, chart.m
-    for k in range(-abs(u), abs(w) + 1):
-        if u + k * a >= 0 and v + k * b >= 0 and w - k * m >= 0:
+    # max() could drop a non-integral bound, so u and v are checked here;
+    # range() refuses a non-integral w
+    u, v = operator.index(u), operator.index(v)
+    for k in range(max(-u if u >= 0 else 1, -v if v >= 0 else 1), abs(w) + 1):
+        if w - k * m < 0:
+            return False
+        if u + k * a >= 0 and v + k * b >= 0:
             return True
     return False
 
 
 def sat_member_case2_search(chart, q):
+    """Definition-level saturation membership: try multiples up to
+    m*max(a, b)."""
     u, v, w = q
     top = chart.m * max(chart.a, chart.b)
     return any(member_case2_search(chart, (n * u, n * v, n * w))

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import numpy as np
@@ -127,27 +128,30 @@ def skewed_points(small, large):
             yield (x, y, z)
 
 
+# each case with the largest m of the charts the monoid suite draws from
 SEARCHES = (
-    (charts_case1, member_case1_search, reference_member_case1_search,
+    (charts_case1, 8, member_case1_search, reference_member_case1_search,
      sat_member_case1_search, reference_sat_member_case1_search),
-    (charts_case2, member_case2_search, reference_member_case2_search,
+    (charts_case2, 6, member_case2_search, reference_member_case2_search,
      sat_member_case2_search, reference_sat_member_case2_search),
 )
 
 
-@pytest.mark.parametrize("charts, search, reference, sat_search, sat_reference",
+@pytest.mark.parametrize("charts, top, search, reference, sat_search, sat_reference",
                          SEARCHES, ids=["case1", "case2"])
-def test_searches_match_the_wide_range(charts, search, reference,
+def test_searches_match_the_wide_range(charts, top, search, reference,
                                        sat_search, sat_reference):
     members = [*itertools.product(range(-6, 7), repeat=3),
                *skewed_points(range(-3, 4), (9, 20, 37))]
-    saturation = [*itertools.product(range(-3, 4), repeat=3),
-                  *skewed_points((-2, 0, 1), (11, 23))]
-    for chart in charts(4):
+    for chart in charts(top):
         for q in members:
             assert search(chart, q) == reference(chart, q), (chart, q)
+        for q in itertools.product(range(-3, 4), repeat=3):
+            assert sat_search(chart, q) == sat_reference(chart, q), (chart, q)
+    # the wide-range reference is slow on large multiples, so the skewed
+    # points of the saturation searches run on the charts with m <= 3 only
     for chart in charts(3):
-        for q in saturation:
+        for q in skewed_points((-2, 0, 1), (11, 23)):
             assert sat_search(chart, q) == sat_reference(chart, q), (chart, q)
 
 
@@ -163,17 +167,92 @@ def feasible_shifts(chart, q):
     (SaturationChartCase2(1, 1, 1), (3, 3, -3), -3),
     (SaturationChartCase2(1, 1, 1), (-3, -3, 3), 3),
     (SaturationChartCase2(1, 1, 1), (5, 7, -5), -5),
+    (SaturationChartCase2(1, 1, 1), (5, 2, -2), -2),
+    (SaturationChartCase2(2, 1, 2), (5, -1, 2), 1),
+    (SaturationChartCase2(1, 2, 2), (-1, -2, 3), 1),
     (SaturationChartCase1(1, 1), (0, 3, -3), -3),
     (SaturationChartCase1(1, 1), (0, -3, 3), 3),
     (SaturationChartCase1(1, 1), (9, 5, -5), -5),
     (SaturationChartCase1(1, 1), (-9, -4, 4), 4),
+    (SaturationChartCase1(1, 1), (0, 0, 0), 0),
+    (SaturationChartCase1(2, 2), (0, -2, 3), 1),
+    (SaturationChartCase1(1, 3), (0, -1, 3), 1),
 ])
 def test_search_finds_a_shift_at_an_end_of_its_range(chart, q, k):
-    """The only feasible shift is an end of the scanned range: -|u| (case 2)
-    or -|v| (case 1) below, |w| above."""
+    """The only feasible shift is an end of the scanned range: below, the
+    start that the signs allow (-v or 1 in case 1, the larger of the u and
+    v bounds in case 2); above, the last k with w - k m >= 0."""
     assert feasible_shifts(chart, q) == [k]
     search = member_case1_search if len(chart.branches) == 1 else member_case2_search
     assert search(chart, q)
+
+
+class RecordingMultiplicity(int):
+    """A multiplicity m that records each shift k of a product k * m."""
+
+    def __new__(cls, value, shifts):
+        self = super().__new__(cls, value)
+        self.shifts = shifts
+        return self
+
+    def __rmul__(self, k):
+        self.shifts.append(k)
+        return k * int(self)
+
+
+@pytest.mark.parametrize("branches, m, q, scanned", [
+    # case 1: from -v for v >= 0, from 1 for v < 0
+    ((1,), 1, (0, 3, -3), [-3]),
+    ((2,), 2, (0, -2, 3), [1]),
+    ((1,), 1, (0, -3, 5), [1, 2, 3]),
+    # the stop fires at the first scanned shift
+    ((1,), 1, (0, 4, -5), [-4]),
+    ((1,), 2, (0, -2, 1), [1]),
+    ((1,), 3, (0, 0, -10**4), [0]),
+    # and after the last shift with w - k m >= 0
+    ((1,), 2, (0, -5, 6), [1, 2, 3, 4]),
+    # case 2: from the larger of the u and v bounds
+    ((1, 1), 1, (5, 2, -2), [-2]),
+    ((1, 1), 1, (2, 5, -2), [-2]),
+    ((2, 1), 2, (5, -1, 2), [1]),
+    ((1, 1), 1, (5, 2, -3), [-2]),
+    ((1, 2), 2, (-1, 4, 1), [1]),
+    ((1, 2), 2, (-3, 1, 5), [1, 2, 3]),
+    # a range that ends at |w| before its start scans nothing
+    ((1,), 1, (0, -1, 0), []),
+    ((1, 1), 1, (-1, -1, 0), []),
+])
+def test_search_scans_from_the_sign_bound_to_the_stop(branches, m, q, scanned):
+    """Each scanned shift k forms w - k m once; the scan starts where the
+    signs of the branch coordinates allow and stops at the first feasible
+    k or the first k with w - k m < 0."""
+    shifts = []
+    chart = types.SimpleNamespace(a=branches[0], b=branches[-1],
+                                  m=RecordingMultiplicity(m, shifts),
+                                  branches=branches)
+    feasible = bool(feasible_shifts(chart, q))
+    shifts.clear()
+    search = member_case1_search if len(branches) == 1 else member_case2_search
+    assert search(chart, q) == feasible
+    assert shifts == scanned
+
+
+@pytest.mark.parametrize("search, chart, q", [
+    (member_case1_search, SaturationChartCase1(1, 2), (0, -1.5, 3)),
+    (member_case1_search, SaturationChartCase1(1, 2), (0, 0, 2.5)),
+    (member_case1_search, SaturationChartCase1(1, 2), (0, 1.5, 3)),
+    (member_case1_search, SaturationChartCase1(1, 2), (0, -1, -2.5)),
+    (sat_member_case1_search, SaturationChartCase1(1, 2), (0, -1.5, 3)),
+    (member_case2_search, SaturationChartCase2(1, 1, 2), (-1.5, 0, 3)),
+    (member_case2_search, SaturationChartCase2(1, 1, 2), (0, -2.5, 3)),
+    (member_case2_search, SaturationChartCase2(1, 1, 2), (1.5, -1, 3)),
+    (member_case2_search, SaturationChartCase2(1, 1, 2), (-1, 2.5, 3)),
+    (member_case2_search, SaturationChartCase2(1, 1, 2), (0, 0, -2.5)),
+    (sat_member_case2_search, SaturationChartCase2(1, 1, 2), (0, -2.5, 3)),
+])
+def test_searches_refuse_non_integral_coordinates(search, chart, q):
+    with pytest.raises(TypeError):
+        search(chart, q)
 
 
 def test_membership_accepts_numpy_arrays():
