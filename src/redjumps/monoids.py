@@ -42,7 +42,8 @@ lemma: Q = P +_N (1/d) N glued along 1 |-> e in P has canonical forms
 (x, n/d) with x in P^gp and 0 <= n < d, and for saturated P,
 (x, n/d) in Q^sat iff d x + n e in P (multiplying any witness multiple by
 d lands in P's group and saturation finishes the argument). Membership in
-P^gp reads lattices._column_hnf of the generators the constructor checked.
+P^gp, and the enumeration of P^gp in a box, read the staircase basis that
+lattices._column_hnf gives for the generators the constructor checked.
 
 Membership in an AffineMonoid is read off a grid on [0, B]^r that holds
 the monoid's points in the box. Since generators are non-negative, every
@@ -72,6 +73,21 @@ where a repunit product or quotient would cost more. Once built, the int
 is kept as its little-endian bytes: a lookup of x then reads one byte,
 where a shift of the int would copy all of it.
 
+The pushout scan and is_saturated read the grid by offset alone. off is
+linear on all of Z^r, so off(d x + n e) = d off(x) + n off(e) and
+off(k x) = k off(x), even when x itself has negative entries; every
+vector they read lies in [0, B]^r, so the bit read is that point's. For
+each x the scan takes only n >= n0, the least n with d x + n e >= 0,
+that is the largest ceil(-d x_i / e_i) over the x_i < 0 (and none at all
+when some x_i < 0 has e_i = 0): a smaller n leaves the orthant. A hit
+n < d gives d (x + e) >= (d - n) e >= 0, so x + e lies in [0, B]^r too;
+it is read once per x with a hit, and a miss names the first hit n. The x
+are the points of P^gp in the box, enumerated in itertools.product order
+from the staircase basis, one coordinate at a time: each column j is zero
+above its pivot row, so the earlier columns fix a partial sum acc, and
+x_i ranges over acc_i + k col_j[i] at the pivot row of column j, while a
+row that is no pivot admits acc_i alone.
+
 chart_saturation_index checks the pushout of a chart along a degree-n
 extension one branch multiplicity c at a time, on the box
 (t, W) in [-T, T]^2: a point is a counterexample when e n t + c W >= 0 but
@@ -84,7 +100,6 @@ That reads the same box as a cell-by-cell scan, one row per step.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from math import lcm
 from numbers import Integral
@@ -292,6 +307,11 @@ def _offset(x, strides):
     return sum(map(operator.mul, x, strides))
 
 
+def _has(grid, bit):
+    """Bit number bit of a grid kept as little-endian bytes."""
+    return grid[bit >> 3] >> (bit & 7) & 1
+
+
 def _close_under(grid, g, bound, strides, mask):
     """The bitset grid on [0, bound]^r with every point x + n g of the box
     added, x in the grid and n >= 1: shifts by g, 2g, 4g, ... while they
@@ -408,23 +428,20 @@ class AffineMonoid(Value):
     def _lookup(self, y):
         """Membership of a vector y of the right length whose entries are
         at most the grid bound; negative entries are simply outside."""
-        if min(y) < 0:
-            return False
-        bit = _offset(y, self._strides)
-        return bool(self._grid[bit >> 3] >> (bit & 7) & 1)
+        return min(y) >= 0 and bool(_has(self._grid, _offset(y, self._strides)))
 
-    def group_contains(self, x):
-        """Membership in the group generated by the monoid."""
-        return self._in_group(self._vector(x))
-
-    def _in_group(self, x):
-        """group_contains for a vector already validated."""
+    def _group_basis(self):
+        """The staircase basis (columns, pivot rows) of the group, built on
+        first use from the generators the constructor checked."""
         if self._hnf is None:
             rows = [[g[i] for g in self.generators] for i in range(self.rank)]
             object.__setattr__(self, "_hnf", _column_hnf(rows))
-        cols, pivots = self._hnf
-        residual = x
-        for col, pr in zip(cols, pivots):
+        return self._hnf
+
+    def group_contains(self, x):
+        """Membership in the group generated by the monoid."""
+        residual = self._vector(x)
+        for col, pr in zip(*self._group_basis()):
             q, r = divmod(residual[pr], col[pr])
             if r:
                 return False
@@ -432,17 +449,46 @@ class AffineMonoid(Value):
                 residual = [ri - q * ci for ri, ci in zip(residual, col)]
         return not any(residual)
 
+    def _group_points(self, lo, hi):
+        """The points of the group in [lo, hi]^r, in itertools.product
+        order, one coordinate at a time: see the module docstring."""
+        cols, pivots = self._group_basis()
+        column = dict(zip(pivots, cols))
+        last = self.rank - 1
+
+        def extend(point, acc):
+            i = len(point)
+            col = column.get(i)
+            if col is None:  # the earlier columns force x_i = acc_i
+                values = (acc[i],) if lo <= acc[i] <= hi else ()
+            else:
+                p = col[i]
+                values = range(lo + (acc[i] - lo) % p, hi + 1, p)
+            if i == last:
+                for xi in values:
+                    yield point + (xi,)
+                return
+            nxt = acc
+            for xi in values:
+                if col is not None:  # x_i = acc_i + k p adds k times col
+                    k = (xi - acc[i]) // p
+                    nxt = [a + k * c for a, c in zip(acc, col)]
+                yield from extend(point + (xi,), nxt)
+
+        return extend((), [0] * (last + 1))
+
     def is_saturated(self, box):
         """Bounded saturation check on [0, box]^r with multipliers 2 to
         max(2, box); PreconditionFailed when the grid would pass GRID_BITS."""
         _check_int("box", box, 0)
         kmax = max(2, box)
         self._ensure_grid(box * kmax)
-        for x in itertools.product(range(box + 1), repeat=self.rank):
-            if not any(x) or self._lookup(x) or not self._in_group(x):
+        grid, strides = self._grid, self._strides
+        for x in self._group_points(0, box):
+            bit = _offset(x, strides)  # 0 only at x = 0
+            if not bit or _has(grid, bit):
                 continue
-            if any(self._lookup([k * c for c in x])
-                   for k in range(2, kmax + 1)):
+            if any(_has(grid, k * bit) for k in range(2, kmax + 1)):
                 return False
         return True
 
@@ -457,7 +503,8 @@ def verify_lemm_coker(P, e, d, box):
     whenever it does, the claim is that x + e lies in P. Returns the number
     of saturation elements checked; a counterexample raises
     InternalInconsistency. A box whose grid would pass GRID_BITS raises
-    PreconditionFailed.
+    PreconditionFailed. The scan reads the grid by offset and skips the n
+    that leave the orthant: see the module docstring.
     """
     if not isinstance(P, AffineMonoid):
         raise PreconditionFailed("P must be an AffineMonoid")
@@ -472,17 +519,26 @@ def verify_lemm_coker(P, e, d, box):
         raise PreconditionFailed("e must be an element of P")
     if not P.is_saturated(box):
         raise NotSaturatedInput("P is not saturated on the verification box")
+    grid, strides = P._grid, P._strides
+    step = _offset(e, strides)
     count = 0
-    for x in itertools.product(range(-box, box + 1), repeat=P.rank):
-        if not P._in_group(x):
-            continue
-        for n in range(d):
-            if not P._lookup([d * xi + n * ei for xi, ei in zip(x, e)]):
-                continue
-            if not P._lookup([xi + ei for xi, ei in zip(x, e)]):
-                raise InternalInconsistency(
-                    f"saturation element (x={x}, n={n}/{d}) with x + e outside P")
-            count += 1
+    for x in P._group_points(-box, box):
+        # the least n with d x + n e >= 0; none when some x_i < 0 has e_i = 0
+        n0 = 0
+        for xi, ei in zip(x, e):
+            if xi < 0:
+                if not ei:
+                    break
+                n0 = max(n0, -(d * xi // ei))
+        else:
+            at = _offset(x, strides)
+            hits = [n for n in range(n0, d) if _has(grid, d * at + n * step)]
+            if hits:
+                if not _has(grid, at + step):
+                    raise InternalInconsistency(
+                        f"saturation element (x={x}, n={hits[0]}/{d}) "
+                        "with x + e outside P")
+                count += len(hits)
     return count
 
 

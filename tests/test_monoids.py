@@ -1,7 +1,9 @@
 """Chart monoids, their saturations, and the bounded pushout checks."""
 
+import hashlib
 import itertools
 import math
+import operator
 import os
 import random
 import subprocess
@@ -497,6 +499,41 @@ def test_pushout_lemma_on_random_cones(seed, d):
     assert verify_lemm_coker(P, e, d, 4) >= 0
 
 
+ENUMERATED_GENERATORS = (
+    ((1, 0), (0, 1)),
+    *(random_cone_monoid(random.Random(seed)).generators for seed in range(6)),
+    ((2, 0), (0, 2), (1, 1)), ((2, 0), (0, 2)),  # index 2 and 4
+    ((1, 1), (2, 2)), ((1, 0, 1), (0, 2, 2)),  # a line and a plane
+    ((2,), (3,)), ((2,), (4,)), ((0, 0),))
+
+
+@pytest.mark.parametrize("generators", ENUMERATED_GENERATORS)
+def test_group_points_are_the_group_in_the_box_in_product_order(generators):
+    P = AffineMonoid(generators)
+    for lo, hi in ((-4, 4), (0, 4)):
+        want = [x for x in itertools.product(range(lo, hi + 1), repeat=P.rank)
+                if P.group_contains(x)]
+        assert list(P._group_points(lo, hi)) == want, (lo, hi)
+
+
+def test_pushout_counts_on_the_suite_instances_are_pinned(monkeypatch):
+    """The monoid suite asserts only count >= 1: pin the counts and the
+    is_saturated(5) answers of its 200 pushout instances by hash."""
+    seen = []
+    check = monoids.verify_lemm_coker
+
+    def recording(P, e, d, box):
+        count = check(P, e, d, box)
+        seen.append((count, P.is_saturated(5)))
+        return count
+
+    monkeypatch.setattr(monoids, "verify_lemm_coker", recording)
+    monoid_suite(20260819, 200)
+    assert len(seen) == 200 and sum(count for count, _ in seen) == 8130
+    assert hashlib.sha256(repr(seen).encode()).hexdigest() == (
+        "d19693e8fccfc068ee8e8c79d701c30fd74432e2a515fa8d4bc5df4035ec4c47")
+
+
 def reference_is_saturated(P, box):
     """The saturation check through the public contains."""
     kmax = max(2, box)
@@ -528,22 +565,48 @@ def reference_verify_lemm_coker(P, e, d, box):
             if not P.contains(tuple(d * xi + n * ei for xi, ei in zip(x, e))):
                 continue
             if not P.contains(tuple(xi + ei for xi, ei in zip(x, e))):
-                raise InternalInconsistency("saturation element with x + e outside P")
+                raise InternalInconsistency(
+                    f"saturation element (x={x}, n={n}/{d}) with x + e outside P")
             count += 1
     return count
 
 
 def outcome(f, *args):
+    """The count, or the type of the exception; an InternalInconsistency
+    with its message, which names the first counterexample."""
     try:
         return f(*args)
+    except InternalInconsistency as exc:
+        return InternalInconsistency, str(exc)
     except RedjumpsError as exc:
         return type(exc)
 
 
+def rank3_cone(rng):
+    """The nonzero points of [0, 3]^3 on which two random linear forms
+    with coefficients in [-1, 2] are non-negative, or (1, 0, 0) when there
+    are none."""
+    forms = [[rng.randint(-1, 2) for _ in range(3)] for _ in range(2)]
+    gens = tuple(x for x in itertools.product(range(4), repeat=3)
+                 if any(x) and all(sum(map(operator.mul, f, x)) >= 0 for f in forms))
+    return gens or ((1, 0, 0),)
+
+
+# groups of index 2 in Z^2 and of lower rank than their coordinates, and
+# products with <3, 4> and <3, 5>, which pass the saturation check on the
+# box [0, 1]^r but break the lemma there
+SMALL_GENERATORS = (((2, 0), (0, 2), (1, 1)), ((1, 1), (2, 2)),
+                    ((1, 0, 1), (0, 2, 2)), ((1, 1, 0), (0, 0, 2), (0, 1, 1)),
+                    ((3, 0), (4, 0), (0, 1)), ((0, 1), (3, 0), (5, 0)),
+                    ((1, 0, 0), (0, 3, 0), (0, 4, 0), (0, 0, 1)))
+
+
 def pushout_cases():
-    """Random cones (some cut down to half their generators, so not
-    saturated) with e a generator or an arbitrary small vector, and rank-1
-    numeric monoids; d = 1..4 and box = 1..5."""
+    """Random cones of rank 2 (some cut down to half their generators, so
+    not saturated) with e a generator or an arbitrary small vector, d = 1..6
+    and box = 1..5; random rank-3 cones with e a generator, a sum of two or
+    a small vector, d = 1..6 and box = 1..3; SMALL_GENERATORS likewise with
+    box = 1..2; and rank-1 numeric monoids with d = 1..4 and box = 1..5."""
     rng = random.Random(20261018)
     for _ in range(250):
         gens = random_cone_monoid(rng).generators
@@ -551,7 +614,17 @@ def pushout_cases():
             gens = gens[:max(1, len(gens) // 2)]
         e = (rng.choice(gens) if rng.random() < 0.8
              else (rng.randint(-1, 7), rng.randint(-1, 7)))
-        yield gens, e, rng.randint(1, 4), rng.randint(1, 5)
+        yield gens, e, rng.randint(1, 6), rng.randint(1, 5)
+    for k in range(36 + 8 * len(SMALL_GENERATORS)):
+        gens = rank3_cone(rng) if k < 36 else SMALL_GENERATORS[k % len(SMALL_GENERATORS)]
+        pick = rng.random()
+        if pick < 0.5:
+            e = rng.choice(gens)
+        elif pick < 0.8:
+            e = tuple(map(operator.add, rng.choice(gens), rng.choice(gens)))
+        else:
+            e = tuple(rng.randint(-1, 4) for _ in gens[0])
+        yield gens, e, rng.randint(1, 6), rng.randint(1, 3 if k < 36 else 2)
     for gens in itertools.combinations(range(1, 7), 2):
         for e, d, box in itertools.product(range(0, 8, 2), range(1, 5), range(1, 6)):
             yield tuple((g,) for g in gens), (e,), d, box
@@ -563,7 +636,7 @@ def test_pushout_check_matches_the_contains_route():
         got = outcome(verify_lemm_coker, AffineMonoid(gens), e, d, box)
         want = outcome(reference_verify_lemm_coker, AffineMonoid(gens), e, d, box)
         assert got == want, (gens, e, d, box)
-        seen.add(got if isinstance(got, type) else int)
+        seen.add(got[0] if isinstance(got, tuple) else got if isinstance(got, type) else int)
         assert (AffineMonoid(gens).is_saturated(box)
                 == reference_is_saturated(AffineMonoid(gens), box)), (gens, box)
     assert seen == {int, PreconditionFailed, NotSaturatedInput, InternalInconsistency}
