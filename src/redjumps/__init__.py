@@ -16,8 +16,7 @@ submodule, so a command pays only for the modules it runs.
 _EXPORTS = {
     "errors": "errors",
     **dict.fromkeys(["GeneratedGraph", "catalog_graph", "catalog_tags", "expected_jump",
-                     "genus2_example", "kodaira_graph", "random_instance",
-                     "seed_graphs"], "catalog"),
+                     "kodaira_graph", "random_instance", "seed_graphs"], "catalog"),
     **dict.fromkeys(["ReductionGraph", "ValidationReport", "Vertex", "Violation",
                      "blow_down", "blow_up_edge", "blow_up_free_point", "build",
                      "contract_chains", "minimize"], "graph"),

@@ -127,12 +127,6 @@ def expected_jump(tag: str) -> Fraction:
     return _entry(tag, _KODAIRA)[1]
 
 
-def genus2_example() -> ReductionGraph:
-    """Genus-2 graph with jumps 0 and 1/2: an elliptic double component
-    with two reduced tails."""
-    return _SHAPES["genus2"][0]()
-
-
 # the names of the seed pool, sorted: random_instance draws one by position
 _SEED_NAMES = tuple(sorted(("I0", "I2", "I5", "II", "III", "IV", "I0*", "I3*",
                             "IV*", "III*", "II*", "I1res", "genus2", "star5",

@@ -71,11 +71,14 @@ class Violation(Value):
 
 
 class ValidationReport(Value):
-    __slots__ = _fields = ("ok", "violations")
+    __slots__ = _fields = ("violations",)
 
-    def __init__(self, ok: bool, violations: tuple[Violation, ...] = ()):
-        object.__setattr__(self, "ok", ok)
+    def __init__(self, violations: tuple[Violation, ...] = ()):
         object.__setattr__(self, "violations", violations)
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
     def messages(self):
         return [f"{v.code}: {v.message}" for v in self.violations]
@@ -141,7 +144,7 @@ def _lookup(index, vid) -> int:
     try:
         return index[vid]
     except (KeyError, TypeError):  # TypeError: vid is not hashable
-        raise UnknownVertex(f"no vertex {vid!r}") from None
+        raise UnknownVertex(f"no vertex {_shown(vid)}") from None
 
 
 class _Compiled(Value):
@@ -232,7 +235,7 @@ class ReductionGraph(Value):
             if a == b:
                 problems.append(Violation("loop", f"edge #{k} is a loop at {_shown(a)}; loops are forbidden (resolve the node by a blow-up first)", a))
         if problems:
-            _check_valid(ValidationReport(False, tuple(problems)))
+            _check_valid(ValidationReport(tuple(problems)))
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "name", name)
@@ -247,9 +250,6 @@ class ReductionGraph(Value):
 
     def vertex(self, vid: str) -> Vertex:
         return self.vertices[_lookup(self._compiled.index, vid)]
-
-    def has_vertex(self, vid: str) -> bool:
-        return isinstance(vid, str) and vid in self._compiled.index
 
     def degree(self, vid: str) -> int:
         return len(self._compiled.nbrs[_lookup(self._compiled.index, vid)])
@@ -287,7 +287,7 @@ class ReductionGraph(Value):
         if not bad and c.adjunction < 0:
             bad.append(Violation("genus", f"derived genus {_quoted(1 + c.adjunction // 2)} < 1"))
         problems += bad
-        return ValidationReport(not problems, tuple(problems))
+        return ValidationReport(tuple(problems))
 
     # -- derived geometry ---------------------------------------------------
 
@@ -403,64 +403,44 @@ def _fresh_ids(taken):
             yield f"b{n}"
 
 
-def _new_id(index, new_id) -> str:
-    """new_id, refused with ValidationError unless it is a non-empty str
-    that is not in index; the first fresh id when it is None."""
-    if new_id is None:
-        return next(_fresh_ids(index))
-    if not isinstance(new_id, str) or not new_id:
-        raise ValidationError(f"vertex ids must be non-empty strings, got {new_id!r}")
-    if new_id in index:
-        raise ValidationError(f"vertex id {new_id!r} already in use")
-    return new_id
+def _edge_index(edges, k) -> int:
+    """k, refused with UnknownEdge unless it is a position in edges (an
+    int, not a bool)."""
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise UnknownEdge(f"{_shown(k)} is not an edge index")
+    if not 0 <= k < len(edges):
+        raise UnknownEdge(f"edge index {_shown(k, str)} out of range (graph has {len(edges)} edges)")
+    return k
 
 
-def _edge_index(edges, e) -> int:
-    """Position of the edge e, given as a position in edge order (an int,
-    not a bool) or as an endpoint pair of ids (the first such edge).
-    Anything else is an UnknownEdge."""
-    if isinstance(e, int) and not isinstance(e, bool):
-        if not 0 <= e < len(edges):
-            raise UnknownEdge(f"edge index {e} out of range (graph has {len(edges)} edges)")
-        return e
-    if not (isinstance(e, (tuple, list)) and len(e) == 2
-            and isinstance(e[0], str) and isinstance(e[1], str)):
-        raise UnknownEdge(f"{e!r} is neither an edge index nor a pair of vertex ids")
-    pair = tuple(sorted(e))
-    try:
-        return edges.index(pair)
-    except ValueError:
-        raise UnknownEdge(f"no edge {pair[0]!r}-{pair[1]!r}") from None
-
-
-def blow_up_free_point(g: ReductionGraph, v: str, new_id: str | None = None) -> ReductionGraph:
+def blow_up_free_point(g: ReductionGraph, v: str) -> ReductionGraph:
     """Blow up a point lying on the single component v.
 
     The exceptional curve inherits multiplicity N_v, genus 0, and meets v
     once. Genus, first Betti number and the jump spectrum are unchanged.
-    The new vertex comes last, named new_id or the first fresh "b<n>".
+    The new vertex comes last, named by the first fresh "b<n>".
     """
     _check_valid(g.validate())
     c = g._compiled
     i = _lookup(c.index, v)
-    new_id = _new_id(c.index, new_id)
+    new_id = next(_fresh_ids(c.index))
     return ReductionGraph(g.vertices + (Vertex(new_id, c.N[i]),),
                           g.edges + ((g.vertices[i].id, new_id),), g.name)
 
 
-def blow_up_edge(g: ReductionGraph, e, new_id: str | None = None) -> ReductionGraph:
-    """Blow up an intersection point.
+def blow_up_edge(g: ReductionGraph, k: int) -> ReductionGraph:
+    """Blow up the intersection point of edge k, a position in g.edges.
 
-    The edge e (an index, or an endpoint pair) between i and j is replaced
-    by a new genus-0 vertex of multiplicity N_i + N_j joined to both: the
-    edge leaves its place, and the new vertex's edges come last, the one
-    to the end whose id sorts first before the other.
+    The edge between i and j is replaced by a new genus-0 vertex of
+    multiplicity N_i + N_j, named by the first fresh "b<n>", joined to
+    both: the edge leaves its place, and the new vertex's edges come last,
+    the one to the end whose id sorts first before the other.
     """
     _check_valid(g.validate())
     c = g._compiled
-    k = _edge_index(g.edges, e)
+    k = _edge_index(g.edges, k)
     a, b = g.edges[k]
-    new_id = _new_id(c.index, new_id)
+    new_id = next(_fresh_ids(c.index))
     return ReductionGraph(g.vertices + (Vertex(new_id, c.N[c.index[a]] + c.N[c.index[b]]),),
                           g.edges[:k] + g.edges[k + 1:] + ((a, new_id), (b, new_id)), g.name)
 

@@ -88,9 +88,6 @@ class JumpSpectrum(Value):
     def multiplicity(self, value) -> int:
         return self.as_dict().get(Fraction(value), 0)
 
-    def values(self):
-        return [v for v, _ in self.entries]
-
     def as_dict(self):
         return dict(self.entries)
 

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from operator import mul
 
-from ._values import _below, _check_int, _quoted
+from ._values import _below, _check_int, _quoted, _shown
 from .errors import (NotASublattice, PreconditionFailed, ShapeMismatch,
                      SingularMatrix)
 
@@ -64,7 +64,7 @@ def _as_matrix(M):
     for r in rows:
         for x in r:
             if not isinstance(x, int) or isinstance(x, bool):
-                raise ShapeMismatch(f"matrix entries must be integers, got {x!r}")
+                raise ShapeMismatch(f"matrix entries must be integers, got {_shown(x)}")
     return rows
 
 

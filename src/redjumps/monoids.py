@@ -104,7 +104,7 @@ import operator
 from math import lcm
 from numbers import Integral
 
-from ._values import Value, _check_int
+from ._values import Value, _check_int, _shown
 from .errors import (InternalInconsistency, NotSaturatedInput,
                      PreconditionFailed)
 from .lattices import _column_hnf
@@ -123,7 +123,7 @@ class SaturationChartCase1(Value):
         _check_int("a", a)
         _check_int("m", m)
         if m % a != 0:
-            raise PreconditionFailed(f"a must divide m, got a={a}, m={m}")
+            raise PreconditionFailed(f"a must divide m, got a={_shown(a, str)}, m={_shown(m, str)}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "m", m)
 
@@ -143,7 +143,8 @@ class SaturationChartCase2(Value):
         _check_int("b", b)
         _check_int("m", m)
         if m % a != 0 or m % b != 0:
-            raise PreconditionFailed(f"a and b must divide m, got a={a}, b={b}, m={m}")
+            raise PreconditionFailed(f"a and b must divide m, got a={_shown(a, str)}, "
+                                     f"b={_shown(b, str)}, m={_shown(m, str)}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "m", m)
@@ -292,7 +293,7 @@ def chart_saturation_index(chart):
     the box checks for n = 2, 3 on [-24, 24]^2 rather than by quoting that fact.
     """
     if not isinstance(chart, (SaturationChartCase1, SaturationChartCase2)):
-        raise PreconditionFailed(f"not a saturation chart: {chart!r}")
+        raise PreconditionFailed(f"not a saturation chart: {_shown(chart)}")
     for e in range(1, lcm(*chart.branches) + 1):
         if all(_branch_saturated(e, n, c, 24)
                for n in (2, 3) for c in chart.branches):
@@ -368,7 +369,7 @@ class AffineMonoid(Value):
             for x in g:
                 if not isinstance(x, int) or isinstance(x, bool) or x < 0:
                     raise PreconditionFailed(
-                        f"generator entries must be non-negative integers, got {x!r}")
+                        f"generator entries must be non-negative integers, got {_shown(x)}")
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "_grid", None)
         object.__setattr__(self, "_grid_bound", -1)
@@ -412,7 +413,7 @@ class AffineMonoid(Value):
         if len(x) != self.rank:
             raise PreconditionFailed("vector has the wrong length")
         if not all(isinstance(c, Integral) and not isinstance(c, bool) for c in x):
-            raise PreconditionFailed(f"vector entries must be integers, got {x!r}")
+            raise PreconditionFailed(f"vector entries must be integers, got {_shown(x)}")
         return tuple(map(operator.index, x))
 
     def contains(self, x):

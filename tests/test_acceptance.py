@@ -18,7 +18,6 @@ from redjumps import (
     compute_jumps,
     contract_chains,
     expected_jump,
-    genus2_example,
     jump_multiplicity,
     jump_multiplicity_via_euler,
     kodaira_graph,
@@ -55,7 +54,7 @@ def test_01_elliptic_fiber_types():
 
 def test_02_genus2_example():
     with criterion(2, "genus-2-example"):
-        s = compute_jumps(genus2_example())
+        s = compute_jumps(catalog_graph("genus2"))
         assert s.as_dict() == {Fraction(0): 1, Fraction(1, 2): 1}
 
 

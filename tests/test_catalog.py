@@ -19,7 +19,6 @@ from redjumps import (
     catalog_tags,
     dump_graph,
     expected_jump,
-    genus2_example,
     is_isomorphic,
     kodaira_graph,
     random_instance,
@@ -130,10 +129,6 @@ def test_seed_pool_is_valid_and_minimal():
         assert g.validate().ok, name
         assert g.is_minimal(), name
         assert g.name == name
-
-
-def test_genus2_example_is_the_catalog_entry():
-    assert catalog_graph("genus2") == genus2_example()
 
 
 def test_random_instance_is_deterministic():

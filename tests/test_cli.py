@@ -27,6 +27,7 @@ from redjumps import (
     dump_graph,
     graph_document,
     is_isomorphic,
+    jumps,
     kodaira_graph,
     lattices,
     minimize,
@@ -36,6 +37,7 @@ from redjumps import (
 )
 from redjumps.cli import _common, _parse_args, main
 from redjumps.errors import ParseError, ValidationError
+from redjumps.verify import graph_suite
 
 GCD2_DOC = json.dumps({
     "format": "reduction-graph/1",
@@ -87,6 +89,10 @@ def test_graph_document_shape():
     json.dumps({"format": "reduction-graph/1",
                 "vertices": [{"id": "a", "multiplicity": 1, "genus": 1}],
                 "edges": [["a", 2]]}),
+    json.dumps({"format": "reduction-graph/1", "name": 7,
+                "vertices": [{"id": "a", "multiplicity": 1, "genus": 1}], "edges": []}),
+    json.dumps({"format": "reduction-graph/1",
+                "vertices": [{"id": "a", "multiplicity": 1, "genus": 1}], "edges": {}}),
 ])
 def test_malformed_documents_raise_parse_error(text):
     with pytest.raises(ParseError):
@@ -521,6 +527,22 @@ def test_verify_reports_a_witness(sandwich, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "lattices/sandwich: 0/3  FAIL (first: (" in out
     assert "lattices/snf: 3/3\n" in out
+
+
+def test_graph_suite_counts_a_raising_run_checks(monkeypatch):
+    # run_checks raising on the second seed fails that seed's run-checks
+    # row, with (seed, exception) as witness, and the suite goes on
+    calls, run_checks = [], jumps.run_checks
+
+    def flaky(g):
+        calls.append(g)
+        return 1 // 0 if len(calls) == 2 else run_checks(g)
+
+    monkeypatch.setattr(jumps, "run_checks", flaky)
+    rows = {row.name: row for row in graph_suite(7, 5)}
+    _, good, total, (seed, exc) = rows.pop("graphs/run-checks")
+    assert (good, total, seed) == (4, 5, 8) and isinstance(exc, ZeroDivisionError)
+    assert rows and all(row[1:] == (4, 4, None) for row in rows.values())
 
 
 def test_verify_counts_only_nonsingular_smith_forms(monkeypatch, capsys):

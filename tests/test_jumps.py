@@ -33,7 +33,6 @@ from redjumps import (
     dump_graph,
     expected_jump,
     floor_divisor,
-    genus2_example,
     index_set,
     intersect,
     jump_multiplicity,
@@ -140,8 +139,8 @@ def test_hand_computed_multiplicities():
     assert jump_multiplicity(kodaira_graph("II*"), 50) == 1  # 50/60 = 5/6
     assert jump_multiplicity(kodaira_graph("III*"), 9) == 1  # 9/12 = 3/4
     assert jump_multiplicity(kodaira_graph("IV*"), 4) == 1  # 4/6 = 2/3
-    assert jump_multiplicity(genus2_example(), 0) == 1
-    assert jump_multiplicity(genus2_example(), 1) == 1
+    assert jump_multiplicity(catalog_graph("genus2"), 0) == 1
+    assert jump_multiplicity(catalog_graph("genus2"), 1) == 1
 
 
 # -- full spectra ----------------------------------------------------------------
@@ -156,7 +155,7 @@ def test_elliptic_spectra_match_classical_table():
 
 
 def test_genus2_spectrum():
-    s = compute_jumps(genus2_example())
+    s = compute_jumps(catalog_graph("genus2"))
     assert s.as_dict() == {F(0): 1, F(1, 2): 1}
     assert tame_base_change_conductor(s) == F(1, 2)
 
@@ -180,20 +179,20 @@ def test_spectrum_helpers():
     assert s.multiplicity(F(1, 4)) == 2
     assert s.multiplicity("1/4") == 2
     assert s.multiplicity(F(1, 3)) == 0
-    assert s.values() == [F(0), F(1, 4), F(1, 2), F(3, 4)]
+    assert [v for v, _ in s.entries] == [F(0), F(1, 4), F(1, 2), F(3, 4)]
 
 
 def test_unipotent_ranks():
     assert unipotent_rank(kodaira_graph("II")) == 1
     assert unipotent_rank(kodaira_graph("I5")) == 0
     assert unipotent_rank(kodaira_graph("I0")) == 0
-    assert unipotent_rank(genus2_example()) == 1
+    assert unipotent_rank(catalog_graph("genus2")) == 1
     assert unipotent_rank(seed_graphs()["star5"]) == 4
     assert unipotent_rank(seed_graphs()["twin"]) == 0
 
 
 def test_lower_bound_values():
-    assert lower_bound(genus2_example(), 1) == 1
+    assert lower_bound(catalog_graph("genus2"), 1) == 1
     star5 = seed_graphs()["star5"]
     assert lower_bound(star5, 1) == 1
     assert lower_bound(star5, 2) == 1
@@ -304,7 +303,7 @@ def test_analyze_report_fields():
 
 
 def test_analyze_with_checks():
-    r = analyze(genus2_example(), with_checks=True)
+    r = analyze(catalog_graph("genus2"), with_checks=True)
     assert r.checks is not None
     assert all(ok for _, ok in r.checks)
 
@@ -334,7 +333,7 @@ def test_bad_total_is_reported_by_the_check(monkeypatch, tmp_path, capsys):
     mult = jumps._Terms.mult
     monkeypatch.setattr(jumps._Terms, "mult",
                         lambda self, a: mult(self, a) + (self.d == 2))
-    g = genus2_example()
+    g = catalog_graph("genus2")
     assert ("total-equals-genus", False) in run_checks(g)
     with pytest.raises(InternalInconsistency):
         compute_jumps(g)
@@ -358,9 +357,10 @@ def test_bad_total_is_reported_by_the_check(monkeypatch, tmp_path, capsys):
 
 
 def test_positive_genus_jumps_check(monkeypatch):
-    # genus2_example has a genus-1 component of multiplicity 2, which forces
-    # the jump 1/2; a kernel that loses every d = 2 jump must fail the check
-    g = genus2_example()
+    # the genus2 catalog graph has a genus-1 component of multiplicity 2,
+    # which forces the jump 1/2; a kernel that loses every d = 2 jump must
+    # fail the check
+    g = catalog_graph("genus2")
     assert ("positive-genus-jumps", True) in run_checks(g)
     mult = jumps._Terms.mult
     monkeypatch.setattr(jumps._Terms, "mult",
@@ -372,7 +372,8 @@ def test_model_independence_check(monkeypatch):
     # a kernel that adds a jump at d = 9 breaks only the blown-up model of II
     # (N 6, 3, 2, 1 and 9 after the blow-up of c-t1): its spectrum no longer
     # equals that of the minimal model
-    g = blow_up_edge(kodaira_graph("II"), ("c", "t1"))
+    g = kodaira_graph("II")
+    g = blow_up_edge(g, g.edges.index(("c", "t1")))
     assert ("model-independence", True) in run_checks(g)
     mult = jumps._Terms.mult
     monkeypatch.setattr(jumps._Terms, "mult",
@@ -490,7 +491,8 @@ def test_a_heavy_node_falls_back_to_the_minimal_model(tmp_path, capsys):
     # the heaviest vertex is now a node, far over the work budget
     g = fibonacci_chain("II", 40)
     top = max(g.ids, key=g.multiplicity)
-    g = blow_up_edge(blow_up_free_point(g, top, "tail"), (top, "tail"))
+    g = blow_up_free_point(g, top)
+    g = blow_up_edge(g, len(g.edges) - 1)  # the edge to the new tail
     c, nodes = g._compiled, jumps._nodes(g)
     assert len(g.vertices) == 46
     assert max(c.N[i] for i in nodes) == g.multiplicity(top) == 1_300_483_311
@@ -533,7 +535,7 @@ def test_divisor_phis():
 def test_work_budget(monkeypatch, tmp_path, capsys):
     # II has N 6, 3, 2, 1: 6 candidates; blowing up c-t1 adds N = 9: 12
     small = kodaira_graph("II")
-    big = blow_up_edge(small, ("c", "t1"))
+    big = blow_up_edge(small, small.edges.index(("c", "t1")))
     assert (len(candidate_values(small)), len(candidate_values(big))) == (6, 12)
     monkeypatch.setattr(jumps, "WORK_BUDGET", 12)
     assert all(ok for _, ok in run_checks(big))
@@ -581,7 +583,7 @@ def test_spectrum_invariants(seed, moves):
     inst = random_instance(seed, moves)
     g = inst.graph
     s = compute_jumps(g)
-    values = s.values()
+    values = [v for v, _ in s.entries]
     assert values == sorted(set(values))
     assert all(0 <= v < 1 for v in values)
     m = g.multiplicity_lcm()

@@ -297,6 +297,8 @@ def test_chain_complement_validates_shapes():
         chain_complement((0, 2, 2), (0, 2, 1))  # w not non-decreasing
     with pytest.raises(PreconditionFailed):
         chain_complement((0, 2, 2), (0, 1, 3))  # w exceeds v
+    with pytest.raises(PreconditionFailed):
+        chain_complement((0, 2), (0, 1.0))  # w not of integers
 
 
 def test_column_hnf():

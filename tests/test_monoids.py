@@ -487,6 +487,8 @@ def test_verify_lemm_coker_preconditions():
         verify_lemm_coker(AffineMonoid(((1,),)), (1,), 2, True)
     with pytest.raises(NotSaturatedInput):
         verify_lemm_coker(AffineMonoid(((2,), (3,))), (2,), 2, 4)
+    with pytest.raises(PreconditionFailed):
+        verify_lemm_coker(((1,),), (1,), 2, 4)  # P is not an AffineMonoid
 
 
 @settings(deadline=None, max_examples=25)

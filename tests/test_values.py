@@ -2,6 +2,7 @@
 the integer draw of its seeded generators."""
 
 import copy
+import inspect
 import os
 import pickle
 import random
@@ -25,7 +26,7 @@ def _instances():
     cases = [
         (Vertex("a", 2, 1), True),
         (Violation("gcd", "gcd of multiplicities is 2, must be 1", "a"), True),
-        (ValidationReport(False, (Violation("gcd", "bad"),)), True),
+        (ValidationReport((Violation("gcd", "bad"),)), True),
         (g._compiled, False),          # list fields: unhashable, as before
         (g, True),
         (IntegralDivisor({"c": 1}), False),  # a dict field
@@ -102,15 +103,31 @@ def test_exports_resolve():
 def test_removed_names_stay_removed():
     # names that nothing but their own tests called; "conductor" as a plain
     # word stays, for the tame base-change conductor
-    from redjumps import errors, lattices, monoids, reference
+    from redjumps import catalog, errors, graph, lattices, monoids, reference
 
     removed = ("principal_dominating", "NoPrincipalFound", "filtration_summands",
-               "conductor", "divisible_case1", "column_hnf")
+               "conductor", "divisible_case1", "column_hnf", "genus2_example")
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     for name in removed:
-        for module in (redjumps, reference, lattices, monoids, errors):
+        for module in (redjumps, catalog, reference, lattices, monoids, errors):
             assert not hasattr(module, name), (module.__name__, name)
         assert f"`{name}`" not in readme, name
+    for cls, name in ((jumps.JumpSpectrum, "values"), (graph.ReductionGraph, "has_vertex")):
+        assert not hasattr(cls, name), name
+        assert f"`{name}" not in readme, name
+    # a blow-up names its new vertex by the first fresh b<n>
+    for blow_up in (graph.blow_up_free_point, graph.blow_up_edge):
+        assert "new_id" not in inspect.signature(blow_up).parameters, blow_up.__name__
+
+
+def test_validation_report_ok_is_derived():
+    # ok is no field of its own, so it cannot disagree with the violations
+    bad = Violation("gcd", "bad")
+    assert ValidationReport().ok and ValidationReport(()).ok
+    assert not ValidationReport((bad,)).ok
+    assert ValidationReport._fields == ("violations",)
+    with pytest.raises(TypeError):
+        ValidationReport(True, (bad,))
 
 
 def test_below_draws_as_randrange_choice_and_randint():
