@@ -19,6 +19,8 @@ stderr with no check table, 141 stdout closed by its reader, as a shell
 reports a process that SIGPIPE ends. compute answers from the nodes (see
 jumps), so only compute --check, which scans every vertex of the model
 as given, meets the budget on a model whose minimal model is small.
+Python's limit on the digits str() converts guards the parser; compute
+lifts it once it has its answer, which may be longer, and main restores it.
 
 The arguments are parsed by argparse, with one exception: _common reads
 the plain forms of compute, validate, minimize and catalog (the command,
@@ -76,6 +78,7 @@ def _cmd_compute(args):
         return 1
     minimized = _graph.minimize(g) if args.minimize else None
     report = _jumps.analyze(g, with_checks=args.check is not None)
+    sys.set_int_max_str_digits(0)  # the answer may be long: main restores the limit
     checks = list(report.checks or ())
     if args.check not in (None, "all"):
         checks = [c for c in checks if c[0] == args.check]
@@ -112,8 +115,6 @@ def _cmd_validate(args):
     try:
         report = parse_document(_read(args.file)).validate()
     except ValidationError as exc:  # structural: the constructor refused the graph
-        if exc.report is None:
-            raise
         report = exc.report
     if args.json:
         print(json.dumps({
@@ -263,6 +264,7 @@ def _parse_args(argv):
 
 def main(argv=None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else argv)
+    digits = sys.get_int_max_str_digits()
     try:
         code = _COMMANDS[args.command](args)
         sys.stdout.flush()  # a closed stdout raises here, not at exit
@@ -280,14 +282,13 @@ def main(argv=None) -> int:
         print(f"over the work budget: {exc}", file=sys.stderr)
         return 4
     except ValidationError as exc:
-        if exc.report is not None:
-            _print_violations(exc.report)
-        else:
-            print(f"invalid: {exc}", file=sys.stderr)
+        _print_violations(exc.report)
         return 1
     except RedjumpsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

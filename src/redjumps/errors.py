@@ -8,21 +8,17 @@ class RedjumpsError(Exception):
 class ValidationError(RedjumpsError):
     """A reduction graph violates the data-model invariants.
 
-    Carries the offending report (when produced by ``validate``) so callers
+    Carries the ValidationReport that lists them: the constructor's
+    structural violations, or the graph's own ``validate()``, so callers
     can render per-violation messages.
     """
 
-    def __init__(self, message, report=None):
+    def __init__(self, message, report):
         super().__init__(message)
         self.report = report
 
-
-class NonIntegralSelfIntersection(ValidationError):
-    """N_v does not divide the sum of neighbouring multiplicities."""
-
-
-class InconsistentGeometry(ValidationError):
-    """The labels derive a genus below 1 (``ReductionGraph.genus()``)."""
+    def __reduce__(self):  # copy and pickle through __init__, which needs the report
+        return type(self), (*self.args, self.report)
 
 
 class UnknownVertex(RedjumpsError):

@@ -19,6 +19,8 @@ and the genus of the generic fiber comes out of adjunction:
 A graph's constructor derives both, with the neighbour lists, in one
 integer form (``ReductionGraph._compiled``) while it checks the structure.
 Every accessor, validate(), genus() and the jump kernel read that form.
+Both formulas hold on a valid graph only, so genus(), self_intersection()
+and first_betti() refuse an invalid one with its validate() report.
 
 Every move reads that form: a blow-up builds its result from the start's
 vertices, edges and id index, blow_down() drops one vertex, and minimize()
@@ -39,8 +41,6 @@ from operator import mul
 
 from ._values import Value, _quoted, _shown
 from .errors import (
-    InconsistentGeometry,
-    NonIntegralSelfIntersection,
     NotContractible,
     NotMinimal,
     UnknownEdge,
@@ -82,14 +82,6 @@ class ValidationReport(Value):
 
     def messages(self):
         return [f"{v.code}: {v.message}" for v in self.violations]
-
-
-def _self_intersection(vid, multiplicity: int, nbr_sum: int) -> int:
-    """E^2 = -(sum of neighbour multiplicities) / N."""
-    if nbr_sum % multiplicity != 0:
-        raise NonIntegralSelfIntersection(
-            f"vertex {vid!r}: {_quoted(multiplicity)} does not divide neighbour sum {_quoted(nbr_sum)}")
-    return -(nbr_sum // multiplicity)
 
 
 def _contractible(genus: int, multiplicity: int, nbrs, nbr_sum: int) -> bool:
@@ -176,8 +168,9 @@ class ReductionGraph(Value):
     are stored as exact ints, and exact str ends are sorted without str().
     The semantic invariants (connectivity, gcd 1, integral
     self-intersections, genus >= 1) are checked by :meth:`validate`, once
-    per graph; :func:`build` constructs and validates. Operations below
-    assume a valid graph, where ``genus()`` reads the adjunction sum alone.
+    per graph; :func:`build` constructs and validates. The derived
+    geometry and the moves below refuse an invalid graph with the
+    ValidationError of that report, then read ``_compiled`` alone.
     """
 
     _fields = ("vertices", "edges", "name")
@@ -292,22 +285,19 @@ class ReductionGraph(Value):
     # -- derived geometry ---------------------------------------------------
 
     def self_intersection(self, vid: str) -> int:
+        _check_valid(self.validate())
         c, k = self._compiled, _lookup(self._compiled.index, vid)
-        return _self_intersection(vid, c.N[k], c.nbr_sum[k])
+        return -(c.nbr_sum[k] // c.N[k])
 
     def genus(self) -> int:
         """Genus of the generic fiber, via adjunction: 2g - 2 is the sum of
         N_v (2 g_v - 2 - E_v^2), an even sum (see _report)."""
-        c = self._compiled
-        if not self._report.ok:  # else every E_v^2 is integral and g >= 1
-            for v, n, s in zip(self.vertices, c.N, c.nbr_sum):
-                _self_intersection(v.id, n, s)  # raises unless E_v^2 is integral
-            if c.adjunction < 0:
-                raise InconsistentGeometry(f"derived genus {_quoted(1 + c.adjunction // 2)} < 1")
-        return 1 + c.adjunction // 2
+        _check_valid(self.validate())
+        return 1 + self._compiled.adjunction // 2
 
     def first_betti(self) -> int:
-        """b_1 of the dual graph: |E| - |V| + 1 (graph is connected)."""
+        """b_1 of the dual graph: |E| - |V| + 1 (the graph is connected)."""
+        _check_valid(self.validate())
         return len(self.edges) - len(self.vertices) + 1
 
     def multiplicity_lcm(self) -> int:
@@ -458,7 +448,7 @@ def blow_down(g: ReductionGraph, v: str) -> ReductionGraph:
     i = _lookup(c.index, v)
     genus, nbrs = c.genus[i], c.nbrs[i]
     if not _contractible(genus, c.N[i], nbrs, c.nbr_sum[i]):
-        e2 = _self_intersection(v, c.N[i], c.nbr_sum[i])
+        e2 = -(c.nbr_sum[i] // c.N[i])
         if genus or e2 != -1 or len(nbrs) > 2:  # else two edges to one vertex
             raise NotContractible(
                 f"vertex {v!r}: need genus 0, degree 1 or 2, self-intersection -1 "

@@ -14,15 +14,17 @@ shapes or types, bytes that are not UTF-8) raise ParseError, as does JSON
 past the decoder's limits (nesting deeper than the recursion limit, an
 integer literal of more digits than int() converts); a well-formed
 document describing a structurally broken graph raises ValidationError
-from the constructor. Semantic validity (connectivity, gcd, integral
-self-intersections) is the caller's decision: parse_document does not run
-validate().
+from the constructor. A refusal names the offending value by at most 40
+characters (``_values._quoted``), however long it is. Semantic validity
+(connectivity, gcd, integral self-intersections) is the caller's
+decision: parse_document does not run validate().
 """
 
 from __future__ import annotations
 
 import json
 
+from ._values import _quoted
 from .errors import ParseError
 from .graph import ReductionGraph, Vertex
 
@@ -45,31 +47,31 @@ def parse_document(text) -> ReductionGraph:
     if not isinstance(doc, dict):
         raise ParseError("top-level value must be an object")
     if doc.get("format") != FORMAT:
-        raise ParseError(f'"format" must be {FORMAT!r}, got {doc.get("format")!r}')
+        raise ParseError(f'"format" must be {FORMAT!r}, got {_quoted(doc.get("format"))}')
     unknown = set(doc) - {"format", "name", "vertices", "edges"}
     if unknown:
-        raise ParseError(f"unknown keys: {sorted(unknown)}")
+        raise ParseError(f"unknown keys: {_quoted(sorted(unknown))}")
     name = doc.get("name", "")
     if not isinstance(name, str):
-        raise ParseError(f'"name" must be a string, got {name!r}')
+        raise ParseError(f'"name" must be a string, got {_quoted(name)}')
     raw_vertices = doc.get("vertices")
     if not isinstance(raw_vertices, list):
         raise ParseError('"vertices" must be a list')
     vertices = []
     for k, item in enumerate(raw_vertices):
         if not isinstance(item, dict):
-            raise ParseError(f"vertex #{k} must be an object, got {item!r}")
+            raise ParseError(f"vertex #{k} must be an object, got {_quoted(item)}")
         extra = set(item) - {"id", "multiplicity", "genus"}
         if extra:
-            raise ParseError(f"vertex #{k} has unknown keys: {sorted(extra)}")
+            raise ParseError(f"vertex #{k} has unknown keys: {_quoted(sorted(extra))}")
         if "id" not in item or "multiplicity" not in item:
             raise ParseError(f'vertex #{k} needs "id" and "multiplicity"')
         vid, mult, gen = item["id"], item["multiplicity"], item.get("genus", 0)
         if not isinstance(vid, str):
-            raise ParseError(f'vertex #{k}: "id" must be a string, got {vid!r}')
+            raise ParseError(f'vertex #{k}: "id" must be a string, got {_quoted(vid)}')
         for key, val in (("multiplicity", mult), ("genus", gen)):
             if not isinstance(val, int) or isinstance(val, bool):
-                raise ParseError(f'vertex #{k}: "{key}" must be an integer, got {val!r}')
+                raise ParseError(f'vertex #{k}: "{key}" must be an integer, got {_quoted(val)}')
         vertices.append(Vertex(vid, mult, gen))
     raw_edges = doc.get("edges")
     if not isinstance(raw_edges, list):
@@ -78,7 +80,7 @@ def parse_document(text) -> ReductionGraph:
     for k, item in enumerate(raw_edges):
         if (not isinstance(item, list) or len(item) != 2
                 or not all(isinstance(x, str) for x in item)):
-            raise ParseError(f"edge #{k} must be a pair of vertex ids, got {item!r}")
+            raise ParseError(f"edge #{k} must be a pair of vertex ids, got {_quoted(item)}")
         edges.append((item[0], item[1]))
     return ReductionGraph(tuple(vertices), tuple(edges), name)
 

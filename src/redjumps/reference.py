@@ -6,7 +6,7 @@ What no ``redjumps compute`` runs, kept out of the modules it imports:
   the floor divisor and intersection numbers, the multiplicity of j/m by
   the main and the dual route, and the lower bound, read off the labels as
   the formulas are written, apart from the ``jumps`` kernel they check.
-  All but the floor divisor and intersections refuse an invalid graph;
+  All but the floor divisor refuse an invalid graph;
 - ``is_isomorphic``, label-preserving multigraph isomorphism by colour
   refinement and backtracking (McKay-Piperno, J. Symbolic Comput. 60 (2014)).
 
@@ -82,7 +82,8 @@ def floor_divisor(g: ReductionGraph, j: int) -> IntegralDivisor:
 
 
 def intersect(g: ReductionGraph, D: IntegralDivisor, v: str) -> int:
-    """Intersection number E_v . D = D_v E_v^2 + sum over edges of D_opposite."""
+    """Intersection number E_v . D = D_v E_v^2 + sum over edges of D_opposite.
+    E_v^2 refuses an invalid graph."""
     total = D[v] * g.self_intersection(v)
     for w in g.neighbors(v):
         total += D[w]

@@ -449,7 +449,7 @@ def test_non_utf8_input_is_unparsable(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.count("error: not UTF-8") == 3
 
 
-def test_json_past_the_decoder_limits_is_unparsable(tmp_path, capsys):
+def assert_past_the_decoder_limits_is_unparsable(tmp_path, capsys):
     # nesting past the recursion limit, and a multiplicity of more digits
     # than int() converts: json.loads raises RecursionError and ValueError
     deep = "[" * 100_000 + "]" * 100_000
@@ -464,6 +464,10 @@ def test_json_past_the_decoder_limits_is_unparsable(tmp_path, capsys):
             parse_document(text)
     err = capsys.readouterr().err
     assert err.count("error: JSON beyond the parser's limits") == 6
+
+
+def test_json_past_the_decoder_limits_is_unparsable(tmp_path, capsys):
+    assert_past_the_decoder_limits_is_unparsable(tmp_path, capsys)
 
 
 def test_huge_integers_give_short_refusals(tmp_path, capsys):
@@ -483,6 +487,48 @@ def test_huge_integers_give_short_refusals(tmp_path, capsys):
             text = captured.out + captured.err
             assert "gcd of multiplicities is <" in text, (k, argv)
             assert max(map(len, text.encode().splitlines())) <= 200, (k, argv)
+
+
+def test_an_answer_past_the_digit_limit_is_printed(tmp_path, capsys):
+    # two vertices of N = 1 and genus 10^4300 - 1 on one edge: a valid
+    # document whose genus 2 (10^4300 - 1), the single jump 0 of that
+    # multiplicity, has one digit more than str() converts by default
+    G = 10 ** 4300 - 1
+    doc = tmp_path / "wide.json"
+    doc.write_text(json.dumps({"format": "reduction-graph/1", "edges": [["a", "b"]], "vertices": [
+        {"id": "a", "multiplicity": 1, "genus": G}, {"id": "b", "multiplicity": 1, "genus": G}]}))
+    genus = "1" + "9" * 4299 + "8"  # 2 * 10^4300 - 2
+    limit = sys.get_int_max_str_digits()
+    assert main(["validate", str(doc)]) == 0
+    assert capsys.readouterr().out == "valid\n"
+    for argv in (["compute", str(doc)], ["compute", str(doc), "--check"]):
+        assert main(argv) == 0, argv
+        out = capsys.readouterr().out
+        assert f"genus: {genus}\n" in out and f"jumps: 0 (x{genus})\n" in out, argv
+        assert "unipotent rank: 0\n" in out and "FAIL" not in out, argv
+    for argv in (["compute", "--json", str(doc)], ["compute", "--json", str(doc), "--check"]):
+        assert main(argv) == 0, argv
+        out = capsys.readouterr().out
+        assert f'"genus": {genus},' in out and f'"multiplicity": {genus}' in out, argv
+        assert "false" not in out, argv
+    # the limit is back, and guards the parser again
+    assert sys.get_int_max_str_digits() == limit
+    assert_past_the_decoder_limits_is_unparsable(tmp_path, capsys)
+
+
+def test_long_refused_values_give_short_refusals(tmp_path, capsys):
+    # a vertex that is a list of 200,000 ints, and 50,000 unknown top-level
+    # keys: each refusal names what it refuses by at most 40 characters
+    base = {"format": "reduction-graph/1", "vertices": [], "edges": []}
+    for k, doc in enumerate(({**base, "vertices": [[7] * 200_000]},
+                             {**base, **{f"key{n}": 0 for n in range(50_000)}})):
+        path = tmp_path / f"doc{k}.json"
+        path.write_text(json.dumps(doc))
+        for command in ("compute", "validate", "minimize"):
+            assert main([command, str(path)]) == 3, (k, command)
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "..." in err, (k, command)
+            assert max(map(len, err.encode().splitlines())) <= 200, (k, command)
 
 
 @pytest.mark.parametrize("argv", [["compute", "DOC"], ["compute", "--json", "DOC"],

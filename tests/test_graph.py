@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from redjumps import ReductionGraph, Vertex
 from redjumps import (
+    IntegralDivisor,
     blow_down,
     blow_up_edge,
     blow_up_free_point,
@@ -22,16 +23,16 @@ from redjumps import (
     catalog_tags,
     contract_chains,
     floor_divisor,
+    intersect,
     is_isomorphic,
     jump_multiplicity,
     kodaira_graph,
     minimize,
     random_instance,
     seed_graphs,
+    unipotent_rank,
 )
 from redjumps.errors import (
-    InconsistentGeometry,
-    NonIntegralSelfIntersection,
     NotContractible,
     NotMinimal,
     OverBudget,
@@ -257,8 +258,9 @@ def test_nonintegral_self_intersection_reported():
     g = ReductionGraph((Vertex("a", 1), Vertex("b", 2)), (("a", "b"),))
     got = {v.code for v in g.validate().violations}
     assert "self-intersection" in got
-    with pytest.raises(NonIntegralSelfIntersection):
+    with pytest.raises(ValidationError) as e:
         g.self_intersection("b")
+    assert e.value.report == g.validate()
 
 
 def test_genus_zero_reported():
@@ -299,8 +301,8 @@ def test_huge_integers_are_refused_in_short_messages():
         (lambda: ReductionGraph([Vertex("a", -huge)], []), ValidationError),
         (lambda: ReductionGraph([Vertex("a", 1, -huge)], []), ValidationError),
         (lambda: catalog_graph(huge), UnsupportedType),
-        (two.genus, InconsistentGeometry),
-        (lambda: wide.self_intersection("a"), NonIntegralSelfIntersection),
+        (two.genus, ValidationError),
+        (lambda: wide.self_intersection("a"), ValidationError),
         (lambda: floor_divisor(one, -1), PreconditionFailed),
         (lambda: floor_divisor(kodaira_graph("II"), huge), PreconditionFailed),
         (lambda: jump_multiplicity(one, 0), ValidationError),
@@ -759,10 +761,15 @@ def reference_degree(g, vid):
     return len(reference_adjacency(g)[vid])
 
 
+def reference_refuse_invalid(g):
+    report = reference_validate(g)
+    if not report.ok:
+        raise ValidationError("; ".join(report.messages()), report)
+
+
 def reference_self_intersection(g, vid):
+    reference_refuse_invalid(g)
     n, s = {v.id: v for v in g.vertices}[vid].multiplicity, reference_nbr_sum(g, vid)
-    if s % n != 0:
-        raise NonIntegralSelfIntersection(f"vertex {vid!r}: {n} does not divide neighbour sum {s}")
     return -(s // n)
 
 
@@ -813,12 +820,9 @@ def reference_validate(g):
 
 
 def reference_genus(g):
+    reference_refuse_invalid(g)
     twice = sum(v.multiplicity * (2 * v.genus - 2 - reference_self_intersection(g, v.id))
                 for v in g.vertices)
-    if twice % 2 != 0:
-        raise InconsistentGeometry(f"adjunction sum {twice} is odd")
-    if 1 + twice // 2 < 1:
-        raise InconsistentGeometry(f"derived genus {1 + twice // 2} < 1")
     return 1 + twice // 2
 
 
@@ -862,14 +866,18 @@ def test_compiled_form_matches_the_id_keyed_accessors(corpus):
             assert_matches_reference(g)
 
 
+# those of the semantic-validation tests: disconnected, gcd 2, non-integral
+# E^2 and genus 0
+INVALID_GRAPHS = [
+    ((Vertex("a", 1, 1), Vertex("b", 1, 1)), ()),
+    ((Vertex("a", 2, 1),), ()),
+    ((Vertex("a", 1), Vertex("b", 2)), (("a", "b"),)),
+    ((Vertex("a", 1, 0),), ()),
+]
+
+
 def test_compiled_form_matches_on_invalid_graphs():
-    # those of the semantic-validation tests: disconnected, gcd 2,
-    # non-integral E^2 and genus 0
-    for vertices, edges in [
-            ((Vertex("a", 1, 1), Vertex("b", 1, 1)), ()),
-            ((Vertex("a", 2, 1),), ()),
-            ((Vertex("a", 1), Vertex("b", 2)), (("a", "b"),)),
-            ((Vertex("a", 1, 0),), ())]:
+    for vertices, edges in INVALID_GRAPHS:
         assert_matches_reference(ReductionGraph(vertices, edges))
     # every labelling of up to three vertices with N <= 4, a genus-1 first
     # vertex or not, and up to three parallel edges per pair: the reference
@@ -883,6 +891,23 @@ def test_compiled_form_matches_on_invalid_graphs():
                 vertices = [Vertex(i, N, ga if i == "a" else 0) for i, N in zip(ids, Ns)]
                 edges = [p for p, r in zip(pairs, repeats) for _ in range(r)]
                 assert_matches_reference(ReductionGraph(vertices, edges))
+
+
+def test_derived_geometry_refuses_an_invalid_graph_with_its_report():
+    # genus, E^2 and b_1 exist on a valid graph only, so each refuses an
+    # invalid one with the graph's own report, as the moves do: the
+    # disconnected graph of two genus-1 vertices has no genus 1, b_1 -1
+    # or unipotent rank 0
+    for vertices, edges in INVALID_GRAPHS:
+        g = ReductionGraph(vertices, edges)
+        D = IntegralDivisor({v.id: 1 for v in g.vertices})
+        calls = [g.genus, g.first_betti, lambda: unipotent_rank(g),
+                 *(lambda vid=v.id: g.self_intersection(vid) for v in g.vertices),
+                 *(lambda vid=v.id: intersect(g, D, vid) for v in g.vertices)]
+        for k, call in enumerate(calls):
+            with pytest.raises(ValidationError) as e:
+                call()
+            assert e.value.report == g.validate() and not e.value.report.ok, (vertices, k)
 
 
 def test_terms_components_match_the_id_keyed_search(corpus):

@@ -356,6 +356,22 @@ def test_bad_total_is_reported_by_the_check(monkeypatch, tmp_path, capsys):
     assert str(caught.value) == "negative jump multiplicity -1 at 1/2"
 
 
+def test_negative_counts_are_internal_inconsistencies(monkeypatch):
+    # the unipotent rank and a reference multiplicity are counts, so a
+    # negative one is an internal inconsistency: reached by patching the
+    # value each is computed from
+    from redjumps import reference
+
+    g = kodaira_graph("II")
+    monkeypatch.setattr(ReductionGraph, "first_betti", lambda self: 10)
+    with pytest.raises(InternalInconsistency, match=r"^negative unipotent rank -9$"):
+        unipotent_rank(g)
+    monkeypatch.setattr(reference, "intersect", lambda g, D, v: -1000)
+    # I_1 = {c}: -1000 + g_c - 1 plus the three edges at c
+    with pytest.raises(InternalInconsistency, match=r"^negative jump multiplicity -998 at j=1$"):
+        reference.jump_multiplicity(g, 1)
+
+
 def test_positive_genus_jumps_check(monkeypatch):
     # the genus2 catalog graph has a genus-1 component of multiplicity 2,
     # which forces the jump 1/2; a kernel that loses every d = 2 jump must

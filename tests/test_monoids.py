@@ -340,6 +340,15 @@ def test_chart_saturation_index_case1():
     assert chart_saturation_index(SaturationChartCase1(6, 6)) == 6
 
 
+def test_chart_saturation_index_without_a_stable_degree(monkeypatch):
+    # the lcm of the branch multiplicities is always stable, so only a
+    # broken branch check can run past it
+    monkeypatch.setattr(monoids, "_branch_saturated", lambda e, n, c, box: False)
+    with pytest.raises(InternalInconsistency) as caught:
+        chart_saturation_index(SaturationChartCase1(2, 4))
+    assert str(caught.value) == "no stable degree found up to the lcm bound"
+
+
 def test_chart_saturation_index_case2():
     assert chart_saturation_index(SaturationChartCase2(2, 3, 6)) == 6
     assert chart_saturation_index(SaturationChartCase2(2, 2, 4)) == 2

@@ -15,7 +15,8 @@ import pytest
 import redjumps
 from redjumps import analyze, compute_jumps, jumps, kodaira_graph, random_instance
 from redjumps._values import _below
-from redjumps.graph import ValidationReport, Vertex, Violation
+from redjumps.errors import ValidationError
+from redjumps.graph import ReductionGraph, ValidationReport, Vertex, Violation
 from redjumps.reference import IntegralDivisor
 from redjumps.monoids import (AffineMonoid, SaturationChartCase1,
                               SaturationChartCase2)
@@ -118,6 +119,14 @@ def test_removed_names_stay_removed():
     # a blow-up names its new vertex by the first fresh b<n>
     for blow_up in (graph.blow_up_free_point, graph.blow_up_edge):
         assert "new_id" not in inspect.signature(blow_up).parameters, blow_up.__name__
+    # an invalid graph is refused by one ValidationError, which always
+    # carries the graph's report
+    for module, name in ((errors, "NonIntegralSelfIntersection"), (errors, "InconsistentGeometry"),
+                         (graph, "_self_intersection")):
+        assert not hasattr(module, name), name
+        assert f"`{name}`" not in readme, name
+    report = inspect.signature(errors.ValidationError).parameters["report"]
+    assert report.default is inspect.Parameter.empty
 
 
 def test_validation_report_ok_is_derived():
@@ -128,6 +137,16 @@ def test_validation_report_ok_is_derived():
     assert ValidationReport._fields == ("violations",)
     with pytest.raises(TypeError):
         ValidationReport(True, (bad,))
+
+
+def test_validation_error_copies_and_pickles_with_its_report():
+    # the report is a required argument, so a copy passes it to __init__
+    g = ReductionGraph((Vertex("a", 2, 1),), ())
+    with pytest.raises(ValidationError) as e:
+        g.genus()
+    for clone in (copy.copy(e.value), pickle.loads(pickle.dumps(e.value))):
+        assert type(clone) is ValidationError
+        assert (str(clone), clone.report) == (str(e.value), g.validate())
 
 
 def test_below_draws_as_randrange_choice_and_randint():
