@@ -18,8 +18,8 @@ _EXPORTS = {
     **dict.fromkeys(["GeneratedGraph", "catalog_graph", "catalog_tags", "expected_jump",
                      "kodaira_graph", "random_instance", "seed_graphs"], "catalog"),
     **dict.fromkeys(["ReductionGraph", "ValidationReport", "Vertex", "Violation",
-                     "blow_down", "blow_up_edge", "blow_up_free_point", "build",
-                     "contract_chains", "minimize"], "graph"),
+                     "blow_down", "blow_up_edge", "blow_up_free_point", "contract_chains",
+                     "minimize"], "graph"),
     **dict.fromkeys(["dump_graph", "graph_document", "parse_document",
                      "report_document"], "io"),
     **dict.fromkeys(["AnalysisReport", "JumpSpectrum", "analyze", "candidate_values",

@@ -27,7 +27,7 @@ def _star(center_mult, center_genus, tail_mults, name):
     for k, n in enumerate(tail_mults, start=1):
         verts.append(Vertex(f"t{k}", n, 0))
         edges.append(("c", f"t{k}"))
-    return _graph.build(verts, edges, name=name)
+    return ReductionGraph(verts, edges, name=name)
 
 
 def _arms(center_mult, arms, name):
@@ -41,13 +41,13 @@ def _arms(center_mult, arms, name):
             verts.append(Vertex(vid, n, 0))
             edges.append((prev, vid))
             prev = vid
-    return _graph.build(verts, edges, name=name)
+    return ReductionGraph(verts, edges, name=name)
 
 
 def _cycle(n, name):
     verts = [Vertex(f"v{k}", 1, 0) for k in range(1, n + 1)]
     edges = [(f"v{k}", f"v{k % n + 1}") for k in range(1, n + 1)]
-    return _graph.build(verts, edges, name=name)
+    return ReductionGraph(verts, edges, name=name)
 
 
 def _istar(n):
@@ -57,7 +57,7 @@ def _istar(n):
     verts += [Vertex("t1", 1, 0), Vertex("t2", 1, 0),
               Vertex("t3", 1, 0), Vertex("t4", 1, 0)]
     edges += [("c0", "t1"), ("c0", "t2"), (f"c{n}", "t3"), (f"c{n}", "t4")]
-    return _graph.build(verts, edges, name=f"I{n}*")
+    return ReductionGraph(verts, edges, name=f"I{n}*")
 
 
 _TAG_RE = re.compile(r"I([0-9]+)(\*?)")
@@ -71,11 +71,11 @@ MAX_FIBER_INDEX = 10_000
 # twice, so b cannot be contracted. I1res is the I2 cycle under an old name,
 # kept as a corpus seed; star5 (genus 5) and twin (genus 2) are seeds only.
 _SHAPES = {
-    "I0": (lambda: _graph.build([Vertex("e", 1, 1)], [], name="I0"), Fraction(0)),
-    "I1": (lambda: _graph.build([Vertex("u", 1, 0), Vertex("b", 2, 0)],
-                                [("u", "b"), ("u", "b")], name="I1"), Fraction(0)),
-    "I1res": (lambda: _graph.build([Vertex("u", 1, 0), Vertex("v", 1, 0)],
-                                   [("u", "v"), ("u", "v")], name="I1res"), Fraction(0)),
+    "I0": (lambda: ReductionGraph([Vertex("e", 1, 1)], [], name="I0"), Fraction(0)),
+    "I1": (lambda: ReductionGraph([Vertex("u", 1, 0), Vertex("b", 2, 0)],
+                                  [("u", "b"), ("u", "b")], name="I1"), Fraction(0)),
+    "I1res": (lambda: ReductionGraph([Vertex("u", 1, 0), Vertex("v", 1, 0)],
+                                     [("u", "v"), ("u", "v")], name="I1res"), Fraction(0)),
     "II": (lambda: _star(6, 0, [3, 2, 1], "II"), Fraction(1, 6)),
     "III": (lambda: _star(4, 0, [2, 1, 1], "III"), Fraction(1, 4)),
     "IV": (lambda: _star(3, 0, [1, 1, 1], "IV"), Fraction(1, 3)),
@@ -84,8 +84,8 @@ _SHAPES = {
     "II*": (lambda: _arms(6, [[3], [4, 2], [5, 4, 3, 2, 1]], "II*"), Fraction(5, 6)),
     "genus2": (lambda: _star(2, 1, [1, 1], "genus2"), None),
     "star5": (lambda: _star(4, 1, [2, 1, 1], "star5"), None),
-    "twin": (lambda: _graph.build([Vertex("u", 1, 1), Vertex("v", 1, 1)], [("u", "v")],
-                                  name="twin"), None),
+    "twin": (lambda: ReductionGraph([Vertex("u", 1, 1), Vertex("v", 1, 1)], [("u", "v")],
+                                    name="twin"), None),
 }
 _KODAIRA = frozenset(name for name, (_, jump) in _SHAPES.items() if jump is not None)
 
@@ -135,7 +135,7 @@ _SEED_NAMES = tuple(sorted(("I0", "I2", "I5", "II", "III", "IV", "I0*", "I3*",
 
 @cache
 def _seed(name: str) -> ReductionGraph:
-    """The pool seed called name, built and validated once per process:
+    """The pool seed called name, built once per process:
     graphs are immutable, and blow-ups work on a copy."""
     return _entry(name, _SHAPES)[0]()
 

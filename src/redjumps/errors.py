@@ -8,9 +8,8 @@ class RedjumpsError(Exception):
 class ValidationError(RedjumpsError):
     """A reduction graph violates the data-model invariants.
 
-    Carries the ValidationReport that lists them: the constructor's
-    structural violations, or the graph's own ``validate()``, so callers
-    can render per-violation messages.
+    Carries the ValidationReport that lists them, the one the constructor
+    found, so callers can render per-violation messages.
     """
 
     def __init__(self, message, report):

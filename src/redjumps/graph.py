@@ -17,16 +17,15 @@ and the genus of the generic fiber comes out of adjunction:
     2g - 2 = sum_v N_v * (2 g_v - 2 - E_v^2).
 
 A graph's constructor derives both, with the neighbour lists, in one
-integer form (``ReductionGraph._compiled``) while it checks the structure.
-Every accessor, validate(), genus() and the jump kernel read that form.
-Both formulas hold on a valid graph only, so genus(), self_intersection()
-and first_betti() refuse an invalid one with its validate() report.
+integer form (``ReductionGraph._compiled``) while it checks the graph, and
+refuses every invalid one: both formulas hold on a valid graph only. Every
+accessor, genus() and the jump kernel read that form.
 
 Every move reads that form: a blow-up builds its result from the start's
 vertices, edges and id index, blow_down() drops one vertex, and minimize()
 runs a worklist on copies of the neighbour lists that only grow. New ids
-come from :func:`_fresh_ids`. Every move checks the graph it starts from,
-not its result. minimize() computes the minimal model once per graph
+come from :func:`_fresh_ids`. The constructor checks every result, as it
+checks every graph. minimize() computes the minimal model once per graph
 (``ReductionGraph._minimal``): a graph keeps its minimal model alive for as
 long as it lives, and analyze, run_checks and minimize share it. Beside it,
 one walk per graph (``ReductionGraph._walk``) classifies the vertices:
@@ -88,6 +87,9 @@ class ValidationReport(Value):
         return [f"{v.code}: {v.message}" for v in self.violations]
 
 
+_VALID = ValidationReport()  # the report of every ReductionGraph
+
+
 def _contractible(genus: int, multiplicity: int, nbrs, nbr_sum: int) -> bool:
     """The contractible -1 curve: genus 0, E^2 = -1 (the neighbour
     multiplicities sum to N), and degree 1 or two distinct neighbours.
@@ -141,8 +143,8 @@ class _Compiled(Value):
     """Integer form of a graph, built by its constructor: vertex k is
     ``vertices[k]`` and ``index[id]``, ``nbrs[k]`` its neighbour indices
     (repeated for parallel edges) and ``nbr_sum[k]`` their multiplicities'
-    sum. On a valid graph -(nbr_sum[k] // N[k]) is E_k^2 and ``adjunction``
-    = sum of N_k (2 g_k - 2) + nbr_sum[k] is 2g - 2."""
+    sum. -(nbr_sum[k] // N[k]) is E_k^2 and ``adjunction`` = sum of
+    N_k (2 g_k - 2) + nbr_sum[k] is 2g - 2."""
 
     __slots__ = _fields = ("index", "N", "genus", "nbrs", "nbr_sum", "adjunction")
 
@@ -160,15 +162,13 @@ class ReductionGraph(Value):
     """Immutable labelled multigraph. Edges are unordered id pairs.
 
     One pass over the vertices and one over the sorted edges check the
-    structure (ids, labels, endpoints, loops; every violation raised in one
-    ValidationError) and build ``_compiled`` (:class:`_Compiled`), which
-    every accessor reads. Exact int labels skip the bool test; int labels
-    are stored as exact ints, and exact str ends are sorted without str().
-    The semantic invariants (connectivity, gcd 1, integral
-    self-intersections, genus >= 1) are checked by :meth:`validate`, once
-    per graph; :func:`build` constructs and validates. The derived
-    geometry and the moves below refuse an invalid graph with the
-    ValidationError of that report, then read ``_compiled`` alone.
+    structure (ids, labels, endpoints, loops, the name) and build
+    ``_compiled`` (:class:`_Compiled`), which every accessor reads. Exact
+    int labels skip the bool test; int labels are stored as exact ints, and
+    exact str ends are sorted without str(). A structurally sound graph is
+    then checked for connectivity, gcd 1, integral self-intersections and
+    genus >= 1. Every violation found is raised in one ValidationError, so
+    no invalid graph exists.
     """
 
     _fields = ("vertices", "edges", "name")
@@ -225,13 +225,31 @@ class ReductionGraph(Value):
                 problems.append(Violation("edge-endpoint", f"edge #{k} {_shown(a)}-{_shown(b)} references an unknown vertex", f"{_shown(a, str)}-{_shown(b, str)}"))
             if a == b:
                 problems.append(Violation("loop", f"edge #{k} is a loop at {_shown(a)}; loops are forbidden (resolve the node by a blow-up first)", a))
+        if not isinstance(name, str):
+            problems.append(Violation("name", f"graph name must be a string, got {_shown(name)}", _shown(name, str)))
+        adjunction = 2 * sum(map(mul, N, genus)) - 2 * sum(N) + sum(nbr_sum)  # see _Compiled
+        if not problems:  # the semantics, of a structurally sound graph only
+            if _components(nbrs, range(len(N))) != 1:
+                problems.append(Violation("connected", "graph is not connected"))
+            d = gcd(*N)
+            if d != 1:
+                problems.append(Violation("gcd", f"gcd of multiplicities is {_quoted(d)}, must be 1"))
+            bad = [Violation("self-intersection",
+                             f"vertex {v.id!r}: multiplicity {_quoted(n)} does not divide "
+                             f"the sum {_quoted(s)} of neighbouring multiplicities", v.id)
+                   for v, n, s in zip(vertices, N, nbr_sum) if s % n]
+            # the genus is meaningful once self-intersections are integral; the
+            # adjunction sum is even then, as 0 = N.M.N = sum N_i^2 E_i^2 mod 2
+            if not bad and adjunction < 0:
+                bad.append(Violation("genus", f"derived genus {_quoted(1 + adjunction // 2)} < 1"))
+            problems += bad
         if problems:
-            _check_valid(ValidationReport(tuple(problems)))
+            report = ValidationReport(tuple(problems))
+            raise ValidationError("; ".join(report.messages()), report)
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_compiled", _Compiled(  # adjunction: see _Compiled
-            index, N, genus, nbrs, nbr_sum, 2 * sum(map(mul, N, genus)) - 2 * sum(N) + sum(nbr_sum)))
+        object.__setattr__(self, "_compiled", _Compiled(index, N, genus, nbrs, nbr_sum, adjunction))
 
     # -- basic accessors ---------------------------------------------------
 
@@ -253,49 +271,24 @@ class ReductionGraph(Value):
     def multiplicity(self, vid: str) -> int:
         return self.vertex(vid).multiplicity
 
-    # -- semantic validation ----------------------------------------------
-
-    def is_connected(self) -> bool:
-        return _components(self._compiled.nbrs, range(len(self.vertices))) == 1
-
     def validate(self) -> ValidationReport:
-        """Check the semantic invariants, once per graph; never raises."""
-        return self._report
-
-    @cached_property
-    def _report(self) -> ValidationReport:
-        c = self._compiled
-        problems = [] if self.is_connected() else [Violation("connected", "graph is not connected")]
-        g = gcd(*c.N)
-        if g != 1:
-            problems.append(Violation("gcd", f"gcd of multiplicities is {_quoted(g)}, must be 1"))
-        bad = [Violation("self-intersection",
-                         f"vertex {v.id!r}: multiplicity {_quoted(n)} does not divide "
-                         f"the sum {_quoted(s)} of neighbouring multiplicities", v.id)
-               for v, n, s in zip(self.vertices, c.N, c.nbr_sum) if s % n]
-        # the genus is meaningful once self-intersections are integral; the
-        # adjunction sum is even then, as 0 = N.M.N = sum N_i^2 E_i^2 mod 2
-        if not bad and c.adjunction < 0:
-            bad.append(Violation("genus", f"derived genus {_quoted(1 + c.adjunction // 2)} < 1"))
-        problems += bad
-        return ValidationReport(tuple(problems))
+        """The report of a graph, which the constructor has checked: always
+        the one empty ValidationReport."""
+        return _VALID
 
     # -- derived geometry ---------------------------------------------------
 
     def self_intersection(self, vid: str) -> int:
-        _check_valid(self.validate())
         c, k = self._compiled, _lookup(self._compiled.index, vid)
         return -(c.nbr_sum[k] // c.N[k])
 
     def genus(self) -> int:
         """Genus of the generic fiber, via adjunction: 2g - 2 is the sum of
-        N_v (2 g_v - 2 - E_v^2), an even sum (see _report)."""
-        _check_valid(self.validate())
+        N_v (2 g_v - 2 - E_v^2), an even sum (see the constructor)."""
         return 1 + self._compiled.adjunction // 2
 
     def first_betti(self) -> int:
         """b_1 of the dual graph: |E| - |V| + 1 (the graph is connected)."""
-        _check_valid(self.validate())
         return len(self.edges) - len(self.vertices) + 1
 
     def multiplicity_lcm(self) -> int:
@@ -330,7 +323,7 @@ class ReductionGraph(Value):
 
     @cached_property
     def _minimal(self):
-        """The minimal model of this valid graph, or None when it is minimal
+        """The minimal model of this graph, or None when it is minimal
         (None rather than self: a graph caching itself would be a reference
         cycle). A worklist on ``_compiled``: a min-heap of ids, seeded with
         the contractible vertices of ``_walk``. Only a contraction's
@@ -382,22 +375,10 @@ class ReductionGraph(Value):
         return lcm(*(c.N[c.index[i]] for i in self.principal_components()))
 
 
-def build(vertices, edges, name: str = "") -> ReductionGraph:
-    """Construct a graph and raise ValidationError unless it is fully valid."""
-    g = ReductionGraph(vertices, edges, name)
-    _check_valid(g.validate())
-    return g
-
-
-def _check_valid(report: ValidationReport):
-    if not report.ok:
-        raise ValidationError("; ".join(report.messages()), report)
-
-
 # -- model surgery ----------------------------------------------------------
 # A blow-up adds a -1 curve and changes each neighbour's neighbour sum by a
 # multiple of that neighbour's own N, so gcd, connectivity and the
-# adjunction sum stay: a blow-up of a valid graph needs no check.
+# adjunction sum stay: every move keeps a graph valid.
 
 def _fresh_ids(taken):
     """The ids b1, b2, ... that are not in taken, in order."""
@@ -423,7 +404,6 @@ def blow_up_free_point(g: ReductionGraph, v: str) -> ReductionGraph:
     once. Genus, first Betti number and the jump spectrum are unchanged.
     The new vertex comes last, named by the first fresh "b<n>".
     """
-    _check_valid(g.validate())
     c = g._compiled
     i = _lookup(c.index, v)
     new_id = next(_fresh_ids(c.index))
@@ -439,7 +419,6 @@ def blow_up_edge(g: ReductionGraph, k: int) -> ReductionGraph:
     both: the edge leaves its place, and the new vertex's edges come last,
     the one to the end whose id sorts first before the other.
     """
-    _check_valid(g.validate())
     c = g._compiled
     k = _edge_index(g.edges, k)
     a, b = g.edges[k]
@@ -456,7 +435,6 @@ def blow_down(g: ReductionGraph, v: str) -> ReductionGraph:
     parallel edges to one neighbour would turn into a loop, which leaves
     the strict-normal-crossings class: WouldCreateLoop.
     """
-    _check_valid(g.validate())
     c = g._compiled
     i = _lookup(c.index, v)
     genus, nbrs = c.genus[i], c.nbrs[i]
@@ -484,14 +462,11 @@ def minimize(g: ReductionGraph) -> ReductionGraph:
     one neighbour is not contractible and stays, so the true sncd model of
     I1 is minimal.
 
-    g must be valid (a cached report once g is validated): an invalid graph
-    raises ValidationError on every call, and nothing is cached for it. The
-    minimal model is computed once per graph (``ReductionGraph._minimal``)
+    The minimal model is computed once per graph (``ReductionGraph._minimal``)
     and g keeps it alive, so analyze(g), run_checks(g) and minimize(g)
     share one worklist run. g itself is returned when nothing is
     contractible, so minimize(minimize(g)) is minimize(g).
     """
-    _check_valid(g.validate())
     return g._minimal or g
 
 

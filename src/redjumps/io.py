@@ -13,11 +13,9 @@ The input format is versioned:
 shapes or types, bytes that are not UTF-8) raise ParseError, as does JSON
 past the decoder's limits (nesting deeper than the recursion limit, an
 integer literal of more digits than int() converts); a well-formed
-document describing a structurally broken graph raises ValidationError
-from the constructor. A refusal names the offending value by at most 40
-characters (``_values._quoted``), however long it is. Semantic validity
-(connectivity, gcd, integral self-intersections) is the caller's
-decision: parse_document does not run validate().
+document describing an invalid graph raises ValidationError from the
+constructor. A refusal names the offending value by at most 40
+characters (``_values._quoted``), however long it is.
 """
 
 from __future__ import annotations

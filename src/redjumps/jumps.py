@@ -70,8 +70,7 @@ from types import SimpleNamespace
 
 from ._values import Value, _quoted
 from .errors import InternalInconsistency, OverBudget
-from .graph import (ReductionGraph, _check_valid, _components, _is_node,
-                    contract_chains, minimize)
+from .graph import ReductionGraph, _components, _is_node, contract_chains, minimize
 
 # The most candidates a/d one scan may visit: a few seconds of work.
 WORK_BUDGET = 2_000_000
@@ -222,8 +221,8 @@ def _scan(g: ReductionGraph, indices=None, checks: bool = False):
     by default: the spectrum and, when checks is set, whether every nonzero
     candidate meets the lower bound and the dual route. Asserts
     non-negativity; whether the multiplicities sum to the genus is left to
-    the caller (see _asserted_total). g is valid, as every caller checked
-    it or got it from minimize, so its genus is read off the adjunction sum."""
+    the caller (see _asserted_total). The genus is read off the adjunction
+    sum."""
     c = g._compiled
     entries = []
     ok_bound = ok_dual = True
@@ -256,7 +255,6 @@ def _node_route(g: ReductionGraph) -> JumpSpectrum:
     """The spectrum by the node route (see the module docstring), from the
     walk of g: the nodes of g are scanned unless one is contractible or
     they are over the budget, and else those of minimize(g)."""
-    _check_valid(g.validate())
     c, (nodes, _, contractible) = g._compiled, g._walk
     if not any(_is_node(c.genus[i], c.nbrs[i]) for i in contractible):
         try:
@@ -269,9 +267,8 @@ def _node_route(g: ReductionGraph) -> JumpSpectrum:
 
 def compute_jumps(g: ReductionGraph) -> JumpSpectrum:
     """Full jump spectrum by the node route (see the module docstring);
-    asserts the multiplicity total equals the genus. Raises ValidationError
-    on an invalid graph and OverBudget when the nodes of the model scanned
-    have more than WORK_BUDGET candidates."""
+    asserts the multiplicity total equals the genus. Raises OverBudget when
+    the nodes of the model scanned have more than WORK_BUDGET candidates."""
     return _node_route(g)
 
 

@@ -5,8 +5,7 @@ What no ``redjumps compute`` runs, kept out of the modules it imports:
 - the single-value API at j/m, m = lcm(N_i): the index set I_j, sigma,
   the floor divisor and intersection numbers, the multiplicity of j/m by
   the main and the dual route, and the lower bound, read off the labels as
-  the formulas are written, apart from the ``jumps`` kernel they check.
-  All but the floor divisor refuse an invalid graph;
+  the formulas are written, apart from the ``jumps`` kernel they check;
 - ``is_isomorphic``, label-preserving multigraph isomorphism by colour
   refinement and backtracking (McKay-Piperno, J. Symbolic Comput. 60 (2014)).
 
@@ -21,7 +20,7 @@ from fractions import Fraction
 
 from ._values import Value, _quoted
 from .errors import InternalInconsistency, PreconditionFailed
-from .graph import ReductionGraph, _check_valid, _components
+from .graph import ReductionGraph, _components
 
 
 class IntegralDivisor(Value):
@@ -46,8 +45,7 @@ def _check_j(g: ReductionGraph, j, lo=0):
 
 
 def _members(g: ReductionGraph, j, lo=0):
-    """Check g and lo <= j < m; return q = j/m and I_j as vertices."""
-    _check_valid(g.validate())
+    """Check lo <= j < m; return q = j/m and I_j as vertices."""
     q = _check_j(g, j, lo)  # i in I_j iff q N_i is an integer
     return q, [v for v in g.vertices if v.multiplicity % q.denominator == 0]
 
@@ -82,8 +80,7 @@ def floor_divisor(g: ReductionGraph, j: int) -> IntegralDivisor:
 
 
 def intersect(g: ReductionGraph, D: IntegralDivisor, v: str) -> int:
-    """Intersection number E_v . D = D_v E_v^2 + sum over edges of D_opposite.
-    E_v^2 refuses an invalid graph."""
+    """Intersection number E_v . D = D_v E_v^2 + sum over edges of D_opposite."""
     total = D[v] * g.self_intersection(v)
     for w in g.neighbors(v):
         total += D[w]

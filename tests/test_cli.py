@@ -19,11 +19,11 @@ from hypothesis import strategies as st
 
 import redjumps
 from redjumps import (
+    ReductionGraph,
     Vertex,
     analyze,
     blow_up_edge,
     blow_up_free_point,
-    build,
     dump_graph,
     graph_document,
     is_isomorphic,
@@ -176,8 +176,8 @@ def test_compute_minimize_prints_both_model_sizes(tmp_path, capsys):
 def test_compute_checks_the_true_i1_model(tmp_path, capsys):
     # the blow-up of the node of I1: b is a -1 curve meeting u twice, which
     # cannot be contracted, so this model is minimal
-    g = build([Vertex("u", 1, 0), Vertex("b", 2, 0)], [("u", "b"), ("u", "b")],
-              name="I1")
+    g = ReductionGraph([Vertex("u", 1, 0), Vertex("b", 2, 0)], [("u", "b"), ("u", "b")],
+                       name="I1")
     path = doc_path(tmp_path, g)
     assert main(["compute", "--json", "--check", "--minimize", path]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -1,11 +1,12 @@
 """Construction, validation and model surgery on reduction graphs."""
 
 import itertools
+import json
 import random
 import time
 from enum import IntEnum
-from functools import cached_property
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,25 +14,21 @@ from hypothesis import strategies as st
 
 from redjumps import ReductionGraph, Vertex
 from redjumps import (
-    IntegralDivisor,
     analyze,
     blow_down,
     blow_up_edge,
     blow_up_free_point,
-    build,
     candidate_values,
     catalog_graph,
     catalog_tags,
     contract_chains,
+    dump_graph,
     floor_divisor,
-    intersect,
     is_isomorphic,
-    jump_multiplicity,
     kodaira_graph,
     minimize,
+    parse_document,
     random_instance,
-    seed_graphs,
-    unipotent_rank,
 )
 from redjumps.errors import (
     NotContractible,
@@ -225,13 +222,15 @@ def structures(draw):
 @given(structures())
 def test_one_pass_check_matches_the_separate_check(case):
     vertices, edges = case
-    expected = reference_structural_problems(vertices, edges)
+    # the semantics are checked once the structure is sound
+    expected = (tuple(reference_structural_problems(vertices, edges))
+                or reference_validate(labels(vertices, edges)).violations)
     try:
         g = ReductionGraph(vertices, edges)
     except ValidationError as exc:
-        assert exc.report == ValidationReport(tuple(expected))
+        assert exc.report == ValidationReport(expected)
         return
-    assert expected == []
+    assert expected == ()
     # subclass ids and labels compile to the form exact types give
     exact = ReductionGraph([Vertex(str.__str__(v.id), int(v.multiplicity), int(v.genus))
                             for v in vertices], [(str.__str__(a), str.__str__(b)) for a, b in edges])
@@ -242,44 +241,55 @@ def test_one_pass_check_matches_the_separate_check(case):
 # -- semantic validation ------------------------------------------------------
 
 def test_disconnected_graph_reported():
-    g = ReductionGraph((Vertex("a", 1, 1), Vertex("b", 1, 1)), ())
-    report = g.validate()
-    assert not report.ok
-    assert {v.code for v in report.violations} == {"connected"}
+    with pytest.raises(ValidationError) as e:
+        ReductionGraph((Vertex("a", 1, 1), Vertex("b", 1, 1)), ())
+    assert codes(e.value) == {"connected"}
 
 
 def test_gcd_violation_reported():
-    g = ReductionGraph((Vertex("a", 2, 1),), ())
-    got = {v.code for v in g.validate().violations}
-    assert "gcd" in got
+    with pytest.raises(ValidationError) as e:
+        ReductionGraph((Vertex("a", 2, 1),), ())
+    assert codes(e.value) == {"gcd"}
 
 
 def test_nonintegral_self_intersection_reported():
     # neighbour sum at b is 1, not divisible by 2
-    g = ReductionGraph((Vertex("a", 1), Vertex("b", 2)), (("a", "b"),))
-    got = {v.code for v in g.validate().violations}
-    assert "self-intersection" in got
     with pytest.raises(ValidationError) as e:
-        g.self_intersection("b")
-    assert e.value.report == g.validate()
+        ReductionGraph((Vertex("a", 1), Vertex("b", 2)), (("a", "b"),))
+    assert codes(e.value) == {"self-intersection"}
+    assert [v.where for v in e.value.report.violations] == ["b"]
 
 
 def test_genus_zero_reported():
-    g = ReductionGraph((Vertex("a", 1, 0),), ())
-    got = {v.code for v in g.validate().violations}
-    assert got == {"genus"}
-
-
-def test_build_raises_on_semantic_violation():
     with pytest.raises(ValidationError) as e:
-        build([Vertex("a", 2, 1)], [])
-    assert "gcd" in codes(e.value)
+        ReductionGraph((Vertex("a", 1, 0),), ())
+    assert codes(e.value) == {"genus"}
 
 
-def test_build_accepts_plain_iterables():
-    g = build([Vertex("a", 1, 1)], [], name="point")
+def test_constructor_accepts_plain_iterables():
+    g = ReductionGraph([Vertex("a", 1, 1)], [], name="point")
     assert g.name == "point"
-    assert g.validate().ok
+    assert g.validate().ok and g.validate() is g.validate()
+
+
+def test_a_name_that_is_not_a_string_is_refused():
+    # dump_graph would write it and parse_document refuse it; a list would
+    # make the graph unhashable
+    for name in (5, ["x"], None, 10 ** 5000):
+        with pytest.raises(ValidationError) as e:
+            ReductionGraph([Vertex("a", 1, 1)], [], name=name)
+        assert codes(e.value) == {"name"}
+        assert len(str(e.value)) <= 200
+    with pytest.raises(ValidationError) as e:
+        ReductionGraph([Vertex("a", 1, 1)], [], name=["x"])
+    assert str(e.value) == "name: graph name must be a string, got ['x']"
+    assert e.value.report.violations[0].where == "['x']"
+
+
+def test_documents_round_trip(corpus):
+    for item in corpus:
+        for g in (item.inst.graph, item.minimized):
+            assert parse_document(dump_graph(g)) == g, item.seed
 
 
 class Unprintable:
@@ -295,19 +305,22 @@ def test_huge_integers_are_refused_in_short_messages():
     # an int past the 4300 digits str() converts is named by its bit length,
     # and a tuple holding one by its type
     huge = 10 ** 5000
-    one, two = (ReductionGraph([Vertex(f"v{k}", huge) for k in range(n)], []) for n in (1, 2))
-    wide = ReductionGraph([Vertex("a", huge), Vertex("b", 1)], [("a", "b")])
+    # a valid graph whose largest multiplicity is wider than 128 bits
+    heavy = fibonacci_chain("II", 200)
+    assert max(v.multiplicity for v in heavy.vertices).bit_length() > 128
     ii, line = kodaira_graph("II"), AffineMonoid([(1, 0)])
     cases = [
         (lambda: ReductionGraph([Vertex("a", -huge)], []), ValidationError),
         (lambda: ReductionGraph([Vertex("a", 1, -huge)], []), ValidationError),
         (lambda: catalog_graph(huge), UnsupportedType),
-        (two.genus, ValidationError),
-        (lambda: wide.self_intersection("a"), ValidationError),
-        (lambda: floor_divisor(one, -1), PreconditionFailed),
+        # gcd, a non-integral E^2, and connectivity, gcd and genus
+        (lambda: ReductionGraph([Vertex("v0", huge)], []), ValidationError),
+        (lambda: ReductionGraph([Vertex("a", huge), Vertex("b", 1)], [("a", "b")]),
+         ValidationError),
+        (lambda: ReductionGraph([Vertex("v0", huge), Vertex("v1", huge)], []), ValidationError),
+        (lambda: floor_divisor(heavy, -1), PreconditionFailed),
         (lambda: floor_divisor(kodaira_graph("II"), huge), PreconditionFailed),
-        (lambda: jump_multiplicity(one, 0), ValidationError),
-        (lambda: candidate_values(one), OverBudget),
+        (lambda: candidate_values(heavy), OverBudget),
         (lambda: random_instance(0, -huge), PreconditionFailed),
         (lambda: elementary_divisors([[1]], [[1]], -huge), PreconditionFailed),
         *((lambda f=f: f(huge), UnknownVertex) for f in (
@@ -335,7 +348,9 @@ def test_huge_integers_are_refused_in_short_messages():
             call()
         shown = "-bit int>" if k < len(cases) else "<unprintable tuple>"
         assert shown in str(e.value) and len(str(e.value)) <= 200, k
-    messages = [v.message for v in two.validate().violations]
+    with pytest.raises(ValidationError) as e:
+        ReductionGraph([Vertex("v0", huge), Vertex("v1", huge)], [])
+    messages = [v.message for v in e.value.report.violations]
     assert "gcd of multiplicities is <16610-bit int>, must be 1" in messages
     assert "derived genus -<16611-bit int> < 1" in messages
     # the constructor's refusals, where the huge int may be an id, a
@@ -522,8 +537,8 @@ REFUSALS = [
     (kodaira_graph("I0"), "e", NotContractible,
      f"vertex 'e': {NEED} (got genus 1, degree 0, E^2 0)"),
     # a -1 curve meeting three others
-    (build([Vertex("c", 3), Vertex("t1", 1), Vertex("t2", 1), Vertex("t3", 1)],
-           [("c", "t1"), ("c", "t2"), ("c", "t3")]), "c", NotContractible,
+    (ReductionGraph([Vertex("c", 3), Vertex("t1", 1), Vertex("t2", 1), Vertex("t3", 1)],
+                    [("c", "t1"), ("c", "t2"), ("c", "t3")]), "c", NotContractible,
      f"vertex 'c': {NEED} (got genus 0, degree 3, E^2 -1)"),
     (catalog_graph("I1"), "b", WouldCreateLoop,
      "vertex 'b' has both edges to 'u'; contraction would create a node"),
@@ -542,24 +557,11 @@ def test_blow_down_refusals_keep_their_messages(g, v, error, message):
 def test_blow_down_refuses_to_create_loop():
     # u and b joined by two parallel edges; b is exceptional but its
     # contraction would close a loop at u, so the graph is already minimal.
-    g = build([Vertex("u", 1, 0), Vertex("b", 2, 0)], [("u", "b"), ("u", "b")])
+    g = ReductionGraph([Vertex("u", 1, 0), Vertex("b", 2, 0)], [("u", "b"), ("u", "b")])
     assert g.genus() == 1
     with pytest.raises(WouldCreateLoop):
         blow_down(g, "b")
     assert minimize(g) == g and g.is_minimal()
-
-
-def test_surgery_refuses_an_invalid_graph_before_any_move():
-    # b has E^2 = -1/2: every move, even one on an unknown vertex, raises
-    # the report of the graph it starts from
-    g = ReductionGraph((Vertex("a", 1, 1), Vertex("b", 2)), (("a", "b"),))
-    for move in (lambda: blow_up_free_point(g, "b"), lambda: blow_up_edge(g, 0),
-                 lambda: blow_down(g, "b"), lambda: blow_up_free_point(g, "zz"),
-                 lambda: blow_up_edge(g, 99), lambda: blow_up_edge(g, ("a", "b"))):
-        with pytest.raises(ValidationError) as caught:
-            move()
-        assert caught.value.report == g.validate()
-        assert not caught.value.report.ok
 
 
 def test_minimize_round_trip():
@@ -634,14 +636,6 @@ def test_minimize_keeps_no_reference_cycle():
     assert minimize(m) is m and vars(m)["_minimal"] is None
 
 
-def test_minimize_caches_nothing_for_an_invalid_graph(worklist_runs):
-    g = ReductionGraph((Vertex("a", 1), Vertex("b", 2)), (("a", "b"),))  # 2 does not divide 1
-    for _ in range(2):
-        with pytest.raises(ValidationError):
-            minimize(g)
-    assert "_minimal" not in vars(g) and worklist_runs == []
-
-
 def test_catalog_entries_are_minimal():
     for tag in catalog_tags():
         assert catalog_graph(tag).is_minimal(), tag
@@ -671,7 +665,7 @@ def shuffled_relabelling(g, rng):
     edges = [(new[a], new[b]) for a, b in g.edges]
     rng.shuffle(verts)
     rng.shuffle(edges)
-    return build(verts, edges, g.name)
+    return ReductionGraph(verts, edges, g.name)
 
 
 def assert_minimize_matches(g, label):
@@ -707,58 +701,27 @@ def test_minimize_matches_the_rescan_loop_on_fibonacci_chains(tag):
 
 
 def test_surgery_validates_once(monkeypatch):
-    graph = random_instance(7, 1024).graph
-    calls, constructed = [], []
-    validate, init = ReductionGraph.validate, ReductionGraph.__init__
+    # the constructor is the one check: every move constructs its result
+    # once, and minimize constructs nothing for a minimal graph
+    constructed, init = [], ReductionGraph.__init__
 
-    def counting(self):
-        calls.append(self)
-        return validate(self)
-
-    def counting_init(self, *args):
+    def counting_init(self, *args, **kwargs):
         constructed.append(self)
-        init(self, *args)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(ReductionGraph, "validate", counting)
-    minimize(graph)
-    assert len(calls) <= 2
-    calls.clear()
+    graph, ii = random_instance(7, 1024).graph, kodaira_graph("II")
     monkeypatch.setattr(ReductionGraph, "__init__", counting_init)
     inst = random_instance(7, 1024)
-    assert len(calls) <= 1  # the result: the first call above built the seed
     assert constructed == [inst.graph]  # once, after the last move
-
-    # computations, not calls: the report is cached per graph, and genus()
-    # on a valid graph reads the adjunction sum alone
-    computed = {"_report": 0}
-    for name in computed:
-        compute = vars(ReductionGraph)[name].func
-
-        def counted(self, compute=compute, name=name):
-            computed[name] += 1
-            return compute(self)
-
-        prop = cached_property(counted)
-        prop.__set_name__(ReductionGraph, name)
-        monkeypatch.setattr(ReductionGraph, name, prop)
-    g = ReductionGraph(graph.vertices, graph.edges)
-    report, genus = g.validate(), g.genus()
-    assert computed == {"_report": 1}
-    assert g.validate() is report and g.genus() == genus
-    assert computed == {"_report": 1}
-    # surgery checks the graph it starts from, whose report is cached, and
-    # computes none for its result: the seed, built above, and g are valid
-    random_instance(7, 1024)
-    assert computed == {"_report": 1}
-    minimize(g)
-    assert computed == {"_report": 1}
-    seed_graphs()  # built and validated once per process
-    for s in range(64):
-        computed.update(_report=0)
-        run_checks(random_instance(s, s % 16).graph)
-        # the instance alone: the kernel reads the minimal model's genus off
-        # its adjunction sum
-        assert computed["_report"] <= 1, (s, computed)
+    g = blow_up_free_point(ii, "c")
+    h = blow_up_edge(g, 0)
+    k = blow_down(h, "b1")
+    assert constructed[1:] == [g, h, k]
+    m = minimize(h)
+    assert constructed[4:] == [m]
+    constructed.clear()
+    assert minimize(m) is m and minimize(ii) is ii and minimize(graph) is not graph
+    assert len(constructed) == 1  # the minimal model of graph
 
 
 # -- the one derived form against the id-keyed accessors it replaced ---------
@@ -784,14 +747,7 @@ def reference_degree(g, vid):
     return len(reference_adjacency(g)[vid])
 
 
-def reference_refuse_invalid(g):
-    report = reference_validate(g)
-    if not report.ok:
-        raise ValidationError("; ".join(report.messages()), report)
-
-
 def reference_self_intersection(g, vid):
-    reference_refuse_invalid(g)
     n, s = {v.id: v for v in g.vertices}[vid].multiplicity, reference_nbr_sum(g, vid)
     return -(s // n)
 
@@ -813,13 +769,16 @@ def reference_components(g, members):
     return count
 
 
-def reference_is_connected(g):
-    return reference_components(g, {v.id for v in g.vertices}) == 1
+def labels(vertices, edges):
+    """The vertices and edges as the reference functions read a graph."""
+    return SimpleNamespace(vertices=tuple(vertices), edges=tuple(edges))
 
 
 def reference_validate(g):
+    """The semantic check of the labels of g, any object with vertices and
+    edges, such as :func:`labels`."""
     problems = []
-    if not reference_is_connected(g):
+    if reference_components(g, {v.id for v in g.vertices}) != 1:
         problems.append(Violation("connected", "graph is not connected"))
     d = gcd(*(v.multiplicity for v in g.vertices))
     if d != 1:
@@ -843,7 +802,6 @@ def reference_validate(g):
 
 
 def reference_genus(g):
-    reference_refuse_invalid(g)
     twice = sum(v.multiplicity * (2 * v.genus - 2 - reference_self_intersection(g, v.id))
                 for v in g.vertices)
     return 1 + twice // 2
@@ -861,23 +819,13 @@ def reference_principal_components(g):
     return {v.id for v in g.vertices if v.genus >= 1 or reference_degree(g, v.id) >= 3}
 
 
-def outcome(f, *args):
-    """f(*args), or the type and message of what it raised."""
-    try:
-        return f(*args)
-    except ValidationError as exc:
-        return type(exc), str(exc)
-
-
 def assert_matches_reference(g):
     assert g.validate() == reference_validate(g)
-    assert outcome(g.genus) == outcome(reference_genus, g)
+    assert g.genus() == reference_genus(g)
     for v in g.vertices:
-        assert (outcome(g.self_intersection, v.id)
-                == outcome(reference_self_intersection, g, v.id))
+        assert g.self_intersection(v.id) == reference_self_intersection(g, v.id)
         assert g.degree(v.id) == reference_degree(g, v.id)
         assert g.neighbors(v.id) == reference_neighbors(g, v.id)
-    assert g.is_connected() == reference_is_connected(g)
     assert g.is_minimal() == reference_is_minimal(g)
     assert g.principal_components() == reference_principal_components(g)
 
@@ -890,22 +838,37 @@ def test_compiled_form_matches_the_id_keyed_accessors(corpus):
 
 
 # those of the semantic-validation tests: disconnected, gcd 2, non-integral
-# E^2 and genus 0
+# E^2 and genus 0; then N = 2 and 3 on one edge, where neither E^2 is integral
 INVALID_GRAPHS = [
     ((Vertex("a", 1, 1), Vertex("b", 1, 1)), ()),
     ((Vertex("a", 2, 1),), ()),
     ((Vertex("a", 1), Vertex("b", 2)), (("a", "b"),)),
     ((Vertex("a", 1, 0),), ()),
+    ((Vertex("a", 2), Vertex("b", 3)), (("a", "b"),)),
 ]
+
+
+def assert_constructs_as_the_reference_says(vertices, edges):
+    """The constructor refuses (vertices, edges) with the report of
+    reference_validate, or, when that is empty, builds a graph that matches
+    the reference."""
+    expected = reference_validate(labels(vertices, edges))
+    if expected.ok:
+        assert_matches_reference(ReductionGraph(vertices, edges))
+        return
+    with pytest.raises(ValidationError) as e:
+        ReductionGraph(vertices, edges)
+    assert e.value.report == expected, (vertices, edges)
 
 
 def test_compiled_form_matches_on_invalid_graphs():
     for vertices, edges in INVALID_GRAPHS:
-        assert_matches_reference(ReductionGraph(vertices, edges))
+        assert not reference_validate(labels(vertices, edges)).ok
+        assert_constructs_as_the_reference_says(vertices, edges)
     # every labelling of up to three vertices with N <= 4, a genus-1 first
     # vertex or not, and up to three parallel edges per pair: the reference
     # reaches each of its branches here but the odd adjunction sum, which no
-    # integral labelling has (see ReductionGraph._report)
+    # integral labelling has (see ReductionGraph.__init__)
     for n in (1, 2, 3):
         ids = "abc"[:n]
         pairs = list(itertools.combinations(ids, 2))
@@ -913,24 +876,23 @@ def test_compiled_form_matches_on_invalid_graphs():
             for ga, repeats in itertools.product((0, 1), itertools.product(range(4), repeat=len(pairs))):
                 vertices = [Vertex(i, N, ga if i == "a" else 0) for i, N in zip(ids, Ns)]
                 edges = [p for p, r in zip(pairs, repeats) for _ in range(r)]
-                assert_matches_reference(ReductionGraph(vertices, edges))
+                assert_constructs_as_the_reference_says(vertices, edges)
 
 
-def test_derived_geometry_refuses_an_invalid_graph_with_its_report():
-    # genus, E^2 and b_1 exist on a valid graph only, so each refuses an
-    # invalid one with the graph's own report, as the moves do: the
-    # disconnected graph of two genus-1 vertices has no genus 1, b_1 -1
-    # or unipotent rank 0
-    for vertices, edges in INVALID_GRAPHS:
-        g = ReductionGraph(vertices, edges)
-        D = IntegralDivisor({v.id: 1 for v in g.vertices})
-        calls = [g.genus, g.first_betti, lambda: unipotent_rank(g),
-                 *(lambda vid=v.id: g.self_intersection(vid) for v in g.vertices),
-                 *(lambda vid=v.id: intersect(g, D, vid) for v in g.vertices)]
-        for k, call in enumerate(calls):
-            with pytest.raises(ValidationError) as e:
-                call()
-            assert e.value.report == g.validate() and not e.value.report.ok, (vertices, k)
+@pytest.mark.parametrize("vertices, edges", INVALID_GRAPHS)
+def test_invalid_graphs_are_refused_at_construction_and_parse(vertices, edges):
+    # no invalid graph object exists: the constructor and parse_document
+    # raise the same report, so no derived geometry or move meets one
+    with pytest.raises(ValidationError) as built:
+        ReductionGraph(vertices, edges)
+    doc = json.dumps({"format": "reduction-graph/1",
+                      "vertices": [{"id": v.id, "multiplicity": v.multiplicity,
+                                    "genus": v.genus} for v in vertices],
+                      "edges": [list(e) for e in edges]})
+    with pytest.raises(ValidationError) as parsed:
+        parse_document(doc)
+    assert parsed.value.report == built.value.report and not built.value.report.ok
+    assert str(parsed.value) == str(built.value)
 
 
 def test_terms_components_match_the_id_keyed_search(corpus):
@@ -954,8 +916,8 @@ def test_fresh_ids_reuse_a_contracted_id():
 
 def test_fresh_ids_skip_the_taken_ones():
     # type II with its centre called b3 and one tail b1
-    g = build([Vertex("b3", 6), Vertex("a", 3), Vertex("b1", 2), Vertex("t", 1)],
-              [("b3", "a"), ("b3", "b1"), ("b3", "t")])
+    g = ReductionGraph([Vertex("b3", 6), Vertex("a", 3), Vertex("b1", 2), Vertex("t", 1)],
+                       [("b3", "a"), ("b3", "b1"), ("b3", "t")])
     g1 = blow_up_free_point(g, "a")
     g2 = blow_up_free_point(g1, "b3")
     assert [g1.ids[-1], g2.ids[-1]] == ["b2", "b4"]
@@ -983,7 +945,7 @@ def test_contract_chains_examples():
     assert contract_chains(kodaira_graph("II")) == ([1, 2, 3, 6], 6)
     assert contract_chains(kodaira_graph("III*")) == ([1, 1, 2, 4], 4)
     assert contract_chains(kodaira_graph("I5")) == ([1, 1, 1, 1, 1], 1)
-    i1 = build([Vertex("u", 1, 0), Vertex("b", 2, 0)], [("u", "b"), ("u", "b")])
+    i1 = ReductionGraph([Vertex("u", 1, 0), Vertex("b", 2, 0)], [("u", "b"), ("u", "b")])
     assert contract_chains(i1) == ([1, 2], 1)
     assert contract_chains(catalog_graph("genus2")) == ([1, 1, 2], 2)
 
@@ -997,7 +959,7 @@ def test_contract_chains_requires_minimal_model():
 
 def test_isomorphism_ignores_ids_but_not_labels():
     g = kodaira_graph("IV")
-    relabeled = build(
+    relabeled = ReductionGraph(
         [Vertex("x", 3, 0), Vertex("p", 1, 0), Vertex("q", 1, 0), Vertex("r", 1, 0)],
         [("x", "p"), ("x", "q"), ("x", "r")],
     )
@@ -1035,16 +997,19 @@ def test_isomorphism_separates_what_colour_refinement_cannot():
 
 
 def test_isomorphism_reads_labels_sizes_and_edge_multiplicities():
+    # a changed genus keeps a graph valid; a changed multiplicity would not
     g = kodaira_graph("III*")
     for k, v in enumerate(g.vertices):
-        for changed in (Vertex(v.id, v.multiplicity + 1, v.genus),
-                        Vertex(v.id, v.multiplicity, v.genus + 1)):
-            verts = g.vertices[:k] + (changed,) + g.vertices[k + 1:]
-            assert not is_isomorphic(g, ReductionGraph(verts, g.edges)), changed
-    # every vertex has degree 2 in both: only the multiplicities differ
-    doubled = unlabelled([("a", "b"), ("a", "b"), ("c", "d"), ("c", "d")])
-    square = unlabelled([("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
-    assert not is_isomorphic(doubled, square) and not is_isomorphic(square, doubled)
+        verts = g.vertices[:k] + (Vertex(v.id, v.multiplicity, v.genus + 1),) + g.vertices[k + 1:]
+        h = ReductionGraph(verts, g.edges)
+        assert not is_isomorphic(g, h) and not is_isomorphic(h, g), v
+    # every vertex has degree 4 in both, so colour refinement keeps one
+    # colour: the doubled 4-cycle against K4 with a doubled perfect matching
+    square = [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")]
+    k4 = square + [("a", "c"), ("b", "d")]
+    doubled, matched = unlabelled(square * 2), unlabelled(k4 + [("a", "b"), ("c", "d")])
+    assert doubled.genus() == matched.genus() == 5
+    assert not is_isomorphic(doubled, matched) and not is_isomorphic(matched, doubled)
     # one simple graph, every vertex of degree 4 in both: the doubled rungs
     # lie on no triangle, the doubled ab and xy do
     rungs = unlabelled(PRISM + [("a", "x"), ("b", "y"), ("c", "z")])
