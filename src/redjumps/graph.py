@@ -21,11 +21,11 @@ integer form (``ReductionGraph._compiled``) while it checks the graph, and
 refuses every invalid one: both formulas hold on a valid graph only. Every
 accessor, genus() and the jump kernel read that form.
 
-Every move reads that form: a blow-up builds its result from the start's
-vertices, edges and id index, blow_down() drops one vertex, and minimize()
-runs a worklist on copies of the neighbour lists that only grow. New ids
-come from :func:`_fresh_ids`. The constructor checks every result, as it
-checks every graph. minimize() computes the minimal model once per graph
+Every move reads that form: the blow-ups run on plain index lists in
+:func:`_blown_up`, which random_instance shares, blow_down() drops one
+vertex, and minimize() runs a worklist on copies of the neighbour lists
+that only grow. The constructor checks every result, as it checks every
+graph. minimize() computes the minimal model once per graph
 (``ReductionGraph._minimal``): a graph keeps its minimal model alive for as
 long as it lives, and analyze, run_checks and minimize share it. Beside it,
 one walk per graph (``ReductionGraph._walk``) classifies the vertices:
@@ -296,7 +296,7 @@ class ReductionGraph(Value):
 
     def principal_components(self) -> set[str]:
         """Components of genus >= 1, or genus 0 meeting the rest in >= 3 points."""
-        return set(self._walk[1])
+        return {self.vertices[i].id for i in self._walk[1]}
 
     def is_minimal(self) -> bool:
         """No contractible exceptional curve (see :func:`_contractible`)."""
@@ -305,18 +305,18 @@ class ReductionGraph(Value):
     @cached_property
     def _walk(self):
         """One pass over ``_compiled`` that classifies the vertices, once
-        per graph: the node indices (:func:`_is_node`), the ids of the
+        per graph: the indices of the nodes (:func:`_is_node`), of the
         principal components (:func:`_is_principal`), all of them nodes,
-        and the contractible vertex indices (:func:`_contractible`, tried
-        only where E^2 = -1), each in vertex order."""
+        and of the contractible vertices (:func:`_contractible`, tried only
+        where E^2 = -1), each in vertex order."""
         c = self._compiled
-        N, genus, nbr_sum, vertices = c.N, c.genus, c.nbr_sum, self.vertices
+        N, genus, nbr_sum = c.N, c.genus, c.nbr_sum
         nodes, principal, contractible = [], [], []
         for i, nbrs in enumerate(c.nbrs):
             if _is_node(genus[i], nbrs):
                 nodes.append(i)
                 if _is_principal(genus[i], nbrs):
-                    principal.append(vertices[i].id)
+                    principal.append(i)
             if nbr_sum[i] == N[i] and _contractible(genus[i], N[i], nbrs, nbr_sum[i]):
                 contractible.append(i)
         return nodes, principal, contractible
@@ -371,21 +371,13 @@ class ReductionGraph(Value):
         minimal graphs only."""
         if not self.is_minimal():
             raise NotMinimal("stabilization index is read off the minimal model; minimize() first")
-        c = self._compiled
-        return lcm(*(c.N[c.index[i]] for i in self.principal_components()))
+        return lcm(*(self._compiled.N[i] for i in self._walk[1]))
 
 
 # -- model surgery ----------------------------------------------------------
 # A blow-up adds a -1 curve and changes each neighbour's neighbour sum by a
 # multiple of that neighbour's own N, so gcd, connectivity and the
 # adjunction sum stay: every move keeps a graph valid.
-
-def _fresh_ids(taken):
-    """The ids b1, b2, ... that are not in taken, in order."""
-    for n in itertools.count(1):
-        if f"b{n}" not in taken:
-            yield f"b{n}"
-
 
 def _edge_index(edges, k) -> int:
     """k, refused with UnknownEdge unless it is a position in edges (an
@@ -397,6 +389,31 @@ def _edge_index(edges, k) -> int:
     return k
 
 
+def _blown_up(g: ReductionGraph, moves) -> ReductionGraph:
+    """g after the unchecked blow-ups ``moves`` in order: ("free", i) on
+    vertex index i, ("edge", k) of the edge at position k. They run on
+    plain lists of multiplicities, ids and index pairs; a new id is the
+    next of b1, b2, ... not taken in g. The result is constructed once."""
+    index, N, ids = g._compiled.index, g._compiled.N[:], g.ids
+    pairs = [(index[a], index[b]) for a, b in g.edges]
+    fresh = (vid for n in itertools.count(1) if (vid := f"b{n}") not in index)
+    for kind, x in moves:
+        new = len(ids)
+        if kind == "free":
+            N.append(N[x])
+            pairs.append((x, new))
+        else:
+            i, j = pairs.pop(x)
+            if ids[j] < ids[i]:  # the end whose id sorts first gets the first edge
+                i, j = j, i
+            N.append(N[i] + N[j])
+            pairs += (i, new), (j, new)
+        ids.append(next(fresh))
+    start = len(g.vertices)
+    vertices = g.vertices + tuple(map(Vertex, ids[start:], N[start:]))
+    return ReductionGraph(vertices, [(ids[i], ids[j]) for i, j in pairs], g.name)
+
+
 def blow_up_free_point(g: ReductionGraph, v: str) -> ReductionGraph:
     """Blow up a point lying on the single component v.
 
@@ -404,11 +421,7 @@ def blow_up_free_point(g: ReductionGraph, v: str) -> ReductionGraph:
     once. Genus, first Betti number and the jump spectrum are unchanged.
     The new vertex comes last, named by the first fresh "b<n>".
     """
-    c = g._compiled
-    i = _lookup(c.index, v)
-    new_id = next(_fresh_ids(c.index))
-    return ReductionGraph(g.vertices + (Vertex(new_id, c.N[i]),),
-                          g.edges + ((g.vertices[i].id, new_id),), g.name)
+    return _blown_up(g, [("free", _lookup(g._compiled.index, v))])
 
 
 def blow_up_edge(g: ReductionGraph, k: int) -> ReductionGraph:
@@ -419,12 +432,7 @@ def blow_up_edge(g: ReductionGraph, k: int) -> ReductionGraph:
     both: the edge leaves its place, and the new vertex's edges come last,
     the one to the end whose id sorts first before the other.
     """
-    c = g._compiled
-    k = _edge_index(g.edges, k)
-    a, b = g.edges[k]
-    new_id = next(_fresh_ids(c.index))
-    return ReductionGraph(g.vertices + (Vertex(new_id, c.N[c.index[a]] + c.N[c.index[b]]),),
-                          g.edges[:k] + g.edges[k + 1:] + ((a, new_id), (b, new_id)), g.name)
+    return _blown_up(g, [("edge", _edge_index(g.edges, k))])
 
 
 def blow_down(g: ReductionGraph, v: str) -> ReductionGraph:

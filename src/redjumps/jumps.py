@@ -251,10 +251,13 @@ def _asserted_total(spectrum: JumpSpectrum) -> JumpSpectrum:
     return spectrum
 
 
-def _node_route(g: ReductionGraph) -> JumpSpectrum:
-    """The spectrum by the node route (see the module docstring), from the
-    walk of g: the nodes of g are scanned unless one is contractible or
-    they are over the budget, and else those of minimize(g)."""
+def compute_jumps(g: ReductionGraph) -> JumpSpectrum:
+    """Full jump spectrum by the node route (see the module docstring),
+    from the walk of g: the nodes of g are scanned unless one is
+    contractible or they are over the budget, and else those of
+    minimize(g). Asserts the multiplicity total equals the genus. Raises
+    OverBudget when the nodes of the model scanned have more than
+    WORK_BUDGET candidates."""
     c, (nodes, _, contractible) = g._compiled, g._walk
     if not any(_is_node(c.genus[i], c.nbrs[i]) for i in contractible):
         try:
@@ -263,13 +266,6 @@ def _node_route(g: ReductionGraph) -> JumpSpectrum:
             pass
     m = minimize(g)
     return _asserted_total(_scan(m, m._walk[0])[0])
-
-
-def compute_jumps(g: ReductionGraph) -> JumpSpectrum:
-    """Full jump spectrum by the node route (see the module docstring);
-    asserts the multiplicity total equals the genus. Raises OverBudget when
-    the nodes of the model scanned have more than WORK_BUDGET candidates."""
-    return _node_route(g)
 
 
 def tame_base_change_conductor(s: JumpSpectrum) -> Fraction:
@@ -323,8 +319,7 @@ def analyze(g: ReductionGraph, with_checks: bool = False) -> AnalysisReport:
         spectrum, checks = _checked(g)
         checks = tuple(checks)
     else:
-        spectrum, checks = _node_route(g), None
-    _, principal, contractible = g._walk
+        spectrum, checks = compute_jumps(g), None
     return AnalysisReport(
         name=g.name,
         genus=spectrum.genus,
@@ -332,8 +327,8 @@ def analyze(g: ReductionGraph, with_checks: bool = False) -> AnalysisReport:
         tame_base_change_conductor=tame_base_change_conductor(spectrum),
         unipotent_rank=unipotent_rank(g),
         stabilization_index=spectrum.denominator_lcm(),
-        principal_components=tuple(sorted(principal)),
-        minimal=not contractible,
+        principal_components=tuple(sorted(g.principal_components())),
+        minimal=g.is_minimal(),
         checks=checks,
     )
 
@@ -392,6 +387,5 @@ def _checked(g: ReductionGraph):
         ok_dual=ok_dual, mults=spectrum.as_dict(), genus=g.genus(),
         u=unipotent_rank(g), index=minimized.stabilization_index(),
         minimal_spectrum=_scan(minimized, minimized._walk[0])[0],
-        principal_mults=sorted(minimized.vertex(i).multiplicity
-                               for i in minimized._walk[1]))
+        principal_mults=sorted(minimized._compiled.N[i] for i in minimized._walk[1]))
     return spectrum, [(name, test(facts)) for name, test in _CHECKS]

@@ -434,10 +434,11 @@ def _twisted_diagonal(rng, n, diag):
 
 def random_sandwich_instance(rng, g, p, n):
     """(l0, l1, l2) with p^n L1 <= L0 <= L1 <= L2, by construction. Raises
-    PreconditionFailed, before any draw, unless g is a positive int and n a
-    non-negative one."""
+    PreconditionFailed, before any draw, unless g is a positive int, n a
+    non-negative one and p a prime."""
     _check_int("g", g)
     _check_int("n", n, 0)
+    _check_prime(p)
     l2 = random_unimodular(rng, g)
     # the tuple, and so its last entry, is drawn before the index into it
     diag = [(1, p, p * p, 1 + _below(rng, 6))[_below(rng, 4)] for _ in range(g)]
@@ -450,8 +451,9 @@ def random_sandwich_instance(rng, g, p, n):
 def random_complement_instance(rng, g, p):
     """(l1, l2, l3, v) with L1 <= L2 <= L3 and c(L3/L1) = v of the shape
     (0, ..., 0, a, ..., a). Raises PreconditionFailed, before any draw,
-    unless g is a positive int."""
+    unless g is a positive int and p a prime."""
     _check_int("g", g)
+    _check_prime(p)
     zeros = _below(rng, g)
     a = 1 + _below(rng, 3)
     v = tuple([0] * zeros + [a] * (g - zeros))

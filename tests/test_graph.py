@@ -42,7 +42,7 @@ from redjumps.errors import (
     ValidationError,
     WouldCreateLoop,
 )
-from redjumps.graph import ValidationReport, Violation, _components
+from redjumps.graph import ValidationReport, Violation, _blown_up, _components
 from redjumps.jumps import _members_by_denominator, run_checks
 from redjumps.lattices import det, elementary_divisors
 from redjumps.monoids import (AffineMonoid, SaturationChartCase1, SaturationChartCase2,
@@ -914,14 +914,46 @@ def test_fresh_ids_reuse_a_contracted_id():
     assert [g3.ids[-1], g4.ids[-1]] == ["b1", "b3"]
 
 
+def taken_b_ids():
+    """Type II with its centre called b3 and one tail b1."""
+    return ReductionGraph([Vertex("b3", 6), Vertex("a", 3), Vertex("b1", 2), Vertex("t", 1)],
+                          [("b3", "a"), ("b3", "b1"), ("b3", "t")])
+
+
 def test_fresh_ids_skip_the_taken_ones():
-    # type II with its centre called b3 and one tail b1
-    g = ReductionGraph([Vertex("b3", 6), Vertex("a", 3), Vertex("b1", 2), Vertex("t", 1)],
-                       [("b3", "a"), ("b3", "b1"), ("b3", "t")])
+    g = taken_b_ids()
     g1 = blow_up_free_point(g, "a")
     g2 = blow_up_free_point(g1, "b3")
     assert [g1.ids[-1], g2.ids[-1]] == ["b2", "b4"]
     assert blow_up_edge(g2, 0).ids[-1] == "b5"
+
+
+@st.composite
+def move_sequences(draw):
+    """A start graph and moves for it: a blow-up adds one vertex and one
+    edge, so move t of a graph with V vertices and E edges sees V + t and
+    E + t of them."""
+    g = draw(st.sampled_from([catalog_graph(tag) for tag in (*catalog_tags(), "I1")]
+                             + [taken_b_ids()]))
+    V, E = len(g.vertices), len(g.edges)
+    moves = []
+    for t in range(draw(st.integers(0, 12))):
+        if E + t and draw(st.booleans()):
+            moves.append(("edge", draw(st.integers(0, E + t - 1))))
+        else:
+            moves.append(("free", draw(st.integers(0, V + t - 1))))
+    return g, moves
+
+
+@settings(deadline=None, max_examples=300)
+@given(move_sequences())
+def test_a_batch_of_moves_is_the_fold_of_the_public_blow_ups(case):
+    # the batch form random_instance uses, on ids that include b<n> names
+    g, moves = case
+    h = g
+    for kind, x in moves:
+        h = blow_up_free_point(h, h.vertices[x].id) if kind == "free" else blow_up_edge(h, x)
+    assert _blown_up(g, moves) == h
 
 
 def test_blow_up_edge_keeps_the_edge_order():

@@ -665,7 +665,8 @@ def test_the_walk_matches_the_definitions(g):
         nodes, principal, to_contract = h._walk
         assert nodes == [i for i, v in enumerate(h.vertices)
                          if v.genus or h.degree(v.id) != 2]
-        assert principal == [v.id for v in h.vertices if v.genus or h.degree(v.id) > 2]
+        assert principal == [i for i, v in enumerate(h.vertices)
+                             if v.genus or h.degree(v.id) > 2]
         assert to_contract == [i for i, v in enumerate(h.vertices) if contractible(h, v.id)]
         assert h.is_minimal() == (not to_contract)
 

@@ -498,9 +498,12 @@ def test_random_unimodular_refuses_a_rank_below_one_before_any_draw():
 
 def test_instance_generators_refuse_bad_sizes_before_any_draw():
     bad_g, bad_n = (0, -1, 2.0, True, "3", None), (-1, 1.0, True, "0", None)
+    bad_p = (0, 1, 4, -3, 2.5, True)
     calls = [lambda rng, g=g: random_complement_instance(rng, g, 2) for g in bad_g]
     calls += [lambda rng, g=g: random_sandwich_instance(rng, g, 2, 1) for g in bad_g]
     calls += [lambda rng, n=n: random_sandwich_instance(rng, 2, 2, n) for n in bad_n]
+    calls += [lambda rng, p=p: random_complement_instance(rng, 2, p) for p in bad_p]
+    calls += [lambda rng, p=p: random_sandwich_instance(rng, 2, p, 1) for p in bad_p]
     for k, call in enumerate(calls):
         rng = random.Random(7)
         state = rng.getstate()
