@@ -25,9 +25,6 @@ _EXPORTS = {
     **dict.fromkeys(["AnalysisReport", "JumpSpectrum", "analyze", "candidate_values",
                      "compute_jumps", "run_checks", "tame_base_change_conductor",
                      "unipotent_rank"], "jumps"),
-    **dict.fromkeys(["IntegralDivisor", "floor_divisor", "index_set", "intersect",
-                     "is_isomorphic", "jump_multiplicity", "jump_multiplicity_via_euler",
-                     "lower_bound", "sigma"], "reference"),
 }
 
 __version__ = "0.1.0"

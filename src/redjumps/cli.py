@@ -11,14 +11,15 @@ Subcommands:
 
 FILE may be "-" for stdin; it is read as bytes and decoded by
 parse_document, so input that is not UTF-8 is unparsable (3). Exit codes:
-0 success (and --help), 1 invalid input graph, unknown name or a usage
-error, 2 failed check or internal inconsistency, 3 unreadable or
-unparsable input, 4 over the work budget: a candidate scan would visit
-more than jumps.WORK_BUDGET candidates, and the count is printed on
-stderr with no check table, 141 stdout closed by its reader, as a shell
-reports a process that SIGPIPE ends. compute answers from the nodes (see
-jumps), so only compute --check, which scans every vertex of the model
-as given, meets the budget on a model whose minimal model is small.
+0 success (and --help), 1 invalid input graph, unknown name, usage error or
+unwritable stdout ("error: cannot write output: ..."), 2 failed check or
+internal inconsistency, 3 unreadable (a closed stdin:
+"error: cannot read -: ...") or unparsable input, 4 over the work budget: a
+candidate scan would visit more than jumps.WORK_BUDGET candidates, and the
+count is printed on stderr with no check table, 141 stdout closed by its
+reader, as a shell reports a process that SIGPIPE ends. compute answers
+from the nodes, so only compute --check, which scans every vertex of the
+model as given, meets the budget on a model whose minimal model is small.
 Python's limit on the digits str() converts guards the parser; compute
 lifts it once it has its answer, which may be longer, and main restores it.
 
@@ -30,11 +31,10 @@ form, help and every usage error go to argparse. --check takes the next
 word as its NAME unless that word is an option, so a bare --check goes
 after FILE: "compute - --check" reads stdin.
 
-So that a process pays only for the modules it runs, importing this
-module loads errors, _values, graph and io from the package and nothing
-else, and no argparse, gettext or locale: jumps, catalog and verify are
-imported inside the commands that use them (numpy only by verify's
-monoid suite), and no command imports reference.
+So that a process pays only for the modules it runs, importing this module
+loads errors, _values, graph and io from the package and nothing else, and
+no argparse, gettext or locale: jumps, catalog and verify are imported
+inside the commands that use them (numpy only by verify's monoid suite).
 """
 
 from __future__ import annotations
@@ -51,11 +51,13 @@ from .io import dump_graph, parse_document, report_document
 
 
 def _read(path):
-    if path == "-":
-        return sys.stdin.buffer.read()
     try:
-        with open(path, "rb") as fh:
-            return fh.read()
+        if path != "-":
+            with open(path, "rb") as fh:
+                return fh.read()
+        if sys.stdin is None:  # fd 0 was closed when the process started
+            raise OSError("stdin is closed")
+        return sys.stdin.buffer.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
@@ -72,9 +74,7 @@ def _cmd_compute(args):
     g = parse_document(_read(args.file))  # an invalid graph exits 1 first
     if args.check not in (None, "all", *_jumps.CHECK_NAMES):
         names = ", ".join(_jumps.CHECK_NAMES)
-        print(f"error: no check named {args.check!r} (have: {names})",
-              file=sys.stderr)
-        return 1
+        raise RedjumpsError(f"no check named {args.check!r} (have: {names})")
     minimized = _graph.minimize(g) if args.minimize else None
     report = _jumps.analyze(g, with_checks=args.check is not None)
     sys.set_int_max_str_digits(0)  # the answer may be long: main restores the limit
@@ -261,31 +261,36 @@ def _parse_args(argv):
     return parser.parse_args(argv)
 
 
+# the message and exit code of a refusal: the first class that matches
+_REFUSALS = ((ParseError, "error", 3), (InternalInconsistency, "internal inconsistency", 2),
+             (OverBudget, "over the work budget", 4), (RedjumpsError, "error", 1))
+
+
 def main(argv=None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else argv)
+    if sys.stdout is None:  # fd 1 was closed when the process started
+        print("error: cannot write output: stdout is closed", file=sys.stderr)
+        return 1
     digits = sys.get_int_max_str_digits()
     try:
         code = _COMMANDS[args.command](args)
-        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        sys.stdout.flush()  # a failing stdout raises here, not at exit
         return code
-    except BrokenPipeError:  # fd 1 to devnull, so the flush at exit cannot raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except InternalInconsistency as exc:
-        print(f"internal inconsistency: {exc}", file=sys.stderr)
-        return 2
-    except OverBudget as exc:
-        print(f"over the work budget: {exc}", file=sys.stderr)
-        return 4
+    except OSError as exc:  # from stdout: _read turns its own into ParseError
+        null = os.open(os.devnull, os.O_WRONLY)  # fd 1 to it: the flush at exit cannot raise
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        if isinstance(exc, BrokenPipeError):  # closed by its reader
+            return 141
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 1
     except ValidationError as exc:
         _print_violations(exc.report)
         return 1
     except RedjumpsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        what, code = next((what, code) for cls, what, code in _REFUSALS if isinstance(exc, cls))
+        print(f"{what}: {exc}", file=sys.stderr)
+        return code
     finally:
         sys.set_int_max_str_digits(digits)
 

@@ -18,15 +18,14 @@ from redjumps import (
     compute_jumps,
     contract_chains,
     expected_jump,
-    jump_multiplicity,
-    jump_multiplicity_via_euler,
     kodaira_graph,
-    lower_bound,
     run_checks,
     unipotent_rank,
 )
 from redjumps.jumps import _scan
 from redjumps.verify import lattice_suite, monoid_suite
+
+import formula_oracle as oracle
 
 ELLIPTIC_TAGS = (["I0"] + [f"I{n}" for n in range(2, 11)]
                  + [f"I{n}*" for n in range(6)]
@@ -116,7 +115,7 @@ def test_07_jump_structure(corpus):
                 if q == 0:
                     continue
                 j = q.numerator * (m // q.denominator)
-                assert lower_bound(g, j) <= item.spectrum.multiplicity(q), item.seed
+                assert oracle.lower_bound(g, j) <= item.spectrum.multiplicity(q), item.seed
 
 
 def test_08_dual_route(corpus):
@@ -135,7 +134,8 @@ def test_08_dual_route(corpus):
                 while len(js) < 200:
                     js.add(rng.randrange(1, m))
             for j in js:
-                assert jump_multiplicity(g, j) == jump_multiplicity_via_euler(g, j), (k, j)
+                assert (oracle.jump_multiplicity(g, j)
+                        == oracle.jump_multiplicity_via_euler(g, j)), (k, j)
 
 
 def assert_all_pass(rows, totals):

@@ -26,7 +26,6 @@ from redjumps import (
     blow_up_free_point,
     dump_graph,
     graph_document,
-    is_isomorphic,
     jumps,
     kodaira_graph,
     lattices,
@@ -36,8 +35,11 @@ from redjumps import (
     run_checks,
 )
 from redjumps.cli import _common, _parse_args, main
-from redjumps.errors import ParseError, ValidationError
+from redjumps.errors import (InternalInconsistency, OverBudget, ParseError,
+                             PreconditionFailed, ValidationError)
 from redjumps.verify import graph_suite
+
+from formula_oracle import is_isomorphic
 
 GCD2_DOC = json.dumps({
     "format": "reduction-graph/1",
@@ -189,7 +191,7 @@ def test_compute_checks_the_true_i1_model(tmp_path, capsys):
 def test_cli_import_leaves_out_networkx_and_numpy(tmp_path):
     # a whole compute run, checks and JSON included, loads only these
     heavy = {"argparse", "gettext", "locale", "networkx", "numpy", "dataclasses",
-             "inspect", "redjumps.catalog", "redjumps.verify", "redjumps.reference"}
+             "inspect", "redjumps.catalog", "redjumps.verify"}
     path = doc_path(tmp_path, kodaira_graph("II*"))
 
     def run(argv, stdin=None):
@@ -548,6 +550,37 @@ def test_a_closed_stdout_exits_141_without_a_traceback(argv, tmp_path):
     assert (proc.returncode, proc.stderr) == (141, "")
 
 
+def test_a_closed_stdin_is_unreadable(monkeypatch, capsys):
+    # a process started with fd 0 closed has no sys.stdin
+    monkeypatch.setattr("sys.stdin", None)
+    for argv in (["compute", "-"], ["validate", "-", "--json"], ["minimize", "-"]):
+        assert main(argv) == 3, argv
+        assert capsys.readouterr() == ("", "error: cannot read -: stdin is closed\n"), argv
+
+
+def test_a_closed_stdout_exits_1_with_one_line(monkeypatch, capsys, tmp_path):
+    # a process started with fd 1 closed has no sys.stdout: refused before
+    # the command runs, so no later open() can take fd 1
+    path = doc_path(tmp_path, kodaira_graph("II"))
+    monkeypatch.setattr("sys.stdout", None)
+    for argv in (["catalog", "II"], ["compute", path, "--json"], ["compute", "-"]):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err == "error: cannot write output: stdout is closed\n", argv
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_full_stdout_exits_1_with_one_line(monkeypatch, capsys, tmp_path):
+    # every write to /dev/full fails with ENOSPC: at the final flush for a
+    # short output, inside the command for one longer than the buffer
+    path = doc_path(tmp_path, kodaira_graph("II"))
+    for argv in (["catalog", "II"], ["compute", path, "--json"], ["catalog", "I10000"]):
+        with open("/dev/full", "w") as full:
+            monkeypatch.setattr("sys.stdout", full)
+            assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err == "error: cannot write output: [Errno 28] No space left on device\n", argv
+
+
 def test_verify_suites(capsys):
     assert main(["verify", "--suite", "graphs", "--count", "5", "--seed", "7"]) == 0
     out = capsys.readouterr().out
@@ -620,6 +653,19 @@ def test_exit_codes(tmp_path, capsys):
         main(["--help"])
     assert e.value.code == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (ParseError, 3, "error"), (InternalInconsistency, 2, "internal inconsistency"),
+    (OverBudget, 4, "over the work budget"), (PreconditionFailed, 1, "error")])
+def test_each_refusal_has_its_exit_code_and_line(error, code, prefix, monkeypatch, capsys):
+    def refuse(g, with_checks=False):
+        raise error("the witness")
+
+    monkeypatch.setattr(jumps, "analyze", refuse)
+    monkeypatch.setattr("sys.stdin", stdin_of(dump_graph(kodaira_graph("II")).encode()))
+    assert main(["compute", "-"]) == code
+    assert capsys.readouterr() == ("", f"{prefix}: the witness\n")
 
 
 def test_main_reads_sys_argv(monkeypatch, capsys):

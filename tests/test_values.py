@@ -17,7 +17,6 @@ from redjumps import analyze, compute_jumps, errors, jumps, kodaira_graph, minim
 from redjumps._values import _below
 from redjumps.errors import ValidationError
 from redjumps.graph import ReductionGraph, ValidationReport, Vertex, Violation
-from redjumps.reference import IntegralDivisor
 from redjumps.monoids import (AffineMonoid, SaturationChartCase1,
                               SaturationChartCase2)
 
@@ -30,7 +29,6 @@ def _instances():
         (ValidationReport((Violation("gcd", "bad"),)), True),
         (g._compiled, False),          # list fields: unhashable, as before
         (g, True),
-        (IntegralDivisor({"c": 1}), False),  # a dict field
         (compute_jumps(g), True),
         (jumps._terms(g._compiled, 6, [0]), True),
         (analyze(g, with_checks=True), True),
@@ -104,13 +102,13 @@ def test_exports_resolve():
 def test_removed_names_stay_removed():
     # names that nothing but their own tests called; "conductor" as a plain
     # word stays, for the tame base-change conductor
-    from redjumps import catalog, errors, graph, lattices, monoids, reference
+    from redjumps import catalog, errors, graph, lattices, monoids
 
     removed = ("principal_dominating", "NoPrincipalFound", "filtration_summands",
                "conductor", "divisible_case1", "column_hnf", "genus2_example")
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     for name in removed:
-        for module in (redjumps, catalog, reference, lattices, monoids, errors):
+        for module in (redjumps, catalog, lattices, monoids, errors):
             assert not hasattr(module, name), (module.__name__, name)
         assert f"`{name}`" not in readme, name
     for cls, name in ((jumps.JumpSpectrum, "values"), (graph.ReductionGraph, "has_vertex")):
@@ -127,6 +125,12 @@ def test_removed_names_stay_removed():
         assert f"`{name}`" not in readme, name
     report = inspect.signature(errors.ValidationError).parameters["report"]
     assert report.default is inspect.Parameter.empty
+    # the single values at j/m and is_isomorphic went to the tests' formula_oracle
+    for name in ("IntegralDivisor", "floor_divisor", "index_set", "intersect", "is_isomorphic",
+                 "jump_multiplicity", "jump_multiplicity_via_euler", "lower_bound", "sigma"):
+        assert not hasattr(redjumps, name), name
+    with pytest.raises(ModuleNotFoundError):
+        __import__("redjumps.reference")
 
 
 def test_validation_report_ok_is_derived():
