@@ -14,10 +14,13 @@ parse_document, so input that is not UTF-8 is unparsable (3). Exit codes:
 0 success (and --help), 1 invalid input graph, unknown name, usage error or
 unwritable stdout ("error: cannot write output: ..."), 2 failed check or
 internal inconsistency, 3 unreadable (a closed stdin:
-"error: cannot read -: ...") or unparsable input, 4 over the work budget: a
-candidate scan would visit more than jumps.WORK_BUDGET candidates, and the
-count is printed on stderr with no check table, 141 stdout closed by its
-reader, as a shell reports a process that SIGPIPE ends. compute answers
+"error: cannot read -: ...") or unparsable input (a directory as stdin
+never gets here: CPython stops at start-up with "Fatal Python error:
+init_sys_streams: <stdin> is a directory" and exit 1), 4 over the work
+budget: a candidate scan would visit more than jumps.WORK_BUDGET
+candidates, and the count is printed on stderr with no check table, 141
+stdout closed by its reader, as a shell reports a process that SIGPIPE
+ends. compute answers
 from the nodes, so only compute --check, which scans every vertex of the
 model as given, meets the budget on a model whose minimal model is small.
 Python's limit on the digits str() converts guards the parser; compute

@@ -343,7 +343,7 @@ def test_chart_saturation_index_case1():
 def test_chart_saturation_index_without_a_stable_degree(monkeypatch):
     # the lcm of the branch multiplicities is always stable, so only a
     # broken branch check can run past it
-    monkeypatch.setattr(monoids, "_branch_saturated", lambda e, n, c, box: False)
+    monkeypatch.setattr(monoids, "_branch_saturated", lambda e, n, c: False)
     with pytest.raises(InternalInconsistency) as caught:
         chart_saturation_index(SaturationChartCase1(2, 4))
     assert str(caught.value) == "no stable degree found up to the lcm bound"
@@ -354,38 +354,43 @@ def test_chart_saturation_index_case2():
     assert chart_saturation_index(SaturationChartCase2(2, 2, 4)) == 2
     assert chart_saturation_index(SaturationChartCase2(1, 1, 3)) == 1
     assert chart_saturation_index(SaturationChartCase2(4, 2, 4)) == 4
+    assert chart_saturation_index(SaturationChartCase2(2, 25, 50)) == 50
+    assert chart_saturation_index(SaturationChartCase2(7, 60, 420)) == 420
 
 
-def reference_branch_saturated(e, n, c, box):
-    """The branch check cell by cell, on the 2-D (t, W) grid of the box."""
-    rng = np.arange(-box, box + 1)
-    T, W = np.meshgrid(rng, rng, indexing="ij")
+def cell_scan(e, n, c, ws, ts):
+    """The branch check cell by cell, on the 2-D (t, W) grid ts x ws."""
+    T, W = np.meshgrid(np.array(ts), np.array(ws), indexing="ij")
     sat = e * n * T + c * W >= 0
     mem = e * T + c * (W // n) >= 0
     return not bool(np.any(sat & ~mem))
 
 
-def reference_chart_saturation_index(chart, nmax=3, box=24):
-    """The index with the box grids built again for every (e, n, c)."""
+def one_period_scan(e, n, c):
+    """The cell scan on W in [0, n e) and t in [-c, 0]. It is complete: for
+    such W the least t with e n t + c W >= 0 is -floor(c W / (e n)), which
+    lies in (-c, 0], and a row with a counterexample has one at that t."""
+    return cell_scan(e, n, c, range(n * e), range(-c, 1))
+
+
+def reference_chart_saturation_index(chart, nmax=3):
+    """The index with the one-period grids built again for every (e, n, c)."""
     for e in range(1, math.lcm(*chart.branches) + 1):
-        if all(reference_branch_saturated(e, n, c, box)
+        if all(one_period_scan(e, n, c)
                for n in range(2, nmax + 1) for c in chart.branches):
             return e
 
 
-def test_branch_check_reads_the_box_row_by_row():
-    """For every (e, n, c) that the index of a chart with m <= 12 can try,
-    and for boxes that do and do not reach the counterexamples."""
-    triples = {(e, n, c)
-               for chart in charts_case1(12) + charts_case2(12)
-               for e in range(1, math.lcm(*chart.branches) + 1)
-               for n in (2, 3) for c in chart.branches}
+def test_branch_check_is_the_cell_scan():
+    """For every e, c <= 30 and n in {2, 3}, against the scan of one period
+    and of three periods, W in [-n e, 2 n e) with t in [-2c - 1, c + 1]."""
     seen = set()
-    for box in (0, 1, 5, 24):
-        for e, n, c in sorted(triples):
-            got = monoids._branch_saturated(e, n, c, box)
-            assert got == reference_branch_saturated(e, n, c, box), (e, n, c, box)
-            seen.add(got)
+    for e, n, c in itertools.product(range(1, 31), (2, 3), range(1, 31)):
+        got = monoids._branch_saturated(e, n, c)
+        assert got == one_period_scan(e, n, c), (e, n, c)
+        three = cell_scan(e, n, c, range(-n * e, 2 * n * e), range(-2 * c - 1, c + 2))
+        assert got == three, (e, n, c)
+        seen.add(got)
     assert seen == {True, False}
 
 
@@ -394,6 +399,15 @@ def test_chart_saturation_index_is_the_lcm_on_every_small_chart():
         index = chart_saturation_index(chart)
         assert index == reference_chart_saturation_index(chart), chart
         assert index == math.lcm(*chart.branches), chart
+
+
+def test_chart_saturation_index_is_the_lcm_on_larger_charts():
+    """Every case-1 chart with m <= 40, and every two-branch chart with
+    branch multiplicities up to 25 (325 of them), over the lcm."""
+    charts = charts_case1(40) + [SaturationChartCase2(a, b, math.lcm(a, b))
+                                 for a in range(1, 26) for b in range(a, 26)]
+    for chart in charts:
+        assert chart_saturation_index(chart) == math.lcm(*chart.branches), chart
 
 
 def test_monoids_import_leaves_out_numpy():
