@@ -9,7 +9,9 @@ verifier sub-libraries for the supporting lattice and monoid facts.
 
 The names in ``__all__`` are loaded on first use (PEP 562): importing the
 package, or one submodule such as ``redjumps.cli``, imports no other
-submodule, so a command pays only for the modules it runs.
+submodule, so a command pays only for the modules it runs. Each name maps
+to the one module that defines it: the blow-ups and blow_down to
+``redjumps.surgery``, minimize and contract_chains to ``redjumps.graph``.
 """
 
 # each exported name, and the submodule that defines it
@@ -18,13 +20,13 @@ _EXPORTS = {
     **dict.fromkeys(["GeneratedGraph", "catalog_graph", "catalog_tags", "expected_jump",
                      "kodaira_graph", "random_instance", "seed_graphs"], "catalog"),
     **dict.fromkeys(["ReductionGraph", "ValidationReport", "Vertex", "Violation",
-                     "blow_down", "blow_up_edge", "blow_up_free_point", "contract_chains",
-                     "minimize"], "graph"),
+                     "contract_chains", "minimize"], "graph"),
     **dict.fromkeys(["dump_graph", "graph_document", "parse_document",
                      "report_document"], "io"),
     **dict.fromkeys(["AnalysisReport", "JumpSpectrum", "analyze", "candidate_values",
                      "compute_jumps", "run_checks", "tame_base_change_conductor",
                      "unipotent_rank"], "jumps"),
+    **dict.fromkeys(["blow_down", "blow_up_edge", "blow_up_free_point"], "surgery"),
 }
 
 __version__ = "0.1.0"

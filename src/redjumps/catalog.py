@@ -5,16 +5,17 @@ curves (types I_n, I_n*, II, III, IV and their duals; for I_1, whose
 naive dual graph would need a loop, the blow-up of the node), and a couple
 of higher-genus shapes used as corpus seeds. Each carries its classical
 jump value so the table can be regenerated and checked.
-"""
 
-from __future__ import annotations
+random_instance applies its moves with ``surgery._blown_up``, imported on
+its first call: ``redjumps catalog [TAG]`` builds named graphs only and
+loads no surgery.
+"""
 
 import random
 import re
 from fractions import Fraction
 from functools import cache
 
-from . import graph as _graph
 from ._values import Value, _below, _check_int, _quoted
 from .errors import UnsupportedType
 from .graph import ReductionGraph, Vertex
@@ -183,7 +184,7 @@ def random_instance(seed: int, moves: int) -> GeneratedGraph:
     jump spectrum as its base. Each seed is built once per process, when
     first drawn. A blow-up adds one vertex and one edge, so the picks need
     only the sizes; they are the draws rng.choice and rng.randrange make
-    (see _values._below), and graph._blown_up applies them all at once.
+    (see _values._below), and surgery._blown_up applies them all at once.
     Raises PreconditionFailed, before any draw, unless seed is an int and
     moves an int >= 0, bools neither.
     """
@@ -201,6 +202,8 @@ def random_instance(seed: int, moves: int) -> GeneratedGraph:
             drawn.append(("free", _below(rng, V + t)))
         else:
             drawn.append(("edge", _below(rng, E + t)))
-    graph = _graph._blown_up(base, drawn)
+    from .surgery import _blown_up  # here: `redjumps catalog` runs no move
+
+    graph = _blown_up(base, drawn)
     log = tuple([(kind, graph.vertices[x].id if kind == "free" else x) for kind, x in drawn])
     return GeneratedGraph(graph, base, base_name, log)

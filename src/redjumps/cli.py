@@ -34,13 +34,17 @@ form, help and every usage error go to argparse. --check takes the next
 word as its NAME unless that word is an option, so a bare --check goes
 after FILE: "compute - --check" reads stdin.
 
-So that a process pays only for the modules it runs, importing this module
-loads errors, _values, graph and io from the package and nothing else, and
-no argparse, gettext or locale: jumps, catalog and verify are imported
-inside the commands that use them (numpy only by verify's monoid suite).
+So that a process pays only for the modules it runs (without a bytecode
+cache it compiles each one from source), this module holds main, _common
+and compute alone. Importing it loads errors, _values, graph and io from
+the package and nothing else, and no argparse, gettext or locale; compute
+loads jumps. The other commands and the argparse parser are in
+redjumps.commands, which main loads for a command other than compute, a
+form _common leaves to argparse, or an invalid graph's violations; it
+imports argparse itself only to parse such a form. catalog and verify are
+imported inside the commands that use them (numpy only by verify's monoid
+suite), and surgery by none of them.
 """
-
-from __future__ import annotations
 
 import json
 import os
@@ -50,25 +54,7 @@ from types import SimpleNamespace
 from . import graph as _graph
 from .errors import (InternalInconsistency, OverBudget, ParseError,
                      RedjumpsError, ValidationError)
-from .io import dump_graph, parse_document, report_document
-
-
-def _read(path):
-    try:
-        if path != "-":
-            with open(path, "rb") as fh:
-                return fh.read()
-        if sys.stdin is None:  # fd 0 was closed when the process started
-            raise OSError("stdin is closed")
-        return sys.stdin.buffer.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-
-
-def _print_violations(report):
-    for v in report.violations:
-        where = f" [{v.where}]" if v.where else ""
-        print(f"invalid: {v.code}{where}: {v.message}", file=sys.stderr)
+from .io import _read, parse_document, report_document
 
 
 def _cmd_compute(args):
@@ -113,55 +99,7 @@ def _cmd_compute(args):
     return 2 if any(not ok for _, ok in checks) else 0
 
 
-def _cmd_validate(args):
-    try:
-        report = parse_document(_read(args.file)).validate()
-    except ValidationError as exc:  # the constructor refused the graph
-        report = exc.report
-    if args.json:
-        print(json.dumps({
-            "valid": report.ok,
-            "violations": [{"code": v.code, "message": v.message, "where": v.where}
-                           for v in report.violations]}, indent=2))
-    elif report.ok:
-        print("valid")
-    else:
-        _print_violations(report)
-    return 0 if report.ok else 1
-
-
-def _cmd_minimize(args):
-    g = parse_document(_read(args.file))
-    sys.stdout.write(dump_graph(_graph.minimize(g)))
-    return 0
-
-
-def _cmd_catalog(args):
-    from . import catalog as _catalog
-
-    if args.tag is None:
-        print("\n".join(_catalog.catalog_tags()))
-    else:
-        sys.stdout.write(dump_graph(_catalog.catalog_graph(args.tag)))
-    return 0
-
-
-def _cmd_verify(args):
-    from . import verify as _verify
-
-    failed = False
-    for suite in _verify.SUITES if args.suite == "all" else [args.suite]:
-        for name, good, total, witness in _verify.SUITES[suite](args.seed, args.count):
-            marker = "" if good == total else f"  FAIL (first: {witness})"
-            print(f"{name}: {good}/{total}{marker}")
-            failed = failed or good != total
-    return 2 if failed else 0
-
-
 # -- the command line --------------------------------------------------------
-
-_COMMANDS = {"compute": _cmd_compute, "validate": _cmd_validate,
-             "minimize": _cmd_minimize, "catalog": _cmd_catalog, "verify": _cmd_verify}
 
 # the commands _common reads: their positional and their switches
 _PLAIN = {"compute": ("file", ("--json", "--minimize")),
@@ -210,73 +148,29 @@ def _is_plain(word):
     return word == "-" or not word.startswith("-")
 
 
-def _parse_args(argv):
-    """The command and its values: _common reads the plain forms, and
-    argparse, imported only here, everything else. A usage error or
-    -h/--help exits."""
-    argv = list(argv)
-    args = _common(argv)
-    if args is not None:
-        return args
-    import argparse
-
-    class Parser(argparse.ArgumentParser):
-        def error(self, message):  # a usage error is invalid input (1), not a failed check (2)
-            self.print_usage(sys.stderr)
-            self.exit(1, f"{self.prog}: error: {message}\n")
-
-    def count(text):
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < 0:
-            raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-        return value
-
-    parser = Parser(prog="redjumps",
-                    description="Jump spectra of Jacobians from sncd reduction graphs.")
-    sub = parser.add_subparsers(title="commands", dest="command", required=True)
-
-    def command(name, summary):
-        return sub.add_parser(name, help=summary, description=summary)
-
-    file_help = 'input document ("-" for stdin)'
-    json_help = "machine-readable output"
-    p = command("compute", "jump spectrum and invariants")
-    p.add_argument("file", help=file_help)
-    p.add_argument("--json", action="store_true", help=json_help)
-    p.add_argument("--check", nargs="?", const="all", metavar="NAME",
-                   help="run consistency checks (default: all)")
-    p.add_argument("--minimize", action="store_true", help="also report the minimal model size")
-    p = command("validate", "validate an input document")
-    p.add_argument("file", help=file_help)
-    p.add_argument("--json", action="store_true", help=json_help)
-    p = command("minimize", "write the minimal model")
-    p.add_argument("file", help=file_help)
-    p = command("catalog", "named fiber types")
-    p.add_argument("tag", nargs="?", help="emit this graph as a document")
-    p = command("verify", "randomized verification suites")
-    p.add_argument("--suite", choices=("graphs", "lattices", "monoids", "all"), default="all",
-                   help="the suites to run (default: all)")
-    p.add_argument("--seed", type=int, default=0, help="random seed (default: 0)")
-    p.add_argument("--count", type=count, default=100, help="instances per check (default: 100)")
-    return parser.parse_args(argv)
-
-
 # the message and exit code of a refusal: the first class that matches
 _REFUSALS = ((ParseError, "error", 3), (InternalInconsistency, "internal inconsistency", 2),
              (OverBudget, "over the work budget", 4), (RedjumpsError, "error", 1))
 
 
 def main(argv=None) -> int:
-    args = _parse_args(sys.argv[1:] if argv is None else argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _common(argv)
+    if args is None:  # help, a usage error or any other form: argparse
+        from .commands import _parse_args
+
+        args = _parse_args(argv)
     if sys.stdout is None:  # fd 1 was closed when the process started
         print("error: cannot write output: stdout is closed", file=sys.stderr)
         return 1
     digits = sys.get_int_max_str_digits()
     try:
-        code = _COMMANDS[args.command](args)
+        if args.command == "compute":
+            code = _cmd_compute(args)
+        else:
+            from .commands import _COMMANDS
+
+            code = _COMMANDS[args.command](args)
         sys.stdout.flush()  # a failing stdout raises here, not at exit
         return code
     except OSError as exc:  # from stdout: _read turns its own into ParseError
@@ -288,6 +182,8 @@ def main(argv=None) -> int:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1
     except ValidationError as exc:
+        from .commands import _print_violations
+
         _print_violations(exc.report)
         return 1
     except RedjumpsError as exc:

@@ -21,36 +21,25 @@ integer form (``ReductionGraph._compiled``) while it checks the graph, and
 refuses every invalid one: both formulas hold on a valid graph only. Every
 accessor, genus() and the jump kernel read that form.
 
-Every move reads that form: the blow-ups run on plain index lists in
-:func:`_blown_up`, which random_instance shares, blow_down() drops one
-vertex, and minimize() runs a worklist on copies of the neighbour lists
-that only grow. The constructor checks every result, as it checks every
-graph. minimize() computes the minimal model once per graph
-(``ReductionGraph._minimal``): a graph keeps its minimal model alive for as
-long as it lives, and analyze, run_checks and minimize share it. Beside it,
-one walk per graph (``ReductionGraph._walk``) classifies the vertices:
-nodes, principal components and contractible curves. is_minimal(),
-principal_components(), contract_chains(), the worklist's seed and the
-jump kernel's node route all read it.
+minimize() runs a worklist on that form, on copies of the neighbour lists
+that only grow, and the constructor checks its result, as it checks every
+graph. The blow-ups and blow_down() live in redjumps.surgery, which a
+plain compute never loads. minimize() computes the minimal model once per
+graph (``ReductionGraph._minimal``): a graph keeps its minimal model alive
+for as long as it lives, and analyze, run_checks and minimize share it.
+Beside it, one walk per graph (``ReductionGraph._walk``) classifies the
+vertices: nodes, principal components and contractible curves.
+is_minimal(), principal_components(), contract_chains(), the worklist's
+seed and the jump kernel's node route all read it.
 """
 
-from __future__ import annotations
-
-import heapq
 import itertools
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 
 from ._values import Value, _quoted, _shown
-from .errors import (
-    NotContractible,
-    NotMinimal,
-    UnknownEdge,
-    UnknownVertex,
-    ValidationError,
-    WouldCreateLoop,
-)
+from .errors import NotMinimal, UnknownVertex, ValidationError
 
 
 class Vertex(Value):
@@ -341,6 +330,8 @@ class ReductionGraph(Value):
         heap = [vertices[i].id for i in self._walk[2]]
         if not heap:
             return None
+        import heapq  # here: most graphs a process reads are minimal
+
         heapq.heapify(heap)
         heappop, heappush = heapq.heappop, heapq.heappush
         nbrs, nbr_sum = [ns[:] for ns in c.nbrs], c.nbr_sum[:]
@@ -372,94 +363,6 @@ class ReductionGraph(Value):
         if not self.is_minimal():
             raise NotMinimal("stabilization index is read off the minimal model; minimize() first")
         return lcm(*(self._compiled.N[i] for i in self._walk[1]))
-
-
-# -- model surgery ----------------------------------------------------------
-# A blow-up adds a -1 curve and changes each neighbour's neighbour sum by a
-# multiple of that neighbour's own N, so gcd, connectivity and the
-# adjunction sum stay: every move keeps a graph valid.
-
-def _edge_index(edges, k) -> int:
-    """k, refused with UnknownEdge unless it is a position in edges (an
-    int, not a bool)."""
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise UnknownEdge(f"{_shown(k)} is not an edge index")
-    if not 0 <= k < len(edges):
-        raise UnknownEdge(f"edge index {_shown(k, str)} out of range (graph has {len(edges)} edges)")
-    return k
-
-
-def _blown_up(g: ReductionGraph, moves) -> ReductionGraph:
-    """g after the unchecked blow-ups ``moves`` in order: ("free", i) on
-    vertex index i, ("edge", k) of the edge at position k. They run on
-    plain lists of multiplicities, ids and index pairs; a new id is the
-    next of b1, b2, ... not taken in g. The result is constructed once."""
-    index, N, ids = g._compiled.index, g._compiled.N[:], g.ids
-    pairs = [(index[a], index[b]) for a, b in g.edges]
-    fresh = (vid for n in itertools.count(1) if (vid := f"b{n}") not in index)
-    for kind, x in moves:
-        new = len(ids)
-        if kind == "free":
-            N.append(N[x])
-            pairs.append((x, new))
-        else:
-            i, j = pairs.pop(x)
-            if ids[j] < ids[i]:  # the end whose id sorts first gets the first edge
-                i, j = j, i
-            N.append(N[i] + N[j])
-            pairs += (i, new), (j, new)
-        ids.append(next(fresh))
-    start = len(g.vertices)
-    vertices = g.vertices + tuple(map(Vertex, ids[start:], N[start:]))
-    return ReductionGraph(vertices, [(ids[i], ids[j]) for i, j in pairs], g.name)
-
-
-def blow_up_free_point(g: ReductionGraph, v: str) -> ReductionGraph:
-    """Blow up a point lying on the single component v.
-
-    The exceptional curve inherits multiplicity N_v, genus 0, and meets v
-    once. Genus, first Betti number and the jump spectrum are unchanged.
-    The new vertex comes last, named by the first fresh "b<n>".
-    """
-    return _blown_up(g, [("free", _lookup(g._compiled.index, v))])
-
-
-def blow_up_edge(g: ReductionGraph, k: int) -> ReductionGraph:
-    """Blow up the intersection point of edge k, a position in g.edges.
-
-    The edge between i and j is replaced by a new genus-0 vertex of
-    multiplicity N_i + N_j, named by the first fresh "b<n>", joined to
-    both: the edge leaves its place, and the new vertex's edges come last,
-    the one to the end whose id sorts first before the other.
-    """
-    return _blown_up(g, [("edge", _edge_index(g.edges, k))])
-
-
-def blow_down(g: ReductionGraph, v: str) -> ReductionGraph:
-    """Contract an exceptional curve (genus 0, E^2 = -1, degree <= 2).
-
-    Degree 1 removes the vertex and its edge; degree 2 with distinct
-    neighbours i, j replaces the two edges by a single edge i-j. Two
-    parallel edges to one neighbour would turn into a loop, which leaves
-    the strict-normal-crossings class: WouldCreateLoop.
-    """
-    c = g._compiled
-    i = _lookup(c.index, v)
-    genus, nbrs = c.genus[i], c.nbrs[i]
-    if not _contractible(genus, c.N[i], nbrs, c.nbr_sum[i]):
-        e2 = -(c.nbr_sum[i] // c.N[i])
-        if genus or e2 != -1 or len(nbrs) > 2:  # else two edges to one vertex
-            raise NotContractible(
-                f"vertex {v!r}: need genus 0, degree 1 or 2, self-intersection -1 "
-                f"(got genus {genus}, degree {len(nbrs)}, E^2 {e2})")
-        raise WouldCreateLoop(
-            f"vertex {v!r} has both edges to {g.vertices[nbrs[0]].id!r}; "
-            "contraction would create a node")
-    vid = g.vertices[i].id
-    edges = [e for e in g.edges if vid not in e]
-    if len(nbrs) == 2:
-        edges.append((g.vertices[nbrs[0]].id, g.vertices[nbrs[1]].id))
-    return ReductionGraph(g.vertices[:i] + g.vertices[i + 1:], edges, g.name)
 
 
 def minimize(g: ReductionGraph) -> ReductionGraph:

@@ -16,17 +16,34 @@ integer literal of more digits than int() converts); a well-formed
 document describing an invalid graph raises ValidationError from the
 constructor. A refusal names the offending value by at most 40
 characters (``_values._quoted``), however long it is.
+
+``_read`` reads a command's input, a path or "-" for stdin, as bytes: the
+compute command of redjumps.cli and the others in redjumps.commands share
+it, and neither module imports the other.
 """
 
-from __future__ import annotations
-
 import json
+import sys
 
 from ._values import _quoted
 from .errors import ParseError
 from .graph import ReductionGraph, Vertex
 
 FORMAT = "reduction-graph/1"
+
+
+def _read(path) -> bytes:
+    """The bytes of the file at path, or of stdin for "-"; ParseError if
+    they cannot be read. The commands read their input through it."""
+    try:
+        if path != "-":
+            with open(path, "rb") as fh:
+                return fh.read()
+        if sys.stdin is None:  # fd 0 was closed when the process started
+            raise OSError("stdin is closed")
+        return sys.stdin.buffer.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
 def parse_document(text) -> ReductionGraph:
@@ -97,7 +114,7 @@ def dump_graph(g: ReductionGraph) -> str:
     return json.dumps(graph_document(g), indent=2) + "\n"
 
 
-def report_document(r: AnalysisReport) -> dict:
+def report_document(r: "AnalysisReport") -> dict:
     doc = {
         "name": r.name,
         "genus": r.genus,

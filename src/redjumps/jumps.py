@@ -62,8 +62,6 @@ scans, and more than WORK_BUDGET of them raise OverBudget instead of
 being scanned.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from math import gcd, lcm
 from types import SimpleNamespace

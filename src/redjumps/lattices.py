@@ -43,8 +43,6 @@ The generators multiply their own well-formed matrices unchecked, with
 _matmul.
 """
 
-from __future__ import annotations
-
 from operator import mul
 
 from ._values import _below, _check_int, _quoted, _shown

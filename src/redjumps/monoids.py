@@ -99,8 +99,6 @@ q + e adds c to both sides, so the check reads exactly one period, q in
 [0, e) and r in [0, n), with no bound on t or W.
 """
 
-from __future__ import annotations
-
 import operator
 from math import lcm
 from numbers import Integral

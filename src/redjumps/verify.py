@@ -13,8 +13,6 @@ m <= 12, and count random points and count pushout monoids. numpy is
 imported by the monoid suite only.
 """
 
-from __future__ import annotations
-
 import math
 import random
 from collections import namedtuple

@@ -34,7 +34,8 @@ from redjumps import (
     report_document,
     run_checks,
 )
-from redjumps.cli import _common, _parse_args, main
+from redjumps.cli import _common, main
+from redjumps.commands import _parse_args
 from redjumps.errors import (InternalInconsistency, OverBudget, ParseError,
                              PreconditionFailed, ValidationError)
 from redjumps.verify import graph_suite
@@ -189,10 +190,13 @@ def test_compute_checks_the_true_i1_model(tmp_path, capsys):
 
 
 def test_cli_import_leaves_out_networkx_and_numpy(tmp_path):
-    # a whole compute run, checks and JSON included, loads only these
-    heavy = {"argparse", "gettext", "locale", "networkx", "numpy", "dataclasses",
-             "inspect", "redjumps.catalog", "redjumps.verify"}
+    # each command loads only the modules it runs: a whole compute run,
+    # checks and JSON included, loads no argparse, heapq or __future__,
+    # and neither commands nor surgery
+    heavy = {"__future__", "argparse", "gettext", "heapq", "locale", "networkx", "numpy",
+             "dataclasses", "inspect"}
     path = doc_path(tmp_path, kodaira_graph("II*"))
+    blown = doc_path(tmp_path, blow_up_edge(kodaira_graph("II*"), 0), "blown.json")
 
     def run(argv, stdin=None):
         code = ("import sys, contextlib, io, redjumps.cli\n"
@@ -207,26 +211,48 @@ def test_cli_import_leaves_out_networkx_and_numpy(tmp_path):
                               text=True, check=True, env=env)
         return proc.stdout.splitlines()
 
-    code, left_in, package, _ = run(["compute", path, "--json", "--check"])
-    assert code == "0"
-    assert left_in == "[]"
-    assert package == str(sorted(f"redjumps.{m}" for m in
-                                 ("_values", "cli", "errors", "graph", "io", "jumps")))
-    # the other plain forms load no argparse either, and only the commands
-    # that need them load jumps or catalog, and with them fractions
-    for argv, stdin, more in (
-            (["validate", path, "--json"], None, ()),
-            (["minimize", path], None, ()),
-            (["catalog"], None, ("catalog",)),
-            (["catalog", "II"], None, ("catalog",)),
+    # per form: the package modules beyond cli's own, and the heavy ones;
+    # only a contraction (a model that is not minimal) loads heapq, only
+    # jumps and catalog load fractions, and only a form _common does not
+    # read loads argparse
+    for argv, stdin, more, loaded in (
+            (["compute", path, "--json", "--check"], None, ("jumps",), ()),
+            (["compute", blown, "--json", "--check"], None, ("jumps",), ("heapq",)),
+            (["validate", path, "--json"], None, ("commands",), ()),
+            (["minimize", path], None, ("commands",), ()),
+            (["minimize", blown], None, ("commands",), ("heapq",)),
+            (["catalog"], None, ("catalog", "commands"), ()),
+            (["catalog", "II"], None, ("catalog", "commands"), ()),
             (["compute", "-", "--check", "dual-route", "--minimize"],
-             Path(path).read_text(), ("jumps",))):
+             Path(path).read_text(), ("jumps",), ()),
+            (["compute", path, "--js"], None, ("commands", "jumps"), ("argparse", "gettext"))):
         code, left_in, package, fractions = run(argv, stdin)
         assert code == "0", argv
-        assert left_in == str([f"redjumps.{m}" for m in more if m == "catalog"]), argv
+        # argparse loads gettext, and on some versions locale with it
+        allowed = [loaded, (*loaded, "locale")] if "argparse" in loaded else [loaded]
+        assert left_in in [str(sorted(names)) for names in allowed], argv
         assert package == str(sorted(f"redjumps.{m}" for m in
                                      ("_values", "cli", "errors", "graph", "io", *more))), argv
-        assert fractions == str(bool(more)), argv
+        assert fractions == str("jumps" in more or "catalog" in more), argv
+
+
+def test_module_entry_point_loads_no_second_cli(tmp_path):
+    # under python -m redjumps.cli, cli runs as __main__; the commands it
+    # loads do not import redjumps.cli, which would compile it again
+    path = doc_path(tmp_path, kodaira_graph("II"))
+    code = ("import runpy, sys\n"
+            f"sys.argv = ['redjumps', 'validate', {path!r}]\n"
+            "try:\n"
+            "    runpy.run_module('redjumps.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('redjumps.')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(redjumps.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=env)
+    assert proc.stdout.splitlines() == [
+        "valid", "0", str([f"redjumps.{m}" for m in
+                           ("_values", "commands", "errors", "graph", "io")])]
 
 
 def test_declared_dependencies_are_the_imported_ones():
@@ -705,7 +731,7 @@ def test_readme_library_example():
 
 def reference_parser():
     """The parser of the command line built by argparse alone, without the
-    handlers: the reference for _parse_args and its argparse-free path."""
+    handlers: the reference for _parse_args and the argparse-free _common."""
 
     def non_negative_int(text):
         value = int(text)
@@ -783,6 +809,11 @@ ARGVS = [
 ]
 
 
+def parse_command_line(argv):
+    """What main parses: _common's plain forms, argparse everything else."""
+    return _common(argv) or _parse_args(argv)
+
+
 def parse_with(parse, argv):
     """The parsed values, or ("exit", code, stdout has usage, stderr has
     usage and an error)."""
@@ -804,7 +835,7 @@ def parse_with(parse, argv):
 @pytest.mark.parametrize("argv", ARGVS)
 def test_parser_matches_argparse(argv):
     words = shlex.split(argv)
-    assert parse_with(_parse_args, words) == \
+    assert parse_with(parse_command_line, words) == \
         parse_with(reference_parser().parse_args, words)
 
 
@@ -841,7 +872,8 @@ def test_fuzzed_argv_parse_as_argparse_does():
     @given(argvs())
     def check(argv):
         taken.append(_common(argv) is not None)
-        assert parse_with(_parse_args, argv) == parse_with(reference_parser().parse_args, argv)
+        assert parse_with(parse_command_line, argv) == \
+            parse_with(reference_parser().parse_args, argv)
 
     check()
     # the argparse-free path reads a fair share of the draws

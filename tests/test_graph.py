@@ -40,11 +40,12 @@ from redjumps.errors import (
     ValidationError,
     WouldCreateLoop,
 )
-from redjumps.graph import ValidationReport, Violation, _blown_up, _components
+from redjumps.graph import ValidationReport, Violation, _components
 from redjumps.jumps import _members_by_denominator, run_checks
 from redjumps.lattices import det, elementary_divisors
 from redjumps.monoids import (AffineMonoid, SaturationChartCase1, SaturationChartCase2,
                               chart_saturation_index, verify_lemm_coker)
+from redjumps.surgery import _blown_up
 
 from blowup_chains import fibonacci_chain
 from formula_oracle import is_isomorphic

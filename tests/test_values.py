@@ -102,7 +102,7 @@ def test_exports_resolve():
 def test_removed_names_stay_removed():
     # names that nothing but their own tests called; "conductor" as a plain
     # word stays, for the tame base-change conductor
-    from redjumps import catalog, errors, graph, lattices, monoids
+    from redjumps import catalog, errors, graph, lattices, monoids, surgery
 
     removed = ("principal_dominating", "NoPrincipalFound", "filtration_summands",
                "conductor", "divisible_case1", "column_hnf", "genus2_example")
@@ -115,8 +115,12 @@ def test_removed_names_stay_removed():
         assert not hasattr(cls, name), name
         assert f"`{name}" not in readme, name
     # a blow-up names its new vertex by the first fresh b<n>
-    for blow_up in (graph.blow_up_free_point, graph.blow_up_edge):
+    for blow_up in (surgery.blow_up_free_point, surgery.blow_up_edge):
         assert "new_id" not in inspect.signature(blow_up).parameters, blow_up.__name__
+    # the moves live in surgery alone: graph keeps no alias of them
+    for name in ("_blown_up", "_edge_index", "blow_up_free_point", "blow_up_edge", "blow_down"):
+        assert hasattr(surgery, name) and not hasattr(graph, name), name
+        assert name.startswith("_") or getattr(redjumps, name) is getattr(surgery, name), name
     # an invalid graph is refused by one ValidationError, which always
     # carries the graph's report
     for module, name in ((errors, "NonIntegralSelfIntersection"), (errors, "InconsistentGeometry"),
