@@ -170,10 +170,11 @@ class GeneratedGraph(Value):
 
     def __init__(self, graph: ReductionGraph, base: ReductionGraph, base_name: str,
                  moves: tuple):
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "base_name", base_name)
-        object.__setattr__(self, "moves", moves)
+        set_graph, set_base, set_base_name, set_moves = self._setters
+        set_graph(self, graph)
+        set_base(self, base)
+        set_base_name(self, base_name)
+        set_moves(self, moves)
 
 
 def random_instance(seed: int, moves: int) -> GeneratedGraph:

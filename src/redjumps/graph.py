@@ -48,25 +48,27 @@ class Vertex(Value):
     __slots__ = _fields = ("id", "multiplicity", "genus")
 
     def __init__(self, id: str, multiplicity: int, genus: int = 0):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "multiplicity", multiplicity)
-        object.__setattr__(self, "genus", genus)
+        set_id, set_multiplicity, set_genus = self._setters
+        set_id(self, id)
+        set_multiplicity(self, multiplicity)
+        set_genus(self, genus)
 
 
 class Violation(Value):
     __slots__ = _fields = ("code", "message", "where")
 
     def __init__(self, code: str, message: str, where: str = ""):
-        object.__setattr__(self, "code", code)
-        object.__setattr__(self, "message", message)
-        object.__setattr__(self, "where", where)
+        set_code, set_message, set_where = self._setters
+        set_code(self, code)
+        set_message(self, message)
+        set_where(self, where)
 
 
 class ValidationReport(Value):
     __slots__ = _fields = ("violations",)
 
     def __init__(self, violations: tuple[Violation, ...] = ()):
-        object.__setattr__(self, "violations", violations)
+        self._setters[0](self, violations)
 
     @property
     def ok(self) -> bool:
@@ -139,12 +141,13 @@ class _Compiled(Value):
 
     def __init__(self, index: dict[str, int], N: list[int], genus: list[int],
                  nbrs: list[list[int]], nbr_sum: list[int], adjunction: int):
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "nbrs", nbrs)
-        object.__setattr__(self, "nbr_sum", nbr_sum)
-        object.__setattr__(self, "adjunction", adjunction)
+        set_index, set_N, set_genus, set_nbrs, set_nbr_sum, set_adjunction = self._setters
+        set_index(self, index)
+        set_N(self, N)
+        set_genus(self, genus)
+        set_nbrs(self, nbrs)
+        set_nbr_sum(self, nbr_sum)
+        set_adjunction(self, adjunction)
 
 
 class ReductionGraph(Value):
@@ -235,9 +238,10 @@ class ReductionGraph(Value):
         if problems:
             report = ValidationReport(tuple(problems))
             raise ValidationError("; ".join(report.messages()), report)
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "name", name)
+        set_vertices, set_edges, set_name = self._setters
+        set_vertices(self, vertices)
+        set_edges(self, edges)
+        set_name(self, name)
         object.__setattr__(self, "_compiled", _Compiled(index, N, genus, nbrs, nbr_sum, adjunction))
 
     # -- basic accessors ---------------------------------------------------

@@ -10,7 +10,9 @@ The input format is versioned:
     }
 
 "genus" defaults to 0 and "name" to "". Schema problems (bad JSON, wrong
-shapes or types, bytes that are not UTF-8) raise ParseError, as does JSON
+shapes or types, bytes that are not UTF-8, a name or vertex id holding a
+lone surrogate such as "\\ud800", which is valid JSON but has no UTF-8 form
+for the output to print) raise ParseError, as does JSON
 past the decoder's limits (nesting deeper than the recursion limit, an
 integer literal of more digits than int() converts); a well-formed
 document describing an invalid graph raises ValidationError from the
@@ -46,6 +48,15 @@ def _read(path) -> bytes:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
+def _encodable(s: str) -> bool:
+    """Whether s has a UTF-8 form: a lone surrogate has none."""
+    try:
+        s.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def parse_document(text) -> ReductionGraph:
     """Parse a reduction-graph/1 JSON document into a ReductionGraph."""
     if isinstance(text, bytes):
@@ -69,6 +80,8 @@ def parse_document(text) -> ReductionGraph:
     name = doc.get("name", "")
     if not isinstance(name, str):
         raise ParseError(f'"name" must be a string, got {_quoted(name)}')
+    if not _encodable(name):
+        raise ParseError(f'"name" must be encodable as UTF-8, got {_quoted(name)}')
     raw_vertices = doc.get("vertices")
     if not isinstance(raw_vertices, list):
         raise ParseError('"vertices" must be a list')
@@ -84,6 +97,8 @@ def parse_document(text) -> ReductionGraph:
         vid, mult, gen = item["id"], item["multiplicity"], item.get("genus", 0)
         if not isinstance(vid, str):
             raise ParseError(f'vertex #{k}: "id" must be a string, got {_quoted(vid)}')
+        if not _encodable(vid):
+            raise ParseError(f'vertex #{k}: "id" must be encodable as UTF-8, got {_quoted(vid)}')
         for key, val in (("multiplicity", mult), ("genus", gen)):
             if not isinstance(val, int) or isinstance(val, bool):
                 raise ParseError(f'vertex #{k}: "{key}" must be an integer, got {_quoted(val)}')

@@ -80,8 +80,9 @@ class JumpSpectrum(Value):
     __slots__ = _fields = ("entries", "genus")
 
     def __init__(self, entries: tuple[tuple[Fraction, int], ...], genus: int):
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "genus", genus)
+        set_entries, set_genus = self._setters
+        set_entries(self, entries)
+        set_genus(self, genus)
 
     def multiplicity(self, value) -> int:
         return self.as_dict().get(Fraction(value), 0)
@@ -109,11 +110,12 @@ class _Terms(Value):
 
     def __init__(self, d: int, members: tuple[int, ...], half_inner: int,
                  boundary: tuple[int, ...], genus: int):
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "half_inner", half_inner)
-        object.__setattr__(self, "boundary", boundary)
-        object.__setattr__(self, "genus", genus)
+        set_d, set_members, set_half_inner, set_boundary, set_genus = self._setters
+        set_d(self, d)
+        set_members(self, members)
+        set_half_inner(self, half_inner)
+        set_boundary(self, boundary)
+        set_genus(self, genus)
 
     def lower_bound(self, c) -> int:
         return (self.half_inner // 2 - len(self.members) + _components(c.nbrs, self.members)
@@ -291,15 +293,17 @@ class AnalysisReport(Value):
                  tame_base_change_conductor: Fraction, unipotent_rank: int,
                  stabilization_index: int, principal_components: tuple[str, ...],
                  minimal: bool, checks: tuple | None = None):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "jumps", jumps)
-        object.__setattr__(self, "tame_base_change_conductor", tame_base_change_conductor)
-        object.__setattr__(self, "unipotent_rank", unipotent_rank)
-        object.__setattr__(self, "stabilization_index", stabilization_index)
-        object.__setattr__(self, "principal_components", principal_components)
-        object.__setattr__(self, "minimal", minimal)
-        object.__setattr__(self, "checks", checks)
+        (set_name, set_genus, set_jumps, set_tame_base_change_conductor, set_unipotent_rank,
+         set_stabilization_index, set_principal_components, set_minimal, set_checks) = self._setters
+        set_name(self, name)
+        set_genus(self, genus)
+        set_jumps(self, jumps)
+        set_tame_base_change_conductor(self, tame_base_change_conductor)
+        set_unipotent_rank(self, unipotent_rank)
+        set_stabilization_index(self, stabilization_index)
+        set_principal_components(self, principal_components)
+        set_minimal(self, minimal)
+        set_checks(self, checks)
 
 
 def analyze(g: ReductionGraph, with_checks: bool = False) -> AnalysisReport:

@@ -123,8 +123,9 @@ class SaturationChartCase1(Value):
         _check_int("m", m)
         if m % a != 0:
             raise PreconditionFailed(f"a must divide m, got a={_shown(a, str)}, m={_shown(m, str)}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "m", m)
+        set_a, set_m = self._setters
+        set_a(self, a)
+        set_m(self, m)
 
     @property
     def branches(self):
@@ -144,9 +145,10 @@ class SaturationChartCase2(Value):
         if m % a != 0 or m % b != 0:
             raise PreconditionFailed(f"a and b must divide m, got a={_shown(a, str)}, "
                                      f"b={_shown(b, str)}, m={_shown(m, str)}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "m", m)
+        set_a, set_b, set_m = self._setters
+        set_a(self, a)
+        set_b(self, b)
+        set_m(self, m)
 
     @property
     def branches(self):
@@ -368,7 +370,7 @@ class AffineMonoid(Value):
                 if not isinstance(x, int) or isinstance(x, bool) or x < 0:
                     raise PreconditionFailed(
                         f"generator entries must be non-negative integers, got {_shown(x)}")
-        object.__setattr__(self, "generators", gens)
+        self._setters[0](self, gens)
         object.__setattr__(self, "_grid", None)
         object.__setattr__(self, "_grid_bound", -1)
         object.__setattr__(self, "_strides", None)

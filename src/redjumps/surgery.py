@@ -13,8 +13,6 @@ them; this module is loaded only by a caller of its moves (a plain
 compute runs none).
 """
 
-import itertools
-
 from ._values import _shown
 from .errors import NotContractible, UnknownEdge, WouldCreateLoop
 from .graph import ReductionGraph, Vertex, _contractible, _lookup
@@ -37,7 +35,7 @@ def _blown_up(g: ReductionGraph, moves) -> ReductionGraph:
     next of b1, b2, ... not taken in g. The result is constructed once."""
     index, N, ids = g._compiled.index, g._compiled.N[:], g.ids
     pairs = [(index[a], index[b]) for a, b in g.edges]
-    fresh = (vid for n in itertools.count(1) if (vid := f"b{n}") not in index)
+    n = 0  # the last b<n> tried
     for kind, x in moves:
         new = len(ids)
         if kind == "free":
@@ -49,7 +47,10 @@ def _blown_up(g: ReductionGraph, moves) -> ReductionGraph:
                 i, j = j, i
             N.append(N[i] + N[j])
             pairs += (i, new), (j, new)
-        ids.append(next(fresh))
+        n += 1
+        while (vid := f"b{n}") in index:
+            n += 1
+        ids.append(vid)
     start = len(g.vertices)
     vertices = g.vertices + tuple(map(Vertex, ids[start:], N[start:]))
     return ReductionGraph(vertices, [(ids[i], ids[j]) for i, j in pairs], g.name)

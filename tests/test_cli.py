@@ -477,6 +477,31 @@ def test_non_utf8_input_is_unparsable(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.count("error: not UTF-8") == 3
 
 
+def test_a_lone_surrogate_is_unparsable(tmp_path):
+    # "\ud800" is valid JSON with no UTF-8 form: printed to stdout, a name
+    # or vertex id would end the process with UnicodeEncodeError, which an
+    # in-process StringIO stdout does not show, so each form runs as a process
+    doc = graph_document(kodaira_graph("II"))
+    vid = doc["vertices"][0]["id"]
+    renamed = {**doc, "vertices": [{**v, "id": "\ud800"} if v["id"] == vid else v
+                                   for v in doc["vertices"]],
+               "edges": [["\ud800" if x == vid else x for x in e] for e in doc["edges"]]}
+    for k, (what, bad) in enumerate((('"name"', {**doc, "name": "\ud800"}),
+                                     ('vertex #0: "id"', renamed))):
+        path = tmp_path / f"doc{k}.json"
+        path.write_text(json.dumps(bad))
+        with pytest.raises(ParseError, match="UTF-8"):
+            parse_document(path.read_bytes())
+        for argv in (["compute", "DOC"], ["compute", "--minimize", "DOC"],
+                     ["compute", "--json", "DOC"], ["compute", "DOC", "--check"],
+                     ["validate", "DOC"], ["validate", "--json", "DOC"], ["minimize", "DOC"]):
+            proc, _ = run_redjumps(*(str(path) if word == "DOC" else word for word in argv),
+                                   timeout=60)
+            assert (proc.returncode, proc.stdout) == (3, ""), (k, argv, proc.stderr)
+            assert proc.stderr == (f"error: {what} must be encodable as UTF-8, "
+                                   "got '\\ud800'\n"), (k, argv)
+
+
 def assert_past_the_decoder_limits_is_unparsable(tmp_path, capsys):
     # nesting past the recursion limit, and a multiplicity of more digits
     # than int() converts: json.loads raises RecursionError and ValueError

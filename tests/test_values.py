@@ -2,9 +2,11 @@
 the integer draw of its seeded generators."""
 
 import copy
+import importlib
 import inspect
 import os
 import pickle
+import pkgutil
 import random
 import subprocess
 import sys
@@ -14,7 +16,7 @@ import pytest
 
 import redjumps
 from redjumps import analyze, compute_jumps, errors, jumps, kodaira_graph, minimize, random_instance
-from redjumps._values import _below
+from redjumps._values import Value, _below
 from redjumps.errors import ValidationError
 from redjumps.graph import ReductionGraph, ValidationReport, Vertex, Violation
 from redjumps.monoids import (AffineMonoid, SaturationChartCase1,
@@ -65,6 +67,20 @@ def test_value_semantics(value, hashable):
     assert copy.copy(value) == value
     assert copy.deepcopy(value) == value
     assert pickle.loads(pickle.dumps(value)) == value
+
+
+def test_every_record_class_has_an_instance():
+    # every Value subclass the package defines takes the checks above, so
+    # none escapes them, nor the setter table its __init_subclass__ built
+    for module in pkgutil.iter_modules(redjumps.__path__):
+        importlib.import_module(f"redjumps.{module.name}")
+    classes, stack = set(), [Value]
+    while stack:
+        for cls in stack.pop().__subclasses__():
+            stack.append(cls)
+            if cls.__module__.startswith("redjumps."):
+                classes.add(cls)
+    assert {type(case.values[0]) for case in _instances()} == classes
 
 
 def test_caches_are_not_fields():
