@@ -16,21 +16,21 @@ and the genus of the generic fiber comes out of adjunction:
 
     2g - 2 = sum_v N_v * (2 g_v - 2 - E_v^2).
 
-A graph's constructor derives both, with the neighbour lists, in one
-integer form (``ReductionGraph._compiled``) while it checks the graph, and
-refuses every invalid one: both formulas hold on a valid graph only. Every
-accessor, genus() and the jump kernel read that form.
+The constructor derives both, and the neighbour lists, in one integer form
+(``ReductionGraph._compiled``), and ``ReductionGraph._settle``, the one
+semantic check, refuses every invalid graph: both formulas hold on a valid
+graph only. Every accessor, genus() and the jump kernel read that form.
 
 minimize() runs a worklist on that form, on copies of the neighbour lists
-that only grow, and the constructor checks its result, as it checks every
-graph. The blow-ups and blow_down() live in redjumps.surgery, which a
-plain compute never loads. minimize() computes the minimal model once per
-graph (``ReductionGraph._minimal``): a graph keeps its minimal model alive
-for as long as it lives, and analyze, run_checks and minimize share it.
-Beside it, one walk per graph (``ReductionGraph._walk``) classifies the
-vertices: nodes, principal components and contractible curves.
-is_minimal(), principal_components(), contract_chains(), the worklist's
-seed and the jump kernel's node route all read it.
+that only grow, and constructs its result; the blow-ups of redjumps.surgery,
+which a plain compute never loads, hand their integer form to _settle.
+minimize() computes the minimal model once per graph
+(``ReductionGraph._minimal``): a graph keeps its minimal model alive for as
+long as it lives, and analyze, run_checks and minimize share it. Beside it,
+one walk per graph (``ReductionGraph._walk``) classifies the vertices:
+nodes, principal components and contractible curves. is_minimal(),
+principal_components(), contract_chains(), the worklist's seed and the jump
+kernel's node route all read it.
 """
 
 import itertools
@@ -157,10 +157,10 @@ class ReductionGraph(Value):
     structure (ids, labels, endpoints, loops, the name) and build
     ``_compiled`` (:class:`_Compiled`), which every accessor reads. Exact
     int labels skip the bool test; int labels are stored as exact ints, and
-    exact str ends are sorted without str(). A structurally sound graph is
-    then checked for connectivity, gcd 1, integral self-intersections and
-    genus >= 1. Every violation found is raised in one ValidationError, so
-    no invalid graph exists.
+    exact str ends are sorted without str(). :meth:`_settle` then checks a
+    structurally sound graph for connectivity, gcd 1, integral
+    self-intersections and genus >= 1. Every violation found is raised in
+    one ValidationError, so no invalid graph exists.
     """
 
     _fields = ("vertices", "edges", "name")
@@ -219,12 +219,17 @@ class ReductionGraph(Value):
                 problems.append(Violation("loop", f"edge #{k} is a loop at {_shown(a)}; loops are forbidden (resolve the node by a blow-up first)", a))
         if not isinstance(name, str):
             problems.append(Violation("name", f"graph name must be a string, got {_shown(name)}", _shown(name, str)))
+        self._settle(vertices, edges, name, index, N, genus, nbrs, nbr_sum, problems)
+
+    def _settle(self, vertices, edges, name, index, N, genus, nbrs, nbr_sum, problems):
+        """The one semantic check, which every graph gets: raise ``problems``
+        or any connectivity, gcd, E^2 and genus violation in one
+        ValidationError, else set the fields and ``_compiled``."""
         adjunction = 2 * sum(map(mul, N, genus)) - 2 * sum(N) + sum(nbr_sum)  # see _Compiled
         if not problems:  # the semantics, of a structurally sound graph only
             if _components(nbrs, range(len(N))) != 1:
                 problems.append(Violation("connected", "graph is not connected"))
-            d = gcd(*N)
-            if d != 1:
+            if (d := gcd(*N)) != 1:
                 problems.append(Violation("gcd", f"gcd of multiplicities is {_quoted(d)}, must be 1"))
             bad = [Violation("self-intersection",
                              f"vertex {v.id!r}: multiplicity {_quoted(n)} does not divide "

@@ -5,8 +5,10 @@ multiple of that neighbour's own N, so gcd, connectivity and the
 adjunction sum stay: every move keeps a graph valid. The moves read a
 graph's integer form (``ReductionGraph._compiled``): the blow-ups run on
 plain index lists in :func:`_blown_up`, which catalog.random_instance
-shares, and blow_down() drops one vertex. The constructor checks every
-result, as it checks every graph.
+shares, and blow_down() drops one vertex. Every result gets the one
+semantic check, ReductionGraph._settle: blow_down() constructs its result,
+and _blown_up hands _settle the integer form it built, as the structural
+pass of the constructor could find nothing in it.
 
 minimize() and contract_chains() stay in graph, since compute --check runs
 them; this module is loaded only by a caller of its moves (a plain
@@ -32,8 +34,19 @@ def _blown_up(g: ReductionGraph, moves) -> ReductionGraph:
     """g after the unchecked blow-ups ``moves`` in order: ("free", i) on
     vertex index i, ("edge", k) of the edge at position k. They run on
     plain lists of multiplicities, ids and index pairs; a new id is the
-    next of b1, b2, ... not taken in g. The result is constructed once."""
-    index, N, ids = g._compiled.index, g._compiled.N[:], g.ids
+    next of b1, b2, ... not taken in g.
+
+    The result's integer form is built from those lists, in one loop over
+    the pairs, and goes through the one semantic check, ReductionGraph._settle.
+    The constructor's structural pass would find nothing: g is valid; each
+    new id is the first fresh b<n>; a new multiplicity is N_x or N_i + N_j,
+    so >= 1, and a new genus is 0; every pair joins two distinct indices.
+    The edge ends are ordered by the constructor's rule, so the edges are
+    the ones it would store, and no list is shared with g. Where str() of
+    an id refuses, the constructor builds the result, as it keeps such
+    edges as given."""
+    c = g._compiled
+    index, N, ids = c.index, c.N[:], g.ids
     pairs = [(index[a], index[b]) for a, b in g.edges]
     n = 0  # the last b<n> tried
     for kind, x in moves:
@@ -52,8 +65,25 @@ def _blown_up(g: ReductionGraph, moves) -> ReductionGraph:
             n += 1
         ids.append(vid)
     start = len(g.vertices)
+    index = dict(index)
+    index.update(zip(ids[start:], range(start, len(ids))))
     vertices = g.vertices + tuple(map(Vertex, ids[start:], N[start:]))
-    return ReductionGraph(vertices, [(ids[i], ids[j]) for i, j in pairs], g.name)
+    nbrs, nbr_sum, edges = [[] for _ in N], [0] * len(N), []
+    try:
+        for i, j in pairs:
+            nbrs[i].append(j)
+            nbrs[j].append(i)
+            nbr_sum[i] += N[j]
+            nbr_sum[j] += N[i]
+            a, b = ids[i], ids[j]
+            edges.append((a, b) if (a <= b if type(a) is str and type(b) is str
+                                    else str(a) <= str(b)) else (b, a))
+    except Exception:  # str() of an id refused: the constructor keeps every edge as given
+        return ReductionGraph(vertices, [(ids[i], ids[j]) for i, j in pairs], g.name)
+    h = ReductionGraph.__new__(ReductionGraph)
+    h._settle(vertices, tuple(edges), g.name, index, N,
+              c.genus + [0] * (len(N) - start), nbrs, nbr_sum, [])
+    return h
 
 
 def blow_up_free_point(g: ReductionGraph, v: str) -> ReductionGraph:

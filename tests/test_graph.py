@@ -49,6 +49,7 @@ from redjumps.surgery import _blown_up
 
 from blowup_chains import fibonacci_chain
 from formula_oracle import is_isomorphic
+from test_surgery import assert_as_constructed
 
 
 def codes(exc: ValidationError):
@@ -699,27 +700,27 @@ def test_minimize_matches_the_rescan_loop_on_fibonacci_chains(tag):
 
 
 def test_surgery_validates_once(monkeypatch):
-    # the constructor is the one check: every move constructs its result
-    # once, and minimize constructs nothing for a minimal graph
-    constructed, init = [], ReductionGraph.__init__
+    # _settle is the one semantic check: every move runs it once on its
+    # result, and minimize runs it on nothing for a minimal graph
+    settled, settle = [], ReductionGraph._settle
 
-    def counting_init(self, *args, **kwargs):
-        constructed.append(self)
-        init(self, *args, **kwargs)
+    def counting_settle(self, *args):
+        settled.append(self)
+        settle(self, *args)
 
     graph, ii = random_instance(7, 1024).graph, kodaira_graph("II")
-    monkeypatch.setattr(ReductionGraph, "__init__", counting_init)
+    monkeypatch.setattr(ReductionGraph, "_settle", counting_settle)
     inst = random_instance(7, 1024)
-    assert constructed == [inst.graph]  # once, after the last move
+    assert settled == [inst.graph]  # once, after the last move
     g = blow_up_free_point(ii, "c")
     h = blow_up_edge(g, 0)
     k = blow_down(h, "b1")
-    assert constructed[1:] == [g, h, k]
+    assert settled[1:] == [g, h, k]
     m = minimize(h)
-    assert constructed[4:] == [m]
-    constructed.clear()
+    assert settled[4:] == [m]
+    settled.clear()
     assert minimize(m) is m and minimize(ii) is ii and minimize(graph) is not graph
-    assert len(constructed) == 1  # the minimal model of graph
+    assert len(settled) == 1  # the minimal model of graph
 
 
 # -- the one derived form against the id-keyed accessors it replaced ---------
@@ -946,12 +947,17 @@ def move_sequences(draw):
 @settings(deadline=None, max_examples=300)
 @given(move_sequences())
 def test_a_batch_of_moves_is_the_fold_of_the_public_blow_ups(case):
-    # the batch form random_instance uses, on ids that include b<n> names
+    # the batch form random_instance uses, on ids that include b<n> names;
+    # == reads no field of the integer form that _blown_up builds itself,
+    # so each result is also held to the constructor's on every field
     g, moves = case
     h = g
     for kind, x in moves:
         h = blow_up_free_point(h, h.vertices[x].id) if kind == "free" else blow_up_edge(h, x)
-    assert _blown_up(g, moves) == h
+    r = _blown_up(g, moves)
+    assert r == h
+    assert_as_constructed(r, g)
+    assert_as_constructed(h)
 
 
 def test_blow_up_edge_keeps_the_edge_order():

@@ -19,7 +19,7 @@ from redjumps.errors import (
     ShapeMismatch,
     SingularMatrix,
 )
-from redjumps import lattices
+from redjumps import lattices, verify
 from redjumps.lattices import (
     _column_hnf,
     _divisor_valuations,
@@ -485,6 +485,45 @@ def test_criterion_09_instances_are_pinned():
         "44a0034b6daa262692494e879c99a3851dbba815d86022c4e9ebd9c66b766597",
         "51e8529fb62170e7dc4710ede8a0c4401e7a44647dd67cf8fd6e7483db6d87f3",
     ]
+
+
+def test_lattice_suite_checks_the_pinned_draws(monkeypatch):
+    # the pin above hashes suite_draws, this file's copy of the suite's
+    # draw order: the instances lattice_suite hands its tally, the sizes it
+    # draws them with, and the generator's state after the last complement
+    # are held to that copy here, and its snf matrices to randint and
+    # randrange draws from that state (the checks themselves are not run)
+    checked, sizes = [], []
+
+    def sandwich(rng, g, p, n):
+        sizes.append((g, p, n))
+        return random_sandwich_instance(rng, g, p, n)
+
+    def complement(rng, g, p):
+        sizes.append((g, p))
+        instance = random_complement_instance(rng, g, p)
+        sizes.append(rng.getstate())
+        return instance
+
+    monkeypatch.setattr(lattices, "random_sandwich_instance", sandwich)
+    monkeypatch.setattr(lattices, "random_complement_instance", complement)
+    monkeypatch.setattr(verify._Tally, "check",
+                        lambda tally, name, instance, predicate: checked.append((name, instance)))
+    verify.lattice_suite(20260819, 1_000)
+    sandwiches, complements, state = suite_draws(1_000, 1_000)
+    assert checked[:1_000] == [("sandwich", (*inst, p, n)) for _, p, n, inst in sandwiches]
+    assert checked[1_000:2_000] == [("complement", (*inst, p)) for _, p, inst in complements]
+    assert sizes[:1_000] == [(g, p, n) for g, p, n, _ in sandwiches]
+    assert sizes[1_000::2] == [(g, p) for g, p, _ in complements]
+    assert sizes[-1] == state
+    rng, matrices = random.Random(), []  # then the nonsingular snf matrices
+    rng.setstate(state)
+    while len(matrices) < 1_000:
+        g = rng.randint(1, 4)
+        M = [[rng.randrange(-9, 10) for _ in range(g)] for _ in range(g)]
+        if det(M):
+            matrices.append(("snf", M))
+    assert checked[2_000:] == matrices
 
 
 def test_random_unimodular_refuses_a_rank_below_one_before_any_draw():
