@@ -21,16 +21,13 @@ The constructor derives both, and the neighbour lists, in one integer form
 semantic check, refuses every invalid graph: both formulas hold on a valid
 graph only. Every accessor, genus() and the jump kernel read that form.
 
-minimize() runs a worklist on that form, on copies of the neighbour lists
-that only grow, and constructs its result; the blow-ups of redjumps.surgery,
-which a plain compute never loads, hand their integer form to _settle.
-minimize() computes the minimal model once per graph
-(``ReductionGraph._minimal``): a graph keeps its minimal model alive for as
-long as it lives, and analyze, run_checks and minimize share it. Beside it,
-one walk per graph (``ReductionGraph._walk``) classifies the vertices:
-nodes, principal components and contractible curves. is_minimal(),
-principal_components(), contract_chains(), the worklist's seed and the jump
-kernel's node route all read it.
+minimize() runs a worklist on that form once per graph
+(``ReductionGraph._minimal``) and constructs its result; the blow-ups of
+redjumps.surgery, which a plain compute never loads, hand their integer
+form to _settle. One walk per graph (``ReductionGraph._walk``) classifies
+the vertices into nodes, principal components and contractible curves,
+which is_minimal(), principal_components(), contract_chains(), the
+worklist's seed and the jump kernel's node route read.
 """
 
 import itertools
@@ -130,6 +127,16 @@ def _lookup(index, vid) -> int:
         raise UnknownVertex(f"no vertex {_shown(vid)}") from None
 
 
+def _ordered(edges) -> tuple:
+    """The sequence ``edges`` with each pair's ends sorted: exact strs by <=,
+    the rest by str(); all as given if one is no pair or str() refuses an end."""
+    try:
+        return tuple([(a, b) if (a <= b if type(a) is str and type(b) is str
+                                 else str(a) <= str(b)) else (b, a) for a, b in edges])
+    except Exception:  # str() of an end may raise anything
+        return tuple(edges)
+
+
 class _Compiled(Value):
     """Integer form of a graph, built by its constructor: vertex k is
     ``vertices[k]`` and ``index[id]``, ``nbrs[k]`` its neighbour indices
@@ -157,7 +164,7 @@ class ReductionGraph(Value):
     structure (ids, labels, endpoints, loops, the name) and build
     ``_compiled`` (:class:`_Compiled`), which every accessor reads. Exact
     int labels skip the bool test; int labels are stored as exact ints, and
-    exact str ends are sorted without str(). :meth:`_settle` then checks a
+    :func:`_ordered` sorts the ends. :meth:`_settle` then checks a
     structurally sound graph for connectivity, gcd 1, integral
     self-intersections and genus >= 1. Every violation found is raised in
     one ValidationError, so no invalid graph exists.
@@ -193,11 +200,7 @@ class ReductionGraph(Value):
             genus.append(g)
         if not vertices:
             problems.append(Violation("empty", "graph needs at least one vertex"))
-        try:  # ends sorted by str(), or every edge as given if one is no pair or str() refuses an end
-            edges = tuple([(a, b) if (a <= b if type(a) is str and type(b) is str
-                                      else str(a) <= str(b)) else (b, a) for a, b in edges])
-        except Exception:  # str() of an end may raise anything
-            pass
+        edges = _ordered(edges)
         nbrs, nbr_sum = [[] for _ in N], [0] * len(N)
         for k, e in enumerate(edges):
             try:
@@ -229,7 +232,8 @@ class ReductionGraph(Value):
         if not problems:  # the semantics, of a structurally sound graph only
             if _components(nbrs, range(len(N))) != 1:
                 problems.append(Violation("connected", "graph is not connected"))
-            if (d := gcd(*N)) != 1:
+            d = gcd(*N)
+            if d != 1:
                 problems.append(Violation("gcd", f"gcd of multiplicities is {_quoted(d)}, must be 1"))
             bad = [Violation("self-intersection",
                              f"vertex {v.id!r}: multiplicity {_quoted(n)} does not divide "

@@ -103,7 +103,7 @@ import operator
 from math import lcm
 from numbers import Integral
 
-from ._values import Value, _below, _check_int, _shown
+from ._values import Value, _check_int, _shown
 from .errors import (InternalInconsistency, NotSaturatedInput,
                      PreconditionFailed)
 from .lattices import _column_hnf
@@ -549,11 +549,10 @@ def _cross(p, q):
 
 def random_cone_monoid(rng):
     """A saturated submonoid of N^2: all lattice points of a random
-    two-dimensional cone, generated by its points with coordinates <= 6.
-    The rays' coordinates are the draws of rng.randint(0, 3) (_below)."""
+    two-dimensional cone, generated by its points with coordinates <= 6."""
     while True:
-        r1 = (_below(rng, 4), _below(rng, 4))
-        r2 = (_below(rng, 4), _below(rng, 4))
+        r1 = (rng.randint(0, 3), rng.randint(0, 3))
+        r2 = (rng.randint(0, 3), rng.randint(0, 3))
         if any(r1) and any(r2):
             break
     if _cross(r1, r2) < 0:

@@ -17,7 +17,7 @@ compute runs none).
 
 from ._values import _shown
 from .errors import NotContractible, UnknownEdge, WouldCreateLoop
-from .graph import ReductionGraph, Vertex, _contractible, _lookup
+from .graph import ReductionGraph, Vertex, _contractible, _lookup, _ordered
 
 
 def _edge_index(edges, k) -> int:
@@ -41,10 +41,8 @@ def _blown_up(g: ReductionGraph, moves) -> ReductionGraph:
     The constructor's structural pass would find nothing: g is valid; each
     new id is the first fresh b<n>; a new multiplicity is N_x or N_i + N_j,
     so >= 1, and a new genus is 0; every pair joins two distinct indices.
-    The edge ends are ordered by the constructor's rule, so the edges are
-    the ones it would store, and no list is shared with g. Where str() of
-    an id refuses, the constructor builds the result, as it keeps such
-    edges as given."""
+    The edge ends are ordered by the constructor's rule (graph._ordered),
+    so the edges are the ones it would store, and no list is shared with g."""
     c = g._compiled
     index, N, ids = c.index, c.N[:], g.ids
     pairs = [(index[a], index[b]) for a, b in g.edges]
@@ -68,20 +66,15 @@ def _blown_up(g: ReductionGraph, moves) -> ReductionGraph:
     index = dict(index)
     index.update(zip(ids[start:], range(start, len(ids))))
     vertices = g.vertices + tuple(map(Vertex, ids[start:], N[start:]))
-    nbrs, nbr_sum, edges = [[] for _ in N], [0] * len(N), []
-    try:
-        for i, j in pairs:
-            nbrs[i].append(j)
-            nbrs[j].append(i)
-            nbr_sum[i] += N[j]
-            nbr_sum[j] += N[i]
-            a, b = ids[i], ids[j]
-            edges.append((a, b) if (a <= b if type(a) is str and type(b) is str
-                                    else str(a) <= str(b)) else (b, a))
-    except Exception:  # str() of an id refused: the constructor keeps every edge as given
-        return ReductionGraph(vertices, [(ids[i], ids[j]) for i, j in pairs], g.name)
+    nbrs, nbr_sum = [[] for _ in N], [0] * len(N)
+    for i, j in pairs:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+        nbr_sum[i] += N[j]
+        nbr_sum[j] += N[i]
+    edges = _ordered([(ids[i], ids[j]) for i, j in pairs])
     h = ReductionGraph.__new__(ReductionGraph)
-    h._settle(vertices, tuple(edges), g.name, index, N,
+    h._settle(vertices, edges, g.name, index, N,
               c.genus + [0] * (len(N) - start), nbrs, nbr_sum, [])
     return h
 

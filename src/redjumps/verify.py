@@ -10,8 +10,7 @@ count), with s as witness; the lattices suite checks count instances of
 each check through the public functions of lattices, redrawing singular
 matrices; the monoids suite runs its exhaustive checks on every chart with
 m <= 12, and count random points and count pushout monoids. numpy is
-imported by the monoid suite only. Every random int is drawn with
-_values._below, the draw that randint, randrange and choice make.
+imported by the monoid suite only.
 """
 
 import math
@@ -19,7 +18,6 @@ import random
 from collections import namedtuple
 
 from . import catalog, jumps, lattices, monoids
-from ._values import _below
 
 _PRIMES = (2, 3, 5)
 _BOX = 12  # the exhaustive monoid checks cover every chart with m <= _BOX
@@ -65,20 +63,20 @@ def lattice_suite(seed, count):
     rng = random.Random(seed)
     tally = _Tally()
     for _ in range(count):
-        g, p, n = 1 + _below(rng, 4), _PRIMES[_below(rng, 3)], _below(rng, 4)
+        g, p, n = rng.randint(1, 4), rng.choice(_PRIMES), rng.randint(0, 3)
         l0, l1, l2 = lattices.random_sandwich_instance(rng, g, p, n)
         tally.check("sandwich", (l0, l1, l2, p, n),
                     lambda: lattices.check_sandwich(l0, l1, l2, p, n))
     for _ in range(count):
-        g, p = 1 + _below(rng, 4), _PRIMES[_below(rng, 3)]
+        g, p = rng.randint(1, 4), rng.choice(_PRIMES)
         l1, l2, l3, v = lattices.random_complement_instance(rng, g, p)
         tally.check("complement", (l1, l2, l3, v, p),
                     lambda: _complements(l1, l2, l3, v, p))
     for _ in range(count):
         d = 0
         while d == 0:
-            g = 1 + _below(rng, 4)
-            M = [[_below(rng, 19) - 9 for _ in range(g)] for _ in range(g)]
+            g = rng.randint(1, 4)
+            M = [[rng.randrange(-9, 10) for _ in range(g)] for _ in range(g)]
             d = lattices.det(M)
         tally.check("snf", M, lambda: _smith_form(M, d))
     return tally.rows("lattices")
@@ -125,9 +123,9 @@ def monoid_suite(seed, count):
                         lambda: _box(chart, member, sat_member, box))
     # the array path against the scalar definition-level searches
     for _ in range(count):
-        q = tuple(_below(rng, 11) - 5 for _ in range(3))
+        q = tuple(rng.randint(-5, 5) for _ in range(3))
         for case, _, charts, member, sat_member, search, sat_search in cases:
-            chart = charts[_below(rng, len(charts))]
+            chart = rng.choice(charts)
             tally.check(f"{case}-search", (chart, q),
                         lambda: member(chart, q) == search(chart, q)
                         and sat_member(chart, q) == sat_search(chart, q))
@@ -147,8 +145,8 @@ def monoid_suite(seed, count):
 
     for _ in range(count):
         P = monoids.random_cone_monoid(rng)
-        e = P.generators[_below(rng, len(P.generators))]
-        d = 1 + _below(rng, 4)
+        e = P.generators[rng.randrange(len(P.generators))]
+        d = rng.randint(1, 4)
         tally.check("pushout-lemma", (P, e, d),
                     lambda: monoids.verify_lemm_coker(P, e, d, box=4) >= 1)
     return tally.rows("monoids")
