@@ -19,8 +19,8 @@ _EXPORTS = {
     "errors": "errors",
     **dict.fromkeys(["GeneratedGraph", "catalog_graph", "catalog_tags", "expected_jump",
                      "kodaira_graph", "random_instance", "seed_graphs"], "catalog"),
-    **dict.fromkeys(["ReductionGraph", "ValidationReport", "Vertex", "Violation",
-                     "contract_chains", "minimize"], "graph"),
+    **dict.fromkeys(["ReductionGraph", "Vertex", "Violation", "contract_chains",
+                     "minimize"], "graph"),
     **dict.fromkeys(["dump_graph", "graph_document", "parse_document",
                      "report_document"], "io"),
     **dict.fromkeys(["AnalysisReport", "JumpSpectrum", "analyze", "candidate_values",

@@ -184,7 +184,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         from .commands import _print_violations
 
-        _print_violations(exc.report)
+        _print_violations(exc.violations)
         return 1
     except RedjumpsError as exc:
         what, code = next((what, code) for cls, what, code in _REFUSALS if isinstance(exc, cls))

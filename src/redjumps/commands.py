@@ -3,9 +3,10 @@ its argparse parser.
 
 redjumps.cli.main loads this module on first use: for validate, minimize,
 catalog or verify, for a form cli._common leaves to argparse (help, a usage
-error, abbreviations, ...), and to print an invalid graph's violations. A
-plain compute never loads it. It imports argparse only inside _parse_args,
-so validate, minimize and catalog load no argparse either.
+error, abbreviations, ...), and to print the violations a ValidationError
+carries. validate finds a document valid exactly when it parses. A plain
+compute never loads it. It imports argparse only inside _parse_args, so
+validate, minimize and catalog load no argparse either.
 
 It does not import redjumps.cli: under ``python -m redjumps.cli``, cli runs
 as ``__main__``, and importing it would compile it a second time. The one
@@ -20,27 +21,28 @@ from .errors import ValidationError
 from .io import _read, dump_graph, parse_document
 
 
-def _print_violations(report):
-    for v in report.violations:
+def _print_violations(violations):
+    for v in violations:
         where = f" [{v.where}]" if v.where else ""
         print(f"invalid: {v.code}{where}: {v.message}", file=sys.stderr)
 
 
 def _cmd_validate(args):
+    violations = ()
     try:
-        report = parse_document(_read(args.file)).validate()
+        parse_document(_read(args.file))
     except ValidationError as exc:  # the constructor refused the graph
-        report = exc.report
+        violations = exc.violations
     if args.json:
         print(json.dumps({
-            "valid": report.ok,
+            "valid": not violations,
             "violations": [{"code": v.code, "message": v.message, "where": v.where}
-                           for v in report.violations]}, indent=2))
-    elif report.ok:
-        print("valid")
+                           for v in violations]}, indent=2))
+    elif violations:
+        _print_violations(violations)
     else:
-        _print_violations(report)
-    return 0 if report.ok else 1
+        print("valid")
+    return 1 if violations else 0
 
 
 def _cmd_minimize(args):

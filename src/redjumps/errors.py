@@ -8,16 +8,16 @@ class RedjumpsError(Exception):
 class ValidationError(RedjumpsError):
     """A reduction graph violates the data-model invariants.
 
-    Carries the ValidationReport that lists them, the one the constructor
+    Carries ``violations``, the tuple of every Violation the constructor
     found, so callers can render per-violation messages.
     """
 
-    def __init__(self, message, report):
+    def __init__(self, message, violations):
         super().__init__(message)
-        self.report = report
+        self.violations = violations
 
-    def __reduce__(self):  # copy and pickle through __init__, which needs the report
-        return type(self), (*self.args, self.report)
+    def __reduce__(self):  # copy and pickle through __init__, which needs the violations
+        return type(self), (*self.args, self.violations)
 
 
 class UnknownVertex(RedjumpsError):

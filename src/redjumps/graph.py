@@ -19,7 +19,9 @@ and the genus of the generic fiber comes out of adjunction:
 The constructor derives both, and the neighbour lists, in one integer form
 (``ReductionGraph._compiled``), and ``ReductionGraph._settle``, the one
 semantic check, refuses every invalid graph: both formulas hold on a valid
-graph only. Every accessor, genus() and the jump kernel read that form.
+graph only, so a graph carries no report: the refusal, one ValidationError,
+holds every Violation found. Every accessor, genus() and the jump kernel
+read that form.
 
 minimize() runs a worklist on that form once per graph
 (``ReductionGraph._minimal``) and constructs its result; the blow-ups of
@@ -59,23 +61,6 @@ class Violation(Value):
         set_code(self, code)
         set_message(self, message)
         set_where(self, where)
-
-
-class ValidationReport(Value):
-    __slots__ = _fields = ("violations",)
-
-    def __init__(self, violations: tuple[Violation, ...] = ()):
-        self._setters[0](self, violations)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def messages(self):
-        return [f"{v.code}: {v.message}" for v in self.violations]
-
-
-_VALID = ValidationReport()  # the report of every ReductionGraph
 
 
 def _contractible(genus: int, multiplicity: int, nbrs, nbr_sum: int) -> bool:
@@ -245,8 +230,7 @@ class ReductionGraph(Value):
                 bad.append(Violation("genus", f"derived genus {_quoted(1 + adjunction // 2)} < 1"))
             problems += bad
         if problems:
-            report = ValidationReport(tuple(problems))
-            raise ValidationError("; ".join(report.messages()), report)
+            raise ValidationError("; ".join(f"{v.code}: {v.message}" for v in problems), tuple(problems))
         set_vertices, set_edges, set_name = self._setters
         set_vertices(self, vertices)
         set_edges(self, edges)
@@ -273,10 +257,10 @@ class ReductionGraph(Value):
     def multiplicity(self, vid: str) -> int:
         return self.vertex(vid).multiplicity
 
-    def validate(self) -> ValidationReport:
-        """The report of a graph, which the constructor has checked: always
-        the one empty ValidationReport."""
-        return _VALID
+    def validate(self) -> tuple:
+        """Deprecated: the violations of a graph, which the constructor has
+        checked, so always (). An invalid graph raises ValidationError."""
+        return ()
 
     # -- derived geometry ---------------------------------------------------
 

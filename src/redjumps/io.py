@@ -15,9 +15,9 @@ lone surrogate such as "\\ud800", which is valid JSON but has no UTF-8 form
 for the output to print) raise ParseError, as does JSON
 past the decoder's limits (nesting deeper than the recursion limit, an
 integer literal of more digits than int() converts); a well-formed
-document describing an invalid graph raises ValidationError from the
-constructor. A refusal names the offending value by at most 40
-characters (``_values._quoted``), however long it is.
+document of an invalid graph raises the constructor's ValidationError,
+whose ``violations`` list every fault. A refusal names the offending value
+by at most 40 characters (``_values._quoted``), however long it is.
 
 ``_read`` reads a command's input, a path or "-" for stdin, as bytes: the
 compute command of redjumps.cli and the others in redjumps.commands share

@@ -46,6 +46,7 @@ from redjumps.errors import InternalInconsistency, OverBudget
 
 import formula_oracle as oracle
 from blowup_chains import fibonacci_chain, heaviest_edge
+from test_superelliptic import superelliptic_star
 
 F = Fraction
 
@@ -556,7 +557,8 @@ def test_checks_pass_on_random_instances(seed, moves):
     assert all(ok for _, ok in run_checks(g))
 
 
-SEEDS = seed_graphs()
+# the catalog's pool, and the y^2 = x^m + pi models of genus 2 to 6
+SEEDS = {**seed_graphs(), **{f"y2x{m}": superelliptic_star(m) for m in (5, 7, 9, 11, 13)}}
 
 
 def contractible(g, v):

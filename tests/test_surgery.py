@@ -125,8 +125,8 @@ def test_the_semantic_check_refuses_integer_lists_as_the_constructor(codes):
     with pytest.raises(ValidationError) as shared:
         ReductionGraph.__new__(ReductionGraph)._settle(
             tuple(vertices), tuple(edges), "bad", *integer_form(vertices, edges), [])
-    assert [v.code for v in shared.value.report.violations] == codes.split(", ")
-    assert shared.value.report == public.value.report
+    assert [v.code for v in shared.value.violations] == codes.split(", ")
+    assert shared.value.violations == public.value.violations
     assert str(shared.value) == str(public.value)
 
 

@@ -18,7 +18,7 @@ import redjumps
 from redjumps import analyze, compute_jumps, errors, jumps, kodaira_graph, minimize, random_instance
 from redjumps._values import Value, _below
 from redjumps.errors import ValidationError
-from redjumps.graph import ReductionGraph, ValidationReport, Vertex, Violation
+from redjumps.graph import ReductionGraph, Vertex, Violation
 from redjumps.monoids import (AffineMonoid, SaturationChartCase1,
                               SaturationChartCase2)
 
@@ -28,7 +28,6 @@ def _instances():
     cases = [
         (Vertex("a", 2, 1), True),
         (Violation("gcd", "gcd of multiplicities is 2, must be 1", "a"), True),
-        (ValidationReport((Violation("gcd", "bad"),)), True),
         (g._compiled, False),          # list fields: unhashable, as before
         (g, True),
         (compute_jumps(g), True),
@@ -138,13 +137,18 @@ def test_removed_names_stay_removed():
         assert hasattr(surgery, name) and not hasattr(graph, name), name
         assert name.startswith("_") or getattr(redjumps, name) is getattr(surgery, name), name
     # an invalid graph is refused by one ValidationError, which always
-    # carries the graph's report
+    # carries the graph's violations; a graph that exists has none, so no
+    # report type is left
     for module, name in ((errors, "NonIntegralSelfIntersection"), (errors, "InconsistentGeometry"),
-                         (graph, "_self_intersection")):
+                         (graph, "_self_intersection"), (graph, "ValidationReport"),
+                         (graph, "_VALID"), (redjumps, "ValidationReport")):
         assert not hasattr(module, name), name
         assert f"`{name}`" not in readme, name
-    report = inspect.signature(errors.ValidationError).parameters["report"]
-    assert report.default is inspect.Parameter.empty
+    assert "ValidationReport" not in redjumps.__all__
+    parameters = inspect.signature(errors.ValidationError).parameters
+    assert list(parameters) == ["message", "violations"]
+    assert parameters["violations"].default is inspect.Parameter.empty
+    assert kodaira_graph("II").validate() == ()
     # the single values at j/m and is_isomorphic went to the tests' formula_oracle
     for name in ("IntegralDivisor", "floor_divisor", "index_set", "intersect", "is_isomorphic",
                  "jump_multiplicity", "jump_multiplicity_via_euler", "lower_bound", "sigma"):
@@ -153,24 +157,14 @@ def test_removed_names_stay_removed():
         __import__("redjumps.reference")
 
 
-def test_validation_report_ok_is_derived():
-    # ok is no field of its own, so it cannot disagree with the violations
-    bad = Violation("gcd", "bad")
-    assert ValidationReport().ok and ValidationReport(()).ok
-    assert not ValidationReport((bad,)).ok
-    assert ValidationReport._fields == ("violations",)
-    with pytest.raises(TypeError):
-        ValidationReport(True, (bad,))
-
-
 def test_validation_error_copies_and_pickles_with_its_report():
-    # the report is a required argument, so a copy passes it to __init__
+    # the violations are a required argument, so a copy passes them to __init__
     with pytest.raises(ValidationError) as e:
         ReductionGraph((Vertex("a", 2, 1),), ())
-    assert not e.value.report.ok
+    assert e.value.violations == (Violation("gcd", "gcd of multiplicities is 2, must be 1"),)
     for clone in (copy.copy(e.value), pickle.loads(pickle.dumps(e.value))):
         assert type(clone) is ValidationError
-        assert (str(clone), clone.report) == (str(e.value), e.value.report)
+        assert (str(clone), clone.violations) == (str(e.value), e.value.violations)
 
 
 @pytest.mark.parametrize("cls", [cls for cls in vars(errors).values() if isinstance(cls, type)
@@ -178,13 +172,13 @@ def test_validation_error_copies_and_pickles_with_its_report():
                          ids=lambda cls: cls.__name__)
 def test_every_error_copies_and_pickles(cls):
     if cls is ValidationError:
-        error = cls("bad", ValidationReport((Violation("gcd", "bad"),)))
+        error = cls("bad", (Violation("gcd", "bad"),))
     else:
         error = cls("message")
     for clone in (copy.copy(error), pickle.loads(pickle.dumps(error))):
         assert (type(clone), str(clone)) == (cls, str(error))
         if cls is ValidationError:
-            assert clone.report == error.report
+            assert clone.violations == error.violations
 
 
 def test_below_draws_as_randrange_choice_and_randint():
