@@ -1,6 +1,5 @@
-"""The frozen value-type base of the package's record classes, the
-integer draw the seeded generators share, and the check they make of their
-integer arguments.
+"""The frozen value-type base of the package's record classes, and the
+checks and message forms that the modules share.
 
 A subclass lists its fields in ``_fields``, declares ``__slots__`` (the
 fields, plus any cache slots or ``__dict__`` it needs) and sets each field
@@ -22,8 +21,8 @@ and nothing beyond ``operator`` and ``errors`` is imported: the standard
 library's class generator pulls in ``inspect``, ``ast`` and ``dis``, and
 every ``redjumps`` process pays for its imports.
 
-``_below``, ``_check_int``, ``_shown`` and ``_quoted`` live here so that
-the modules share them without importing each other.
+``_check_int``, ``_shown`` and ``_quoted`` live here so that the modules
+share them without importing each other.
 """
 
 from operator import attrgetter
@@ -67,23 +66,6 @@ class Value:
 
     def __reduce__(self):
         return type(self), tuple([getattr(self, name) for name in self._fields])
-
-
-def _below(rng, n):
-    """A uniform int in [0, n) from a random.Random, for an int n >= 1.
-
-    CPython 3.11's rejection loop (``Random._randbelow_with_getrandbits``):
-    draw k = n.bit_length() bits, again while the draw is >= n. randrange(n),
-    randrange(a, a + n), randint(a, a + n - 1) and choice over n items all
-    make exactly this draw, so the value and the generator's state after it
-    are theirs. n must be >= 1: getrandbits(0) is 0, so n = 0 never ends.
-    """
-    getrandbits = rng.getrandbits
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
 
 
 def _check_int(name, x, low=1):

@@ -16,7 +16,7 @@ import re
 from fractions import Fraction
 from functools import cache
 
-from ._values import Value, _below, _check_int, _quoted
+from ._values import Value, _check_int, _quoted
 from .errors import UnsupportedType
 from .graph import ReductionGraph, Vertex
 
@@ -128,7 +128,7 @@ def expected_jump(tag: str) -> Fraction:
     return _entry(tag, _KODAIRA)[1]
 
 
-# the names of the seed pool, sorted: random_instance draws one by position
+# the names of the seed pool, sorted: random_instance draws one with rng.choice
 _SEED_NAMES = tuple(sorted(("I0", "I2", "I5", "II", "III", "IV", "I0*", "I3*",
                             "IV*", "III*", "II*", "I1res", "genus2", "star5",
                             "twin")))
@@ -183,26 +183,26 @@ def random_instance(seed: int, moves: int) -> GeneratedGraph:
     Deterministic in (seed, moves). Every move is a valid-by-construction
     blow-up, so the result is always a valid graph with the same genus and
     jump spectrum as its base. Each seed is built once per process, when
-    first drawn. A blow-up adds one vertex and one edge, so the picks need
-    only the sizes; they are the draws rng.choice and rng.randrange make
-    (see _values._below), and surgery._blown_up applies them all at once.
-    Raises PreconditionFailed, before any draw, unless seed is an int and
-    moves an int >= 0, bools neither.
+    first drawn. A blow-up adds one vertex and one edge, so rng.randrange
+    draws each pick from the sizes alone, and surgery._blown_up applies
+    them all at once. Raises PreconditionFailed, before any draw, unless
+    seed is an int and moves an int >= 0, bools neither.
     """
     _check_int("seed", seed, None)
     _check_int("moves", moves, 0)
     rng = random.Random(seed)
-    base_name = _SEED_NAMES[_below(rng, len(_SEED_NAMES))]
+    base_name = rng.choice(_SEED_NAMES)
     base = _seed(base_name)
     V, E = len(base.vertices), len(base.edges)
+    coin, randrange = rng.random, rng.randrange
     drawn = []
     for t in range(moves):  # move t sees V + t vertices and E + t edges
         # an edgeless graph (the I0 seed before any move) only admits the
         # free-point move
-        if rng.random() < 0.5 or not E + t:
-            drawn.append(("free", _below(rng, V + t)))
+        if coin() < 0.5 or not E + t:
+            drawn.append(("free", randrange(V + t)))
         else:
-            drawn.append(("edge", _below(rng, E + t)))
+            drawn.append(("edge", randrange(E + t)))
     from .surgery import _blown_up  # here: `redjumps catalog` runs no move
 
     graph = _blown_up(base, drawn)

@@ -94,8 +94,8 @@ def _parse_args(argv):
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < 0:
-            raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+        if value < 1:  # a count of 0 would check nothing and pass
+            raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
         return value
 
     parser = Parser(prog="redjumps",
@@ -124,5 +124,6 @@ def _parse_args(argv):
     p.add_argument("--suite", choices=("graphs", "lattices", "monoids", "all"), default="all",
                    help="the suites to run (default: all)")
     p.add_argument("--seed", type=int, default=0, help="random seed (default: 0)")
-    p.add_argument("--count", type=count, default=100, help="instances per check (default: 100)")
+    p.add_argument("--count", type=count, default=100,
+                   help="instances per check, at least 1 (default: 100)")
     return parser.parse_args(argv)

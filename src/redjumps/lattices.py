@@ -26,26 +26,22 @@ of the block, all of whose entries have valuation >= v. The corner
 valuations, in order, are the answer; an all-zero block means X is
 singular.
 
-The random instances draw every integer with _values._below: k =
-n.bit_length() bits from rng.getrandbits, again while the draw is >= n
-(random_unimodular writes that loop out for its own bounds). For a
-random.Random that is the draw its randrange, randint and choice make, so
-the instances, and the generator's state after each, are the same as
-theirs, without the argument handling around it. A generator that
-overrides random() but not getrandbits() is not supported: random.Random
-would then draw its integers from random() instead. random_unimodular
-draws its two distinct indices i, j exactly as rng.sample(range(n), 2)
-would. For n <= 21 sample keeps a pool of the n indices: it takes slot i
-below n, moves the last index into that slot, and takes slot j below n - 1
-of what is left, which holds j unless j = i, when it holds n - 1. For a
-larger n it redraws below n until the second index differs from the first.
-The generators multiply their own well-formed matrices unchecked, with
-_matmul.
+random_unimodular makes nearly all of the instances' draws, and writes
+them out on rng.getrandbits: k = n.bit_length() bits, again while the draw
+is >= n, as random.Random's randrange, choice and sample draw (unless a
+subclass overrides random() but not getrandbits()). Its two distinct
+indices i, j are the ones rng.sample(range(n), 2) would draw. For n <= 21
+sample keeps a pool of the n indices: it takes slot i below n, moves the
+last index into that slot, and takes slot j below n - 1 of what is left,
+which holds j unless j = i, when it holds n - 1. For a larger n it redraws
+below n until the second index differs from the first. The other draws
+are random.Random's own methods. The generators multiply their own
+well-formed matrices unchecked, with _matmul.
 """
 
 from operator import mul
 
-from ._values import _below, _check_int, _quoted, _shown
+from ._values import _check_int, _quoted, _shown
 from .errors import (NotASublattice, PreconditionFailed, ShapeMismatch,
                      SingularMatrix)
 
@@ -384,8 +380,9 @@ def random_unimodular(rng, n):
     """Product of random shears and swaps; determinant is +-1. Raises
     PreconditionFailed, before any draw, unless n is a positive int."""
     _check_int("n", n)
-    # _below(rng, n), _below(rng, n - 1) and _below(rng, 4) written out:
-    # this loop makes nearly all of the instances' draws
+    # randrange(n), randrange(n - 1) and choice(_SHEARS) written out on
+    # getrandbits (see the module docstring): the verify workload's set-up
+    # is mostly this loop, and the bound methods measured slower there
     getrandbits, random = rng.getrandbits, rng.random
     kn, kj = n.bit_length(), (n - 1).bit_length()
     U = identity(n)
@@ -403,9 +400,9 @@ def random_unimodular(rng, n):
                 if j == i:
                     j = n - 1
             else:
-                j = _below(rng, n)
+                j = rng.randrange(n)
                 while j == i:
-                    j = _below(rng, n)
+                    j = rng.randrange(n)
             if random() < 0.8:
                 c = getrandbits(3)
                 while c >= 4:
@@ -438,10 +435,9 @@ def random_sandwich_instance(rng, g, p, n):
     _check_int("n", n, 0)
     _check_prime(p)
     l2 = random_unimodular(rng, g)
-    # the tuple, and so its last entry, is drawn before the index into it
-    diag = [(1, p, p * p, 1 + _below(rng, 6))[_below(rng, 4)] for _ in range(g)]
+    diag = [rng.choice((1, p, p * p, rng.randint(1, 6))) for _ in range(g)]
     l1 = _matmul(l2, _twisted_diagonal(rng, g, diag))
-    m0 = _twisted_diagonal(rng, g, [p ** _below(rng, n + 1) for _ in range(g)])
+    m0 = _twisted_diagonal(rng, g, [p ** rng.randint(0, n) for _ in range(g)])
     l0 = _matmul(l1, m0)
     return l0, l1, l2
 
@@ -452,13 +448,13 @@ def random_complement_instance(rng, g, p):
     unless g is a positive int and p a prime."""
     _check_int("g", g)
     _check_prime(p)
-    zeros = _below(rng, g)
-    a = 1 + _below(rng, 3)
+    zeros = rng.randrange(g)
+    a = rng.randint(1, 3)
     v = tuple([0] * zeros + [a] * (g - zeros))
     l3 = random_unimodular(rng, g)
     l1 = _matmul(l3, _twisted_diagonal(rng, g, [p ** c for c in v]))
-    k = 1 + _below(rng, g)
-    T = [[_below(rng, 7) - 3 for _ in range(k)] for _ in range(g)]
+    k = rng.randint(1, g)
+    T = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(g)]
     extra = _matmul(l3, T)
     cols, _ = _column_hnf([l1[i] + extra[i] for i in range(g)])
     l2 = [[c[i] for c in cols] for i in range(g)]

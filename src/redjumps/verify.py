@@ -111,10 +111,11 @@ def monoid_suite(seed, count):
     # allocate than int64 ones.
     span = np.arange(-_BOX, _BOX + 1, dtype=np.int32)
     box = np.meshgrid(span, span, span, indexing="ij")
-    cases = (("case1", monoids.charts_case1(_BOX), monoids.charts_case1(8),
+    case1, case2 = monoids.charts_case1(_BOX), monoids.charts_case2(_BOX)
+    cases = (("case1", case1, monoids.charts_case1(8),
               monoids.member_case1, monoids.sat_member_case1,
               monoids.member_case1_search, monoids.sat_member_case1_search),
-             ("case2", monoids.charts_case2(_BOX), monoids.charts_case2(6),
+             ("case2", case2, monoids.charts_case2(6),
               monoids.member_case2, monoids.sat_member_case2,
               monoids.member_case2_search, monoids.sat_member_case2_search))
     for case, charts, _, member, sat_member, _, _ in cases:
@@ -130,7 +131,7 @@ def monoid_suite(seed, count):
                         lambda: member(chart, q) == search(chart, q)
                         and sat_member(chart, q) == sat_search(chart, q))
 
-    for chart in monoids.charts_case1(_BOX):
+    for chart in case1:
         for j, f in monoids.cokernel_generators_case1(chart):
             q = (0, -f, j)
             tally.check("cokernel-generators", (chart, j),
@@ -138,7 +139,7 @@ def monoid_suite(seed, count):
                         and monoids.member_case1(chart, q) == (f == 0))
         tally.check("divisibility", chart, lambda: _divisibility(chart))
 
-    for chart in monoids.charts_case1(_BOX) + monoids.charts_case2(_BOX):
+    for chart in case1 + case2:
         tally.check("saturation-index", chart,
                     lambda: monoids.chart_saturation_index(chart)
                     == math.lcm(*chart.branches))

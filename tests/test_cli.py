@@ -38,7 +38,7 @@ from redjumps.cli import _common, main
 from redjumps.commands import _parse_args
 from redjumps.errors import (InternalInconsistency, OverBudget, ParseError,
                              PreconditionFailed, ValidationError)
-from redjumps.verify import graph_suite
+from redjumps.verify import graph_suite, lattice_suite
 
 from formula_oracle import is_isomorphic
 
@@ -659,6 +659,19 @@ def test_verify_reports_a_witness(sandwich, monkeypatch, capsys):
     assert "lattices/snf: 3/3\n" in out
 
 
+def test_verify_refuses_a_count_of_0(capsys):
+    # at 0 the command would run only the exhaustive monoid checks and
+    # pass; it is one usage error, and the library suites still take 0
+    for argv in (["verify", "--count", "0"], ["verify", "--suite", "graphs", "--cou=0"]):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("error:") == 1, argv
+        assert err.endswith("error: argument --count: must be at least 1, got 0\n"), argv
+    assert graph_suite(0, 0) == lattice_suite(0, 0) == []
+
+
 def test_graph_suite_counts_a_raising_run_checks(monkeypatch):
     # run_checks raising on the second seed fails that seed's run-checks
     # row, with (seed, exception) as witness, and the suite goes on
@@ -758,10 +771,10 @@ def reference_parser():
     """The parser of the command line built by argparse alone, without the
     handlers: the reference for _parse_args and the argparse-free _common."""
 
-    def non_negative_int(text):
+    def positive_int(text):
         value = int(text)
-        if value < 0:
-            raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
         return value
 
     class Parser(argparse.ArgumentParser):
@@ -796,7 +809,7 @@ def reference_parser():
     p.add_argument("--suite", choices=["graphs", "lattices", "monoids", "all"],
                    default="all")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=non_negative_int, default=100)
+    p.add_argument("--count", type=positive_int, default=100)
     return parser
 
 

@@ -526,7 +526,7 @@ def test_lattice_suite_checks_the_pinned_draws(monkeypatch):
     assert checked[2_000:] == matrices
 
 
-def test_random_unimodular_refuses_a_rank_below_one_before_any_draw():
+def test_random_unimodular_refuses_a_rank_under_one_before_any_draw():
     for n in (0, -1, -5, 2.0, True, "3", None):
         rng = random.Random(7)
         state = rng.getstate()

@@ -1,5 +1,4 @@
-"""Value semantics of the package's frozen record classes, its exports, and
-the integer draw of its seeded generators."""
+"""Value semantics of the package's frozen record classes, and its exports."""
 
 import copy
 import importlib
@@ -7,7 +6,6 @@ import inspect
 import os
 import pickle
 import pkgutil
-import random
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +14,7 @@ import pytest
 
 import redjumps
 from redjumps import analyze, compute_jumps, errors, jumps, kodaira_graph, minimize, random_instance
-from redjumps._values import Value, _below
+from redjumps._values import Value
 from redjumps.errors import ValidationError
 from redjumps.graph import ReductionGraph, Vertex, Violation
 from redjumps.monoids import (AffineMonoid, SaturationChartCase1,
@@ -179,20 +177,3 @@ def test_every_error_copies_and_pickles(cls):
         assert (type(clone), str(clone)) == (cls, str(error))
         if cls is ValidationError:
             assert clone.violations == error.violations
-
-
-def test_below_draws_as_randrange_choice_and_randint():
-    # the same value and the same generator state after it, on every bit
-    # length and on both sides of each power of two
-    bounds = list(range(1, 71)) + [2 ** k + d for k in range(1, 71) for d in (-1, 0, 1)]
-    for n in bounds:
-        new, old = random.Random(n), random.Random(n)
-        for _ in range(5):
-            assert _below(new, n) == old.randrange(n), n
-            assert new.getstate() == old.getstate(), n
-    items = ("a", "b", "c", "d")
-    new, old = random.Random(1), random.Random(1)
-    for _ in range(200):
-        assert items[_below(new, 4)] == old.choice(items)
-        assert -3 + _below(new, 7) == old.randint(-3, 3)
-        assert new.getstate() == old.getstate()
