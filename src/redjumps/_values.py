@@ -17,14 +17,16 @@ three-field ``Vertex`` takes about 340 ns to build with the setters and
 random_instance builds one ``Vertex`` per move. The ``__init__`` methods
 are written out per class: a generic constructor looping over ``*args``
 is slower to call. Nothing is generated at import time (no ``exec``),
-and nothing beyond ``operator`` and ``errors`` is imported: the standard
-library's class generator pulls in ``inspect``, ``ast`` and ``dis``, and
-every ``redjumps`` process pays for its imports.
+and nothing beyond ``math``, ``operator`` and ``errors`` is imported:
+the standard library's class generator pulls in ``inspect``, ``ast`` and
+``dis``, and every ``redjumps`` process pays for its imports.
 
-``_check_int``, ``_shown`` and ``_quoted`` live here so that the modules
-share them without importing each other.
+``_check_int``, ``_shown``, ``_quoted``, ``_ratio`` and ``Fraction``
+(imported on first use: no command needs one) live here so that the
+modules share them without importing each other.
 """
 
+from math import gcd
 from operator import attrgetter
 
 from .errors import PreconditionFailed
@@ -89,7 +91,22 @@ def _shown(x, form=repr):
         return f"<unprintable {type(x).__name__}>"
 
 
+def _ratio(a, d):
+    """a/d, d > 0, as ``str(Fraction(a, d))`` writes it: "0", "1", "3/4"."""
+    k = gcd(a, d)
+    return str(a // k) if k == d else f"{a // k}/{d // k}"
+
+
 def _quoted(x):
     """_shown(x) cut to 40 characters, ending in "...", so a message stays short."""
     text = _shown(x)
     return text if len(text) <= 40 else text[:37] + "..."
+
+
+def __getattr__(name):  # Fraction, bound as a global on its first use
+    if name != "Fraction":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from fractions import Fraction
+
+    globals()[name] = Fraction
+    return Fraction

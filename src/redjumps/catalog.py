@@ -13,9 +13,9 @@ loads no surgery.
 
 import random
 import re
-from fractions import Fraction
 from functools import cache
 
+from . import _values
 from ._values import Value, _check_int, _quoted
 from .errors import UnsupportedType
 from .graph import ReductionGraph, Vertex
@@ -67,22 +67,22 @@ _TAG_RE = re.compile(r"I([0-9]+)(\*?)")
 # so a short tag must not ask for an unbounded build.
 MAX_FIBER_INDEX = 10_000
 
-# Every fixed-shape name: (builder, classical jump, or None for a higher-
-# genus shape). In I1, the blown-up node, u meets the -1 curve b (N = 2)
+# Every fixed-shape name: (builder, classical jump a/d as (a, d), or None
+# for a higher-genus shape). In I1, the blown-up node, u meets the -1 curve b (N = 2)
 # twice, so b cannot be contracted. I1res is the I2 cycle under an old name,
 # kept as a corpus seed; star5 (genus 5) and twin (genus 2) are seeds only.
 _SHAPES = {
-    "I0": (lambda: ReductionGraph([Vertex("e", 1, 1)], [], name="I0"), Fraction(0)),
+    "I0": (lambda: ReductionGraph([Vertex("e", 1, 1)], [], name="I0"), (0, 1)),
     "I1": (lambda: ReductionGraph([Vertex("u", 1, 0), Vertex("b", 2, 0)],
-                                  [("u", "b"), ("u", "b")], name="I1"), Fraction(0)),
+                                  [("u", "b"), ("u", "b")], name="I1"), (0, 1)),
     "I1res": (lambda: ReductionGraph([Vertex("u", 1, 0), Vertex("v", 1, 0)],
-                                     [("u", "v"), ("u", "v")], name="I1res"), Fraction(0)),
-    "II": (lambda: _star(6, 0, [3, 2, 1], "II"), Fraction(1, 6)),
-    "III": (lambda: _star(4, 0, [2, 1, 1], "III"), Fraction(1, 4)),
-    "IV": (lambda: _star(3, 0, [1, 1, 1], "IV"), Fraction(1, 3)),
-    "IV*": (lambda: _arms(3, [[2, 1], [2, 1], [2, 1]], "IV*"), Fraction(2, 3)),
-    "III*": (lambda: _arms(4, [[2], [3, 2, 1], [3, 2, 1]], "III*"), Fraction(3, 4)),
-    "II*": (lambda: _arms(6, [[3], [4, 2], [5, 4, 3, 2, 1]], "II*"), Fraction(5, 6)),
+                                     [("u", "v"), ("u", "v")], name="I1res"), (0, 1)),
+    "II": (lambda: _star(6, 0, [3, 2, 1], "II"), (1, 6)),
+    "III": (lambda: _star(4, 0, [2, 1, 1], "III"), (1, 4)),
+    "IV": (lambda: _star(3, 0, [1, 1, 1], "IV"), (1, 3)),
+    "IV*": (lambda: _arms(3, [[2, 1], [2, 1], [2, 1]], "IV*"), (2, 3)),
+    "III*": (lambda: _arms(4, [[2], [3, 2, 1], [3, 2, 1]], "III*"), (3, 4)),
+    "II*": (lambda: _arms(6, [[3], [4, 2], [5, 4, 3, 2, 1]], "II*"), (5, 6)),
     "genus2": (lambda: _star(2, 1, [1, 1], "genus2"), None),
     "star5": (lambda: _star(4, 1, [2, 1, 1], "star5"), None),
     "twin": (lambda: ReductionGraph([Vertex("u", 1, 1), Vertex("v", 1, 1)], [("u", "v")],
@@ -105,8 +105,8 @@ def _family(tag):
             f"fiber tag {_quoted(tag)}: n is above the limit {MAX_FIBER_INDEX}")
     n = int(digits)
     if starred:
-        return (lambda: _istar(n)), Fraction(1, 2)
-    return _SHAPES[f"I{n}"] if n < 2 else ((lambda: _cycle(n, f"I{n}")), Fraction(0))
+        return (lambda: _istar(n)), (1, 2)
+    return _SHAPES[f"I{n}"] if n < 2 else ((lambda: _cycle(n, f"I{n}")), (0, 1))
 
 
 def _entry(tag, names):
@@ -122,10 +122,10 @@ def kodaira_graph(tag: str) -> ReductionGraph:
     return _entry(tag, _KODAIRA)[0]()
 
 
-def expected_jump(tag: str) -> Fraction:
+def expected_jump(tag: str) -> "Fraction":
     """The classical nonzero jump of the fiber type (0 for the I_n family),
     for the tags kodaira_graph accepts; any other raises UnsupportedType."""
-    return _entry(tag, _KODAIRA)[1]
+    return _values.Fraction(*_entry(tag, _KODAIRA)[1])
 
 
 # the names of the seed pool, sorted: random_instance draws one with rng.choice

@@ -38,12 +38,13 @@ So that a process pays only for the modules it runs (without a bytecode
 cache it compiles each one from source), this module holds main, _common
 and compute alone. Importing it loads errors, _values, graph and io from
 the package and nothing else, and no argparse, gettext or locale; compute
-loads jumps. The other commands and the argparse parser are in
+loads jumps but not fractions, since it prints the jumps from integer
+pairs (a, d). The other commands and the argparse parser are in
 redjumps.commands, which main loads for a command other than compute, a
 form _common leaves to argparse, or an invalid graph's violations; it
-imports argparse itself only to parse such a form. catalog and verify are
-imported inside the commands that use them (numpy only by verify's monoid
-suite), and surgery by none of them.
+imports argparse itself only to parse such a form. catalog and verify
+are imported inside the commands that use them (numpy only by verify's
+monoid suite), and surgery by none of them.
 """
 
 import json
@@ -54,7 +55,8 @@ from types import SimpleNamespace
 from . import graph as _graph
 from .errors import (InternalInconsistency, OverBudget, ParseError,
                      RedjumpsError, ValidationError)
-from .io import _read, parse_document, report_document
+from ._values import _ratio
+from .io import _read, _report_document, parse_document
 
 
 def _cmd_compute(args):
@@ -65,37 +67,35 @@ def _cmd_compute(args):
         names = ", ".join(_jumps.CHECK_NAMES)
         raise RedjumpsError(f"no check named {args.check!r} (have: {names})")
     minimized = _graph.minimize(g) if args.minimize else None
-    report = _jumps.analyze(g, with_checks=args.check is not None)
+    report = _jumps._report(g, with_checks=args.check is not None)  # values as (a, d)
+    name, genus, jumps, conductor, unipotent, index, principal, minimal, checks = report
     sys.set_int_max_str_digits(0)  # the answer may be long: main restores the limit
-    checks = list(report.checks or ())
-    if args.check not in (None, "all"):
-        checks = [c for c in checks if c[0] == args.check]
+    checks = [c for c in checks or () if args.check in ("all", c[0])]
     if args.json:
-        doc = report_document(report)
+        doc = _report_document(*report)
         if args.check is not None:
-            doc["checks"] = {name: ok for name, ok in checks}
+            doc["checks"] = dict(checks)
         if minimized is not None:
             doc["model"] = {"vertices": len(g.vertices), "edges": len(g.edges)}
             doc["minimal_model"] = {"vertices": len(minimized.vertices),
                                     "edges": len(minimized.edges)}
         print(json.dumps(doc, indent=2))
     else:
-        if report.name:
-            print(f"name: {report.name}")
-        print(f"genus: {report.genus}")
-        print("jumps: " + ", ".join(f"{v} (x{m})" for v, m in report.jumps))
-        print(f"tame base-change conductor: {report.tame_base_change_conductor}")
-        print(f"unipotent rank: {report.unipotent_rank}")
-        print(f"stabilization index: {report.stabilization_index}")
-        principal = ", ".join(report.principal_components) or "none"
-        print(f"principal components: {principal}")
-        print(f"minimal: {'yes' if report.minimal else 'no'}")
+        if name:
+            print(f"name: {name}")
+        print(f"genus: {genus}")
+        print("jumps: " + ", ".join(f"{_ratio(*v)} (x{m})" for v, m in jumps))
+        print(f"tame base-change conductor: {_ratio(*conductor)}")
+        print(f"unipotent rank: {unipotent}")
+        print(f"stabilization index: {index}")
+        print(f"principal components: {', '.join(principal) or 'none'}")
+        print(f"minimal: {'yes' if minimal else 'no'}")
         if minimized is not None:
             print(f"model: {len(g.vertices)} vertices, {len(g.edges)} edges")
             print(f"minimal model: {len(minimized.vertices)} vertices, "
                   f"{len(minimized.edges)} edges")
-        for name, ok in checks:
-            print(f"check {name}: {'ok' if ok else 'FAIL'}")
+        for check, ok in checks:
+            print(f"check {check}: {'ok' if ok else 'FAIL'}")
     return 2 if any(not ok for _, ok in checks) else 0
 
 

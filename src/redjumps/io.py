@@ -27,7 +27,7 @@ it, and neither module imports the other.
 import json
 import sys
 
-from ._values import _quoted
+from ._values import _quoted, _ratio
 from .errors import ParseError
 from .graph import ReductionGraph, Vertex
 
@@ -130,16 +130,24 @@ def dump_graph(g: ReductionGraph) -> str:
 
 
 def report_document(r: "AnalysisReport") -> dict:
+    name, genus, jumps, conductor, *rest = [getattr(r, field) for field in r._fields]
+    return _report_document(name, genus, [(v.as_integer_ratio(), m) for v, m in jumps],
+                            conductor.as_integer_ratio(), *rest)
+
+
+def _report_document(name, genus, jumps, conductor, unipotent_rank, stabilization_index,
+                     principal_components, minimal, checks) -> dict:
+    """The document of a report's fields in the pair form of jumps._report."""
     doc = {
-        "name": r.name,
-        "genus": r.genus,
-        "jumps": [{"value": str(v), "multiplicity": m} for v, m in r.jumps],
-        "tame_base_change_conductor": str(r.tame_base_change_conductor),
-        "unipotent_rank": r.unipotent_rank,
-        "stabilization_index": r.stabilization_index,
-        "principal_components": list(r.principal_components),
-        "minimal": r.minimal,
+        "name": name,
+        "genus": genus,
+        "jumps": [{"value": _ratio(*v), "multiplicity": m} for v, m in jumps],
+        "tame_base_change_conductor": _ratio(*conductor),
+        "unipotent_rank": unipotent_rank,
+        "stabilization_index": stabilization_index,
+        "principal_components": list(principal_components),
+        "minimal": minimal,
     }
-    if r.checks is not None:
-        doc["checks"] = {name: ok for name, ok in r.checks}
+    if checks is not None:
+        doc["checks"] = dict(checks)
     return doc

@@ -59,14 +59,17 @@ reference route: the lower bound and the dual route are evaluated on it,
 and the model-independence check compares it with the node route on the
 minimal model. Every scan first counts the candidates of the vertices it
 scans, and more than WORK_BUDGET of them raise OverBudget instead of
-being scanned.
+being scanned. The kernel, the checks and ``_report`` carry each jump a/d
+as (a, d) in lowest terms, sorted by a (L / d) for L the lcm of the jump
+denominators (the stabilization index): only the public answers are
+made of Fractions.
 """
 
-from fractions import Fraction
 from math import gcd, lcm
 from types import SimpleNamespace
 
-from ._values import Value, _quoted
+from . import _values
+from ._values import Value, _quoted, _ratio
 from .errors import InternalInconsistency, OverBudget
 from .graph import ReductionGraph, _components, _is_node, contract_chains, minimize
 
@@ -79,13 +82,13 @@ class JumpSpectrum(Value):
 
     __slots__ = _fields = ("entries", "genus")
 
-    def __init__(self, entries: tuple[tuple[Fraction, int], ...], genus: int):
+    def __init__(self, entries: "tuple[tuple[Fraction, int], ...]", genus: int):
         set_entries, set_genus = self._setters
         set_entries(self, entries)
         set_genus(self, genus)
 
     def multiplicity(self, value) -> int:
-        return self.as_dict().get(Fraction(value), 0)
+        return self.as_dict().get(_values.Fraction(value), 0)
 
     def as_dict(self):
         return dict(self.entries)
@@ -131,7 +134,7 @@ class _Terms(Value):
                             - 2 * sum(a * n % d for n in self.boundary), 2 * d)
         if rest:
             raise InternalInconsistency(
-                f"half-edge sum at {Fraction(a, d)} is not a multiple of {2 * d}")
+                f"half-edge sum at {_ratio(a, d)} is not a multiple of {2 * d}")
         return self.genus - len(self.members) + len(self.boundary) + int(d == 1) + tail
 
     def euler(self, c, a: int) -> int:
@@ -211,18 +214,18 @@ def _numerators(d: int):
 def candidate_values(g: ReductionGraph):
     """All values in [0,1) whose index set is nonempty: 0 and a/N_i, of g
     itself (not of its minimal model); OverBudget past WORK_BUDGET."""
-    c = g._compiled
-    return sorted(Fraction(a, d) for d in _members_by_denominator(c, range(len(c.N)))
+    c, fraction = g._compiled, _values.Fraction
+    return sorted(fraction(a, d) for d in _members_by_denominator(c, range(len(c.N)))
                   for a in _numerators(d))
 
 
 def _scan(g: ReductionGraph, indices=None, checks: bool = False):
     """One pass over the candidates of the vertex indices of g, all of them
-    by default: the spectrum and, when checks is set, whether every nonzero
+    by default: the spectrum (jumps, L, genus), the genus read off the
+    adjunction sum, and, when checks is set, whether every nonzero
     candidate meets the lower bound and the dual route. Asserts
     non-negativity; whether the multiplicities sum to the genus is left to
-    the caller (see _asserted_total). The genus is read off the adjunction
-    sum."""
+    the caller (see _asserted_total)."""
     c = g._compiled
     entries = []
     ok_bound = ok_dual = True
@@ -234,30 +237,36 @@ def _scan(g: ReductionGraph, indices=None, checks: bool = False):
             mult = t.mult(a)
             if mult < 0:
                 raise InternalInconsistency(
-                    f"negative jump multiplicity {mult} at {Fraction(a, d)}")
+                    f"negative jump multiplicity {mult} at {_ratio(a, d)}")
             if mult:
-                entries.append((Fraction(a, d), mult))
+                entries.append(((a, d), mult))
             if checks and a:
                 ok_bound = ok_bound and mult >= bound
                 ok_dual = ok_dual and mult == t.euler(c, a)
-    return JumpSpectrum(tuple(sorted(entries)), 1 + c.adjunction // 2), ok_bound, ok_dual
+    index = lcm(*[d for (_, d), _ in entries])  # the zero jump's denominator is 1
+    entries.sort(key=lambda e: e[0][0] * (index // e[0][1]))
+    return (tuple(entries), index, 1 + c.adjunction // 2), ok_bound, ok_dual
 
 
-def _asserted_total(spectrum: JumpSpectrum) -> JumpSpectrum:
-    total = sum(m for _, m in spectrum.entries)
-    if total != spectrum.genus:
-        raise InternalInconsistency(
-            f"jump multiplicities sum to {total}, genus is {spectrum.genus}")
-    return spectrum
+def _fractions(jumps) -> "tuple[tuple[Fraction, int], ...]":
+    return tuple([(_values.Fraction(a, d), k) for (a, d), k in jumps])
 
 
-def compute_jumps(g: ReductionGraph) -> JumpSpectrum:
-    """Full jump spectrum by the node route (see the module docstring),
-    from the walk of g: the nodes of g are scanned unless one is
-    contractible or they are over the budget, and else those of
-    minimize(g). Asserts the multiplicity total equals the genus. Raises
-    OverBudget when the nodes of the model scanned have more than
-    WORK_BUDGET candidates."""
+def _spectrum(form) -> JumpSpectrum:
+    """The JumpSpectrum of a pair-form spectrum (jumps, L, genus)."""
+    return JumpSpectrum(_fractions(form[0]), form[2])
+
+
+def _asserted_total(form):
+    jumps, _, genus = form
+    total = sum(m for _, m in jumps)
+    if total != genus:
+        raise InternalInconsistency(f"jump multiplicities sum to {total}, genus is {genus}")
+    return form
+
+
+def _node_route(g: ReductionGraph):
+    """compute_jumps's spectrum in pair form (jumps, L, genus)."""
     c, (nodes, _, contractible) = g._compiled, g._walk
     if not any(_is_node(c.genus[i], c.nbrs[i]) for i in contractible):
         try:
@@ -268,10 +277,20 @@ def compute_jumps(g: ReductionGraph) -> JumpSpectrum:
     return _asserted_total(_scan(m, m._walk[0])[0])
 
 
-def tame_base_change_conductor(s: JumpSpectrum) -> Fraction:
+def compute_jumps(g: ReductionGraph) -> JumpSpectrum:
+    """Full jump spectrum by the node route (see the module docstring),
+    from the walk of g: the nodes of g are scanned unless one is
+    contractible or they are over the budget, and else those of
+    minimize(g). Asserts the multiplicity total equals the genus. Raises
+    OverBudget when the nodes of the model scanned have more than
+    WORK_BUDGET candidates."""
+    return _spectrum(_node_route(g))
+
+
+def tame_base_change_conductor(s: JumpSpectrum) -> "Fraction":
     """Sum of the jumps with multiplicity, as one sum over their lcm."""
     m = s.denominator_lcm()  # the zero jump's denominator is 1
-    return Fraction(sum(v.numerator * (m // v.denominator) * k for v, k in s.entries), m)
+    return _values.Fraction(sum(v.numerator * (m // v.denominator) * k for v, k in s.entries), m)
 
 
 def unipotent_rank(g: ReductionGraph) -> int:
@@ -289,8 +308,8 @@ class AnalysisReport(Value):
                            "unipotent_rank", "stabilization_index",
                            "principal_components", "minimal", "checks")
 
-    def __init__(self, name: str, genus: int, jumps: tuple[tuple[Fraction, int], ...],
-                 tame_base_change_conductor: Fraction, unipotent_rank: int,
+    def __init__(self, name: str, genus: int, jumps: "tuple[tuple[Fraction, int], ...]",
+                 tame_base_change_conductor: "Fraction", unipotent_rank: int,
                  stabilization_index: int, principal_components: tuple[str, ...],
                  minimal: bool, checks: tuple | None = None):
         (set_name, set_genus, set_jumps, set_tame_base_change_conductor, set_unipotent_rank,
@@ -317,22 +336,17 @@ def analyze(g: ReductionGraph, with_checks: bool = False) -> AnalysisReport:
     rank, the principal components and ``minimal`` describe g as given,
     and the last two are read off the walk of g that the routes share.
     """
-    if with_checks:
-        spectrum, checks = _checked(g)
-        checks = tuple(checks)
-    else:
-        spectrum, checks = compute_jumps(g), None
-    return AnalysisReport(
-        name=g.name,
-        genus=spectrum.genus,
-        jumps=spectrum.entries,
-        tame_base_change_conductor=tame_base_change_conductor(spectrum),
-        unipotent_rank=unipotent_rank(g),
-        stabilization_index=spectrum.denominator_lcm(),
-        principal_components=tuple(sorted(g.principal_components())),
-        minimal=g.is_minimal(),
-        checks=checks,
-    )
+    name, genus, jumps, conductor, *rest = _report(g, with_checks)
+    return AnalysisReport(name, genus, _fractions(jumps), _values.Fraction(*conductor), *rest)
+
+
+def _report(g: ReductionGraph, with_checks: bool = False) -> tuple:
+    """AnalysisReport's fields for analyze(g, with_checks), in order, in pair
+    form: the jumps ((a, d), multiplicity) and the conductor (its sum over L, L)."""
+    (jumps, index, genus), checks = _checked(g) if with_checks else (_node_route(g), None)
+    return (g.name, genus, jumps, (sum(a * (index // d) * k for (a, d), k in jumps), index),
+            unipotent_rank(g), index, tuple(sorted(g.principal_components())),
+            g.is_minimal(), None if checks is None else tuple(checks))
 
 
 # -- consistency checks (used by the CLI and the test corpus) ---------------
@@ -357,37 +371,35 @@ def run_checks(g: ReductionGraph):
 # unknown --check NAME from CHECK_NAMES before any scan.
 _CHECKS = (
     ("total-equals-genus", lambda f: sum(f.mults.values()) == f.genus),
-    ("zero-jump-multiplicity", lambda f: f.spectrum.multiplicity(0) == f.genus - f.u),
+    ("zero-jump-multiplicity", lambda f: f.mults.get((0, 1), 0) == f.genus - f.u),
     ("nonzero-count-equals-unipotent-rank",
-     lambda f: sum(m for v, m in f.mults.items() if v != 0) == f.u),
+     lambda f: sum(m for (a, _), m in f.mults.items() if a) == f.u),
     ("lower-bound", lambda f: f.ok_bound),
     ("dual-route", lambda f: f.ok_dual),
     ("principal-denominators",
-     lambda f: all(any(n % v.denominator == 0 for n in f.principal_mults)
-                   for v in f.mults if v != 0)),
+     lambda f: all(any(n % d == 0 for n in f.principal_mults) for a, d in f.mults if a)),
     ("principal-converse",
-     lambda f: all(any(v.denominator % n == 0 for v in f.mults)
-                   for n in f.principal_mults)),
+     lambda f: all(any(d % n == 0 for _, d in f.mults) for n in f.principal_mults)),
     # every a/N, 1 <= a < N, is a jump: the a/N are the N - 1 nonzero
     # values whose denominator divides N
     ("positive-genus-jumps",
-     lambda f: all(sum(v != 0 and n % v.denominator == 0 for v in f.mults) == n - 1
+     lambda f: all(sum(a != 0 and n % d == 0 for a, d in f.mults) == n - 1
                    for n in {v.multiplicity for v in f.g.vertices if v.genus >= 1})),
-    ("denominator-lcm", lambda f: f.spectrum.denominator_lcm() == f.index),
+    ("denominator-lcm", lambda f: f.lcm == f.index),
     ("chain-contraction", lambda f: contract_chains(f.minimized)[1] == f.index),
-    ("model-independence", lambda f: f.minimal_spectrum.entries == f.spectrum.entries),
+    ("model-independence", lambda f: f.minimal_jumps == f.jumps),
 )
 CHECK_NAMES = tuple(name for name, _ in _CHECKS)
 
 
 def _checked(g: ReductionGraph):
-    """The scan of g (the reference route) and the checks on it."""
+    """The scan of g (the reference route) in pair form, and the checks on it."""
     minimized = minimize(g)
-    spectrum, ok_bound, ok_dual = _scan(g, checks=True)
+    form, ok_bound, ok_dual = _scan(g, checks=True)
     facts = SimpleNamespace(
-        g=g, minimized=minimized, spectrum=spectrum, ok_bound=ok_bound,
-        ok_dual=ok_dual, mults=spectrum.as_dict(), genus=g.genus(),
+        g=g, minimized=minimized, jumps=form[0], lcm=form[1], ok_bound=ok_bound,
+        ok_dual=ok_dual, mults=dict(form[0]), genus=g.genus(),
         u=unipotent_rank(g), index=minimized.stabilization_index(),
-        minimal_spectrum=_scan(minimized, minimized._walk[0])[0],
+        minimal_jumps=_scan(minimized, minimized._walk[0])[0][0],
         principal_mults=sorted(minimized._compiled.N[i] for i in minimized._walk[1]))
-    return spectrum, [(name, test(facts)) for name, test in _CHECKS]
+    return form, [(name, test(facts)) for name, test in _CHECKS]

@@ -9,7 +9,7 @@ import pytest
 
 from redjumps import GeneratedGraph, JumpSpectrum, ReductionGraph
 from redjumps import minimize, random_instance
-from redjumps.jumps import _scan
+from redjumps.jumps import _scan, _spectrum
 
 CORPUS_SIZE = 550
 
@@ -34,11 +34,11 @@ def corpus():
     for seed in range(CORPUS_SIZE):
         inst = random_instance(seed, moves=seed % 16)
         if inst.base_name not in base_spectra:
-            base_spectra[inst.base_name] = _scan(inst.base)[0]
+            base_spectra[inst.base_name] = _spectrum(_scan(inst.base)[0])
         items.append(CorpusItem(
             seed=seed,
             inst=inst,
-            spectrum=_scan(inst.graph)[0],
+            spectrum=_spectrum(_scan(inst.graph)[0]),
             base_spectrum=base_spectra[inst.base_name],
             minimized=minimize(inst.graph),
         ))

@@ -192,9 +192,12 @@ def test_compute_checks_the_true_i1_model(tmp_path, capsys):
 def test_cli_import_leaves_out_networkx_and_numpy(tmp_path):
     # each command loads only the modules it runs: a whole compute run,
     # checks and JSON included, loads no argparse, heapq or __future__,
-    # and neither commands nor surgery
+    # and neither commands nor surgery; no form loads fractions, whose
+    # Fractions only the public API builds, nor the decimal and numbers
+    # that come with it
     heavy = {"__future__", "argparse", "gettext", "heapq", "locale", "networkx", "numpy",
              "dataclasses", "inspect"}
+    arithmetic = ["decimal", "fractions", "numbers"]
     path = doc_path(tmp_path, kodaira_graph("II*"))
     blown = doc_path(tmp_path, blow_up_edge(kodaira_graph("II*"), 0), "blown.json")
 
@@ -205,16 +208,15 @@ def test_cli_import_leaves_out_networkx_and_numpy(tmp_path):
                 "print(code)\n"
                 f"print(sorted({heavy!r} & set(sys.modules)))\n"
                 "print(sorted(m for m in sys.modules if m.startswith('redjumps.')))\n"
-                "print('fractions' in sys.modules)")
+                f"print(any(m in sys.modules for m in {arithmetic!r}))")
         env = {**os.environ, "PYTHONPATH": str(Path(redjumps.__file__).parents[1])}
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, input=stdin,
                               text=True, check=True, env=env)
         return proc.stdout.splitlines()
 
     # per form: the package modules beyond cli's own, and the heavy ones;
-    # only a contraction (a model that is not minimal) loads heapq, only
-    # jumps and catalog load fractions, and only a form _common does not
-    # read loads argparse
+    # only a contraction (a model that is not minimal) loads heapq, and
+    # only a form _common does not read loads argparse
     for argv, stdin, more, loaded in (
             (["compute", path, "--json", "--check"], None, ("jumps",), ()),
             (["compute", blown, "--json", "--check"], None, ("jumps",), ("heapq",)),
@@ -226,14 +228,14 @@ def test_cli_import_leaves_out_networkx_and_numpy(tmp_path):
             (["compute", "-", "--check", "dual-route", "--minimize"],
              Path(path).read_text(), ("jumps",), ()),
             (["compute", path, "--js"], None, ("commands", "jumps"), ("argparse", "gettext"))):
-        code, left_in, package, fractions = run(argv, stdin)
+        code, left_in, package, arithmetic_loaded = run(argv, stdin)
         assert code == "0", argv
         # argparse loads gettext, and on some versions locale with it
         allowed = [loaded, (*loaded, "locale")] if "argparse" in loaded else [loaded]
         assert left_in in [str(sorted(names)) for names in allowed], argv
         assert package == str(sorted(f"redjumps.{m}" for m in
                                      ("_values", "cli", "errors", "graph", "io", *more))), argv
-        assert fractions == str("jumps" in more or "catalog" in more), argv
+        assert arithmetic_loaded == "False", argv
 
 
 def test_module_entry_point_loads_no_second_cli(tmp_path):
@@ -726,7 +728,7 @@ def test_each_refusal_has_its_exit_code_and_line(error, code, prefix, monkeypatc
     def refuse(g, with_checks=False):
         raise error("the witness")
 
-    monkeypatch.setattr(jumps, "analyze", refuse)
+    monkeypatch.setattr(jumps, "_report", refuse)
     monkeypatch.setattr("sys.stdin", stdin_of(dump_graph(kodaira_graph("II")).encode()))
     assert main(["compute", "-"]) == code
     assert capsys.readouterr() == ("", f"{prefix}: the witness\n")

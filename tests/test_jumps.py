@@ -5,11 +5,14 @@ the intersection formula (index set, floor divisor, sigma) and frozen; the
 formula itself, written out apart from the library, is ``formula_oracle``.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
@@ -35,6 +38,7 @@ from redjumps import (
     kodaira_graph,
     minimize,
     random_instance,
+    report_document,
     run_checks,
     seed_graphs,
     tame_base_change_conductor,
@@ -54,12 +58,12 @@ F = Fraction
 def given_model_spectrum(g):
     """The scan of every vertex of g, the reference route of run_checks;
     compute_jumps takes the node route instead."""
-    return jumps._scan(g)[0]
+    return jumps._spectrum(jumps._scan(g)[0])
 
 
 def node_route(g):
     """The scan of the nodes of g alone."""
-    return jumps._scan(g, g._walk[0])[0]
+    return jumps._spectrum(jumps._scan(g, g._walk[0])[0])
 
 
 # -- the intersection-formula ingredients on the type II star -------------------
@@ -144,6 +148,29 @@ def test_spectrum_helpers():
     assert s.multiplicity("1/4") == 2
     assert s.multiplicity(F(1, 3)) == 0
     assert [v for v, _ in s.entries] == [F(0), F(1, 4), F(1, 2), F(3, 4)]
+
+
+def test_the_public_answers_are_fractions():
+    # the kernel carries each jump as an integer pair (a, d); every public
+    # answer is still made of Fractions, with the reprs they always had
+    assert repr(analyze(kodaira_graph("II*"))) == (
+        "AnalysisReport(name='II*', genus=1, jumps=((Fraction(5, 6), 1),), "
+        "tame_base_change_conductor=Fraction(5, 6), unipotent_rank=1, stabilization_index=6, "
+        "principal_components=('c',), minimal=True, checks=None)")
+    r = analyze(kodaira_graph("I3"), with_checks=True)
+    assert (repr(r.jumps), repr(r.tame_base_change_conductor)) == (
+        "((Fraction(0, 1), 1),)", "Fraction(0, 1)")
+    s = compute_jumps(seed_graphs()["star5"])
+    assert repr(s) == ("JumpSpectrum(entries=((Fraction(0, 1), 1), (Fraction(1, 4), 2), "
+                       "(Fraction(1, 2), 1), (Fraction(3, 4), 1)), genus=5)")
+    assert repr(tame_base_change_conductor(s)) == "Fraction(7, 4)"
+    assert repr(candidate_values(kodaira_graph("III"))) == (
+        "[Fraction(0, 1), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]")
+    assert [repr(expected_jump(tag)) for tag in ("III*", "I3", "I2*")] == [
+        "Fraction(3, 4)", "Fraction(0, 1)", "Fraction(1, 2)"]
+    assert s.multiplicity(0.25) == 2 and s.multiplicity("3/4") == 1
+    values = [v for v, _ in s.entries + r.jumps] + [r.tame_base_change_conductor]
+    assert {type(v) for v in values} == {Fraction}
 
 
 def test_unipotent_ranks():
@@ -295,6 +322,12 @@ def test_bad_total_is_reported_by_the_check(monkeypatch, tmp_path, capsys):
     with pytest.raises(InternalInconsistency) as caught:
         compute_jumps(g)
     assert str(caught.value) == "negative jump multiplicity -1 at 1/2"
+    # two too few at 0, which the message writes as str(Fraction(0)) does
+    monkeypatch.setattr(jumps._Terms, "mult",
+                        lambda self, a: mult(self, a) - 2 * (self.d == 1))
+    with pytest.raises(InternalInconsistency) as caught:
+        compute_jumps(g)
+    assert str(caught.value) == "negative jump multiplicity -1 at 0"
 
 
 def test_a_negative_unipotent_rank_is_an_internal_inconsistency(monkeypatch):
@@ -707,5 +740,77 @@ def test_an_odd_half_edge_sum_is_an_internal_inconsistency():
     # t3 alone is neither M_1 nor its nodes: one half-edge into M_1, so the
     # scaled sum is odd and the guard in mult refuses it
     c = kodaira_graph("II")._compiled
-    with pytest.raises(InternalInconsistency):
+    with pytest.raises(InternalInconsistency) as caught:
         jumps._terms(c, 1, [c.index["t3"]]).mult(0)
+    assert str(caught.value) == "half-edge sum at 0 is not a multiple of 2"
+    # one member with one half-edge into M_4 and no boundary: 4 * 1 is not
+    # a multiple of 8, at 3/4 as at every a/4
+    with pytest.raises(InternalInconsistency) as caught:
+        jumps._Terms(4, (0,), 1, (), 0).mult(3)
+    assert str(caught.value) == "half-edge sum at 3/4 is not a multiple of 8"
+
+
+# -- the values compute prints ----------------------------------------------------
+
+def compute_output(g, *flags):
+    """The exit code and stdout of main(["compute", path, *flags]), path a
+    file holding g's document."""
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "graph.json"
+        path.write_text(dump_graph(g))
+        with contextlib.redirect_stdout(out):
+            code = main(["compute", str(path), *flags])
+    return code, out.getvalue()
+
+
+def assert_compute_prints_the_public_answers(g):
+    """compute writes its values from integer pairs (a, d): its document is
+    the public report's, and its plain lines show str() of the Fractions."""
+    r = analyze(g, with_checks=True)
+    code, out = compute_output(g, "--json", "--check")
+    assert (code, json.loads(out)) == (0, report_document(r)), g.name
+    code, out = compute_output(g)
+    lines = out.splitlines()
+    assert code == 0, g.name
+    assert "jumps: " + ", ".join(f"{v} (x{m})" for v, m in r.jumps) in lines, g.name
+    assert f"tame base-change conductor: {r.tame_base_change_conductor}" in lines, g.name
+
+
+def iii_joined_to_iii_star():
+    """III and III*, a reduced tail of each joined by an edge: genus 2, with
+    the jumps 1/4 and 3/4 and so the integer conductor 1."""
+    parts = [("p", kodaira_graph("III")), ("q", kodaira_graph("III*"))]
+    vertices = [Vertex(p + v.id, v.multiplicity, v.genus) for p, h in parts for v in h.vertices]
+    edges = [(p + a, p + b) for p, h in parts for a, b in h.edges]
+    return ReductionGraph(vertices, edges + [("pt3", "qa3_3")], "III-III*")
+
+
+def test_compute_prints_the_public_answers_on_the_catalog():
+    for tag in (*catalog_tags(), "I1"):
+        assert_compute_prints_the_public_answers(catalog_graph(tag))
+    assert_compute_prints_the_public_answers(iii_joined_to_iii_star())
+
+
+@settings(deadline=None, max_examples=100)
+@given(g=surgered_models())
+def test_compute_prints_the_public_answers_on_surgered_models(g):
+    assert_compute_prints_the_public_answers(g)
+
+
+def test_compute_writes_zero_and_integer_values():
+    # I3: the zero jump and a zero conductor
+    code, out = compute_output(kodaira_graph("I3"), "--json")
+    doc = json.loads(out)
+    assert (code, doc["jumps"], doc["tame_base_change_conductor"]) == (
+        0, [{"value": "0", "multiplicity": 1}], "0")
+    # 1/4 + 3/4: an integer conductor, written without a denominator
+    g = iii_joined_to_iii_star()
+    assert compute_jumps(g).entries == ((F(1, 4), 1), (F(3, 4), 1))
+    code, out = compute_output(g)
+    lines = out.splitlines()
+    assert code == 0
+    assert "jumps: 1/4 (x1), 3/4 (x1)" in lines
+    assert "tame base-change conductor: 1" in lines
+    doc = json.loads(compute_output(g, "--json")[1])
+    assert doc["tame_base_change_conductor"] == "1" and doc["stabilization_index"] == 4

@@ -14,7 +14,7 @@ import pytest
 
 import redjumps
 from redjumps import analyze, compute_jumps, errors, jumps, kodaira_graph, minimize, random_instance
-from redjumps._values import Value
+from redjumps._values import Value, _ratio
 from redjumps.errors import ValidationError
 from redjumps.graph import ReductionGraph, Vertex, Violation
 from redjumps.monoids import (AffineMonoid, SaturationChartCase1,
@@ -177,3 +177,13 @@ def test_every_error_copies_and_pickles(cls):
         assert (type(clone), str(clone)) == (cls, str(error))
         if cls is ValidationError:
             assert clone.violations == error.violations
+
+
+def test_ratio_writes_what_str_of_a_fraction_writes():
+    # the commands write a/d from the integer pair; Fraction is imported
+    # here only to compare
+    from fractions import Fraction
+
+    for d in range(1, 40):
+        for a in range(-80, 81):
+            assert _ratio(a, d) == str(Fraction(a, d)), (a, d)
