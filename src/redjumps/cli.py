@@ -72,9 +72,7 @@ def _cmd_compute(args):
     sys.set_int_max_str_digits(0)  # the answer may be long: main restores the limit
     checks = [c for c in checks or () if args.check in ("all", c[0])]
     if args.json:
-        doc = _report_document(*report)
-        if args.check is not None:
-            doc["checks"] = dict(checks)
+        doc = _report_document(*report[:-1], None if args.check is None else checks)
         if minimized is not None:
             doc["model"] = {"vertices": len(g.vertices), "edges": len(g.edges)}
             doc["minimal_model"] = {"vertices": len(minimized.vertices),

@@ -55,12 +55,13 @@ minimal model are computed once per graph object and kept with it, so
 analyze(g) followed by minimize(g) or run_checks(g) walks g and its
 minimal model once each and contracts once. run_checks and
 analyze(g, with_checks=True) keep the scan of every vertex of g as the
-reference route: the lower bound and the dual route are evaluated on it,
-and the model-independence check compares it with the node route on the
-minimal model. Every scan first counts the candidates of the vertices it
-scans, and more than WORK_BUDGET of them raise OverBudget instead of
-being scanned. The kernel, the checks and ``_report`` carry each jump a/d
-as (a, d) in lowest terms, sorted by a (L / d) for L the lcm of the jump
+reference route, and only it evaluates the lower bound and the dual
+route, which hold on all of M_d and not on its nodes; model independence
+compares it with the node route on the minimal model. Every scan first
+counts the candidates of the vertices it scans, and more than
+WORK_BUDGET of them raise OverBudget instead of being scanned. The
+kernel, the checks and ``_report`` carry each jump a/d as (a, d) in
+lowest terms, sorted by a (L / d) for L the lcm of the jump
 denominators (the stabilization index): only the public answers are
 made of Fractions.
 """
@@ -219,18 +220,19 @@ def candidate_values(g: ReductionGraph):
                   for a in _numerators(d))
 
 
-def _scan(g: ReductionGraph, indices=None, checks: bool = False):
-    """One pass over the candidates of the vertex indices of g, all of them
-    by default: the spectrum (jumps, L, genus), the genus read off the
-    adjunction sum, and, when checks is set, whether every nonzero
-    candidate meets the lower bound and the dual route. Asserts
-    non-negativity; whether the multiplicities sum to the genus is left to
-    the caller (see _asserted_total)."""
+def _scan(g: ReductionGraph, nodes=None):
+    """One pass over the candidates of the vertex indices ``nodes`` of g, or
+    of every vertex: the spectrum (jumps, L, genus), the genus read off the
+    adjunction sum, and whether every nonzero candidate meets the lower
+    bound and the dual route. Only the scan of every vertex evaluates those
+    two, as both hold on all of M_d, not on its nodes (a node scan returns
+    True, True). Asserts non-negativity, not the total."""
     c = g._compiled
+    checks = nodes is None
     entries = []
     ok_bound = ok_dual = True
     for d, members in _members_by_denominator(
-            c, range(len(c.N)) if indices is None else indices).items():
+            c, range(len(c.N)) if checks else nodes).items():
         t = _terms(c, d, members)
         bound = t.lower_bound(c) if checks and d > 1 else None
         for a in _numerators(d):
@@ -257,24 +259,23 @@ def _spectrum(form) -> JumpSpectrum:
     return JumpSpectrum(_fractions(form[0]), form[2])
 
 
-def _asserted_total(form):
+def _node_route(g: ReductionGraph):
+    """compute_jumps's spectrum in pair form (jumps, L, genus), its total asserted."""
+    c, (nodes, _, contractible) = g._compiled, g._walk
+    form = None
+    if not any(_is_node(c.genus[i], c.nbrs[i]) for i in contractible):
+        try:
+            form = _scan(g, nodes)[0]
+        except OverBudget:  # a heavy node of g, which minimize may remove
+            pass
+    if form is None:
+        m = minimize(g)
+        form = _scan(m, m._walk[0])[0]
     jumps, _, genus = form
-    total = sum(m for _, m in jumps)
+    total = sum(k for _, k in jumps)
     if total != genus:
         raise InternalInconsistency(f"jump multiplicities sum to {total}, genus is {genus}")
     return form
-
-
-def _node_route(g: ReductionGraph):
-    """compute_jumps's spectrum in pair form (jumps, L, genus)."""
-    c, (nodes, _, contractible) = g._compiled, g._walk
-    if not any(_is_node(c.genus[i], c.nbrs[i]) for i in contractible):
-        try:
-            return _asserted_total(_scan(g, nodes)[0])
-        except OverBudget:  # a heavy node of g, which minimize may remove
-            pass
-    m = minimize(g)
-    return _asserted_total(_scan(m, m._walk[0])[0])
 
 
 def compute_jumps(g: ReductionGraph) -> JumpSpectrum:
@@ -395,7 +396,7 @@ CHECK_NAMES = tuple(name for name, _ in _CHECKS)
 def _checked(g: ReductionGraph):
     """The scan of g (the reference route) in pair form, and the checks on it."""
     minimized = minimize(g)
-    form, ok_bound, ok_dual = _scan(g, checks=True)
+    form, ok_bound, ok_dual = _scan(g)
     facts = SimpleNamespace(
         g=g, minimized=minimized, jumps=form[0], lcm=form[1], ok_bound=ok_bound,
         ok_dual=ok_dual, mults=dict(form[0]), genus=g.genus(),

@@ -353,7 +353,8 @@ class AffineMonoid(Value):
 
     Only ``generators`` is a field; the membership grid (with its bound
     and strides) and the Hermite form of the generators are caches, filled
-    on first use."""
+    on first use. The grid is the box asked for: a lookup past it builds
+    the grid of the larger box in its place."""
 
     _fields = ("generators",)
     __slots__ = _fields + ("_grid", "_grid_bound", "_strides", "_hnf")
@@ -381,18 +382,15 @@ class AffineMonoid(Value):
         return len(self.generators[0])
 
     def _ensure_grid(self, bound):
-        """Build the grid on [0, B]^r for a B >= bound: at least double the
-        last B, unless that grid would pass GRID_BITS. Raises
-        PreconditionFailed, before allocating, when even B = bound would."""
+        """Build the grid on [0, bound]^r, the box asked for, unless the kept
+        grid holds it already. Raises PreconditionFailed, before allocating,
+        when that grid would pass GRID_BITS."""
         if bound <= self._grid_bound:
             return
         if (2 * (bound + 1)) ** self.rank > GRID_BITS:
             raise PreconditionFailed(
                 f"a membership grid on [0, {_shown(bound, str)}]^{self.rank} would take "
                 f"more than GRID_BITS = {GRID_BITS} bits")
-        grown = max(bound, 2 * self._grid_bound, 8)
-        if (2 * (grown + 1)) ** self.rank <= GRID_BITS:
-            bound = grown
         stride = 2 * (bound + 1)
         strides = tuple(stride ** k for k in reversed(range(self.rank)))
         mask = _box_mask(self.rank, bound, stride)

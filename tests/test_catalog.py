@@ -1,16 +1,13 @@
 """Named fiber-type graphs and the random instance generator."""
 
 import hashlib
-import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-import redjumps
 from redjumps import (
     GeneratedGraph,
     blow_up_edge,
@@ -27,6 +24,7 @@ from redjumps import catalog
 from redjumps.errors import PreconditionFailed, UnsupportedType
 
 from formula_oracle import is_isomorphic
+from package_env import package_env
 
 
 def test_catalog_entries_are_valid_minimal_models():
@@ -254,7 +252,7 @@ def test_random_instance_leaves_out_the_verifiers():
             "from redjumps import random_instance\n"
             "random_instance(7, 64)\n"
             f"print(sorted({heavy!r} & set(sys.modules)))")
-    env = {**os.environ, "PYTHONPATH": str(Path(redjumps.__file__).parents[1])}
+    env = package_env()
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, env=env)
     assert proc.stdout.strip() == "[]"

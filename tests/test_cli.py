@@ -41,6 +41,7 @@ from redjumps.errors import (InternalInconsistency, OverBudget, ParseError,
 from redjumps.verify import graph_suite, lattice_suite
 
 from formula_oracle import is_isomorphic
+from package_env import package_env
 
 GCD2_DOC = json.dumps({
     "format": "reduction-graph/1",
@@ -209,7 +210,7 @@ def test_cli_import_leaves_out_networkx_and_numpy(tmp_path):
                 f"print(sorted({heavy!r} & set(sys.modules)))\n"
                 "print(sorted(m for m in sys.modules if m.startswith('redjumps.')))\n"
                 f"print(any(m in sys.modules for m in {arithmetic!r}))")
-        env = {**os.environ, "PYTHONPATH": str(Path(redjumps.__file__).parents[1])}
+        env = package_env()
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, input=stdin,
                               text=True, check=True, env=env)
         return proc.stdout.splitlines()
@@ -249,7 +250,7 @@ def test_module_entry_point_loads_no_second_cli(tmp_path):
             "except SystemExit as exc:\n"
             "    print(exc.code)\n"
             "print(sorted(m for m in sys.modules if m.startswith('redjumps.')))")
-    env = {**os.environ, "PYTHONPATH": str(Path(redjumps.__file__).parents[1])}
+    env = package_env()
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env=env)
     assert proc.stdout.splitlines() == [
@@ -276,7 +277,7 @@ def test_declared_dependencies_are_the_imported_ones():
 
 def run_redjumps(*args, timeout, stdout=subprocess.PIPE):
     """One `redjumps` process, and its wall time in seconds."""
-    env = {**os.environ, "PYTHONPATH": str(Path(redjumps.__file__).parents[1])}
+    env = package_env()
     code = "import sys; from redjumps.cli import main; sys.exit(main())"
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-c", code, *args], stdout=stdout,

@@ -483,6 +483,58 @@ def test_a_heavy_node_falls_back_to_the_minimal_model(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["jumps"] == [{"value": "1/6", "multiplicity": 1}]
 
 
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Counts of the kernel's evaluations (_Terms.mult, euler and
+    lower_bound) and of the minimal-model worklist's heap operations;
+    _minimal imports heapq when it runs, so it reads the wrapped ones."""
+    import heapq
+
+    counts = Counter()
+    for owner, name in ((jumps._Terms, "mult"), (jumps._Terms, "euler"),
+                        (jumps._Terms, "lower_bound"), (heapq, "heappop"),
+                        (heapq, "heappush")):
+        def counted(*args, _call=getattr(owner, name), _name=name):
+            counts[_name] += 1
+            return _call(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    return counts
+
+
+def assert_one_worklist_run(g, m, counts):
+    # the heap is seeded once, and a contraction pushes only the neighbours
+    # it makes contractible: no more pushes than contractions, and no more
+    # pops than vertices
+    v, v_min = len(g.vertices), len(m.vertices)
+    assert counts["heappush"] <= v - v_min and counts["heappop"] <= v, (v, v_min, counts)
+
+
+def test_the_node_route_and_the_worklist_count_their_work(evaluations):
+    # the node route evaluates mult at the nodes' candidates alone, which a
+    # blow-up chain leaves as they were, and never the reference route's
+    # lower bound or dual route; minimize contracts each blown-up vertex
+    # once, with no heap seeded again
+    for tag, mults in (("II", 6), ("II*", 6), ("IV", 3), ("I0*", 2), ("genus2", 2)):
+        for n in (8, 16, 24, 40, 60):
+            g = fibonacci_chain(tag, n)
+            evaluations.clear()
+            compute_jumps(g)
+            assert evaluations == {"mult": mults}, (tag, n, evaluations)
+            evaluations.clear()
+            m = minimize(g)
+            assert len(g.vertices) - len(m.vertices) == n, (tag, n)
+            assert_one_worklist_run(g, m, evaluations)
+    for s in range(3):
+        g = random_instance(s, 10_000).graph
+        evaluations.clear()
+        m = minimize(g)
+        assert_one_worklist_run(g, m, evaluations)
+        evaluations.clear()
+        compute_jumps(g)
+        assert evaluations["mult"] <= 4 and set(evaluations) == {"mult"}, (s, evaluations)
+
+
 def test_outputs_are_pinned():
     # the ten 12-step chains of the benchmark's chains workload and the
     # random corpus: reports with and without checks, the check table and

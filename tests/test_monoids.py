@@ -4,18 +4,15 @@ import hashlib
 import itertools
 import math
 import operator
-import os
 import random
 import subprocess
 import sys
 import time
 import types
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import redjumps
 from redjumps import monoids
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -47,6 +44,8 @@ from redjumps.monoids import (
     verify_lemm_coker,
 )
 from redjumps.verify import monoid_suite
+
+from package_env import package_env
 
 
 # -- chart construction --------------------------------------------------------
@@ -413,7 +412,7 @@ def test_chart_saturation_index_is_the_lcm_on_larger_charts():
 def test_monoids_import_leaves_out_numpy():
     code = ("import sys, redjumps.lattices, redjumps.monoids\n"
             "print('numpy' in sys.modules)")
-    env = {**os.environ, "PYTHONPATH": str(Path(redjumps.__file__).parents[1])}
+    env = package_env()
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, env=env)
     assert proc.stdout.strip() == "False"
@@ -427,7 +426,7 @@ def test_only_the_monoid_suite_loads_numpy():
             "print('numpy' in sys.modules)\n"
             "monoid_suite(0, 1)\n"
             "print('numpy' in sys.modules)")
-    env = {**os.environ, "PYTHONPATH": str(Path(redjumps.__file__).parents[1])}
+    env = package_env()
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, env=env)
     assert proc.stdout.split() == ["False", "True"]
@@ -698,8 +697,8 @@ def test_grids_past_the_bit_budget_are_refused_at_once():
             call()
         assert cube._grid is None  # refused before any grid was built
     assert time.perf_counter() - start < 0.5
-    # a grid that would double past the budget grows only as far as asked,
-    # and a grid past it is refused with the last grid kept
+    # a grid grows to the box asked for, up to the budget, and a grid past
+    # it is refused with the last grid kept
     edge = math.isqrt(monoids.GRID_BITS) // 2 - 1  # the largest B: (2(B + 1))^2 fits
     plane = AffineMonoid(((1, 0), (0, 1)))
     assert plane.contains((edge // 2 + 1, 0)) and plane._grid_bound == edge // 2 + 1
@@ -737,11 +736,9 @@ def test_monoid_checks_refuse_non_integer_vectors():
 
 # -- the membership grid against the fixpoint loop it replaced -------------------
 
-def reference_ensure_grid(generators, grid_bound, bound):
-    """(grid, bound) as the old fixpoint loop built them from a grid of
-    bound grid_bound (-1 for none): shift by every generator in the box
-    until nothing changes."""
-    bound = max(bound, 2 * grid_bound, 8)
+def reference_ensure_grid(generators, bound):
+    """The grid on [0, bound]^r as the old fixpoint loop built it: shift by
+    every generator in the box until nothing changes."""
     r = len(generators[0])
     grid = np.zeros((bound + 1,) * r, dtype=bool)
     grid[(0,) * r] = True
@@ -755,7 +752,7 @@ def reference_ensure_grid(generators, grid_bound, bound):
             if (src & ~dst).any():
                 dst |= src
                 changed = True
-    return grid, bound
+    return grid
 
 
 def assert_grids_match(generators, bounds):
@@ -764,7 +761,7 @@ def assert_grids_match(generators, bounds):
     for bound in bounds:
         P._ensure_grid(bound)
         if bound > grid_bound:
-            want, grid_bound = reference_ensure_grid(generators, grid_bound, bound)
+            want, grid_bound = reference_ensure_grid(generators, bound), bound
         assert P._grid_bound == grid_bound, (generators, bounds)
         # every point of the box, in the row-major order of want's cells;
         # equal bit counts then leave no stray bit outside the box
@@ -775,7 +772,7 @@ def assert_grids_match(generators, bounds):
 
 def random_generators(rng):
     """1 to 6 vectors of rank 1 to 3 with entries up to 20, some of them
-    zero or repeated; entries above 8 fall outside the smallest grid."""
+    zero or repeated; an entry above the bound falls outside the grid."""
     r = rng.randint(1, 3)
     gens = [tuple(rng.choice((0, 0, 1, 2, 3, 5, 7, 9, 20)) for _ in range(r))
             for _ in range(rng.randint(1, 6))]
@@ -825,7 +822,7 @@ def test_grid_closes_only_under_irredundant_generators(monkeypatch):
         want = []
         ordered = sorted(gens, key=sum)
         for k, g in enumerate(ordered):
-            before, _ = reference_ensure_grid(ordered[:k] or ((0,) * len(g),), -1, 8)
+            before = reference_ensure_grid(ordered[:k] or ((0,) * len(g),), 8)
             if max(g) <= 8 and not before[g]:
                 want.append(g)
         assert closed == want, gens

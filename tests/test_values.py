@@ -3,7 +3,6 @@
 import copy
 import importlib
 import inspect
-import os
 import pickle
 import pkgutil
 import subprocess
@@ -19,6 +18,8 @@ from redjumps.errors import ValidationError
 from redjumps.graph import ReductionGraph, Vertex, Violation
 from redjumps.monoids import (AffineMonoid, SaturationChartCase1,
                               SaturationChartCase2)
+
+from package_env import package_env
 
 
 def _instances():
@@ -97,7 +98,7 @@ def test_exports_resolve():
     code = ("import sys, redjumps; "
             "print(sorted(m for m in sys.modules if m.startswith('redjumps.'))); "
             "print(sorted(set(redjumps.__all__) - set(dir(redjumps))))")
-    env = {**os.environ, "PYTHONPATH": str(Path(redjumps.__file__).parents[1])}
+    env = package_env()
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, env=env)
     assert proc.stdout.splitlines() == ["[]", "[]"]
