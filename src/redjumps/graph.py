@@ -23,13 +23,14 @@ graph only, so a graph carries no report: the refusal, one ValidationError,
 holds every Violation found. Every accessor, genus() and the jump kernel
 read that form.
 
-minimize() runs a worklist on that form once per graph
+_settle also classifies the vertices into nodes, principal components and
+contractible curves, the fields ``nodes``, ``principal`` and
+``contractible`` of that form, which is_minimal(), principal_components(),
+contract_chains(), the stabilization index, minimize()'s worklist and the
+jump kernel read. minimize() runs that worklist once per graph
 (``ReductionGraph._minimal``) and constructs its result; the blow-ups of
 redjumps.surgery, which a plain compute never loads, hand their integer
-form to _settle. One walk per graph (``ReductionGraph._walk``) classifies
-the vertices into nodes, principal components and contractible curves,
-which is_minimal(), principal_components(), contract_chains(), the
-worklist's seed and the jump kernel's node route read.
+form to _settle.
 """
 
 import itertools
@@ -78,12 +79,6 @@ def _is_node(genus: int, nbrs) -> bool:
     return genus != 0 or len(nbrs) != 2
 
 
-def _is_principal(genus: int, nbrs) -> bool:
-    """A principal component: genus >= 1, or genus 0 meeting the rest in
-    >= 3 points. Every principal component is a node."""
-    return genus != 0 or len(nbrs) > 2
-
-
 def _components(nbrs, members) -> int:
     """Number of connected components of the subgraph induced on the
     vertex indices ``members``; ``nbrs[i]`` lists the neighbours of i.
@@ -127,19 +122,28 @@ class _Compiled(Value):
     ``vertices[k]`` and ``index[id]``, ``nbrs[k]`` its neighbour indices
     (repeated for parallel edges) and ``nbr_sum[k]`` their multiplicities'
     sum. -(nbr_sum[k] // N[k]) is E_k^2 and ``adjunction`` = sum of
-    N_k (2 g_k - 2) + nbr_sum[k] is 2g - 2."""
+    N_k (2 g_k - 2) + nbr_sum[k] is 2g - 2. ``nodes`` (:func:`_is_node`),
+    ``principal`` (genus >= 1 or >= 3 edges, all of them nodes) and
+    ``contractible`` (:func:`_contractible`) list the vertex indices of
+    each class in vertex order."""
 
-    __slots__ = _fields = ("index", "N", "genus", "nbrs", "nbr_sum", "adjunction")
+    __slots__ = _fields = ("index", "N", "genus", "nbrs", "nbr_sum", "adjunction",
+                           "nodes", "principal", "contractible")
 
     def __init__(self, index: dict[str, int], N: list[int], genus: list[int],
-                 nbrs: list[list[int]], nbr_sum: list[int], adjunction: int):
-        set_index, set_N, set_genus, set_nbrs, set_nbr_sum, set_adjunction = self._setters
+                 nbrs: list[list[int]], nbr_sum: list[int], adjunction: int,
+                 nodes: list[int], principal: list[int], contractible: list[int]):
+        (set_index, set_N, set_genus, set_nbrs, set_nbr_sum, set_adjunction,
+         set_nodes, set_principal, set_contractible) = self._setters
         set_index(self, index)
         set_N(self, N)
         set_genus(self, genus)
         set_nbrs(self, nbrs)
         set_nbr_sum(self, nbr_sum)
         set_adjunction(self, adjunction)
+        set_nodes(self, nodes)
+        set_principal(self, principal)
+        set_contractible(self, contractible)
 
 
 class ReductionGraph(Value):
@@ -156,7 +160,7 @@ class ReductionGraph(Value):
     """
 
     _fields = ("vertices", "edges", "name")
-    __slots__ = _fields + ("_compiled", "__dict__")  # cached properties: __dict__
+    __slots__ = _fields + ("_compiled", "__dict__")  # the cached _minimal: __dict__
 
     def __init__(self, vertices: tuple[Vertex, ...], edges: tuple[tuple[str, str], ...],
                  name: str = ""):
@@ -212,7 +216,8 @@ class ReductionGraph(Value):
     def _settle(self, vertices, edges, name, index, N, genus, nbrs, nbr_sum, problems):
         """The one semantic check, which every graph gets: raise ``problems``
         or any connectivity, gcd, E^2 and genus violation in one
-        ValidationError, else set the fields and ``_compiled``."""
+        ValidationError, else classify the vertices (trying the contractible
+        test only where E^2 = -1) and set the fields and ``_compiled``."""
         adjunction = 2 * sum(map(mul, N, genus)) - 2 * sum(N) + sum(nbr_sum)  # see _Compiled
         if not problems:  # the semantics, of a structurally sound graph only
             if _components(nbrs, range(len(N))) != 1:
@@ -231,11 +236,20 @@ class ReductionGraph(Value):
             problems += bad
         if problems:
             raise ValidationError("; ".join(f"{v.code}: {v.message}" for v in problems), tuple(problems))
+        nodes, principal, contractible = [], [], []
+        for i, g, ns, s, n in zip(itertools.count(), genus, nbrs, nbr_sum, N):
+            if _is_node(g, ns):
+                nodes.append(i)
+                if g or len(ns) > 2:
+                    principal.append(i)
+            if s == n and _contractible(g, n, ns, s):
+                contractible.append(i)
         set_vertices, set_edges, set_name = self._setters
         set_vertices(self, vertices)
         set_edges(self, edges)
         set_name(self, name)
-        object.__setattr__(self, "_compiled", _Compiled(index, N, genus, nbrs, nbr_sum, adjunction))
+        object.__setattr__(self, "_compiled", _Compiled(index, N, genus, nbrs, nbr_sum, adjunction,
+                                                        nodes, principal, contractible))
 
     # -- basic accessors ---------------------------------------------------
 
@@ -282,37 +296,18 @@ class ReductionGraph(Value):
 
     def principal_components(self) -> set[str]:
         """Components of genus >= 1, or genus 0 meeting the rest in >= 3 points."""
-        return {self.vertices[i].id for i in self._walk[1]}
+        return {self.vertices[i].id for i in self._compiled.principal}
 
     def is_minimal(self) -> bool:
         """No contractible exceptional curve (see :func:`_contractible`)."""
-        return not self._walk[2]
-
-    @cached_property
-    def _walk(self):
-        """One pass over ``_compiled`` that classifies the vertices, once
-        per graph: the indices of the nodes (:func:`_is_node`), of the
-        principal components (:func:`_is_principal`), all of them nodes,
-        and of the contractible vertices (:func:`_contractible`, tried only
-        where E^2 = -1), each in vertex order."""
-        c = self._compiled
-        N, genus, nbr_sum = c.N, c.genus, c.nbr_sum
-        nodes, principal, contractible = [], [], []
-        for i, nbrs in enumerate(c.nbrs):
-            if _is_node(genus[i], nbrs):
-                nodes.append(i)
-                if _is_principal(genus[i], nbrs):
-                    principal.append(i)
-            if nbr_sum[i] == N[i] and _contractible(genus[i], N[i], nbrs, nbr_sum[i]):
-                contractible.append(i)
-        return nodes, principal, contractible
+        return not self._compiled.contractible
 
     @cached_property
     def _minimal(self):
         """The minimal model of this graph, or None when it is minimal
         (None rather than self: a graph caching itself would be a reference
         cycle). A worklist on ``_compiled``: a min-heap of ids, seeded with
-        the contractible vertices of ``_walk``. Only a contraction's
+        its ``contractible`` vertices. Only a contraction's
         neighbours with E^2 = -1 are pushed again, and a popped id is
         contracted only if it is live and contractible, so each step
         contracts the smallest contractible id. The neighbour lists are
@@ -324,7 +319,7 @@ class ReductionGraph(Value):
         contractions added them. O(V + E + C log V) for C contractions."""
         c = self._compiled
         index, N, genus, vertices = c.index, c.N, c.genus, self.vertices
-        heap = [vertices[i].id for i in self._walk[2]]
+        heap = [vertices[i].id for i in c.contractible]
         if not heap:
             return None
         import heapq  # here: most graphs a process reads are minimal
@@ -359,7 +354,7 @@ class ReductionGraph(Value):
         minimal graphs only."""
         if not self.is_minimal():
             raise NotMinimal("stabilization index is read off the minimal model; minimize() first")
-        return lcm(*(self._compiled.N[i] for i in self._walk[1]))
+        return lcm(*(self._compiled.N[i] for i in self._compiled.principal))
 
 
 def minimize(g: ReductionGraph) -> ReductionGraph:
@@ -390,7 +385,7 @@ def contract_chains(g: ReductionGraph):
     """
     if not g.is_minimal():
         raise NotMinimal("contract_chains is defined on the minimal model")
-    kept = [g._compiled.N[i] for i in g._walk[0]]
+    kept = [g._compiled.N[i] for i in g._compiled.nodes]
     if not kept:
         return sorted(g._compiled.N), 1
     return sorted(kept), lcm(*kept)

@@ -45,15 +45,15 @@ sum over the edges i-w of tau(w). Lemma: c_i(a) = 0 for a chain vertex
 i in M_d. Its neighbours have N_w1 + N_w2 = -E_i^2 N_i = 0 mod d, so both
 lie in M_d (-1 + 1/2 + 1/2) or neither does, and then a N_w1 and a N_w2
 are nonzero residues summing to d (-1 + 2 - 1). So compute_jumps and
-analyze scan only the nodes, the other vertices. The one walk of g
-(``ReductionGraph._walk``, once per graph object) lists them beside the
-principal components and the contractible vertices, which analyze reads
-for g as given. The scan reads the nodes of g unless one is contractible
-or they have more than WORK_BUDGET candidates, and else those of
-minimize(g), O(V + E + C log V) for C contractions. The walk and the
-minimal model are computed once per graph object and kept with it, so
-analyze(g) followed by minimize(g) or run_checks(g) walks g and its
-minimal model once each and contracts once. run_checks and
+analyze scan only the nodes, the other vertices. The compiled form of g
+lists them (``nodes``) beside the principal components and the
+contractible vertices, which analyze reads for g as given; every graph
+is classified once, when it is built. The scan reads the nodes of g
+unless one is contractible or they have more than WORK_BUDGET
+candidates, and else those of minimize(g), O(V + E + C log V) for C
+contractions. The minimal model is computed once per graph object and
+kept with it, so analyze(g) followed by minimize(g) or run_checks(g)
+contracts once. run_checks and
 analyze(g, with_checks=True) keep the scan of every vertex of g as the
 reference route, and only it evaluates the lower bound and the dual
 route, which hold on all of M_d and not on its nodes; model independence
@@ -220,19 +220,19 @@ def candidate_values(g: ReductionGraph):
                   for a in _numerators(d))
 
 
-def _scan(g: ReductionGraph, nodes=None):
-    """One pass over the candidates of the vertex indices ``nodes`` of g, or
-    of every vertex: the spectrum (jumps, L, genus), the genus read off the
-    adjunction sum, and whether every nonzero candidate meets the lower
+def _scan(g: ReductionGraph, nodes: bool = False):
+    """One pass over the candidates of the nodes of g (``_compiled.nodes``)
+    or of every vertex: the spectrum (jumps, L, genus), the genus read off
+    the adjunction sum, and whether every nonzero candidate meets the lower
     bound and the dual route. Only the scan of every vertex evaluates those
     two, as both hold on all of M_d, not on its nodes (a node scan returns
     True, True). Asserts non-negativity, not the total."""
     c = g._compiled
-    checks = nodes is None
+    checks = not nodes
     entries = []
     ok_bound = ok_dual = True
     for d, members in _members_by_denominator(
-            c, range(len(c.N)) if checks else nodes).items():
+            c, c.nodes if nodes else range(len(c.N))).items():
         t = _terms(c, d, members)
         bound = t.lower_bound(c) if checks and d > 1 else None
         for a in _numerators(d):
@@ -261,16 +261,15 @@ def _spectrum(form) -> JumpSpectrum:
 
 def _node_route(g: ReductionGraph):
     """compute_jumps's spectrum in pair form (jumps, L, genus), its total asserted."""
-    c, (nodes, _, contractible) = g._compiled, g._walk
+    c = g._compiled
     form = None
-    if not any(_is_node(c.genus[i], c.nbrs[i]) for i in contractible):
+    if not any(_is_node(c.genus[i], c.nbrs[i]) for i in c.contractible):
         try:
-            form = _scan(g, nodes)[0]
+            form = _scan(g, nodes=True)[0]
         except OverBudget:  # a heavy node of g, which minimize may remove
             pass
     if form is None:
-        m = minimize(g)
-        form = _scan(m, m._walk[0])[0]
+        form = _scan(minimize(g), nodes=True)[0]
     jumps, _, genus = form
     total = sum(k for _, k in jumps)
     if total != genus:
@@ -280,7 +279,7 @@ def _node_route(g: ReductionGraph):
 
 def compute_jumps(g: ReductionGraph) -> JumpSpectrum:
     """Full jump spectrum by the node route (see the module docstring),
-    from the walk of g: the nodes of g are scanned unless one is
+    from the classes of g: the nodes of g are scanned unless one is
     contractible or they are over the budget, and else those of
     minimize(g). Asserts the multiplicity total equals the genus. Raises
     OverBudget when the nodes of the model scanned have more than
@@ -335,7 +334,7 @@ def analyze(g: ReductionGraph, with_checks: bool = False) -> AnalysisReport:
     from the reference route instead, the scan of every vertex of g, which
     run_checks compares with the node route on minimize(g). The unipotent
     rank, the principal components and ``minimal`` describe g as given,
-    and the last two are read off the walk of g that the routes share.
+    and the last two are read off the vertex classes of g.
     """
     name, genus, jumps, conductor, *rest = _report(g, with_checks)
     return AnalysisReport(name, genus, _fractions(jumps), _values.Fraction(*conductor), *rest)
@@ -401,6 +400,6 @@ def _checked(g: ReductionGraph):
         g=g, minimized=minimized, jumps=form[0], lcm=form[1], ok_bound=ok_bound,
         ok_dual=ok_dual, mults=dict(form[0]), genus=g.genus(),
         u=unipotent_rank(g), index=minimized.stabilization_index(),
-        minimal_jumps=_scan(minimized, minimized._walk[0])[0][0],
-        principal_mults=sorted(minimized._compiled.N[i] for i in minimized._walk[1]))
+        minimal_jumps=_scan(minimized, nodes=True)[0][0],
+        principal_mults=sorted(minimized._compiled.N[i] for i in minimized._compiled.principal))
     return form, [(name, test(facts)) for name, test in _CHECKS]

@@ -177,17 +177,16 @@ def _box(chart, member, sat_member, box):
 
 def _divisibility(chart):
     """Divisibility grows with s, shrinks with t and with i, and survives
-    trading one t for one i."""
-    import numpy as np
-
+    trading one t for one i, on the table T[s][t][i]."""
     divisible = monoids._divisible_case1  # s, t and i are in range
-    table = np.array([[[divisible(chart, s, t, i)
-                        for i in range(_BOX + 1)] for t in range(_BOX + 1)]
-                      for s in range(2 * _BOX + 1)])
-    return bool(np.all(table[:-1, :, :] <= table[1:, :, :])
-                and np.all(table[:, 1:, :] <= table[:, :-1, :])
-                and np.all(table[:, :, 1:] <= table[:, :, :-1])
-                and np.all(table[:, 1:, :-1] <= table[:, :-1, 1:]))
+    cells = range(_BOX + 1)
+    T = [[[divisible(chart, s, t, i) for i in cells] for t in cells]
+         for s in range(2 * _BOX + 1)]
+    pairs = [(t, i) for t in cells for i in cells]
+    return (all(a[t][i] <= b[t][i] for a, b in zip(T, T[1:]) for t, i in pairs)
+            and all(row[t][i] <= row[t - 1][i] for row in T for t, i in pairs if t)
+            and all(row[t][i] <= row[t][i - 1] for row in T for t, i in pairs if i)
+            and all(row[t][i - 1] <= row[t - 1][i] for row in T for t, i in pairs if t and i))
 
 
 SUITES = {"graphs": graph_suite, "lattices": lattice_suite,

@@ -1,6 +1,6 @@
 """Shared fixtures: a deterministic corpus of random reduction graphs and
-counters of vertex walks and minimal-model worklist runs (the blow-up
-chains the suites share are in ``blowup_chains``)."""
+counters of vertex classifications and minimal-model worklist runs (the
+blow-up chains the suites share are in ``blowup_chains``)."""
 
 import dataclasses
 from functools import cached_property
@@ -64,9 +64,17 @@ def _recorded(monkeypatch, name, keep=lambda result: True):
 
 
 @pytest.fixture
-def walks(monkeypatch):
-    """The graphs whose vertices are classified (``ReductionGraph._walk``)."""
-    return _recorded(monkeypatch, "_walk")
+def classified(monkeypatch):
+    """The graphs whose vertices are classified, in order: each graph that
+    ``ReductionGraph._settle`` builds the compiled form of."""
+    runs, settle = [], ReductionGraph._settle
+
+    def counted(self, *args):
+        settle(self, *args)
+        runs.append(self)
+
+    monkeypatch.setattr(ReductionGraph, "_settle", counted)
+    return runs
 
 
 @pytest.fixture

@@ -16,8 +16,8 @@ It holds the single values at j/m (``index_set``, ``sigma``,
 ``floor_divisor`` as a dict by vertex id, ``intersect``, the main and the
 dual route and ``lower_bound``), the full ``scan``, the ``genus`` by
 adjunction, ``s_d`` of the monodromy pairing (A'Campo, Comment. Math.
-Helv. 50 (1975)) and ``is_isomorphic`` (McKay-Piperno, J. Symbolic
-Comput. 60 (2014)).
+Helv. 50 (1975)), the ``contractible`` curves and ``is_isomorphic``
+(McKay-Piperno, J. Symbolic Comput. 60 (2014)).
 """
 
 from collections import Counter
@@ -41,6 +41,14 @@ class Labels:
 
     def self_intersection(self, i):
         return -(sum(self.N[w] for w in self.nbrs[i]) // self.N[i])
+
+    def contractible(self, i):
+        """A contractible -1 curve: genus 0, E^2 = -1, and one edge or two
+        edges to distinct neighbours (two to one neighbour would contract
+        to a node)."""
+        ns = self.nbrs[i]
+        return (self.genus[i] == 0 and self.self_intersection(i) == -1
+                and (len(ns) == 1 or (len(ns) == 2 and ns[0] != ns[1])))
 
     def index_set(self, j):
         return {i for i, n in self.N.items() if j * n % self.m == 0}
@@ -136,6 +144,12 @@ def s_d(g, d):
     mult(((d - a) mod d)/d) = 2[d = 1] + S_d for every a prime to d."""
     L = Labels(g)
     return sum(2 * L.genus[i] - 2 + len(L.nbrs[i]) for i, n in L.N.items() if n % d == 0)
+
+
+def contractible(g):
+    """The ids of the contractible -1 curves of g, in vertex order."""
+    L = Labels(g)
+    return [v.id for v in g.vertices if L.contractible(v.id)]
 
 
 def is_isomorphic(g1, g2):

@@ -48,7 +48,7 @@ from redjumps.monoids import (AffineMonoid, SaturationChartCase1, SaturationChar
 from redjumps.surgery import _blown_up
 
 from blowup_chains import fibonacci_chain
-from formula_oracle import is_isomorphic
+from formula_oracle import contractible, is_isomorphic
 from test_surgery import assert_as_constructed
 
 
@@ -595,11 +595,12 @@ def test_minimize_runs_once_per_graph(worklist_runs):
     assert minimize(fresh(g)) == m and len(worklist_runs) == 2
 
 
-def test_one_walk_per_graph(walks):
-    # every reader of the vertex classes shares the one walk of its graph:
-    # a non-minimal graph and its minimal model are walked once each
+def test_one_classification_per_graph(classified):
+    # every reader of the vertex classes reads the compiled form its graph
+    # was built with: analyzing and checking a non-minimal graph classifies
+    # one more graph, its minimal model, once
     g = random_instance(3, 40).graph
-    walks.clear()
+    classified.clear()
     analyze(g)
     run_checks(g)
     m = minimize(g)
@@ -607,10 +608,10 @@ def test_one_walk_per_graph(walks):
     assert not g.is_minimal() and m.is_minimal()
     assert m.principal_components() <= g.principal_components()
     analyze(g, with_checks=True)
-    assert walks == [g, m] and walks[1] is m
-    walks.clear()
+    assert classified == [m] and classified[0] is m
+    classified.clear()
     run_checks(fresh(g))
-    assert len(walks) == 2
+    assert len(classified) == 2
 
 
 def test_minimize_is_linear_on_a_star_of_tails():
@@ -647,10 +648,7 @@ def reference_minimize(g):
     lexicographically smallest contractible one."""
     assert reference_validate(g) == ()
     while True:
-        eligible = [v.id for v in g.vertices
-                    if v.genus == 0 and g.self_intersection(v.id) == -1
-                    and (g.degree(v.id) == 1
-                         or (g.degree(v.id) == 2 and len(set(g.neighbors(v.id))) == 2))]
+        eligible = contractible(g)
         if not eligible:
             return g
         g = blow_down(g, min(eligible))
@@ -807,11 +805,7 @@ def reference_genus(g):
 
 
 def reference_is_minimal(g):
-    return not any(
-        v.genus == 0 and reference_nbr_sum(g, v.id) == v.multiplicity
-        and (reference_degree(g, v.id) == 1
-             or (reference_degree(g, v.id) == 2 and len(set(reference_neighbors(g, v.id))) == 2))
-        for v in g.vertices)
+    return not contractible(g)
 
 
 def reference_principal_components(g):

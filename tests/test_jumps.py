@@ -63,7 +63,7 @@ def given_model_spectrum(g):
 
 def node_route(g):
     """The scan of the nodes of g alone."""
-    return jumps._spectrum(jumps._scan(g, g._walk[0])[0])
+    return jumps._spectrum(jumps._scan(g, nodes=True)[0])
 
 
 # -- the intersection-formula ingredients on the type II star -------------------
@@ -470,10 +470,10 @@ def test_a_heavy_node_falls_back_to_the_minimal_model(tmp_path, capsys):
     top = max(g.ids, key=g.multiplicity)
     g = blow_up_free_point(g, top)
     g = blow_up_edge(g, len(g.edges) - 1)  # the edge to the new tail
-    c, nodes = g._compiled, g._walk[0]
+    c = g._compiled
     assert len(g.vertices) == 46
-    assert max(c.N[i] for i in nodes) == g.multiplicity(top) == 1_300_483_311
-    assert not any(contractible(g, g.vertices[i].id) for i in nodes)
+    assert max(c.N[i] for i in c.nodes) == g.multiplicity(top) == 1_300_483_311
+    assert not set(oracle.contractible(g)) & {g.vertices[i].id for i in c.nodes}
     with pytest.raises(OverBudget):
         node_route(g)
     assert compute_jumps(g).as_dict() == {F(1, 6): 1}
@@ -643,13 +643,7 @@ def test_checks_pass_on_random_instances(seed, moves):
 
 
 # the catalog's pool, and the y^2 = x^m + pi models of genus 2 to 6
-SEEDS = {**seed_graphs(), **{f"y2x{m}": superelliptic_star(m) for m in (5, 7, 9, 11, 13)}}
-
-
-def contractible(g, v):
-    return (g.vertex(v).genus == 0 and g.self_intersection(v) == -1
-            and (g.degree(v) == 1
-                 or (g.degree(v) == 2 and len(set(g.neighbors(v))) == 2)))
+SEEDS = {**seed_graphs(), **{f"y2x{m}": superelliptic_star(2, m) for m in (5, 7, 9, 11, 13)}}
 
 
 @st.composite
@@ -663,7 +657,7 @@ def surgered_models(draw):
         elif move == "edge" and g.edges:
             g = blow_up_edge(g, draw(st.integers(0, len(g.edges) - 1)))
         elif move == "down":
-            eligible = [v for v in g.ids if contractible(g, v)]
+            eligible = oracle.contractible(g)
             if eligible:
                 g = blow_down(g, draw(st.sampled_from(eligible)))
     ids = draw(st.permutations(g.ids))
@@ -681,18 +675,18 @@ def test_checks_pass_on_surgered_models(g):
 
 @settings(deadline=None, max_examples=200)
 @given(g=surgered_models())
-def test_the_walk_matches_the_definitions(g):
-    # the one walk of a graph against each class read one vertex at a time:
-    # nodes are all but genus 0 with two edges, principal components have
-    # genus >= 1 or three or more edges
+def test_the_class_fields_match_the_definitions(g):
+    # the classes of the compiled form against each class read off the
+    # labels one vertex at a time: nodes are all but genus 0 with two
+    # edges, principal components have genus >= 1 or three or more edges
     for h in (g, minimize(g)):
-        nodes, principal, to_contract = h._walk
-        assert nodes == [i for i, v in enumerate(h.vertices)
-                         if v.genus or h.degree(v.id) != 2]
-        assert principal == [i for i, v in enumerate(h.vertices)
-                             if v.genus or h.degree(v.id) > 2]
-        assert to_contract == [i for i, v in enumerate(h.vertices) if contractible(h, v.id)]
-        assert h.is_minimal() == (not to_contract)
+        c, degree = h._compiled, {v: len(ns) for v, ns in oracle.Labels(h).nbrs.items()}
+        assert c.nodes == [i for i, v in enumerate(h.vertices)
+                           if v.genus or degree[v.id] != 2]
+        assert c.principal == [i for i, v in enumerate(h.vertices)
+                               if v.genus or degree[v.id] > 2]
+        assert [h.vertices[i].id for i in c.contractible] == oracle.contractible(h)
+        assert h.is_minimal() == (not c.contractible)
 
 
 @settings(deadline=None, max_examples=200)
@@ -780,7 +774,7 @@ def test_a_chain_vertex_contributes_nothing():
     chains = 0
     for g in graphs:
         c = g._compiled
-        for i in sorted(set(range(len(c.N))) - set(g._walk[0])):
+        for i in sorted(set(range(len(c.N))) - set(c.nodes)):
             chains += 1
             for d in jumps._divisor_phis(c.N[i]):
                 t = jumps._terms(c, d, [i])
